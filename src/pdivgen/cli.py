@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from .coxs5 import run_cox
-from .engine import run_general
+from .engine import format_section, run_general
 from .intlinalg import primitive
 from .mpoly import MPoly
 from .pdivisor import (
@@ -20,7 +20,6 @@ from .pdivisor import (
     PDivisor,
     WeightOutsideCone,
     linearity_subdivision,
-    validate,
 )
 from .polyhedra import QCone, cone_from_rays, dual_cone, hilbert_basis, tailed_polyhedron
 from .torus import UnsupportedBase, run_torus, standard_p2_fan_record
@@ -221,25 +220,30 @@ def build_variety(job: JobDescription):
     backend = job.require("variety", "backend")
     if backend == "point":
         return PointBase()
-    if backend == "projective-space":
-        coords = tuple(job.require("variety", "coordinates").split())
-        n = int(job.get("variety", "dim", str(len(coords) - 1)))
-        if n != len(coords) - 1:
-            raise JobSemanticError("dim must equal number of coordinates minus one")
-        y = ProjectiveSpace(n, coords)
-        _register_forms(job, y, coords)
-        return y
-    if backend == "blowup-p2":
-        coords = tuple(job.get("variety", "coordinates", "x0 x1 x2").split())
-        points = parse_vector_list(job.require("variety", "points"))
-        forms = _collect_forms(job, coords)
-        if "H" not in forms:
-            raise JobSemanticError("blowup-p2 needs form.H, the line to blow down to")
-        y = BlowupOfP2(points, forms.pop("H"), coords)
+    try:
+        if backend == "projective-space":
+            coords = tuple(job.require("variety", "coordinates").split())
+            n = int(job.get("variety", "dim", str(len(coords) - 1)))
+            if n != len(coords) - 1:
+                raise JobSemanticError("dim must equal number of coordinates minus one")
+            y = ProjectiveSpace(n, coords)
+            forms = _collect_forms(job, coords)
+        elif backend == "blowup-p2":
+            coords = tuple(job.get("variety", "coordinates", "x0 x1 x2").split())
+            points = parse_vector_list(job.require("variety", "points"))
+            forms = _collect_forms(job, coords)
+            if "H" not in forms:
+                raise JobSemanticError("blowup-p2 needs form.H, the line to blow down to")
+            y = BlowupOfP2(points, forms.pop("H"), coords)
+        else:
+            raise UnsupportedBackend(f"unknown backend '{backend}'")
         for label, poly in sorted(forms.items()):
             y.register_divisor(label, poly)
-        return y
-    raise UnsupportedBackend(f"unknown backend '{backend}'")
+    except UnsupportedBackend:
+        raise
+    except ValueError as exc:  # e.g. a defining form that is zero or not homogeneous
+        raise JobSemanticError(str(exc)) from exc
+    return y
 
 
 def _collect_forms(job, coords):
@@ -248,11 +252,6 @@ def _collect_forms(job, coords):
         if key.startswith("form."):
             forms[key[5:]] = parse_polynomial(value, coords)
     return forms
-
-
-def _register_forms(job, y, coords):
-    for label, poly in sorted(_collect_forms(job, coords).items()):
-        y.register_divisor(label, poly)
 
 
 def build_pdivisor(job: JobDescription, y) -> PDivisor:
@@ -294,14 +293,8 @@ def build_cone(job: JobDescription) -> QCone:
 # pipelines
 
 
-def _generator_lines(elements, y):
-    names = list(getattr(y, "coordinates", ()))
-    out = []
-    for e in elements:
-        den = " * ".join(f"{l}^{k}" for l, k in e.section.den) or "1"
-        num = e.section.num.format(names) if names else "1"
-        out.append(f"weight {tuple(e.weight)}  section ({num}) / ({den})")
-    return out
+def _generator_lines(elements, names):
+    return [f"weight {tuple(e.weight)}  {format_section(e.section, names)}" for e in elements]
 
 
 def _pipeline_eval(job, y, d):
@@ -336,10 +329,11 @@ def _pipeline_general(job, y, d, max_iterations):
     lines = list(result.report)
     lines.append(f"{len(result.elements)} generators")
     lines.append(f"normalization status: {result.normalization_status}")
-    lines.extend(_generator_lines(result.elements, y))
+    gen_lines = _generator_lines(result.elements, y.coordinates)
+    lines.extend(gen_lines)
     if result.presentation:
         lines.append(result.presentation.rstrip("\n"))
-    return lines, _generator_lines(result.elements, y)
+    return lines, gen_lines
 
 
 def _pipeline_torus(job, y, d, max_iterations):
@@ -355,7 +349,7 @@ def _pipeline_torus(job, y, d, max_iterations):
     lines.append(f"normalization status: {result.normalization_status}")
     degrees = sorted({e.weight for e in result.elements})
     lines.append(f"degrees: {degrees}")
-    gen_lines = _generator_lines(result.elements, y)
+    gen_lines = _generator_lines(result.elements, y.coordinates)
     lines.extend(gen_lines)
     return lines, gen_lines
 
@@ -368,13 +362,7 @@ def _pipeline_cox(max_iterations):
     lines.append(f"{len(result.reduced_rays)} rays after reduction")
     lines.append(f"{len(result.generators.elements)} generators")
     lines.append(result.presentation.rstrip("\n"))
-    names = ["x0", "x1", "x2"]
-    gen_lines = []
-    for e in result.generators.elements:
-        den = " * ".join(f"{l}^{k}" for l, k in e.section.den) or "1"
-        gen_lines.append(
-            f"weight {tuple(e.weight)}  section ({e.section.num.format(names)}) / ({den})"
-        )
+    gen_lines = _generator_lines(result.generators.elements, ("x0", "x1", "x2"))
     lines.extend(gen_lines)
     return lines, gen_lines
 
@@ -474,9 +462,6 @@ def build_arg_parser():
     parser.add_argument("--output", default=None, help="report file (default stdout)")
     parser.add_argument("--max-iterations", type=int, default=64)
     parser.add_argument(
-        "--threads", type=int, default=1, help="bound on internal parallelism"
-    )
-    parser.add_argument(
         "--verify", action="store_true", help="run property checks inline"
     )
     return parser
@@ -484,9 +469,6 @@ def build_arg_parser():
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
-        return EXIT_SEMANTIC
     try:
         if args.pipeline == "cox-s5" and args.jobfile is None:
             job = JobDescription({"job": {"pipeline": "cox-s5"}}, {})

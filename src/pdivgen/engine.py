@@ -7,8 +7,8 @@ saturate (when the algebra is toric in disguise) or export a
 presentation for an external normalization.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from math import gcd
 
 from .intlinalg import hnf_basis, kernel_lattice, lattice_member, solve_in_lattice
 from .mpoly import MPoly
@@ -111,12 +111,12 @@ def _interior_point(cone):
     return primitive(tuple(sum(r[i] for r in cone.rays) for i in range(cone.dim)))
 
 
-def interior_lattice_basis(cone, max_iterations=64):
+def interior_lattice_basis(cone):
     """Lattice basis of Z^n inside the weight cone, first vector interior.
 
     Start from a primitive interior point, complete it to a basis of the
-    lattice, then push the remaining vectors into the cone by adding
-    multiples of the interior one.
+    lattice, then push the remaining vectors into the cone by adding the
+    smallest multiple of the interior one that satisfies every facet.
     """
     n = cone.dim
     u = _interior_point(cone)
@@ -136,16 +136,18 @@ def interior_lattice_basis(cone, max_iterations=64):
         candidates = [u] + [tuple(c) for c in cols[1:]]
     basis = [u]
     for b in candidates[1:]:
+        # f.(b + t*u) >= 0 holds for t >= ceil(-f.b / f.u) when f.u > 0, and
+        # for no t when f.u == 0 > f.b (a cone that is not full-dimensional)
         t = 0
-        cur = b
-        while not cone.contains(cur):
-            t += 1
-            if t > max_iterations:
+        for f in cone.facets:
+            fb, fu = dot(f, b), dot(f, u)
+            if fu:
+                t = max(t, -(fb // fu))
+            elif fb < 0:
                 raise IterationLimitExceeded(
                     f"cannot push basis vector {b} into the weight cone"
                 )
-            cur = tuple(x + t * y for x, y in zip(b, u))
-        basis.append(cur)
+        basis.append(tuple(x + t * y for x, y in zip(b, u)))
     return basis
 
 
@@ -161,11 +163,11 @@ def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
     y = d.variety
     added = []
     weights = [e.weight for e in elements]
-    basis = interior_lattice_basis(d.weight_cone, max_iterations)
+    basis = interior_lattice_basis(d.weight_cone)
     for b in basis:
         g = []
         j = 0
-        while _gcd_list(g) != 1:
+        while gcd(*g) != 1:
             j += 1
             if j > max_iterations:
                 raise IterationLimitExceeded(
@@ -185,16 +187,6 @@ def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
             added.append(el)
             weights.append(u)
     return added
-
-
-def _gcd_list(values):
-    g = 0
-    for v in values:
-        a, b = g, v
-        while b:
-            a, b = b, a % b
-        g = a
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +505,18 @@ def _z_independent(vectors):
     return not kernel_lattice(list(zip(*vectors)))
 
 
+def format_section(section, names):
+    """'section (numerator) / (factored denominator)' for reports."""
+    den = " * ".join(f"{l}^{k}" for l, k in section.den) or "1"
+    return f"section ({section.num.format(names)}) / ({den})"
+
+
 def _presentation(y, elements):
     """Plain-text presentation for an external normalization system."""
     lines = ["# presentation of the collected generator algebra"]
     lines.append(f"# {len(elements)} generators; variables g0..g{len(elements) - 1}")
-    names = list(y.coordinates)
     for i, e in enumerate(elements):
-        den = " * ".join(f"{l}^{k}" for l, k in e.section.den) or "1"
-        lines.append(
-            f"g{i} : weight {e.weight} section ({e.section.num.format(names)}) / ({den})"
-        )
+        lines.append(f"g{i} : weight {e.weight} {format_section(e.section, y.coordinates)}")
     vectors = []
     usable = []
     for i, e in enumerate(elements):

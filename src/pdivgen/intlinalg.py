@@ -7,7 +7,7 @@ its basis matrix.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _as_rows(mat):
@@ -137,13 +137,9 @@ def primitive(vec):
     fr = [Fraction(x) for x in vec]
     if not any(fr):
         return tuple(0 for _ in fr)
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    scale = lcm(*(x.denominator for x in fr))
+    ints = [int(x * scale) for x in fr]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -245,11 +241,6 @@ def invert_unimodular(rows):
     return u
 
 
-def frac_kernel(rows, ncols):
-    """Basis of the rational kernel, returned as primitive integer rows."""
-    return kernel_lattice(rows) if rows else identity(ncols)
-
-
 def solve_in_lattice(target, basis):
     """Integer coordinates of target in the row lattice, or None.
 
@@ -302,14 +293,3 @@ def rref(rows):
         if r == m:
             break
     return [tuple(row) for row in a], pivots
-
-
-def frac_rank(rows):
-    return len(rref(rows)[1])
-
-
-def in_row_span(vec, rows):
-    """Whether vec lies in the rational row span of rows."""
-    if not rows:
-        return not any(vec)
-    return frac_rank(list(rows)) == frac_rank(list(rows) + [list(vec)])

@@ -7,6 +7,7 @@ spaces: products, powers, affine shifts and exact division.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 
 class MPoly:
@@ -167,15 +168,9 @@ class MPoly:
         """Scale to integer coefficients with content 1 and positive lead."""
         if not self.terms:
             return self
-        lcm = 1
-        for c in self.terms.values():
-            d = c.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm * d // g
-        ints = {e: c * lcm for e, c in self.terms.items()}
-        g = 0
-        for c in ints.values():
-            g = _gcd(g, abs(c.numerator))
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        ints = {e: c * scale for e, c in self.terms.items()}
+        g = gcd(*(c.numerator for c in ints.values()))
         _, lead = max(ints.items())
         sign = -1 if lead < 0 else 1
         return MPoly(self.nvars, {e: c * sign / g for e, c in ints.items()})
@@ -213,12 +208,6 @@ class MPoly:
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
         return f"MPoly({self.format(names)})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def monomials_of_degree(nvars, degree):

@@ -7,12 +7,10 @@ coefficient.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polyhedra import (
     PolyhedralSubdivision,
     QCone,
-    TailedPolyhedron,
     common_refinement,
     dot,
     dual_cone,
@@ -21,13 +19,7 @@ from .polyhedra import (
     point_polyhedron,
     trivial_subdivision,
 )
-from .varieties import (
-    BlowupOfP2,
-    PointBase,
-    ProjectiveSpace,
-    QDivisor,
-    is_basepoint_free,
-)
+from .varieties import QDivisor, is_basepoint_free
 
 
 class WeightOutsideCone(ValueError):
@@ -82,10 +74,6 @@ class LinearityDomain:
 
     def rays(self):
         return self.subdivision.all_rays()
-
-
-def evaluate(d: PDivisor, u) -> QDivisor:
-    return d.evaluate(u)
 
 
 def _interior_sample(cell: QCone):
@@ -171,53 +159,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _integral_scale(divisor: QDivisor):
-    """Smallest k >= 1 making k * divisor integral."""
-    k = 1
-    for v in divisor.coeffs.values():
-        d = v.denominator
-        g = _gcd(k, d)
-        k = k * d // g
-    return k
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _semiample_at_ray(d: PDivisor, ray, cap):
     base = d.evaluate(ray)
-    step = _integral_scale(base)
+    step = mu(base.coeffs.values())
     k = step
     while k <= cap * step:
         if is_basepoint_free(d.variety, base * k):
             return k
         k += step
     return None
-
-
-def _bigness_check(d: PDivisor, cell: QCone):
-    u = _interior_sample(cell)
-    div = d.evaluate(u)
-    div = div * _integral_scale(div)
-    y = d.variety
-    if isinstance(y, PointBase):
-        return ("pass", "base is a point")
-    if isinstance(y, ProjectiveSpace):
-        deg = y.divisor_degree(div)
-        if deg > 0:
-            return ("pass", f"degree {deg} > 0")
-        return ("fail", f"degree {deg} <= 0")
-    if isinstance(y, BlowupOfP2):
-        cls = y.divisor_class(div)
-        self_int = y.intersect(cls, cls)
-        anti_k = (3, -1, -1, -1, -1)
-        if self_int > 0 and y.intersect(cls, anti_k) > 0:
-            return ("pass", f"self-intersection {self_int} > 0")
-        return ("UNVERIFIABLE", "no sufficient bigness criterion applies")
-    return ("UNVERIFIABLE", "unknown backend")
 
 
 def validate(d: PDivisor, max_iterations=64) -> ValidationReport:
@@ -239,6 +189,7 @@ def validate(d: PDivisor, max_iterations=64) -> ValidationReport:
                 ValidationCheck(f"semiample at ray {ray}", "pass", f"k = {k}")
             )
     for cell in domain.cells:
-        verdict, detail = _bigness_check(d, cell)
+        div = d.evaluate(_interior_sample(cell))
+        verdict, detail = d.variety.bigness(div * mu(div.coeffs.values()))
         checks.append(ValidationCheck(f"big on cell {cell.rays}", verdict, detail))
     return ValidationReport(tuple(checks))

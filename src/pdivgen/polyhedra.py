@@ -9,13 +9,11 @@ cutting out the linear span.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import lcm
 
 from .intlinalg import (
     det,
-    hnf_basis,
     identity,
     invert_unimodular,
     kernel_lattice,
@@ -120,9 +118,6 @@ class QCone:
     def span_rank(self):
         return rank(self.rays) if self.rays else 0
 
-    def is_simplicial(self):
-        return len(self.rays) == self.span_rank()
-
 
 def cone_from_rays(rays, dim):
     rays = [tuple(primitive(r)) for r in rays if any(r)]
@@ -143,17 +138,9 @@ def dual_cone(c: QCone) -> QCone:
     return QCone(c.dim, rays, generators_of_dual(rays, c.dim))
 
 
-def intersect_cones(a: QCone, b: QCone) -> QCone:
-    return cone_from_facets(list(a.facets) + list(b.facets), a.dim)
-
-
 def mu(v):
     """Smallest positive integer k with k*v a lattice point."""
-    lcm = 1
-    for x in v:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return lcm
+    return lcm(*(Fraction(x).denominator for x in v))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +354,6 @@ def point_polyhedron(v, tail: QCone) -> TailedPolyhedron:
 class PolyhedralSubdivision:
     ambient: QCone
     maximal_cells: tuple
-
-    def cell_containing(self, u):
-        for c in self.maximal_cells:
-            if c.contains(u):
-                return c
-        return None
 
     def all_rays(self):
         seen = set()

@@ -16,11 +16,8 @@ from .pdivisor import PDivisor, linearity_subdivision
 from .polyhedra import (
     QCone,
     cone_from_rays,
-    dot,
     dual_cone,
     hilbert_basis,
-    mu,
-    point_polyhedron,
     tailed_polyhedron,
     unimodular_triangulation,
 )
@@ -31,9 +28,8 @@ from .varieties import (
     ProjectiveSpace,
     UnsupportedBackend,
     ffe,
-    invariantizing_section,
 )
-from .engine import GeneratorSet, GradedElement, _dedupe, _sorted_elements
+from .engine import GeneratorSet, GradedElement, _dedupe
 
 
 class UnsupportedBase(ValueError):
@@ -53,7 +49,6 @@ class DivisorialFanRecord:
     rays: tuple
     coordinate_rays: tuple  # per backend coordinate: index into rays
     character_functions: tuple
-    vertical_markers: tuple = ()
 
     @property
     def torus_rank(self):
@@ -66,7 +61,6 @@ class InvariantRepresentation:
 
     cell: QCone
     ray_coefficients: tuple  # per fan ray: (ray, TailedPolyhedron Delta_r)
-    vertical: tuple  # per (label, vertex): (label, v, Delta, mu(v))
     twists: tuple  # per cell ray: (ray, section)
 
 
@@ -167,7 +161,7 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
     per_ray_coords = []
     for rho in rays:
         div = d.evaluate(rho)
-        s = invariantizing_section(y, div)
+        s = y.invariantizing_section(div)
         twists.append((rho, s))
         coords, forms = _expanded_coefficients(y, div)
         s_coords, s_forms = element_divisor(y, s)
@@ -195,7 +189,7 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
         delta = tailed_polyhedron([w], tail.rays, n)
         ray_coeffs.append((tuple(r), delta))
     return (
-        InvariantRepresentation(cell, tuple(ray_coeffs), (), tuple(twists)),
+        InvariantRepresentation(cell, tuple(ray_coeffs), tuple(twists)),
         dict(twists),
     )
 
@@ -216,9 +210,6 @@ def upgrade(rep: InvariantRepresentation, cell: QCone, record: DivisorialFanReco
             gens.append(primitive(tuple(v) + tuple(r)))
         for t in delta.tail.rays:
             gens.append(tuple(t) + tuple([0] * rk))
-    for label, v, delta, m in rep.vertical:
-        for w in delta.vertices:
-            gens.append(primitive(tuple(w) + tuple(v)))
     if not isinstance(record.base, PointBase):
         raise UnsupportedBase("only a point base is supported end to end")
     return cone_from_rays(gens, n + rk)

@@ -1,9 +1,10 @@
 """Variety backends: divisors, global sections, function-field elements.
 
-Three backends ship: a point, projective space, and the blow-up of the
-plane in four points.  Sections are represented as fractions whose
-denominators stay factored into the registered defining forms, so that
-products and span tests reduce to linear algebra on numerators.
+Three backends ship, each a subclass of ``Variety``: a point, projective
+space, and the blow-up of the plane in four points.  Sections are
+represented as fractions whose denominators stay factored into the
+registered defining forms, so that products and span tests reduce to
+linear algebra on numerators.
 """
 
 from dataclasses import dataclass
@@ -75,9 +76,6 @@ class QDivisor:
         """Label-wise floor; valid for squarefree defining forms."""
         return QDivisor({k: Fraction(v.numerator // v.denominator) for k, v in self.coeffs.items()})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def format(self):
         if not self.coeffs:
             return "0"
@@ -137,37 +135,21 @@ class SectionBasis:
 # backends
 
 
-class PointBase:
-    """Y = a point; the only divisor is zero, sections are constants."""
+class Variety:
+    """What the pipelines need of a base variety; shared by the backends.
 
-    name = "point"
-    nvars = 0
-    coordinates = ()
+    A backend holds its coordinates and a table of prime divisor labels
+    with their defining forms.  On top of that it implements, for
+    integral divisors, ``_sections(d)`` and ``_is_basepoint_free(d)``
+    (called through the module functions ``sections`` and
+    ``is_basepoint_free``), ``bigness(div)`` giving the (verdict, detail)
+    pair of the validity report, ``invariantizing_section(d)`` for the
+    torus shortcut, and ``function_field_generators()``.
+    """
 
-    def forms(self):
-        return {}
-
-    def form(self, label):
-        raise KeyError(label)
-
-    def one(self):
-        return ffe(MPoly.constant(0, 1))
-
-    def function_field_generators(self):
-        return ()
-
-
-class ProjectiveSpace:
-    """P^n with homogeneous coordinates; prime divisors are form labels."""
-
-    name = "projective-space"
-
-    def __init__(self, n, coordinates=None):
-        self.n = n
-        self.nvars = n + 1
-        self.coordinates = tuple(coordinates) if coordinates else tuple(
-            "xyzwvuts"[i] for i in range(n + 1)
-        )
+    def __init__(self, nvars, coordinates):
+        self.nvars = nvars
+        self.coordinates = tuple(coordinates)
         self._forms = {}
 
     def register_divisor(self, label, form: MPoly):
@@ -184,8 +166,43 @@ class ProjectiveSpace:
     def one(self):
         return ffe(MPoly.constant(self.nvars, 1))
 
-    def coordinate_poly(self, i):
-        return MPoly.variable(self.nvars, i)
+
+class PointBase(Variety):
+    """Y = a point; the only divisor is zero, sections are constants."""
+
+    name = "point"
+
+    def __init__(self):
+        super().__init__(0, ())
+
+    def function_field_generators(self):
+        return ()
+
+    def _sections(self, d):
+        if any(v < 0 for v in d.coeffs.values()):
+            return SectionBasis(d, ())
+        return SectionBasis(d, (self.one(),))
+
+    def _is_basepoint_free(self, d):
+        return all(v >= 0 for v in d.coeffs.values())
+
+    def bigness(self, div):
+        return ("pass", "base is a point")
+
+    def invariantizing_section(self, d):
+        return self.one()
+
+
+class ProjectiveSpace(Variety):
+    """P^n with homogeneous coordinates; prime divisors are form labels."""
+
+    name = "projective-space"
+
+    def __init__(self, n, coordinates=None):
+        super().__init__(
+            n + 1, coordinates or tuple("xyzwvuts"[i] for i in range(n + 1))
+        )
+        self.n = n
 
     def function_field_generators(self):
         """x_i / x_n as (numerator index, denominator index) pairs."""
@@ -194,8 +211,71 @@ class ProjectiveSpace:
     def divisor_degree(self, d: QDivisor):
         return sum(c * self._forms[l].total_degree() for l, c in d.coeffs.items())
 
+    def _sections(self, d):
+        forced = MPoly.constant(self.nvars, 1)
+        den = []
+        den_deg = 0
+        for l, c in d.coeffs.items():
+            f = self.form(l)
+            c = int(c)
+            if c > 0:
+                den.append((l, c))
+                den_deg += c * f.total_degree()
+            else:
+                forced = forced * f ** (-c)
+        # the numerator degree matches the denominator; the forced factor
+        # uses up part of it
+        free_deg = den_deg - forced.total_degree()
+        if free_deg < 0:
+            return SectionBasis(d, ())
+        elems = []
+        for e in monomials_of_degree(self.nvars, free_deg):
+            num = MPoly.monomial(self.nvars, e) * forced
+            elems.append(ffe(num, den))
+        return SectionBasis(d, tuple(elems))
 
-class BlowupOfP2:
+    def _is_basepoint_free(self, d):
+        if not sections(self, d).elements:
+            return False
+        # every numerator carries the forced factor from the negative
+        # coefficients; the residual monomials of a full degree have no
+        # common projective zero, so the base locus is exactly the zero
+        # set of that common factor
+        return all(self.form(l).total_degree() == 0 for l, c in d.coeffs.items() if c < 0)
+
+    def bigness(self, div):
+        deg = self.divisor_degree(div)
+        if deg > 0:
+            return ("pass", f"degree {deg} > 0")
+        return ("fail", f"degree {deg} <= 0")
+
+    def invariantizing_section(self, d):
+        """A section s with D + Div(s) supported on torus-invariant divisors."""
+        den = []
+        deg = 0
+        for l, c in d.coeffs.items():
+            form = self.form(l)
+            if form.is_term():  # monomial forms are the invariant ones
+                continue
+            if c.denominator != 1:
+                raise NotTMoveable(
+                    f"non-integral coefficient {c} on non-invariant divisor {l}"
+                )
+            c = int(c)
+            den.append((l, c))
+            deg += c * form.total_degree()
+        if not den:
+            return self.one()
+        if deg < 0:
+            raise NotTMoveable("negative degree on the non-invariant part")
+        num = MPoly.monomial(self.nvars, _balanced_monomial(self.nvars, deg))
+        for l, c in den:
+            if c < 0:
+                num = num * self.form(l) ** (-c)
+        return ffe(num, [(l, c) for l, c in den if c > 0])
+
+
+class BlowupOfP2(Variety):
     """Blow-up of P^2 in four points in general position (degree-5 del Pezzo).
 
     Labels: H (a line with declared form), E1..E4 (exceptional), E{ij}
@@ -208,34 +288,20 @@ class BlowupOfP2:
     def __init__(self, points, h_form: MPoly, coordinates=("x0", "x1", "x2")):
         if len(points) != 4:
             raise UnsupportedBackend("only the four-point blow-up is supported")
+        super().__init__(3, coordinates)
         self.points = tuple(tuple(Fraction(x) for x in p) for p in points)
-        self.nvars = 3
-        self.coordinates = tuple(coordinates)
-        self._forms = {"H": h_form.content_normalized()}
+        self.register_divisor("H", h_form)
         self.exceptional = tuple(f"E{i}" for i in range(1, 5))
         for i, j in combinations(range(4), 2):
             label = f"E{i + 1}{j + 1}"
-            self._forms[label] = self._line_through(self.points[i], self.points[j])
+            self.register_divisor(label, self._line_through(self.points[i], self.points[j]))
 
     def _line_through(self, p, q):
         # coefficients of the line = cross product of the two points
         a = p[1] * q[2] - p[2] * q[1]
         b = p[2] * q[0] - p[0] * q[2]
         c = p[0] * q[1] - p[1] * q[0]
-        form = MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
-        return form.content_normalized()
-
-    def register_divisor(self, label, form: MPoly):
-        self._forms[label] = form.content_normalized()
-
-    def forms(self):
-        return dict(self._forms)
-
-    def form(self, label):
-        return self._forms[label]
-
-    def one(self):
-        return ffe(MPoly.constant(3, 1))
+        return MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
     def function_field_generators(self):
         return ((0, 2), (1, 2))
@@ -268,129 +334,92 @@ class BlowupOfP2:
         curves += [self.class_vector(f"E{i + 1}{j + 1}") for i, j in combinations(range(4), 2)]
         return curves
 
-    def euler_characteristic(self, cls):
-        """chi(c) = (c^2 - c.K)/2 + 1 with K = -3H + E1 + ... + E4."""
-        k = (-3, 1, 1, 1, 1)
-        return Fraction(self.intersect(cls, cls) - self.intersect(cls, k), 2) + 1
-
-
-# ---------------------------------------------------------------------------
-# sections
-
-
-def sections(y, d: QDivisor) -> SectionBasis:
-    if not d.is_integral():
-        raise NonIntegralDivisor(d.format())
-    if isinstance(y, PointBase):
-        if any(v < 0 for v in d.coeffs.values()):
-            return SectionBasis(d, ())
-        return SectionBasis(d, (y.one(),))
-    if isinstance(y, ProjectiveSpace):
-        return _sections_projective(y, d)
-    if isinstance(y, BlowupOfP2):
-        return _sections_blowup(y, d)
-    raise UnsupportedBackend(type(y).__name__)
-
-
-def sections_of_floor(y, d: QDivisor) -> SectionBasis:
-    """Sections of the floor; the H^0 of a rational divisor."""
-    return sections(y, d.floor())
-
-
-def _sections_projective(y, d):
-    forced = MPoly.constant(y.nvars, 1)
-    den = []
-    den_deg = 0
-    for l, c in d.coeffs.items():
-        f = y.form(l)
-        c = int(c)
-        if c > 0:
-            den.append((l, c))
-            den_deg += c * f.total_degree()
-        else:
-            forced = forced * f ** (-c)
-    # the numerator degree matches the denominator; the forced factor
-    # uses up part of it
-    free_deg = den_deg - forced.total_degree()
-    if free_deg < 0:
-        return SectionBasis(d, ())
-    elems = []
-    for e in monomials_of_degree(y.nvars, free_deg):
-        num = MPoly.monomial(y.nvars, e) * forced
-        elems.append(ffe(num, den))
-    return SectionBasis(d, tuple(elems))
-
-
-def _sections_blowup(y, d):
-    forced = MPoly.constant(3, 1)
-    den = []
-    forced_mults = [0, 0, 0, 0]
-    den_deg = 0
-    exc = [0, 0, 0, 0]
-    for l, c in d.coeffs.items():
-        c = int(c)
-        if l in y.exceptional:
-            exc[int(l[1]) - 1] = c
-            continue
-        f = y.form(l)
-        if c > 0:
-            den.append((l, c))
-            den_deg += c * f.total_degree()
-        else:
-            forced = forced * f ** (-c)
-            for i, p in enumerate(y.points):
-                forced_mults[i] += -c * multiplicity_at(f, p)
-    # required multiplicities at the four points for the free factor
-    req = []
-    for i, p in enumerate(y.points):
-        m = -exc[i]
+    def _sections(self, d):
+        forced = MPoly.constant(3, 1)
+        den = []
+        forced_mults = [0, 0, 0, 0]
+        den_deg = 0
+        exc = [0, 0, 0, 0]
         for l, c in d.coeffs.items():
-            if l in y.exceptional or int(c) <= 0:
+            c = int(c)
+            if l in self.exceptional:
+                exc[int(l[1]) - 1] = c
                 continue
-            m += int(c) * multiplicity_at(y.form(l), p)
-        req.append(m - forced_mults[i])
-    free_deg = den_deg - forced.total_degree()
-    if free_deg < 0:
-        return SectionBasis(d, ())
-    basis = _forms_with_multiplicities(y, free_deg, req)
-    elems = tuple(ffe(g * forced, den) for g in basis)
-    return SectionBasis(d, elems)
+            f = self.form(l)
+            if c > 0:
+                den.append((l, c))
+                den_deg += c * f.total_degree()
+            else:
+                forced = forced * f ** (-c)
+                for i, p in enumerate(self.points):
+                    forced_mults[i] += -c * multiplicity_at(f, p)
+        # required multiplicities at the four points for the free factor
+        req = []
+        for i, p in enumerate(self.points):
+            m = -exc[i]
+            for l, c in d.coeffs.items():
+                if l in self.exceptional or int(c) <= 0:
+                    continue
+                m += int(c) * multiplicity_at(self.form(l), p)
+            req.append(m - forced_mults[i])
+        free_deg = den_deg - forced.total_degree()
+        if free_deg < 0:
+            return SectionBasis(d, ())
+        basis = self._forms_with_multiplicities(free_deg, req)
+        elems = tuple(ffe(g * forced, den) for g in basis)
+        return SectionBasis(d, elems)
 
+    def _forms_with_multiplicities(self, degree, req_mults):
+        """Degree-d forms vanishing to the given orders at the four points."""
+        monos = monomials_of_degree(3, degree)
+        index = {e: i for i, e in enumerate(monos)}
+        rows = []
+        for p, m in zip(self.points, req_mults):
+            if m <= 0:
+                continue
+            chart = next(i for i, x in enumerate(p) if x)
+            shift_pt = [Fraction(p[i], p[chart]) if i != chart else Fraction(0) for i in range(3)]
+            # condition: all Taylor coefficients of total degree < m vanish
+            shifted = []
+            for e in monos:
+                mono = MPoly.monomial(3, e).dehomogenize(chart, 1).shift(shift_pt)
+                shifted.append(mono)
+            cond_exps = sorted(
+                {
+                    ex
+                    for mp in shifted
+                    for ex in mp.terms
+                    if sum(ex) < m
+                }
+            )
+            for ce in cond_exps:
+                rows.append([mp.terms.get(ce, Fraction(0)) for mp in shifted])
+        if not rows:
+            kernel = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
+        else:
+            kernel = _frac_kernel_basis(rows)
+        basis = []
+        for vec in kernel:
+            g = MPoly(3, {e: vec[i] for e, i in index.items()})
+            basis.append(g.content_normalized())
+        return basis
 
-def _forms_with_multiplicities(y, degree, req_mults):
-    """Degree-d forms vanishing to the given orders at the four points."""
-    monos = monomials_of_degree(3, degree)
-    index = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for p, m in zip(y.points, req_mults):
-        if m <= 0:
-            continue
-        chart = next(i for i, x in enumerate(p) if x)
-        shift_pt = [Fraction(p[i], p[chart]) if i != chart else Fraction(0) for i in range(3)]
-        # condition: all Taylor coefficients of total degree < m vanish
-        shifted = []
-        for e in monos:
-            mono = MPoly.monomial(3, e).dehomogenize(chart, 1).shift(shift_pt)
-            shifted.append(mono)
-        cond_exps = sorted(
-            {
-                ex
-                for mp in shifted
-                for ex in mp.terms
-                if sum(ex) < m
-            }
-        )
-        for ce in cond_exps:
-            rows.append([mp.terms.get(ce, Fraction(0)) for mp in shifted])
-    if not rows:
-        kernel = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
-    else:
-        kernel = _frac_kernel_basis(rows)
-    basis = []
-    for vec in kernel:
-        g = MPoly(3, {e: vec[i] for e, i in index.items()})
-        basis.append(g.content_normalized())
-    return basis
+    def _is_basepoint_free(self, d):
+        cls = self.divisor_class(d)
+        if cls[0] < 0:
+            return False
+        return all(self.intersect(cls, c) >= 0 for c in self.negative_curve_classes())
+
+    def bigness(self, div):
+        cls = self.divisor_class(div)
+        self_int = self.intersect(cls, cls)
+        anti_k = (3, -1, -1, -1, -1)
+        if self_int > 0 and self.intersect(cls, anti_k) > 0:
+            return ("pass", f"self-intersection {self_int} > 0")
+        return ("UNVERIFIABLE", "no sufficient bigness criterion applies")
+
+    def invariantizing_section(self, d):
+        raise UnsupportedBackend("torus actions are only available on projective space")
 
 
 def _frac_kernel_basis(rows):
@@ -407,54 +436,6 @@ def _frac_kernel_basis(rows):
     return basis
 
 
-# ---------------------------------------------------------------------------
-# base point freeness, classes, invariantization
-
-
-def is_basepoint_free(y, d: QDivisor) -> bool:
-    if not d.is_integral():
-        raise NonIntegralDivisor(d.format())
-    if isinstance(y, PointBase):
-        return all(v >= 0 for v in d.coeffs.values())
-    if isinstance(y, ProjectiveSpace):
-        basis = sections(y, d)
-        if not basis.elements:
-            return False
-        # every numerator carries the forced factor from the negative
-        # coefficients; the residual monomials of a full degree have no
-        # common projective zero, so the base locus is exactly the zero
-        # set of that common factor
-        return _common_factor_is_constant(y, d)
-    if isinstance(y, BlowupOfP2):
-        cls = y.divisor_class(d)
-        if cls[0] < 0:
-            return False
-        return all(y.intersect(cls, c) >= 0 for c in y.negative_curve_classes())
-    raise UnsupportedBackend(type(y).__name__)
-
-
-def _common_factor_is_constant(y, d):
-    forced = MPoly.constant(y.nvars, 1)
-    for l, c in d.coeffs.items():
-        if c < 0:
-            forced = forced * y.form(l) ** int(-c)
-    return forced.total_degree() == 0
-
-
-def linear_equivalence_class(y, d: QDivisor):
-    if isinstance(y, PointBase):
-        return ()
-    if isinstance(y, ProjectiveSpace):
-        return (y.divisor_degree(d),)
-    if isinstance(y, BlowupOfP2):
-        return y.divisor_class(d)
-    raise UnsupportedBackend(type(y).__name__)
-
-
-def _is_invariant_form(form: MPoly) -> bool:
-    return form.is_term()
-
-
 def _balanced_monomial(nvars, degree):
     """Most balanced monomial exponent of the degree; lex-largest on ties."""
     best = None
@@ -465,65 +446,25 @@ def _balanced_monomial(nvars, degree):
     return best[1]
 
 
-def invariantizing_section(y, d: QDivisor) -> FunctionFieldElement:
-    """A section s with D + Div(s) supported on torus-invariant divisors."""
-    if isinstance(y, PointBase):
-        return y.one()
-    if not isinstance(y, ProjectiveSpace):
-        raise UnsupportedBackend("torus actions are only available on projective space")
-    den = []
-    deg = 0
-    for l, c in d.coeffs.items():
-        if _is_invariant_form(y.form(l)):
-            continue
-        if c.denominator != 1:
-            raise NotTMoveable(
-                f"non-integral coefficient {c} on non-invariant divisor {l}"
-            )
-        c = int(c)
-        if c:
-            den.append((l, c))
-            deg += c * y.form(l).total_degree()
-    if not den:
-        return y.one()
-    if deg < 0:
-        raise NotTMoveable("negative degree on the non-invariant part")
-    e = _balanced_monomial(y.nvars, deg)
-    num = MPoly.monomial(y.nvars, e)
-    return ffe(num, [(l, c) for l, c in den if c > 0]) if all(
-        c > 0 for _, c in den
-    ) else _invariantizing_general(y, num, den)
+# ---------------------------------------------------------------------------
+# sections and base point freeness
 
 
-def _invariantizing_general(y, num, den):
-    pos = [(l, c) for l, c in den if c > 0]
-    for l, c in den:
-        if c < 0:
-            num = num * y.form(l) ** (-c)
-    return ffe(num, pos)
+def sections(y, d: QDivisor) -> SectionBasis:
+    if not d.is_integral():
+        raise NonIntegralDivisor(d.format())
+    return y._sections(d)
 
 
-def pullback_to_blowup(d: QDivisor, p2: ProjectiveSpace, blowup: BlowupOfP2) -> QDivisor:
-    """Total-transform divisor of a plane divisor on the blow-up."""
-    out = QDivisor()
-    known = {
-        tuple(sorted(f.content_normalized().terms.items())): l
-        for l, f in blowup.forms().items()
-    }
-    for l, c in d.coeffs.items():
-        f = p2.form(l).content_normalized()
-        key = tuple(sorted(f.terms.items()))
-        strict = known.get(key)
-        if strict is None:
-            blowup.register_divisor(l, f)
-            strict = l
-        part = QDivisor({strict: c})
-        for i, p in enumerate(blowup.points):
-            m = multiplicity_at(f, p)
-            if m:
-                part = part + QDivisor({f"E{i + 1}": c * m})
-        out = out + part
-    return out
+def sections_of_floor(y, d: QDivisor) -> SectionBasis:
+    """Sections of the floor; the H^0 of a rational divisor."""
+    return sections(y, d.floor())
+
+
+def is_basepoint_free(y, d: QDivisor) -> bool:
+    if not d.is_integral():
+        raise NonIntegralDivisor(d.format())
+    return y._is_basepoint_free(d)
 
 
 # ---------------------------------------------------------------------------

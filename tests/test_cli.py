@@ -110,6 +110,19 @@ def test_exit_codes(tmp_path, capsys):
     alien.write_text("[variety]\nbackend = martian\n[job]\npipeline = eval\n")
     assert main([str(alien)]) == EXIT_BACKEND
     assert main([str(tmp_path / "missing.pdiv")]) == EXIT_PARSE
+    # both backends that take defining forms reject one that is not homogeneous
+    plane = tmp_path / "inhomogeneous-plane.pdiv"
+    plane.write_text(
+        "[variety]\nbackend = projective-space\ncoordinates = x y z\n"
+        "form.D = x*y + z\n[job]\npipeline = eval\n"
+    )
+    assert main([str(plane)]) == EXIT_SEMANTIC
+    blowup = tmp_path / "inhomogeneous-blowup.pdiv"
+    blowup.write_text(
+        "[variety]\nbackend = blowup-p2\npoints = (1,0,0) (0,1,0) (0,0,1) (1,1,1)\n"
+        "form.H = x0 - x1 + x2\nform.D = x0*x1 + x2\n[job]\npipeline = eval\n"
+    )
+    assert main([str(blowup)]) == EXIT_SEMANTIC
     capsys.readouterr()
 
 

@@ -13,7 +13,7 @@ from pdivgen.coxs5 import (
     run_cox,
     weight_cone,
 )
-from pdivgen.pdivisor import evaluate, linearity_subdivision
+from pdivgen.pdivisor import linearity_subdivision
 from pdivgen.polyhedra import cone_from_rays
 from pdivgen.varieties import QDivisor
 
@@ -32,8 +32,8 @@ def test_weight_cone_rays():
 def test_pdivisor_evaluation_at_curve_columns():
     d = build_cox_pdivisor()
     # positive entries clip to zero, negative ones survive
-    assert evaluate(d, (0, 1, 0, 0, 0)) == QDivisor({})
-    assert evaluate(d, (1, -1, 0, 0, -1)) == QDivisor(
+    assert d.evaluate((0, 1, 0, 0, 0)) == QDivisor({})
+    assert d.evaluate((1, -1, 0, 0, -1)) == QDivisor(
         {"H": 1, "E1": -1, "E4": -1, "E14": -1}
     )
 

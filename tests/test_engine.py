@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from helpers import (
     brute_hilbert_basis,
     plane_pdivisor,
@@ -12,10 +14,11 @@ from pdivgen.engine import (
     GradedElement,
     algebra_membership,
     find_k_rho,
+    interior_lattice_basis,
     reduce_generators,
     run_general,
 )
-from pdivgen.pdivisor import PDivisor
+from pdivgen.pdivisor import IterationLimitExceeded, PDivisor
 from pdivgen.intlinalg import det
 from pdivgen.polyhedra import cone_from_rays
 from pdivgen.varieties import PointBase, ffe, sections_of_floor
@@ -105,3 +108,22 @@ def test_point_base_random_cones_match_oracle():
         result = run_general(d.variety, d)
         weights = sorted(e.weight for e in result.elements)
         assert weights == brute_hilbert_basis(cone.rays, 2)
+
+
+def test_interior_lattice_basis_needs_a_large_push():
+    # the lattice vector (5, 3, 0) enters this cone only after adding 66
+    # multiples of the interior point (-12, -7, -9)
+    cone = cone_from_rays([(-3, -5, -1), (-5, -5, -3), (-4, 3, -5)], 3)
+    basis = interior_lattice_basis(cone)
+    assert basis[1] == (5 - 66 * 12, 3 - 66 * 7, 0 - 66 * 9)
+    assert abs(det(basis)) == 1
+    assert all(cone.contains(b) for b in basis)
+    d = PDivisor(PointBase(), cone, {})
+    weights = sorted(e.weight for e in run_general(d.variety, d).elements)
+    assert weights == brute_hilbert_basis(cone.rays, 3)
+
+
+def test_interior_lattice_basis_rejects_a_flat_cone():
+    flat = cone_from_rays([(1, 0, 0), (0, 1, 0)], 3)
+    with pytest.raises(IterationLimitExceeded):
+        interior_lattice_basis(flat)

@@ -1,0 +1,32 @@
+"""Every name a pdivgen module imports is used somewhere in that module."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pdivgen"
+
+
+def _unused_imports(tree):
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        # names inside string annotations such as -> "QCone" count as used
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                parsed = ast.parse(note.value, mode="eval")
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from pdivgen.intlinalg import (
     det,
-    frac_rank,
     hnf,
     hnf_basis,
     identity,
-    in_row_span,
     invert_unimodular,
     kernel_lattice,
     lattice_member,
@@ -126,6 +124,4 @@ def test_rref_and_rank():
     red, piv = rref([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
     assert piv == [0]
     assert tuple(red[0]) == (Fraction(1), Fraction(2))
-    assert frac_rank([[1, 2], [2, 4], [0, 1]]) == 2
-    assert in_row_span((3, 6), [[1, 2]])
-    assert not in_row_span((1, 0), [[1, 2]])
+    assert len(rref([[1, 2], [2, 4], [0, 1]])[1]) == 2

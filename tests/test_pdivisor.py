@@ -5,36 +5,36 @@ from fractions import Fraction
 import pytest
 
 from helpers import plane_pdivisor, plane_variety
+from pdivgen.coxs5 import cox_surface, weight_cone
 from pdivgen.pdivisor import (
     NotSubcone,
     PDivisor,
     WeightOutsideCone,
-    evaluate,
     linearity_subdivision,
     restrict,
     validate,
 )
 from pdivgen.polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
-from pdivgen.varieties import QDivisor
+from pdivgen.varieties import PointBase, QDivisor
 
 
 def test_evaluate_at_ray():
     d = plane_pdivisor()
-    assert evaluate(d, (1, 1)) == QDivisor({"D": Fraction(1, 2)})
-    assert evaluate(d, (-1, 1)) == QDivisor({"D": Fraction(1, 2)})
-    assert evaluate(d, (0, 1)) == QDivisor({"D": Fraction(1, 2), "E": 1})
-    assert evaluate(d, (0, 2)) == QDivisor({"D": 1, "E": 2})
+    assert d.evaluate((1, 1)) == QDivisor({"D": Fraction(1, 2)})
+    assert d.evaluate((-1, 1)) == QDivisor({"D": Fraction(1, 2)})
+    assert d.evaluate((0, 1)) == QDivisor({"D": Fraction(1, 2), "E": 1})
+    assert d.evaluate((0, 2)) == QDivisor({"D": 1, "E": 2})
 
 
 def test_evaluate_format():
     d = plane_pdivisor()
-    assert evaluate(d, (0, 1)).format() == "1/2 D + 1 E"
+    assert d.evaluate((0, 1)).format() == "1/2 D + 1 E"
 
 
 def test_evaluate_outside_cone():
     d = plane_pdivisor()
     with pytest.raises(WeightOutsideCone):
-        evaluate(d, (2, 1))
+        d.evaluate((2, 1))
 
 
 def test_evaluate_is_superadditive():
@@ -43,8 +43,8 @@ def test_evaluate_is_superadditive():
     for u in weights:
         for v in weights:
             w = tuple(a + b for a, b in zip(u, v))
-            left = evaluate(d, w)
-            right = evaluate(d, u) + evaluate(d, v)
+            left = d.evaluate(w)
+            right = d.evaluate(u) + d.evaluate(v)
             for label in ("D", "E"):
                 assert left.get(label) >= right.get(label)
 
@@ -58,7 +58,7 @@ def test_linearity_subdivision():
     for cell in dom.cells:
         a, b = cell.rays
         mid = tuple(x + y for x, y in zip(a, b))
-        assert evaluate(d, mid) == evaluate(d, a) + evaluate(d, b)
+        assert d.evaluate(mid) == d.evaluate(a) + d.evaluate(b)
 
 
 def test_restrict():
@@ -66,7 +66,7 @@ def test_restrict():
     sub = cone_from_rays([(0, 1), (1, 1)], 2)
     r = restrict(d, sub)
     assert r.weight_cone.rays == sub.rays
-    assert evaluate(r, (1, 2)) == evaluate(d, (1, 2))
+    assert r.evaluate((1, 2)) == d.evaluate((1, 2))
     with pytest.raises(NotSubcone):
         restrict(d, cone_from_rays([(1, 0), (1, 1)], 2))
 
@@ -93,3 +93,18 @@ def test_validate_reports_checks():
     report = validate(plane_pdivisor())
     text = report.format()
     assert "pass" in text.lower() or "ok" in text.lower()
+
+
+def test_validate_on_point_base():
+    d = PDivisor(PointBase(), cone_from_rays([(1, 0), (1, 2)], 2), {})
+    checks = validate(d).checks
+    assert [c.verdict for c in checks] == ["pass", "pass", "pass"]
+    assert checks[-1].detail == "base is a point"
+
+
+def test_validate_bigness_on_blowup():
+    omega = weight_cone()
+    h = tailed_polyhedron([(1, 0, 0, 0, 0)], dual_cone(omega).rays, 5)
+    d = PDivisor(cox_surface(), omega, {"H": h})
+    big = validate(d).checks[-1]
+    assert (big.verdict, big.detail) == ("pass", "self-intersection 36 > 0")

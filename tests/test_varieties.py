@@ -7,17 +7,17 @@ import pytest
 from helpers import plane_variety
 from pdivgen.coxs5 import cox_surface
 from pdivgen.mpoly import MPoly
+from pdivgen.pdivisor import PDivisor
+from pdivgen.polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
+from pdivgen.torus import invariantize_cell
 from pdivgen.varieties import (
     NonIntegralDivisor,
     PointBase,
-    ProjectiveSpace,
     QDivisor,
+    UnsupportedBackend,
     ffe,
     in_span,
-    invariantizing_section,
     is_basepoint_free,
-    linear_equivalence_class,
-    pullback_to_blowup,
     sections,
     sections_of_floor,
     span_dimension,
@@ -29,6 +29,7 @@ def test_point_base_sections():
     assert sections(y, QDivisor({})).dimension == 1
     assert sections(y, QDivisor({"P": 1})).dimension == 1
     assert sections(y, QDivisor({"P": -1})).dimension == 0
+    assert not is_basepoint_free(y, QDivisor({"P": -1}))
 
 
 def test_projective_sections_dimensions():
@@ -60,6 +61,7 @@ def test_blowup_class_vectors():
     assert y.class_vector("E1") == (0, 1, 0, 0, 0)
     assert y.class_vector("E14") == (1, -1, 0, 0, -1)
     assert y.class_vector("E23") == (1, 0, -1, -1, 0)
+    assert y.intersect((1, -1, -1, 0, 0), (1, -1, -1, 0, 0)) == -1
 
 
 def test_blowup_section_dimensions():
@@ -97,37 +99,13 @@ def test_blowup_bpf():
     assert is_basepoint_free(y, QDivisor({}))
 
 
-def test_euler_characteristic():
-    y = cox_surface()
-    assert y.euler_characteristic((1, -1, 0, 0, 0)) == 2
-    assert y.euler_characteristic((3, -1, -1, -1, -1)) == 6
-    assert y.intersect((1, -1, -1, 0, 0), (1, -1, -1, 0, 0)) == -1
-
-
-def test_linear_equivalence_class():
-    p2 = plane_variety()
-    assert linear_equivalence_class(p2, QDivisor({"D": 1})) == (3,)
-    assert linear_equivalence_class(PointBase(), QDivisor({})) == ()
-
-
 def test_invariantizing_section():
     y = plane_variety()
-    s = invariantizing_section(y, QDivisor({"E": 1}))
+    s = y.invariantizing_section(QDivisor({"E": 1}))
     # balanced cubic monomial over the non-invariant form
     assert s.den == (("E", 1),)
     assert s.num.terms == {(1, 1, 1): Fraction(1)}
-    assert invariantizing_section(y, QDivisor({"D": 5})).is_one()
-
-
-def test_pullback_to_blowup():
-    p2 = ProjectiveSpace(2, ("x0", "x1", "x2"))
-    x0, x1, x2 = (MPoly.variable(3, i) for i in range(3))
-    p2.register_divisor("L", x2)
-    blow = cox_surface()
-    pulled = pullback_to_blowup(QDivisor({"L": 1}), p2, blow)
-    # x2 = 0 passes through the first and second base points
-    assert pulled.get("E1") == 1 and pulled.get("E2") == 1
-    assert pulled.get("E12") == 1
+    assert y.invariantizing_section(QDivisor({"D": 5})).is_one()
 
 
 def test_span_helpers():
@@ -139,3 +117,13 @@ def test_span_helpers():
     assert in_span(y, target, [a, b])
     assert not in_span(y, ffe(z, [("D", 1)]), [a, b])
     assert span_dimension(y, [a, b, target]) == 2
+
+
+def test_blowup_has_no_invariantizing_section():
+    y = cox_surface()
+    omega = cone_from_rays([(1,)], 1)
+    h = tailed_polyhedron([(1,)], dual_cone(omega).rays, 1)
+    d = PDivisor(y, omega, {"H": h})
+    # the twist of the cell asks the backend for an invariantizing section
+    with pytest.raises(UnsupportedBackend):
+        invariantize_cell(d, omega, None)
