@@ -272,6 +272,11 @@ def build_pdivisor(job: JobDescription, y) -> PDivisor:
         tail_rays = (
             parse_vector_list(section[tail_key]) if tail_key in section else tail.rays
         )
+        for name, vecs in ((key, vertices), (tail_key, tail_rays)):
+            if len(vecs[0]) != dim:
+                raise JobSemanticError(
+                    f"{name} has vectors of width {len(vecs[0])}, rays have width {dim}"
+                )
         coeffs[label] = tailed_polyhedron(vertices, tail_rays, dim)
     if not coeffs:
         raise JobSemanticError("no coefficient.<label> entries in [pdivisor]")
@@ -299,6 +304,10 @@ def _generator_lines(elements, names):
 
 def _pipeline_eval(job, y, d):
     weight = parse_vector(job.require("job", "weight"))
+    if len(weight) != d.weight_cone.dim:
+        raise JobSemanticError(
+            f"weight has width {len(weight)}, rays have width {d.weight_cone.dim}"
+        )
     div = d.evaluate(weight)
     pretty = "(" + ", ".join(str(x) for x in weight) + ")"
     return [f"D({pretty}) = {div.format()}"], []

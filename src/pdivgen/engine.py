@@ -14,6 +14,7 @@ from .intlinalg import hnf_basis, kernel_lattice, lattice_member, solve_in_latti
 from .mpoly import MPoly
 from .pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision, restrict
 from .polyhedra import (
+    NonPointedCone,
     cone_from_rays,
     dot,
     hilbert_basis,
@@ -255,7 +256,7 @@ def _interior_ray(cone):
     """Lexicographically smallest interior Hilbert basis element."""
     try:
         hb = hilbert_basis(cone)
-    except Exception:
+    except NonPointedCone:
         hb = ()
     interior = [h for h in hb if cone.contains_interior(h)]
     if interior:

@@ -100,7 +100,7 @@ def kernel_lattice(rows):
     n = len(rows[0]) if m else 0
     # HNF of the transpose augmented with an identity: zero columns of the
     # transformed matrix expose kernel vectors.
-    at = tuple(tuple(rows[i][j] for i in range(m)) for j in range(n))
+    at = tuple(zip(*rows, strict=True))
     h, u = hnf(at)
     ker = [u[i] for i in range(n) if not any(h[i])]
     return hnf_basis(ker) if ker else tuple()
@@ -134,6 +134,10 @@ def det(rows):
 
 def primitive(vec):
     """Scale a rational vector to a primitive integer vector (same ray)."""
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        # from a list, so the tuple is allocated at its final size
+        return tuple([x // g for x in vec]) if g else tuple(vec)
     fr = [Fraction(x) for x in vec]
     if not any(fr):
         return tuple(0 for _ in fr)

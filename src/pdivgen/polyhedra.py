@@ -9,8 +9,9 @@ cutting out the linear span.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import lcm
+from operator import mul
 
 from .intlinalg import (
     det,
@@ -37,7 +38,16 @@ def _dedupe_sorted(vecs):
 
 
 def _pointed_rays(ineqs, dim):
-    """Extreme rays of the pointed cone {x : A x >= 0}; rank(A) == dim."""
+    """Extreme rays of the pointed cone {x : A x >= 0}; rank(A) == dim.
+
+    Exact incremental double description (Motzkin, Raiffa, Thompson and
+    Thrall 1953; Fukuda and Prodon 1996): start from the simplicial cone
+    of dim independent rows, then cut by the other rows one at a time.
+    Each ray carries the bitmask of the rows it is tight on; a ray on the
+    positive side and one on the negative side are adjacent when their
+    common tight set has at least dim - 2 rows and lies in the tight set
+    of no third ray.
+    """
     rows = _dedupe_sorted(tuple(r) for r in ineqs if any(r))
     if dim == 0:
         return ()
@@ -48,25 +58,61 @@ def _pointed_rays(ineqs, dim):
         if signs == {-1}:
             return ((-1,),)
         return ()
-    found = set()
-    for sub in combinations(rows, dim - 1):
-        ker = kernel_lattice(sub)
-        if len(ker) != 1:
+    basis, rays = _simplicial_start(rows, dim)
+    in_basis = sum(1 << k for k in basis)
+    masks = [in_basis & ~(1 << k) for k in basis]
+    for k, a in enumerate(rows):
+        if in_basis >> k & 1:
             continue
-        v = ker[0]
-        pos = neg = False
-        for a in rows:
-            s = dot(a, v)
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            if pos and neg:
-                break
-        if pos and neg:
+        bit = 1 << k
+        vals = [sum(map(mul, a, r)) for r in rays]
+        new_rays = [r for r, s in zip(rays, vals) if s >= 0]
+        new_masks = [m | bit if s == 0 else m for m, s in zip(masks, vals) if s >= 0]
+        pos = [i for i, s in enumerate(vals) if s > 0]
+        neg = [i for i, s in enumerate(vals) if s < 0]
+        for p in pos:
+            for n in neg:
+                common = masks[p] & masks[n]
+                if bin(common).count("1") < dim - 2 or any(
+                    m & common == common and i != p and i != n
+                    for i, m in enumerate(masks)
+                ):
+                    continue
+                sp, sn = vals[p], -vals[n]
+                new_rays.append(primitive([sp * y + sn * x for x, y in zip(rays[p], rays[n])]))
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return tuple(sorted(rays))
+
+
+def _simplicial_start(rows, dim):
+    """The first dim independent rows and the rays of their simplicial cone.
+
+    Fraction-free Gauss-Jordan on [A^T | I] takes the pivot columns in
+    order, so they index the first dim independent rows B of A.  Each
+    reduced row is (M A^T | M) with M B^T diagonal: row i of M, signed
+    like its pivot, is the ray on which only row i of B is positive.
+    """
+    m = len(rows)
+    a = [list(col) + [int(i == j) for j in range(dim)] for i, col in enumerate(zip(*rows))]
+    basis = []
+    for c in range(m):
+        r = len(basis)
+        piv = next((i for i in range(r, dim) if a[i][c]), None)
+        if piv is None:
             continue
-        found.add(primitive(v) if pos or not neg else primitive([-x for x in v]))
-    return tuple(sorted(found))
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(dim):
+            if i != r and a[i][c]:
+                f, g = a[r][c], a[i][c]
+                a[i] = primitive([f * x - g * y for x, y in zip(a[i], a[r])])
+        basis.append(c)
+        if len(basis) == dim:
+            return basis, [
+                primitive(row[m:] if row[k] > 0 else [-x for x in row[m:]])
+                for row, k in zip(a, basis)
+            ]
+    raise ValueError("the inequalities do not have full rank")
 
 
 def generators_of_dual(vectors, dim):

@@ -290,6 +290,7 @@ class BlowupOfP2(Variety):
             raise UnsupportedBackend("only the four-point blow-up is supported")
         super().__init__(3, coordinates)
         self.points = tuple(tuple(Fraction(x) for x in p) for p in points)
+        self._class_vectors = {}
         self.register_divisor("H", h_form)
         self.exceptional = tuple(f"E{i}" for i in range(1, 5))
         for i, j in combinations(range(4), 2):
@@ -303,6 +304,10 @@ class BlowupOfP2(Variety):
         c = p[0] * q[1] - p[1] * q[0]
         return MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
+    def register_divisor(self, label, form: MPoly):
+        super().register_divisor(label, form)
+        self._class_vectors.pop(label, None)
+
     def function_field_generators(self):
         return ((0, 2), (1, 2))
 
@@ -311,12 +316,16 @@ class BlowupOfP2(Variety):
         if label in self.exceptional:
             i = int(label[1])
             return tuple(1 if k == i else 0 for k in range(5))
+        cached = self._class_vectors.get(label)
+        if cached is not None:
+            return cached
         form = self._forms.get(label)
         if form is None:
             raise KeyError(label)
         d = form.total_degree()
         mults = [multiplicity_at(form, p) for p in self.points]
-        return (d, *(-m for m in mults))
+        self._class_vectors[label] = vec = (d, *(-m for m in mults))
+        return vec
 
     @staticmethod
     def intersect(c1, c2):

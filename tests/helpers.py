@@ -1,10 +1,11 @@
 """Shared builders, golden data, and independent oracles for the tests."""
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 from pdivgen.engine import GradedElement
-from pdivgen.intlinalg import primitive
+from pdivgen.intlinalg import kernel_lattice, primitive
 from pdivgen.mpoly import MPoly
 from pdivgen.pdivisor import PDivisor
 from pdivgen.polyhedra import cone_from_rays, dot, dual_cone, tailed_polyhedron
@@ -177,3 +178,46 @@ class IncrementalRank:
     @property
     def rank(self):
         return len(self.rows)
+
+
+# ---------------------------------------------------------------------------
+# brute-force extreme rays
+
+
+def brute_force_pointed_rays(ineqs, dim):
+    """Extreme rays of the pointed cone {x : A x >= 0}; rank(A) == dim.
+
+    Tries every (dim-1)-subset of the inequalities: a one-dimensional
+    kernel spans an extreme ray when no inequality takes both signs on
+    it.  Exponential in the number of inequalities; an oracle for
+    ``polyhedra._pointed_rays``.
+    """
+    rows = tuple(sorted({tuple(r) for r in ineqs if any(r)}))
+    if dim == 0:
+        return ()
+    if dim == 1:
+        signs = {1 if r[0] > 0 else -1 for r in rows}
+        if signs == {1}:
+            return ((1,),)
+        if signs == {-1}:
+            return ((-1,),)
+        return ()
+    found = set()
+    for sub in combinations(rows, dim - 1):
+        ker = kernel_lattice(sub)
+        if len(ker) != 1:
+            continue
+        v = ker[0]
+        pos = neg = False
+        for a in rows:
+            s = dot(a, v)
+            if s > 0:
+                pos = True
+            elif s < 0:
+                neg = True
+            if pos and neg:
+                break
+        if pos and neg:
+            continue
+        found.add(primitive(v) if pos or not neg else primitive([-x for x in v]))
+    return tuple(sorted(found))

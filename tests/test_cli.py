@@ -1,5 +1,7 @@
 """Job files and the command line front end."""
 
+from pathlib import Path
+
 import pytest
 
 from helpers import SIGMA_TILDE_RAYS
@@ -123,6 +125,18 @@ def test_exit_codes(tmp_path, capsys):
         "form.H = x0 - x1 + x2\nform.D = x0*x1 + x2\n[job]\npipeline = eval\n"
     )
     assert main([str(blowup)]) == EXIT_SEMANTIC
+    # a coefficient vertex or an eval weight wider than the rays
+    shipped = Path("jobs/p2.pdiv").read_text()
+    wide_vertex = tmp_path / "wide-vertex.pdiv"
+    wide_vertex.write_text(shipped.replace("(0,1/2)", "(0,1/2,3)"))
+    assert main([str(wide_vertex)]) == EXIT_SEMANTIC
+    wide_weight = tmp_path / "wide-weight.pdiv"
+    wide_weight.write_text(
+        shipped.replace("pipeline = general", "pipeline = eval").replace(
+            "weight = (0,1)", "weight = (0,1,2)"
+        )
+    )
+    assert main([str(wide_weight)]) == EXIT_SEMANTIC
     capsys.readouterr()
 
 

@@ -10,8 +10,10 @@ from helpers import (
     plane_variety,
     thirteen_generators,
 )
+from pdivgen import engine
 from pdivgen.engine import (
     GradedElement,
+    _interior_ray,
     algebra_membership,
     find_k_rho,
     interior_lattice_basis,
@@ -127,3 +129,17 @@ def test_interior_lattice_basis_rejects_a_flat_cone():
     flat = cone_from_rays([(1, 0, 0), (0, 1, 0)], 3)
     with pytest.raises(IterationLimitExceeded):
         interior_lattice_basis(flat)
+
+
+def test_interior_ray_falls_back_on_a_cone_that_is_not_pointed(monkeypatch):
+    assert _interior_ray(cone_from_rays([(1, 0), (1, 2)], 2)) == (1, 1)
+    # hilbert_basis rejects the half-plane; the sum of its rays is used
+    half = cone_from_rays([(1, 0), (-1, 0), (0, 1)], 2)
+    assert _interior_ray(half) == (0, 1)
+
+    def broken(cone):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(engine, "hilbert_basis", broken)
+    with pytest.raises(ZeroDivisionError):
+        _interior_ray(half)

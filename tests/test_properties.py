@@ -7,22 +7,36 @@ This file is self-contained so the whole suite can run standalone:
 
 import random
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import plane_pdivisor
-from pdivgen.intlinalg import det, hnf, mat_mul, primitive
+from helpers import brute_force_pointed_rays, plane_pdivisor
+from pdivgen import polyhedra
+from pdivgen.intlinalg import det, hnf, mat_mul, primitive, rank
 from pdivgen.polyhedra import (
+    _pointed_rays,
     cone_from_rays,
     dot,
     dual_cone,
+    generators_of_dual,
     minkowski_sum,
     tailed_polyhedron,
 )
 from pdivgen.varieties import in_span, sections_of_floor
 
 small_int = st.integers(min_value=-7, max_value=7)
+tiny_int = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def _vector_lists(draw, min_size=None):
+    """(vectors, dim): min_size (default dim) to dim + 4 vectors in [-4, 4]^dim."""
+    dim = draw(st.integers(min_value=2, max_value=6))
+    vec = st.lists(tiny_int, min_size=dim, max_size=dim).map(tuple)
+    vectors = draw(st.lists(vec, min_size=min_size or dim, max_size=dim + 4))
+    return vectors, dim
 
 
 def _random_pointed_cone(rng, dim):
@@ -143,3 +157,33 @@ def test_primitive_is_idempotent_and_parallel():
         nz = next(i for i in range(3) if v[i])
         assert v[nz] * p[nz] > 0
         assert all(v[i] * p[nz] == p[i] * v[nz] for i in range(3))
+
+
+# The brute force tries every (dim-1)-subset, so inputs stay at most
+# dim + 4 vectors and each example runs the oracle exactly once.
+
+
+@given(_vector_lists())
+@settings(max_examples=200, deadline=None)
+def test_double_description_matches_brute_force(case):
+    ineqs, dim = case
+    assume(rank(ineqs) == dim)
+    assert _pointed_rays(ineqs, dim) == brute_force_pointed_rays(ineqs, dim)
+
+
+@given(
+    _vector_lists(min_size=1),
+    st.sampled_from(("as drawn", "flat", "with a line")),
+)
+@settings(max_examples=150, deadline=None)
+def test_generators_of_dual_match_brute_force(case, shape):
+    vectors, dim = case
+    if shape == "flat":
+        # inside the hyperplane x_last = x_0: the dual has a lineality space
+        vectors = [v[:-1] + v[:1] for v in vectors]
+    elif shape == "with a line":
+        # a vector and its negative: the dual is not full-dimensional
+        vectors = vectors[: dim + 3] + [tuple(-x for x in vectors[0])]
+    got = generators_of_dual(vectors, dim)
+    with mock.patch.object(polyhedra, "_pointed_rays", brute_force_pointed_rays):
+        assert got == generators_of_dual(vectors, dim)

@@ -64,6 +64,15 @@ def test_blowup_class_vectors():
     assert y.intersect((1, -1, -1, 0, 0), (1, -1, -1, 0, 0)) == -1
 
 
+def test_blowup_class_vector_follows_a_new_form():
+    y = cox_surface()
+    x0, x1, _ = (MPoly.variable(3, i) for i in range(3))
+    y.register_divisor("L", x0)
+    assert y.class_vector("L")[0] == 1
+    y.register_divisor("L", x0 * x1)
+    assert y.class_vector("L")[0] == 2
+
+
 def test_blowup_section_dimensions():
     y = cox_surface()
     # lines through one point, conics through all four, anticanonical
