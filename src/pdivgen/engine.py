@@ -10,7 +10,14 @@ presentation for an external normalization.
 from dataclasses import dataclass
 from math import gcd
 
-from .intlinalg import hnf_basis, kernel_lattice, lattice_member, solve_in_lattice
+from .intlinalg import (
+    hnf,
+    hnf_basis,
+    invert_unimodular,
+    kernel_lattice,
+    lattice_member,
+    solve_in_lattice,
+)
 from .mpoly import MPoly
 from .pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision, restrict
 from .polyhedra import (
@@ -129,8 +136,6 @@ def interior_lattice_basis(cone):
         tuple(int(i == j) for j in range(n)) for i in range(n)
     ):
         # complete u to a basis via the HNF transform of the column vector
-        from .intlinalg import hnf, invert_unimodular
-
         h, tr = hnf([[x] for x in u])
         uinv = invert_unimodular(tr)
         cols = list(zip(*uinv))
@@ -370,22 +375,21 @@ def _nn_decompositions(u, weights, limit=20000):
         return [()] if not any(u) else []
     cone = cone_from_rays(weights, len(weights[0]))
     out = []
-    nodes = [0]
-
-    def rec(remaining, start, chosen):
-        nodes[0] += 1
-        if nodes[0] > limit:
-            return
+    # preorder depth-first search; children are pushed in reverse so they
+    # pop in weight order, and the search stops after `limit` visited nodes
+    stack = [(tuple(u), 0, ())]
+    for _ in range(limit):
+        if not stack:
+            break
+        remaining, start, chosen = stack.pop()
         if not any(remaining):
-            out.append(tuple(chosen))
-            return
-        for i in range(start, len(weights)):
+            out.append(chosen)
+            continue
+        for i in range(len(weights) - 1, start - 1, -1):
             w = weights[i]
             nxt = tuple(a - b for a, b in zip(remaining, w))
             if cone.contains(nxt):
-                rec(nxt, i, chosen + [w])
-
-    rec(tuple(u), 0, [])
+                stack.append((nxt, i, chosen + (w,)))
     return out
 
 

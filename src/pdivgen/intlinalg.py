@@ -147,95 +147,6 @@ def primitive(vec):
     return tuple(x // g for x in ints)
 
 
-def smith_normal_form(rows):
-    """Smith normal form: returns (S, U, V) with S = U * rows * V."""
-    a = _as_rows(rows)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = _as_rows(identity(m))
-    v = _as_rows(identity(n))
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def clear_position(t):
-        # make a[t][t] the only nonzero entry in its row and column
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                return
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        clear_position(t)
-        # divisibility: a[t][t] must divide everything to the lower right
-        while True:
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_op(t, bad, -1)
-            clear_position(t)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return (
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
-    )
-
-
 def invert_unimodular(rows):
     """Inverse of a unimodular integer matrix (again integral)."""
     n = len(rows)
@@ -297,3 +208,14 @@ def rref(rows):
         if r == m:
             break
     return [tuple(row) for row in a], pivots
+
+
+def inverse(rows):
+    """Inverse of a nonsingular square matrix as Fraction rows: rref of [A | I]."""
+    n = len(rows)
+    a, pivots = rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in a]

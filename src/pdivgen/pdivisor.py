@@ -14,9 +14,11 @@ from .polyhedra import (
     common_refinement,
     dot,
     dual_cone,
+    hyperplane_subdivision,
     mu,
     normal_fan,
     point_polyhedron,
+    primitive,
     trivial_subdivision,
 )
 from .varieties import QDivisor, is_basepoint_free
@@ -94,11 +96,8 @@ def linearity_subdivision(d: PDivisor) -> LinearityDomain:
         and d.weight_cone.is_full_dim()
     ):
         # two-vertex coefficients switch along single hyperplanes
-        from .polyhedra import hyperplane_subdivision
-        from .intlinalg import primitive as _prim
-
         planes = [
-            _prim(tuple(a - b for a, b in zip(p.vertices[0], p.vertices[1])))
+            primitive(tuple(a - b for a, b in zip(p.vertices[0], p.vertices[1])))
             for p in multi
         ]
         sub = hyperplane_subdivision(d.weight_cone, planes)

@@ -15,12 +15,12 @@ from operator import mul
 
 from .intlinalg import (
     det,
+    hnf,
     identity,
-    invert_unimodular,
+    inverse,
     kernel_lattice,
     primitive,
     rank,
-    smith_normal_form,
     solve_in_lattice,
 )
 
@@ -30,7 +30,10 @@ class NonPointedCone(ValueError):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    # a length test and map: zip(strict=True) costs more than the products
+    if len(a) != len(b):
+        raise ValueError(f"vectors of widths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def _dedupe_sorted(vecs):
@@ -230,14 +233,13 @@ def _parallelepiped_points(cell_rows):
     d = abs(det(cell_rows))
     if d == 1:
         return []
-    s, _, v = smith_normal_form(cell_rows)
-    vinv = invert_unimodular(v)
-    elem = [s[i][i] for i in range(n)]
-    binv_rows = _fraction_inverse(cell_rows)
+    # the row HNF H of the cell is upper triangular, so the vectors t with
+    # 0 <= t_i < H[i][i] are one representative of each coset of Z^n / L
+    h, _ = hnf(cell_rows)
+    binv_rows = inverse(cell_rows)
     pts = set()
-    for t in product(*(range(e) for e in elem)):
-        w = [sum(t[i] * vinv[i][j] for i in range(n)) for j in range(n)]
-        lam = [sum(Fraction(w[i]) * binv_rows[i][j] for i in range(n)) for j in range(n)]
+    for t in product(*(range(h[i][i]) for i in range(n))):
+        lam = [sum(t[i] * binv_rows[i][j] for i in range(n)) for j in range(n)]
         frac = [x - x.__floor__() for x in lam]
         p = tuple(
             int(sum(frac[i] * cell_rows[i][j] for i in range(n))) for j in range(n)
@@ -245,22 +247,6 @@ def _parallelepiped_points(cell_rows):
         if any(p):
             pts.add(p)
     return sorted(pts)
-
-
-def _fraction_inverse(rows):
-    """Inverse of a square integer matrix as Fraction rows."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c])
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
 
 
 def hilbert_basis(cone: QCone):
@@ -303,6 +289,7 @@ def unimodular_triangulation(cone: QCone):
     """
     if not cone.is_full_dim():
         raise ValueError("unimodular_triangulation requires a full-dimensional cone")
+    n = cone.dim
     cells = [tuple(c) for c in triangulate(cone)]
     while True:
         target = None
@@ -317,8 +304,9 @@ def unimodular_triangulation(cone: QCone):
         w = primitive(w)
         new_cells = []
         for cell in cells:
-            lam = _coords_in_simplex(w, cell)
-            if lam is None or any(x < 0 for x in lam):
+            inv = inverse(cell)
+            lam = [sum(w[i] * inv[i][j] for i in range(n)) for j in range(n)]
+            if any(x < 0 for x in lam):
                 new_cells.append(cell)
                 continue
             replaced = False
@@ -331,15 +319,8 @@ def unimodular_triangulation(cone: QCone):
                 new_cells.append(cell)
         cells = sorted(set(new_cells))
     return PolyhedralSubdivision(
-        cone, tuple(cone_from_rays(c, cone.dim) for c in sorted(cells))
+        cone, tuple(cone_from_rays(c, n) for c in sorted(cells))
     )
-
-
-def _coords_in_simplex(w, cell):
-    """Barycentric-style coordinates of w in the simplicial cone, or None."""
-    inv = _fraction_inverse(list(cell))
-    lam = [sum(Fraction(w[i]) * inv[i][j] for i in range(len(cell))) for j in range(len(cell))]
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -433,63 +414,29 @@ def normal_fan(p: TailedPolyhedron) -> PolyhedralSubdivision:
     return PolyhedralSubdivision(ambient, tuple(sorted(cells, key=lambda c: c.rays)))
 
 
-def slice_cone(c: QCone, h):
-    """Split a full-dimensional pointed cone along the hyperplane h.
-
-    Returns (positive piece, negative piece); a piece is None when the
-    cone does not meet that open halfspace.  New rays on the hyperplane
-    come from adjacent ray pairs straddling it, so no ray enumeration
-    from scratch is needed.
-    """
-    vals = {r: dot(h, r) for r in c.rays}
-    pos = [r for r in c.rays if vals[r] > 0]
-    neg = [r for r in c.rays if vals[r] < 0]
-    zero = [r for r in c.rays if vals[r] == 0]
-    if not neg:
-        return c, None
-    if not pos:
-        return None, c
-    cut = []
-    for rp in pos:
-        for rn in neg:
-            tight = [f for f in c.facets if dot(f, rp) == 0 and dot(f, rn) == 0]
-            if rank(tight) == c.dim - 2:
-                v = tuple(
-                    vals[rp] * b - vals[rn] * a for a, b in zip(rp, rn)
-                )
-                cut.append(primitive(v))
-    cut = sorted(set(cut))
-
-    def piece(keep, normal):
-        rays = sorted(set(keep + zero + cut))
-        cands = list(c.facets) + [tuple(normal)]
-        facets = []
-        for f in cands:
-            tight_rays = [r for r in rays if dot(f, r) == 0]
-            if rank(tight_rays) == c.dim - 1 and all(dot(f, r) >= 0 for r in rays):
-                facets.append(tuple(primitive(f)))
-        return QCone(c.dim, tuple(rays), tuple(sorted(set(facets))))
-
-    return piece(pos, h), piece(neg, [-x for x in h])
-
-
 def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision:
-    """Subdivide a full-dimensional pointed cone by a list of hyperplanes."""
+    """Subdivide a full-dimensional pointed cone by a list of hyperplanes.
+
+    A cell with rays strictly on both sides of a hyperplane is replaced by
+    its two halves, each cut out by the cell's facets and one halfspace.
+    """
     cells = [ambient]
     seen_h = set()
     for h in hyperplanes:
         h = primitive(h)
-        key = min(h, tuple(-x for x in h))
+        neg_h = tuple(-x for x in h)
+        key = min(h, neg_h)
         if key in seen_h:
             continue
         seen_h.add(key)
         nxt = []
         for c in cells:
-            a, b = slice_cone(c, h)
-            if a is not None:
-                nxt.append(a)
-            if b is not None:
-                nxt.append(b)
+            vals = [dot(h, r) for r in c.rays]
+            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+                nxt.append(c)
+            else:
+                nxt.append(cone_from_facets(list(c.facets) + [h], c.dim))
+                nxt.append(cone_from_facets(list(c.facets) + [neg_h], c.dim))
         cells = nxt
     uniq = {}
     for c in cells:

@@ -10,7 +10,7 @@ computation into a Hilbert basis problem for the upgraded cone.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import det, primitive
+from .intlinalg import det, inverse, primitive
 from .mpoly import MPoly
 from .pdivisor import PDivisor, linearity_subdivision
 from .polyhedra import (
@@ -175,9 +175,7 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
             )
         per_ray_coords.append(total_coords)
     # linear form w_r per fan ray: <w_r, rho_j> = coefficient of D_r at rho_j
-    from .polyhedra import _fraction_inverse
-
-    inv = _fraction_inverse([list(r) for r in rays])
+    inv = inverse(rays)
     tail = dual_cone(cell)
     ray_coeffs = []
     for ray_idx, r in enumerate(record.rays):
@@ -241,11 +239,9 @@ def _invert(y, elem: FunctionFieldElement) -> FunctionFieldElement:
 
 def downgrade_generators(y, weights, twists, cell_rays, record):
     """Map upgraded lattice weights back to graded elements on Y."""
-    from .polyhedra import _fraction_inverse
-
     rays = tuple(sorted(primitive(r) for r in cell_rays))
     n = len(rays)
-    inv = _fraction_inverse([list(r) for r in rays])
+    inv = inverse(rays)
     out = []
     for w in weights:
         wm, wp = tuple(w[:n]), tuple(w[n:])

@@ -221,3 +221,37 @@ def brute_force_pointed_rays(ineqs, dim):
             continue
         found.add(primitive(v) if pos or not neg else primitive([-x for x in v]))
     return tuple(sorted(found))
+
+
+# ---------------------------------------------------------------------------
+# recursive decomposition search
+
+
+def recursive_nn_decompositions(u, weights, limit=20000):
+    """``engine._nn_decompositions`` as a recursive preorder search.
+
+    Decompositions come in the order the recursion finds them, and the
+    search stops after ``limit`` visited nodes; an oracle for the order
+    and the node limit of the iterative search.
+    """
+    weights = sorted(set(weights))
+    if not weights:
+        return [()] if not any(u) else []
+    cone = cone_from_rays(weights, len(weights[0]))
+    out = []
+    nodes = [0]
+
+    def rec(remaining, start, chosen):
+        nodes[0] += 1
+        if nodes[0] > limit:
+            return
+        if not any(remaining):
+            out.append(tuple(chosen))
+            return
+        for i in range(start, len(weights)):
+            nxt = tuple(a - b for a, b in zip(remaining, weights[i]))
+            if cone.contains(nxt):
+                rec(nxt, i, chosen + [weights[i]])
+
+    rec(tuple(u), 0, [])
+    return out

@@ -1,5 +1,6 @@
 """The general pipeline: ray sections, completion, pruning, normalization."""
 
+import gc
 import random
 
 import pytest
@@ -8,12 +9,14 @@ from helpers import (
     brute_hilbert_basis,
     plane_pdivisor,
     plane_variety,
+    recursive_nn_decompositions,
     thirteen_generators,
 )
 from pdivgen import engine
 from pdivgen.engine import (
     GradedElement,
     _interior_ray,
+    _nn_decompositions,
     algebra_membership,
     find_k_rho,
     interior_lattice_basis,
@@ -143,3 +146,32 @@ def test_interior_ray_falls_back_on_a_cone_that_is_not_pointed(monkeypatch):
     monkeypatch.setattr(engine, "hilbert_basis", broken)
     with pytest.raises(ZeroDivisionError):
         _interior_ray(half)
+
+
+def test_nn_decompositions_leave_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        out = _nn_decompositions((2, 2), [(1, 0), (0, 1), (1, 1)])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert out == [
+        ((0, 1), (0, 1), (1, 0), (1, 0)),
+        ((0, 1), (1, 0), (1, 1)),
+        ((1, 1), (1, 1)),
+    ]
+
+
+def test_nn_decompositions_match_the_recursive_search():
+    rng = random.Random(5)
+    for _ in range(60):
+        dim = rng.choice((2, 3))
+        weights = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(4)]
+        weights = [w for w in weights if any(w)]
+        u = tuple(rng.randint(0, 6) for _ in range(dim))
+        # small limits cut the search off part way
+        for limit in (1, 5, 30, 20000):
+            assert _nn_decompositions(u, weights, limit) == recursive_nn_decompositions(
+                u, weights, limit
+            )

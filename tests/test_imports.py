@@ -1,4 +1,4 @@
-"""Every name a pdivgen module imports is used somewhere in that module."""
+"""Every pdivgen import is at module level, and every imported name is used."""
 
 import ast
 from pathlib import Path
@@ -30,3 +30,23 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text()))
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _function_level_imports(tree):
+    # a set, since an import in a nested function sits in two function bodies
+    return sorted({
+        (inner.lineno, ast.unparse(inner))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_function_level_imports():
+    found = [
+        f"{path.name}:{line}: {text}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, text in _function_level_imports(ast.parse(path.read_text()))
+    ]
+    assert not found, "imports inside functions:\n" + "\n".join(found)

@@ -11,6 +11,7 @@ from pdivgen.intlinalg import (
     hnf,
     hnf_basis,
     identity,
+    inverse,
     invert_unimodular,
     kernel_lattice,
     lattice_member,
@@ -18,7 +19,6 @@ from pdivgen.intlinalg import (
     primitive,
     rank,
     rref,
-    smith_normal_form,
     solve_in_lattice,
 )
 
@@ -83,22 +83,6 @@ def test_det_is_multiplicative(a, b):
     assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
-@given(small_matrix(3, 4))
-@settings(max_examples=60, deadline=None)
-def test_smith_normal_form(a):
-    s, u, v = smith_normal_form(a)
-    assert mat_mul(mat_mul(u, a), v) == tuple(tuple(r) for r in s)
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
-    diag = [s[i][i] for i in range(min(3, 4))]
-    for i in range(len(diag) - 1):
-        if diag[i + 1]:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-    for i in range(3):
-        for j in range(4):
-            if i != j:
-                assert s[i][j] == 0
-
-
 def test_primitive():
     assert primitive((2, 4, 6)) == (1, 2, 3)
     assert primitive((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
@@ -118,6 +102,18 @@ def test_invert_unimodular():
     u = [[1, 2], [0, 1]]
     inv = invert_unimodular(u)
     assert mat_mul(u, inv) == identity(2)
+
+
+@given(st.one_of(small_matrix(2, 2), small_matrix(3, 3), small_matrix(4, 4)))
+@settings(max_examples=80, deadline=None)
+def test_inverse(a):
+    if det(a) == 0:
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    inv = inverse(a)
+    assert mat_mul(a, inv) == identity(len(a))
+    assert all(type(x) is Fraction for row in inv for x in row)
 
 
 def test_rref_and_rank():

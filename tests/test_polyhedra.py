@@ -1,10 +1,11 @@
 """Cones, polyhedra, Hilbert bases, subdivisions."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_hilbert_basis
@@ -12,6 +13,7 @@ from pdivgen.intlinalg import det, rank
 from pdivgen.polyhedra import (
     NonPointedCone,
     QCone,
+    _parallelepiped_points,
     common_refinement,
     cone_from_facets,
     cone_from_rays,
@@ -21,7 +23,6 @@ from pdivgen.polyhedra import (
     hyperplane_subdivision,
     minkowski_sum,
     normal_fan,
-    slice_cone,
     tailed_polyhedron,
     triangulate,
     trivial_subdivision,
@@ -55,6 +56,13 @@ def test_cone_membership():
     assert not c.contains((0, 1))
     assert c.contains_interior((2, 1))
     assert not c.contains_interior((1, 0))
+
+
+def test_vectors_of_different_widths_are_rejected():
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        cone_from_rays([(1, 0), (0, 1)], 2).contains((1, 1, -5))
 
 
 def test_dual_cone_known():
@@ -123,22 +131,22 @@ def test_normal_fan_of_segment():
     assert len(fan.maximal_cells) == 2
 
 
-def test_slice_cone_partitions():
-    c = cone_from_rays([(1, 0), (0, 1)], 2)
-    pos, neg = slice_cone(c, (1, -1))
-    assert pos is not None and neg is not None
-    assert set(pos.rays) | set(neg.rays) >= {(1, 0), (0, 1), (1, 1)}
-    # a hyperplane missing the cone leaves it whole
-    pos, neg = slice_cone(c, (1, 1))
-    assert pos.rays == c.rays and neg is None
-
-
 def test_hyperplane_subdivision_covers_and_is_disjoint():
-    rng = random.Random(3)
     ambient = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3)
-    planes = [(1, -1, 0), (0, 1, -1), (1, 1, -2)]
-    sub = hyperplane_subdivision(ambient, planes)
-    cells = sub.maximal_cells
+    cuts = [(1, -1, 0), (0, 1, -1), (1, 1, -2)]
+    # (1, 1, 1) meets the cone only at the origin, so it leaves every cell whole
+    miss = (1, 1, 1)
+    assert hyperplane_subdivision(ambient, [miss]).maximal_cells == (ambient,)
+    cut_cells = hyperplane_subdivision(ambient, cuts).maximal_cells
+    with_miss = hyperplane_subdivision(ambient, [cuts[0], miss] + cuts[1:])
+    assert with_miss.maximal_cells == cut_cells
+    for planes in ([miss], cuts):
+        _check_covers_and_is_disjoint(ambient, planes)
+
+
+def _check_covers_and_is_disjoint(ambient, planes):
+    rng = random.Random(3)
+    cells = hyperplane_subdivision(ambient, planes).maximal_cells
     for _ in range(300):
         pt = tuple(
             sum(rng.randint(0, 9) * r[i] for r in ambient.rays) for i in range(3)
@@ -156,16 +164,62 @@ def test_hyperplane_subdivision_covers_and_is_disjoint():
                 assert dot(h, r) * s >= 0
 
 
-def test_common_refinement_matches_hyperplane_path():
-    ambient = cone_from_rays([(-1, 1), (1, 1)], 2)
+@st.composite
+def _cone_and_segments(draw):
+    """A pointed full-dimensional cone in dimension 2-5 and 1-4 segments."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    vec = st.lists(st.integers(min_value=-3, max_value=3), min_size=dim, max_size=dim)
+    cone = cone_from_rays(draw(st.lists(vec, min_size=dim, max_size=dim + 2)), dim)
+    assume(cone.is_full_dim() and cone.is_pointed())
+    segment = st.tuples(vec, vec).filter(lambda s: s[0] != s[1])
+    return cone, draw(st.lists(segment, min_size=1, max_size=4))
+
+
+@given(_cone_and_segments())
+@example((cone_from_rays([(-1, 1), (1, 1)], 2), [((-1, 1), (1, 1))]))
+@settings(max_examples=60, deadline=None)
+def test_common_refinement_matches_hyperplane_path(case):
+    ambient, segments = case
     tail = dual_cone(ambient)
-    p = tailed_polyhedron([(-1, 1), (1, 1)], tail.rays, 2)
-    fan = normal_fan(p)
-    ref = common_refinement([fan], ambient)
-    hyp = hyperplane_subdivision(ambient, [(2, 0)])
-    assert sorted(c.rays for c in ref.maximal_cells) == sorted(
-        c.rays for c in hyp.maximal_cells
+    fans = [normal_fan(tailed_polyhedron(s, tail.rays, ambient.dim)) for s in segments]
+    planes = [tuple(a - b for a, b in zip(*s)) for s in segments]
+    hyp = hyperplane_subdivision(ambient, planes).maximal_cells
+    ref = common_refinement(fans, ambient).maximal_cells
+    assert [(c.rays, c.facets) for c in hyp] == [(c.rays, c.facets) for c in ref]
+
+
+def _brute_parallelepiped_points(rows):
+    """Lattice points p != 0 of the bounding box with p = l B, 0 <= l_i < 1.
+
+    l_i = det(B with row i replaced by p) / det(B) by Cramer's rule.
+    """
+    n = len(rows)
+    d = det(rows)
+    box = [
+        range(sum(min(0, r[j]) for r in rows), sum(max(0, r[j]) for r in rows) + 1)
+        for j in range(n)
+    ]
+    pts = []
+    for p in itertools.product(*box):
+        lam = [Fraction(det(rows[:i] + [list(p)] + rows[i + 1 :]), d) for i in range(n)]
+        if any(p) and all(0 <= x < 1 for x in lam):
+            pts.append(p)
+    return pts
+
+
+@given(
+    st.integers(min_value=2, max_value=3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
     )
+)
+@settings(max_examples=80, deadline=None)
+def test_parallelepiped_points_match_brute_force(rows):
+    assume(det(rows) != 0)
+    assert _parallelepiped_points(rows) == _brute_parallelepiped_points(rows)
 
 
 def test_trivial_subdivision():
