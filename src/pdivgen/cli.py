@@ -9,6 +9,7 @@ import argparse
 import ast
 import sys
 from fractions import Fraction
+from math import comb
 
 from .coxs5 import run_cox
 from .engine import format_section, run_general
@@ -38,6 +39,12 @@ EXIT_ITERATION = 4
 EXIT_BACKEND = 5
 
 PIPELINES = ("general", "torus", "cox-s5", "hilbert", "subdivide", "eval")
+
+# Bounds on a polynomial in a job file, read off its syntax tree before
+# anything is built: the largest exponent (the exponents of nested powers
+# multiply) and the most terms any subexpression may have.
+MAX_EXPONENT = 64
+MAX_TERMS = 5000
 
 
 class JobParseError(ValueError):
@@ -167,6 +174,7 @@ def parse_polynomial(text, names):
     except SyntaxError as exc:
         raise JobSemanticError(f"bad polynomial '{text}': {exc.msg}")
     nvars = len(names)
+    _size_bound(node, text, nvars)
     index = {n: i for i, n in enumerate(names)}
 
     def ev(n):
@@ -185,6 +193,8 @@ def parse_polynomial(text, names):
             if isinstance(n.op, ast.Div):
                 den = n.right
                 if isinstance(den, ast.Constant) and isinstance(den.value, int):
+                    if not den.value:
+                        raise JobSemanticError(f"division by zero in polynomial '{text}'")
                     return ev(n.left) * MPoly.constant(nvars, Fraction(1, den.value))
                 raise JobSemanticError("division only by integer literals")
         if isinstance(n, ast.UnaryOp):
@@ -201,6 +211,47 @@ def parse_polynomial(text, names):
         raise JobSemanticError(f"unsupported expression in polynomial '{text}'")
 
     return ev(node)
+
+
+def _size_bound(node, text, nvars, power=1):
+    """(degree, terms): upper bounds for a polynomial expression tree.
+
+    ``power`` is the product of the exponents the node sits under.  Raises
+    JobSemanticError when it exceeds MAX_EXPONENT or a subexpression may
+    have more than MAX_TERMS terms.  Nodes that ``parse_polynomial``
+    rejects count as constants.
+    """
+    degree, terms = 0, 1
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Pow):
+            e = node.right
+            if isinstance(e, ast.Constant) and isinstance(e.value, int):
+                # the base is built in full even under an exponent of 0
+                power *= max(e.value, 1)
+                if power > MAX_EXPONENT:
+                    raise JobSemanticError(
+                        f"exponent {power} in '{text}' is above the bound {MAX_EXPONENT}"
+                    )
+                degree, terms = _size_bound(node.left, text, nvars, power)
+                degree, terms = degree * e.value, terms**e.value
+        else:
+            dl, tl = _size_bound(node.left, text, nvars, power)
+            dr, tr = _size_bound(node.right, text, nvars, power)
+            if isinstance(node.op, ast.Mult):
+                degree, terms = dl + dr, tl * tr
+            else:
+                degree, terms = max(dl, dr), tl + tr
+        # no more terms than monomials of degree at most `degree`
+        terms = min(terms, comb(degree + nvars, nvars))
+    elif isinstance(node, ast.UnaryOp):
+        degree, terms = _size_bound(node.operand, text, nvars, power)
+    elif isinstance(node, ast.Name):
+        degree = 1
+    if terms > MAX_TERMS:
+        raise JobSemanticError(
+            f"polynomial '{text}' may have {terms} terms, above the bound {MAX_TERMS}"
+        )
+    return degree, terms
 
 
 def parse_bool(text):

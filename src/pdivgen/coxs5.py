@@ -7,9 +7,9 @@ the class lattice, has the Cox ring as its section algebra.  This
 module builds that divisor and feeds it through the general machinery.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .engine import (
     GeneratorSet,
@@ -90,8 +90,7 @@ def build_cox_pdivisor(y=None) -> PDivisor:
     return PDivisor(y, omega, coeffs)
 
 
-@dataclass(frozen=True)
-class CoxResult:
+class CoxResult(NamedTuple):
     cells: tuple
     rays: tuple
     ray_classes: dict

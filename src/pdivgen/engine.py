@@ -7,8 +7,8 @@ saturate (when the algebra is toric in disguise) or export a
 presentation for an external normalization.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .intlinalg import (
     hnf,
@@ -40,18 +40,36 @@ from .varieties import (
 )
 
 
-@dataclass(frozen=True)
 class GradedElement:
-    section: object  # FunctionFieldElement
-    weight: tuple
+    """A section with its weight; equality and hash come from the two."""
+
+    __slots__ = ("section", "weight", "_key")
+
+    def __init__(self, section, weight):
+        self.section = section  # FunctionFieldElement
+        self.weight = weight
+        self._key = None
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedElement):
+            return NotImplemented
+        return (self.section, self.weight) == (other.section, other.weight)
+
+    def __hash__(self):
+        return hash((self.section, self.weight))
+
+    def __repr__(self):
+        return f"GradedElement(section={self.section!r}, weight={self.weight!r})"
 
     def key(self):
-        num = self.section.num.content_normalized()
-        return (self.weight, self.section.den, tuple(sorted(num.terms.items())))
+        # computed on the first call; section and weight are never reassigned
+        if self._key is None:
+            num = self.section.num.content_normalized()
+            self._key = (self.weight, self.section.den, tuple(sorted(num.terms.items())))
+        return self._key
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     elements: tuple
     normalization_status: str  # Normal | SaturatedToric | ExportedForNormalization
     witnesses: tuple = ()
@@ -280,7 +298,8 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
     if not gens:
         return [], ()
     kept = list(elements)
-    reserve = [e for e in _dedupe(pool) if e.key() not in {x.key() for x in kept}]
+    kept_keys = {x.key() for x in kept}
+    reserve = [e for e in _dedupe(pool) if e.key() not in kept_keys]
     rho = _interior_ray(d.weight_cone)
     natoms = len(atom_names(y))
     rank = d.weight_cone.dim

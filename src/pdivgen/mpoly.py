@@ -86,8 +86,9 @@ class MPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def _coerce(self, other):
@@ -174,13 +175,6 @@ class MPoly:
         _, lead = max(ints.items())
         sign = -1 if lead < 0 else 1
         return MPoly(self.nvars, {e: c * sign / g for e, c in ints.items()})
-
-    def coeff_vector(self, monomial_index):
-        """Coefficients in the monomial order given by the index mapping."""
-        vec = [Fraction(0)] * len(monomial_index)
-        for e, c in self.terms.items():
-            vec[monomial_index[e]] = c
-        return vec
 
     def format(self, names):
         if not self.terms:

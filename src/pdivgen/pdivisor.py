@@ -6,7 +6,7 @@ cone; evaluating at a weight u takes the support function of each
 coefficient.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .polyhedra import (
     PolyhedralSubdivision,
@@ -63,8 +63,7 @@ class PDivisor:
         )
 
 
-@dataclass(frozen=True)
-class LinearityDomain:
+class LinearityDomain(NamedTuple):
     """Cells of the weight cone on which evaluation is linear."""
 
     subdivision: PolyhedralSubdivision
@@ -131,15 +130,13 @@ def restrict(d: PDivisor, c: QCone) -> PDivisor:
 # validity report
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
+class ValidationCheck(NamedTuple):
     name: str
     verdict: str  # "pass", "fail", or "UNVERIFIABLE"
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple
 
     @property

@@ -7,11 +7,11 @@ not full-dimensional the facet list contains +/- pairs of normals
 cutting out the linear span.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .intlinalg import (
     det,
@@ -142,8 +142,7 @@ def generators_of_dual(vectors, dim):
     return tuple(sorted(gens))
 
 
-@dataclass(frozen=True)
-class QCone:
+class QCone(NamedTuple):
     """Rational polyhedral cone with both descriptions."""
 
     dim: int
@@ -151,7 +150,13 @@ class QCone:
     facets: tuple
 
     def contains(self, point):
-        return all(dot(f, point) >= 0 for f in self.facets)
+        facets = self.facets
+        if facets:
+            # dot rejects a point of the wrong width
+            return all(dot(f, point) >= 0 for f in facets)
+        if len(point) != self.dim:
+            raise ValueError(f"point of width {len(point)} in a cone of dimension {self.dim}")
+        return True
 
     def contains_interior(self, point):
         if rank(self.rays) < self.dim:
@@ -327,8 +332,7 @@ def unimodular_triangulation(cone: QCone):
 # tailed polyhedra
 
 
-@dataclass(frozen=True)
-class TailedPolyhedron:
+class TailedPolyhedron(NamedTuple):
     """conv(vertices) + tail cone, irredundant."""
 
     dim: int
@@ -377,8 +381,7 @@ def point_polyhedron(v, tail: QCone) -> TailedPolyhedron:
 # fans
 
 
-@dataclass(frozen=True)
-class PolyhedralSubdivision:
+class PolyhedralSubdivision(NamedTuple):
     ambient: QCone
     maximal_cells: tuple
 

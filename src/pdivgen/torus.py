@@ -7,8 +7,8 @@ invariant prime divisors.  Over a point base this turns the whole
 computation into a Hilbert basis problem for the upgraded cone.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .intlinalg import det, inverse, primitive
 from .mpoly import MPoly
@@ -36,8 +36,7 @@ class UnsupportedBase(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DivisorialFanRecord:
+class DivisorialFanRecord(NamedTuple):
     """Combinatorial data of the quotient description of the base.
 
     For a toric base the record holds the fan rays, the fan ray attached
@@ -55,8 +54,7 @@ class DivisorialFanRecord:
         return len(self.rays[0]) if self.rays else 0
 
 
-@dataclass(frozen=True)
-class InvariantRepresentation:
+class InvariantRepresentation(NamedTuple):
     """Per-ray coefficient polyhedra of the twisted divisor on a cell."""
 
     cell: QCone

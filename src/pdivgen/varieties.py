@@ -7,9 +7,10 @@ registered defining forms, so that products and span tests reduce to
 linear algebra on numerators.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .intlinalg import rref
 from .mpoly import MPoly, monomials_of_degree, multiplicity_at
@@ -92,8 +93,7 @@ class QDivisor:
 # function field elements
 
 
-@dataclass(frozen=True)
-class FunctionFieldElement:
+class FunctionFieldElement(NamedTuple):
     """num / prod(forms^exp); den kept factored by form label."""
 
     num: MPoly
@@ -121,8 +121,7 @@ def ffe(num, den=()):
     return FunctionFieldElement(num, tuple(sorted((l, e) for l, e in den if e)))
 
 
-@dataclass(frozen=True)
-class SectionBasis:
+class SectionBasis(NamedTuple):
     divisor: QDivisor
     elements: tuple
 
@@ -151,17 +150,27 @@ class Variety:
         self.nvars = nvars
         self.coordinates = tuple(coordinates)
         self._forms = {}
+        self._form_powers = {}  # label -> {exponent: power of the form}
 
     def register_divisor(self, label, form: MPoly):
         if not form.is_homogeneous() or not form:
             raise ValueError(f"defining form of {label} must be homogeneous and nonzero")
         self._forms[label] = form.content_normalized()
+        self._form_powers.pop(label, None)
 
     def forms(self):
         return dict(self._forms)
 
     def form(self, label):
         return self._forms[label]
+
+    def form_power(self, label, k):
+        """The defining form of the label to the power k, computed once."""
+        powers = self._form_powers.setdefault(label, {})
+        power = powers.get(k)
+        if power is None:
+            powers[k] = power = self._forms[label] ** k
+        return power
 
     def one(self):
         return ffe(MPoly.constant(self.nvars, 1))
@@ -481,9 +490,11 @@ def is_basepoint_free(y, d: QDivisor) -> bool:
 
 
 def numerator_vectors(y, elements, extra=()):
-    """Numerators over the common factored denominator, as coeff vectors.
+    """Numerators over the common factored denominator, as integer rows.
 
-    Returns (vectors, monomial index) for elements + extra combined.
+    Returns (rows, monomial index) for elements + extra combined.  Each row
+    is scaled by the lcm of its coefficient denominators; sections are
+    defined up to a scalar, so no span changes.
     """
     elems = list(elements) + list(extra)
     common = {}
@@ -497,27 +508,61 @@ def numerator_vectors(y, elements, extra=()):
         for l, k in common.items():
             deficit = k - own.get(l, 0)
             if deficit:
-                num = num * y.form(l) ** deficit
+                num = num * y.form_power(l, deficit)
         nums.append(num)
     monos = sorted({ex for n in nums for ex in n.terms}, reverse=True)
     index = {ex: i for i, ex in enumerate(monos)}
-    vecs = [n.coeff_vector(index) for n in nums]
-    return vecs, index
+    rows = []
+    for n in nums:
+        scale = lcm(*(c.denominator for c in n.terms.values()))
+        row = [0] * len(index)
+        for ex, c in n.terms.items():
+            row[index[ex]] = c.numerator * (scale // c.denominator)
+        rows.append(row)
+    return rows, index
+
+
+def _reduce(echelon, v):
+    """Reduce the integer row v against the echelon rows {pivot: row}.
+
+    Fraction free, as in Bareiss 1968: against the row r with pivot p,
+    v <- r[p] v - v[p] r (both factors divided by their gcd first), then v is
+    divided by its content.  Returns (pivot, reduced row) at the first
+    nonzero column that is no row's pivot, or None when v reduces to zero.
+    """
+    width = len(v)
+    p = next((j for j, x in enumerate(v) if x), width)
+    while p < width:
+        r = echelon.get(p)
+        if r is None:
+            return p, v
+        g = gcd(r[p], v[p])
+        a, b = r[p] // g, v[p] // g
+        v = [a * x - b * z for x, z in zip(v, r)]
+        g = gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+        p = next((j for j in range(p + 1, width) if v[j]), width)
+    return None
+
+
+def _echelon(rows):
+    """Integer row echelon of the rows, keyed by pivot column."""
+    echelon = {}
+    for v in rows:
+        reduced = _reduce(echelon, v)
+        if reduced is not None:
+            p, r = reduced
+            echelon[p] = r
+    return echelon
 
 
 def in_span(y, target, elements) -> bool:
     """Whether target lies in the rational span of the elements."""
-    if not elements:
-        return not target.num
-    vecs, _ = numerator_vectors(y, elements, (target,))
-    base = vecs[:-1]
-    _, piv_without = rref(base)
-    _, piv_with = rref(vecs)
-    return len(piv_with) == len(piv_without)
+    rows, _ = numerator_vectors(y, elements, (target,))
+    return _reduce(_echelon(rows[:-1]), rows[-1]) is None
 
 
 def span_dimension(y, elements) -> int:
-    if not elements:
-        return 0
-    vecs, _ = numerator_vectors(y, elements)
-    return len(rref(vecs)[1])
+    rows, _ = numerator_vectors(y, elements)
+    return len(_echelon(rows))

@@ -5,7 +5,7 @@ from itertools import combinations
 from itertools import product as iproduct
 
 from pdivgen.engine import GradedElement
-from pdivgen.intlinalg import kernel_lattice, primitive
+from pdivgen.intlinalg import kernel_lattice, primitive, rref
 from pdivgen.mpoly import MPoly
 from pdivgen.pdivisor import PDivisor
 from pdivgen.polyhedra import cone_from_rays, dot, dual_cone, tailed_polyhedron
@@ -178,6 +178,42 @@ class IncrementalRank:
     @property
     def rank(self):
         return len(self.rows)
+
+
+# ---------------------------------------------------------------------------
+# span tests by two rational row reductions
+
+
+def _fraction_numerator_vectors(y, elements):
+    """Numerators over the common factored denominator, as Fraction rows."""
+    common = {}
+    for e in elements:
+        for label, k in e.den:
+            common[label] = max(common.get(label, 0), k)
+    nums = []
+    for e in elements:
+        num = e.num
+        own = dict(e.den)
+        for label, k in common.items():
+            num = num * y.form(label) ** (k - own.get(label, 0))
+        nums.append(num)
+    monos = sorted({ex for n in nums for ex in n.terms}, reverse=True)
+    return [[n.terms.get(ex, Fraction(0)) for ex in monos] for n in nums]
+
+
+def fraction_in_span(y, target, elements):
+    """``varieties.in_span`` by comparing the ranks of two Fraction rrefs."""
+    if not elements:
+        return not target.num
+    vecs = _fraction_numerator_vectors(y, list(elements) + [target])
+    return len(rref(vecs)[1]) == len(rref(vecs[:-1])[1])
+
+
+def fraction_span_dimension(y, elements):
+    """``varieties.span_dimension`` as the rank of a Fraction rref."""
+    if not elements:
+        return 0
+    return len(rref(_fraction_numerator_vectors(y, elements))[1])
 
 
 # ---------------------------------------------------------------------------

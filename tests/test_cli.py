@@ -10,6 +10,7 @@ from pdivgen.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEMANTIC,
+    MAX_EXPONENT,
     JobParseError,
     JobSemanticError,
     build_pdivisor,
@@ -54,6 +55,25 @@ def test_parse_polynomial():
     assert len(p.terms) == 6
     with pytest.raises(JobSemanticError):
         parse_polynomial("x**y", ("x", "y"))
+    with pytest.raises(JobSemanticError):
+        parse_polynomial("x/0", ("x", "y"))
+
+
+def test_parse_polynomial_bounds_powers_and_terms():
+    xyz = ("x", "y", "z")
+    assert parse_polynomial(f"(x + y)**{MAX_EXPONENT}", ("x", "y")).total_degree() == MAX_EXPONENT
+    assert len(parse_polynomial("(x + y + z)**28", xyz).terms) == 435
+    for text in (
+        f"(x + y)**{MAX_EXPONENT + 1}",
+        "(x + y)**100000",
+        "((x + y)**8)**9",  # nested exponents multiply
+        "((x + y)**100000)**0",
+        "((2**8)**8)**8",
+        "(x + y + z)**64",  # 47,905 monomials of degree at most 64
+        "(x + y + z)**20 * (x + y + z)**20",
+    ):
+        with pytest.raises(JobSemanticError):
+            parse_polynomial(text, xyz)
 
 
 def test_parse_job_round_trip():
@@ -137,6 +157,10 @@ def test_exit_codes(tmp_path, capsys):
         )
     )
     assert main([str(wide_weight)]) == EXIT_SEMANTIC
+    # a huge power is rejected from the syntax tree, before it is built
+    huge_power = tmp_path / "huge-power.pdiv"
+    huge_power.write_text(shipped.replace("form.D = x*y*z", "form.D = (x+y)**100000"))
+    assert main([str(huge_power)]) == EXIT_SEMANTIC
     capsys.readouterr()
 
 

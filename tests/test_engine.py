@@ -30,6 +30,18 @@ from pdivgen.varieties import PointBase, ffe, sections_of_floor
 from pdivgen.mpoly import MPoly
 
 
+def test_cached_key_keeps_equality_and_hash():
+    x = MPoly.variable(3, 0)
+    a = GradedElement(ffe(x * 2, [("D", 1)]), (0, 1))
+    key = a.key()
+    assert a.key() is key
+    assert key == GradedElement(ffe(x, [("D", 1)]), (0, 1)).key()
+    fresh = GradedElement(ffe(x * 2, [("D", 1)]), (0, 1))
+    assert a == fresh and hash(a) == hash(fresh)
+    assert fresh in {a} and a.key() == fresh.key()
+    assert a != GradedElement(ffe(x * 2, [("D", 1)]), (1, 1))
+
+
 def test_find_k_rho_plane_example():
     d = plane_pdivisor()
     k, basis = find_k_rho(d, (-1, 1))

@@ -63,6 +63,12 @@ def test_vectors_of_different_widths_are_rejected():
         dot((1, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         cone_from_rays([(1, 0), (0, 1)], 2).contains((1, 1, -5))
+    # the whole plane has no facet normal to check the width against
+    plane = cone_from_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    assert plane.facets == () and plane.contains((-3, 0))
+    for point in ((1, 2, 3), (1,), ()):
+        with pytest.raises(ValueError):
+            plane.contains(point)
 
 
 def test_dual_cone_known():

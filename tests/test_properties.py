@@ -12,9 +12,16 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_pointed_rays, plane_pdivisor
+from helpers import (
+    brute_force_pointed_rays,
+    fraction_in_span,
+    fraction_span_dimension,
+    plane_pdivisor,
+    plane_variety,
+)
 from pdivgen import polyhedra
 from pdivgen.intlinalg import det, hnf, mat_mul, primitive, rank
+from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.polyhedra import (
     _pointed_rays,
     cone_from_rays,
@@ -24,7 +31,7 @@ from pdivgen.polyhedra import (
     minkowski_sum,
     tailed_polyhedron,
 )
-from pdivgen.varieties import in_span, sections_of_floor
+from pdivgen.varieties import ffe, in_span, sections_of_floor, span_dimension
 
 small_int = st.integers(min_value=-7, max_value=7)
 tiny_int = st.integers(min_value=-4, max_value=4)
@@ -187,3 +194,67 @@ def test_generators_of_dual_match_brute_force(case, shape):
     got = generators_of_dual(vectors, dim)
     with mock.patch.object(polyhedra, "_pointed_rays", brute_force_pointed_rays):
         assert got == generators_of_dual(vectors, dim)
+
+
+# Span tests on the plane, where D and E are cubics.  The sections of one
+# case all have degree `base` as functions, so spans meet and targets built
+# as combinations of the elements are hits.
+
+_PLANE = plane_variety()
+_DENOMINATORS = (
+    (),
+    (("D", 1),),
+    (("E", 1),),
+    (("D", 1), ("E", 1)),
+    (("D", 2),),
+    (("D", 1), ("E", 2)),
+)
+_rational = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _plane_section(draw, base):
+    den = draw(st.sampled_from(_DENOMINATORS))
+    monos = monomials_of_degree(3, base + 3 * sum(k for _, k in den))
+    terms = draw(st.dictionaries(st.sampled_from(monos), _rational, max_size=4))
+    return ffe(MPoly(3, terms), den)
+
+
+def _combination(y, elements, coeffs, label):
+    """sum c_i e_i over the common denominator, times label's form / itself."""
+    common = {label: 1}
+    for e in elements:
+        for l, k in e.den:
+            common[l] = max(common.get(l, 0), k)
+    num = MPoly.constant(3, 0)
+    for e, c in zip(elements, coeffs):
+        term = e.num * c
+        for l, k in common.items():
+            term = term * y.form(l) ** (k - dict(e.den).get(l, 0))
+        num = num + term
+    return ffe(num, common.items())
+
+
+@st.composite
+def _plane_span_cases(draw):
+    """(elements, target, whether the target is a combination of them)."""
+    base = draw(st.integers(min_value=0, max_value=2))
+    elements = draw(st.lists(_plane_section(base), max_size=6))
+    if elements:
+        elements += draw(st.lists(st.sampled_from(elements), max_size=2))
+    if elements and draw(st.booleans()):
+        coeffs = draw(st.lists(_rational, min_size=len(elements), max_size=len(elements)))
+        label = draw(st.sampled_from(("D", "E")))
+        return elements, _combination(_PLANE, elements, coeffs, label), True
+    return elements, draw(_plane_section(base)), False
+
+
+@given(_plane_span_cases())
+@settings(max_examples=200, deadline=None)
+def test_span_tests_match_the_fraction_oracle(case):
+    elements, target, combination = case
+    got = in_span(_PLANE, target, elements)
+    assert got == fraction_in_span(_PLANE, target, elements)
+    if combination:
+        assert got
+    assert span_dimension(_PLANE, elements) == fraction_span_dimension(_PLANE, elements)

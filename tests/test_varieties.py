@@ -128,6 +128,20 @@ def test_span_helpers():
     assert span_dimension(y, [a, b, target]) == 2
 
 
+def test_form_power_follows_a_re_registered_form():
+    y = plane_variety()
+    x, yy, z = (MPoly.variable(3, i) for i in range(3))
+    d2 = y.form_power("D", 2)
+    e3 = y.form_power("E", 3)
+    assert d2 == (x * yy * z) ** 2
+    assert y.form_power("D", 2) is d2
+    y.register_divisor("D", x * z)
+    assert y.form_power("D", 2) == (x * z) ** 2
+    assert y.form_power("E", 3) is e3
+    # span tests see the new form: x z / D is the constant 1 now
+    assert in_span(y, ffe(x * z, [("D", 1)]), [y.one()])
+
+
 def test_blowup_has_no_invariantizing_section():
     y = cox_surface()
     omega = cone_from_rays([(1,)], 1)
