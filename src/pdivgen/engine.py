@@ -517,7 +517,7 @@ def normalize_or_export(y, elements, max_iterations=64):
             return GeneratorSet(tuple(elements), "Normal")
         out = [_vector_to_element(y, v, rank) for v in sat]
         return GeneratorSet(tuple(_sorted_elements(out)), "SaturatedToric")
-    text = _presentation(y, elements)
+    text = _presentation(y, elements, vectors)
     return GeneratorSet(tuple(elements), "ExportedForNormalization", presentation=text)
 
 
@@ -535,19 +535,17 @@ def format_section(section, names):
     return f"section ({section.num.format(names)}) / ({den})"
 
 
-def _presentation(y, elements):
-    """Plain-text presentation for an external normalization system."""
+def _presentation(y, elements, extended_vectors):
+    """Plain-text presentation for an external normalization system.
+
+    ``extended_vectors`` holds ``extended_vector(y, e)`` of each element.
+    """
     lines = ["# presentation of the collected generator algebra"]
     lines.append(f"# {len(elements)} generators; variables g0..g{len(elements) - 1}")
     for i, e in enumerate(elements):
         lines.append(f"g{i} : weight {e.weight} {format_section(e.section, y.coordinates)}")
-    vectors = []
-    usable = []
-    for i, e in enumerate(elements):
-        v = extended_vector(y, e)
-        if v is not None:
-            vectors.append(v)
-            usable.append(i)
+    usable = [i for i, v in enumerate(extended_vectors) if v is not None]
+    vectors = [extended_vectors[i] for i in usable]
     if vectors:
         lines.append("# toric relations among factorable generators")
         for row in kernel_lattice(list(zip(*vectors))):

@@ -7,7 +7,7 @@ spaces: products, powers, affine shifts and exact division.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 class MPoly:
@@ -21,6 +21,14 @@ class MPoly:
                 c = Fraction(c)
                 if c:
                     self.terms[tuple(e)] = c
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        """Wrap terms that already map exponent tuples to nonzero Fractions."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def constant(cls, nvars, c):
@@ -56,17 +64,19 @@ class MPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MPoly(self.nvars, out)
+        return MPoly._of(self.nvars, out)
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return MPoly(self.nvars)
+            return MPoly._of(self.nvars, {e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -76,7 +86,7 @@ class MPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return MPoly(self.nvars, out)
+        return MPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -121,17 +131,24 @@ class MPoly:
         return total
 
     def shift(self, point):
-        """Substitute x_i -> x_i + point_i."""
-        out = MPoly.constant(self.nvars, 0)
+        """Substitute x_i -> x_i + point_i.
+
+        Each term expands by the binomial theorem: x_i^k becomes
+        sum_j C(k, j) point_i^(k - j) x_i^j.
+        """
+        point = [Fraction(a) for a in point]
+        out = {}
         for e, c in self.terms.items():
-            term = MPoly.constant(self.nvars, c)
-            for i, k in enumerate(e):
-                lin = MPoly.variable(self.nvars, i) + MPoly.constant(
-                    self.nvars, point[i]
-                )
-                term = term * lin**k
-            out = out + term
-        return out
+            expanded = [((), c)]
+            for k, a in zip(e, point):
+                if a and k:
+                    steps = [(j, comb(k, j) * a ** (k - j)) for j in range(k + 1)]
+                    expanded = [(ex + (j,), t * f) for ex, t in expanded for j, f in steps]
+                else:
+                    expanded = [(ex + (k,), t) for ex, t in expanded]
+            for ex, t in expanded:
+                out[ex] = out.get(ex, 0) + t
+        return MPoly._of(self.nvars, {e: c for e, c in out.items() if c})
 
     def dehomogenize(self, var, value=1):
         """Set variable `var` to a constant, dropping it from the support."""
@@ -142,7 +159,7 @@ class MPoly:
                 continue
             e2 = e[:var] + (0,) + e[var + 1 :]
             out[e2] = out.get(e2, 0) + c
-        return MPoly(self.nvars, out)
+        return MPoly._of(self.nvars, {e: c for e, c in out.items() if c})
 
     def low_degree(self):
         """Smallest total degree among terms (order of vanishing at 0)."""
@@ -152,7 +169,7 @@ class MPoly:
         """Exact quotient self / divisor, or None if not divisible."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = MPoly(self.nvars, dict(self.terms))
+        rem = self
         quot = MPoly.constant(self.nvars, 0)
         de, dc = divisor.leading()
         while rem:
@@ -170,11 +187,12 @@ class MPoly:
         if not self.terms:
             return self
         scale = lcm(*(c.denominator for c in self.terms.values()))
-        ints = {e: c * scale for e, c in self.terms.items()}
-        g = gcd(*(c.numerator for c in ints.values()))
+        ints = {e: c.numerator * (scale // c.denominator) for e, c in self.terms.items()}
+        g = gcd(*ints.values())
         _, lead = max(ints.items())
-        sign = -1 if lead < 0 else 1
-        return MPoly(self.nvars, {e: c * sign / g for e, c in ints.items()})
+        if lead < 0:
+            g = -g
+        return MPoly._of(self.nvars, {e: Fraction(c // g) for e, c in ints.items()})
 
     def format(self, names):
         if not self.terms:

@@ -6,6 +6,8 @@ cone; evaluating at a weight u takes the support function of each
 coefficient.
 """
 
+from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .polyhedra import (
@@ -44,12 +46,20 @@ class PDivisor:
         self.weight_cone = weight_cone
         self.tail = dual_cone(weight_cone)
         self.coefficients = dict(coefficients)
+        # label -> (L, vertices times L): integer vertices over one positive
+        # common denominator, so support functions are integer dot products
+        self._scaled_vertices = {}
         for label, poly in self.coefficients.items():
             if poly.tail.rays != self.tail.rays:
                 raise ValueError(
                     f"coefficient of {label} has tail {poly.tail.rays}, "
                     f"expected {self.tail.rays}"
                 )
+            scale = lcm(*(x.denominator for v in poly.vertices for x in v))
+            self._scaled_vertices[label] = (
+                scale,
+                [[x.numerator * (scale // x.denominator) for x in v] for v in poly.vertices],
+            )
 
     @property
     def rank(self):
@@ -59,7 +69,10 @@ class PDivisor:
         if not self.weight_cone.contains(u):
             raise WeightOutsideCone(f"{tuple(u)} is not in the weight cone")
         return QDivisor(
-            {label: poly.support(u) for label, poly in self.coefficients.items()}
+            {
+                label: Fraction(min([dot(v, u) for v in scaled]), scale)
+                for label, (scale, scaled) in self._scaled_vertices.items()
+            }
         )
 
 
@@ -108,7 +121,11 @@ def linearity_subdivision(d: PDivisor) -> LinearityDomain:
         sample = _interior_sample(cell)
         per_label = {}
         for label, poly in d.coefficients.items():
-            best = min(poly.vertices, key=lambda v: (dot(v, sample), v))
+            # rank by the integer dots of the scaled vertices, ties by vertex
+            _, scaled = d._scaled_vertices[label]
+            _, best = min(
+                zip(scaled, poly.vertices), key=lambda p: (dot(p[0], sample), p[1])
+            )
             per_label[label] = best
         minimizers[cell] = per_label
     return LinearityDomain(sub, minimizers)

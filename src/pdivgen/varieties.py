@@ -299,6 +299,7 @@ class BlowupOfP2(Variety):
             raise UnsupportedBackend("only the four-point blow-up is supported")
         super().__init__(3, coordinates)
         self.points = tuple(tuple(Fraction(x) for x in p) for p in points)
+        _check_general_position(self.points)
         self._class_vectors = {}
         self.register_divisor("H", h_form)
         self.exceptional = tuple(f"E{i}" for i in range(1, 5))
@@ -308,9 +309,7 @@ class BlowupOfP2(Variety):
 
     def _line_through(self, p, q):
         # coefficients of the line = cross product of the two points
-        a = p[1] * q[2] - p[2] * q[1]
-        b = p[2] * q[0] - p[0] * q[2]
-        c = p[0] * q[1] - p[1] * q[0]
+        a, b, c = _cross(p, q)
         return MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
     def register_divisor(self, label, form: MPoly):
@@ -355,13 +354,15 @@ class BlowupOfP2(Variety):
     def _sections(self, d):
         forced = MPoly.constant(3, 1)
         den = []
-        forced_mults = [0, 0, 0, 0]
         den_deg = 0
-        exc = [0, 0, 0, 0]
+        # required multiplicities at the four points for the free factor:
+        # those of the denominator, less those of the forced factor and the
+        # exceptional coefficients; class_vector holds -multiplicity
+        req = [0, 0, 0, 0]
         for l, c in d.coeffs.items():
             c = int(c)
             if l in self.exceptional:
-                exc[int(l[1]) - 1] = c
+                req[int(l[1]) - 1] -= c
                 continue
             f = self.form(l)
             if c > 0:
@@ -369,17 +370,8 @@ class BlowupOfP2(Variety):
                 den_deg += c * f.total_degree()
             else:
                 forced = forced * f ** (-c)
-                for i, p in enumerate(self.points):
-                    forced_mults[i] += -c * multiplicity_at(f, p)
-        # required multiplicities at the four points for the free factor
-        req = []
-        for i, p in enumerate(self.points):
-            m = -exc[i]
-            for l, c in d.coeffs.items():
-                if l in self.exceptional or int(c) <= 0:
-                    continue
-                m += int(c) * multiplicity_at(self.form(l), p)
-            req.append(m - forced_mults[i])
+            for i, m in enumerate(self.class_vector(l)[1:]):
+                req[i] -= c * m
         free_deg = den_deg - forced.total_degree()
         if free_deg < 0:
             return SectionBasis(d, ())
@@ -438,6 +430,38 @@ class BlowupOfP2(Variety):
 
     def invariantizing_section(self, d):
         raise UnsupportedBackend("torus actions are only available on projective space")
+
+
+def _cross(p, q):
+    return (
+        p[1] * q[2] - p[2] * q[1],
+        p[2] * q[0] - p[0] * q[2],
+        p[0] * q[1] - p[1] * q[0],
+    )
+
+
+def _check_general_position(points):
+    """Raise ValueError unless the points are distinct, no three on a line."""
+    for p in points:
+        if len(p) != 3:
+            raise ValueError(f"blow-up point {_format_point(p)} must have 3 coordinates")
+        if not any(p):
+            raise ValueError(f"blow-up point {_format_point(p)} is zero")
+    for p, q in combinations(points, 2):
+        if not any(_cross(p, q)):
+            raise ValueError(
+                f"blow-up points {_format_point(p)} and {_format_point(q)} are the same point"
+            )
+    for p, q, r in combinations(points, 3):
+        if sum(a * b for a, b in zip(_cross(p, q), r)) == 0:
+            raise ValueError(
+                f"blow-up points {_format_point(p)}, {_format_point(q)} and "
+                f"{_format_point(r)} are collinear"
+            )
+
+
+def _format_point(p):
+    return "(" + ", ".join(str(x) for x in p) + ")"
 
 
 def _frac_kernel_basis(rows):

@@ -9,7 +9,7 @@ from pdivgen.intlinalg import kernel_lattice, primitive, rref
 from pdivgen.mpoly import MPoly
 from pdivgen.pdivisor import PDivisor
 from pdivgen.polyhedra import cone_from_rays, dot, dual_cone, tailed_polyhedron
-from pdivgen.varieties import ProjectiveSpace, ffe
+from pdivgen.varieties import ProjectiveSpace, QDivisor, ffe
 
 
 # ---------------------------------------------------------------------------
@@ -290,4 +290,38 @@ def recursive_nn_decompositions(u, weights, limit=20000):
                 rec(nxt, i, chosen + [weights[i]])
 
     rec(tuple(u), 0, [])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction support functions and the product-based shift
+
+
+def fraction_evaluate(d, u):
+    """``PDivisor.evaluate`` by the Fraction support function of each coefficient."""
+    return QDivisor({label: poly.support(u) for label, poly in d.coefficients.items()})
+
+
+def fraction_minimizers(d, cells, sample):
+    """Minimizers of ``linearity_subdivision``: on each cell, the vertex of
+    least Fraction dot with ``sample(cell)``, ties broken by the vertex."""
+    out = {}
+    for cell in cells:
+        u = sample(cell)
+        out[cell] = {
+            label: min(poly.vertices, key=lambda v: (dot(v, u), v))
+            for label, poly in d.coefficients.items()
+        }
+    return out
+
+
+def product_shift(poly, point):
+    """``MPoly.shift`` by products of polynomials: x_i -> (x_i + point_i)."""
+    n = poly.nvars
+    out = MPoly.constant(n, 0)
+    for e, c in poly.terms.items():
+        term = MPoly.constant(n, c)
+        for i, k in enumerate(e):
+            term = term * (MPoly.variable(n, i) + MPoly.constant(n, point[i])) ** k
+        out = out + term
     return out

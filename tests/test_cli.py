@@ -145,6 +145,21 @@ def test_exit_codes(tmp_path, capsys):
         "form.H = x0 - x1 + x2\nform.D = x0*x1 + x2\n[job]\npipeline = eval\n"
     )
     assert main([str(blowup)]) == EXIT_SEMANTIC
+    # blow-up points of the wrong width, zero, repeated or three on a line
+    capsys.readouterr()
+    for name, points, named in (
+        ("narrow-points", "(1,0) (0,1) (1,1) (2,1)", "(1, 0)"),
+        ("zero-point", "(1,0,0) (0,1,0) (0,0,0) (1,1,1)", "(0, 0, 0)"),
+        ("repeated-point", "(1,0,0) (0,1,0) (1,0,0) (1,1,1)", "(1, 0, 0) and (1, 0, 0)"),
+        ("collinear-points", "(1,0,0) (0,1,0) (0,0,1) (1,1,0)", "(1, 0, 0), (0, 1, 0) and (1, 1, 0)"),
+    ):
+        job = tmp_path / f"{name}.pdiv"
+        job.write_text(
+            f"[variety]\nbackend = blowup-p2\npoints = {points}\n"
+            "form.H = x0 - x1 + x2\n[job]\npipeline = eval\n"
+        )
+        assert main([str(job)]) == EXIT_SEMANTIC, name
+        assert named in capsys.readouterr().err, name
     # a coefficient vertex or an eval weight wider than the rays
     shipped = Path("jobs/p2.pdiv").read_text()
     wide_vertex = tmp_path / "wide-vertex.pdiv"

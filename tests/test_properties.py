@@ -14,14 +14,18 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_pointed_rays,
+    fraction_evaluate,
     fraction_in_span,
+    fraction_minimizers,
     fraction_span_dimension,
     plane_pdivisor,
     plane_variety,
+    product_shift,
 )
-from pdivgen import polyhedra
+from pdivgen import pdivisor, polyhedra
 from pdivgen.intlinalg import det, hnf, mat_mul, primitive, rank
 from pdivgen.mpoly import MPoly, monomials_of_degree
+from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import (
     _pointed_rays,
     cone_from_rays,
@@ -31,7 +35,7 @@ from pdivgen.polyhedra import (
     minkowski_sum,
     tailed_polyhedron,
 )
-from pdivgen.varieties import ffe, in_span, sections_of_floor, span_dimension
+from pdivgen.varieties import PointBase, ffe, in_span, sections_of_floor, span_dimension
 
 small_int = st.integers(min_value=-7, max_value=7)
 tiny_int = st.integers(min_value=-4, max_value=4)
@@ -258,3 +262,73 @@ def test_span_tests_match_the_fraction_oracle(case):
     if combination:
         assert got
     assert span_dimension(_PLANE, elements) == fraction_span_dimension(_PLANE, elements)
+
+
+# Support functions on random p-divisors: vertices with negative and
+# non-integral entries, over a random pointed weight cone in dimension 2 or 3.
+
+_vertex_entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _random_pdivisors(draw):
+    dim = draw(st.integers(min_value=2, max_value=3))
+    omega = _random_pointed_cone(random.Random(draw(st.integers(0, 10**6))), dim)
+    tail = dual_cone(omega)
+    vertex = st.lists(_vertex_entry, min_size=dim, max_size=dim).map(tuple)
+    coefficients = {}
+    for label in ("A", "B", "C")[: draw(st.integers(min_value=1, max_value=3))]:
+        vertices = draw(st.lists(vertex, min_size=1, max_size=4))
+        coefficients[label] = tailed_polyhedron(vertices, tail.rays, dim)
+    return PDivisor(PointBase(), omega, coefficients)
+
+
+@st.composite
+def _weight_in_cone(draw, cone):
+    """A nonnegative combination of the rays, over a denominator up to 3."""
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=len(cone.rays), max_size=len(cone.rays)))
+    den = draw(st.integers(min_value=1, max_value=3))
+    u = [sum(c * r[i] for c, r in zip(coeffs, cone.rays)) for i in range(cone.dim)]
+    return tuple(x if den == 1 else Fraction(x, den) for x in u)
+
+
+@given(_random_pdivisors(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_matches_the_fraction_support_function(d, data):
+    for _ in range(4):
+        u = data.draw(_weight_in_cone(d.weight_cone))
+        assert d.evaluate(u) == fraction_evaluate(d, u)
+
+
+@given(
+    _random_pdivisors(),
+    st.sampled_from(("interior", "first ray", "origin")),
+)
+@settings(max_examples=60, deadline=None)
+def test_minimizers_match_the_fraction_ranking(d, where):
+    # a ray of a cell lies on its walls, and at the origin every vertex
+    # ties, so the last two cases exercise the tie break
+    sample = {
+        "interior": pdivisor._interior_sample,
+        "first ray": lambda cell: cell.rays[0],
+        "origin": lambda cell: (0,) * cell.dim,
+    }[where]
+    with mock.patch.object(pdivisor, "_interior_sample", sample):
+        domain = linearity_subdivision(d)
+    assert domain.minimizers == fraction_minimizers(d, domain.cells, sample)
+
+
+@st.composite
+def _shift_cases(draw):
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exponent = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars).map(tuple)
+    terms = draw(st.dictionaries(exponent, _rational, max_size=5))
+    point = draw(st.lists(_rational, min_size=nvars, max_size=nvars))
+    return MPoly(nvars, terms), point
+
+
+@given(_shift_cases())
+@settings(max_examples=200, deadline=None)
+def test_shift_matches_the_product_shift(case):
+    poly, point = case
+    assert poly.shift(point) == product_shift(poly, point)

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import plane_variety
 from pdivgen.coxs5 import cox_surface
-from pdivgen.mpoly import MPoly
+from pdivgen.mpoly import MPoly, multiplicity_at
 from pdivgen.pdivisor import PDivisor
 from pdivgen.polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
 from pdivgen.torus import invariantize_cell
@@ -62,6 +62,14 @@ def test_blowup_class_vectors():
     assert y.class_vector("E14") == (1, -1, 0, 0, -1)
     assert y.class_vector("E23") == (1, 0, -1, -1, 0)
     assert y.intersect((1, -1, -1, 0, 0), (1, -1, -1, 0, 0)) == -1
+
+
+def test_class_vector_multiplicities_match_multiplicity_at():
+    # the blow-up's section spaces read multiplicities from class_vector
+    y = cox_surface()
+    for label in sorted(y.forms()):
+        mults = tuple(multiplicity_at(y.form(label), p) for p in y.points)
+        assert y.class_vector(label)[1:] == tuple(-m for m in mults), label
 
 
 def test_blowup_class_vector_follows_a_new_form():
