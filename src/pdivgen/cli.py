@@ -20,6 +20,7 @@ from .pdivisor import (
     NotSubcone,
     PDivisor,
     WeightOutsideCone,
+    bigness_checks,
     linearity_subdivision,
 )
 from .polyhedra import QCone, cone_from_rays, dual_cone, hilbert_basis, tailed_polyhedron
@@ -427,6 +428,16 @@ def _pipeline_cox(max_iterations):
     return lines, gen_lines
 
 
+def _require_big(d):
+    """Reject a p-divisor that is definitely not big on some linearity cell.
+
+    An UNVERIFIABLE verdict passes: no criterion decides it.
+    """
+    for check in bigness_checks(d, linearity_subdivision(d)):
+        if check.verdict == "fail":
+            raise JobSemanticError(f"the p-divisor is not {check.name}: {check.detail}")
+
+
 def _verify_lines(y, d):
     """Quick inline property checks on the parsed divisor."""
     checks = []
@@ -480,6 +491,9 @@ def run_job(job: JobDescription, args) -> int:
             if args.verify:
                 stage = "verify"
                 lines.extend(_verify_lines(y, d))
+            if pipeline in ("general", "torus"):
+                stage = "bigness"
+                _require_big(d)
             stage = pipeline
             if pipeline == "eval":
                 more, gen_lines = _pipeline_eval(job, y, d)

@@ -382,17 +382,23 @@ def _format_witness(y, pair, usable, combo):
 # pruning
 
 
-def _nn_decompositions(u, weights, limit=20000):
+def _nn_decompositions(u, weights, limit=20000, cones=None):
     """All multisets of weights with nonnegative integer sum u.
 
     Weights live in a pointed cone, so the search tree is finite; a hard
     node limit guards degenerate inputs.  Pruning uses containment in
-    the cone spanned by all weights, computed once.
+    the cone spanned by all weights.  ``cones`` maps each sorted weight
+    tuple to that cone, so a caller that searches one weight set many
+    times builds its cone once.
     """
-    weights = sorted(set(weights))
+    weights = tuple(sorted(set(weights)))
     if not weights:
         return [()] if not any(u) else []
-    cone = cone_from_rays(weights, len(weights[0]))
+    if cones is None:
+        cones = {}
+    cone = cones.get(weights)
+    if cone is None:
+        cone = cones[weights] = cone_from_rays(weights, len(weights[0]))
     out = []
     # preorder depth-first search; children are pushed in reverse so they
     # pop in weight order, and the search stops after `limit` visited nodes
@@ -412,13 +418,16 @@ def _nn_decompositions(u, weights, limit=20000):
     return out
 
 
-def algebra_membership(y, element: GradedElement, gens, product_cap=600):
-    """Whether the element's section is spanned by generator products."""
+def algebra_membership(y, element: GradedElement, gens, product_cap=600, cones=None):
+    """Whether the element's section is spanned by generator products.
+
+    ``cones`` is passed to ``_nn_decompositions``.
+    """
     u = element.weight
     by_weight = {}
     for g in gens:
         by_weight.setdefault(g.weight, []).append(g)
-    decomps = _nn_decompositions(u, list(by_weight))
+    decomps = _nn_decompositions(u, list(by_weight), cones=cones)
     products = []
     one = ffe(MPoly.constant(y.nvars, 1))
     for parts in decomps:
@@ -443,9 +452,11 @@ def reduce_generators(y, elements):
     order = sorted(
         kept, key=lambda e: (sum(abs(x) for x in e.weight), e.key()), reverse=True
     )
+    # the pruning cone of each weight set, built once in this call
+    cones = {}
     for e in order:
         rest = [g for g in kept if g.key() != e.key()]
-        if algebra_membership(y, e, rest):
+        if algebra_membership(y, e, rest, cones=cones):
             kept = rest
     return _sorted_elements(kept)
 
@@ -511,22 +522,18 @@ def normalize_or_export(y, elements, max_iterations=64):
         status = "Normal" if sorted(weights) == sat else "SaturatedToric"
         return GeneratorSet(tuple(_sorted_elements(out)), status)
     vectors = [extended_vector(y, e) for e in elements]
-    if all(v is not None for v in vectors) and _z_independent(vectors):
+    usable = [v for v in vectors if v is not None]
+    # relations live in the left kernel: integer combinations of the
+    # vectors themselves
+    relations = kernel_lattice(list(zip(*usable))) if usable else ()
+    if len(usable) == len(vectors) and not relations:
         sat = _saturate_semigroup(vectors)
         if sorted(set(vectors)) == sat:
             return GeneratorSet(tuple(elements), "Normal")
         out = [_vector_to_element(y, v, rank) for v in sat]
         return GeneratorSet(tuple(_sorted_elements(out)), "SaturatedToric")
-    text = _presentation(y, elements, vectors)
+    text = _presentation(y, elements, vectors, relations)
     return GeneratorSet(tuple(elements), "ExportedForNormalization", presentation=text)
-
-
-def _z_independent(vectors):
-    # relations live in the left kernel: integer combinations of the
-    # vectors themselves
-    if not vectors:
-        return True
-    return not kernel_lattice(list(zip(*vectors)))
 
 
 def format_section(section, names):
@@ -535,20 +542,20 @@ def format_section(section, names):
     return f"section ({section.num.format(names)}) / ({den})"
 
 
-def _presentation(y, elements, extended_vectors):
+def _presentation(y, elements, extended_vectors, relations):
     """Plain-text presentation for an external normalization system.
 
-    ``extended_vectors`` holds ``extended_vector(y, e)`` of each element.
+    ``extended_vectors`` holds ``extended_vector(y, e)`` of each element,
+    and ``relations`` the left kernel of the vectors that are not None.
     """
     lines = ["# presentation of the collected generator algebra"]
     lines.append(f"# {len(elements)} generators; variables g0..g{len(elements) - 1}")
     for i, e in enumerate(elements):
         lines.append(f"g{i} : weight {e.weight} {format_section(e.section, y.coordinates)}")
     usable = [i for i, v in enumerate(extended_vectors) if v is not None]
-    vectors = [extended_vectors[i] for i in usable]
-    if vectors:
+    if usable:
         lines.append("# toric relations among factorable generators")
-        for row in kernel_lattice(list(zip(*vectors))):
+        for row in relations:
             pos = " * ".join(
                 f"g{usable[i]}^{c}" for i, c in enumerate(row) if c > 0
             )

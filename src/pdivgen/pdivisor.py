@@ -201,8 +201,15 @@ def validate(d: PDivisor, max_iterations=64) -> ValidationReport:
             checks.append(
                 ValidationCheck(f"semiample at ray {ray}", "pass", f"k = {k}")
             )
+    checks.extend(bigness_checks(d, domain))
+    return ValidationReport(tuple(checks))
+
+
+def bigness_checks(d: PDivisor, domain: LinearityDomain):
+    """Bigness of the divisor at the interior sample of each cell."""
+    checks = []
     for cell in domain.cells:
         div = d.evaluate(_interior_sample(cell))
         verdict, detail = d.variety.bigness(div * mu(div.coeffs.values()))
         checks.append(ValidationCheck(f"big on cell {cell.rays}", verdict, detail))
-    return ValidationReport(tuple(checks))
+    return checks

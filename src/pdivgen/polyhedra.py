@@ -41,27 +41,27 @@ def _dedupe_sorted(vecs):
 
 
 def _pointed_rays(ineqs, dim):
-    """Extreme rays of the pointed cone {x : A x >= 0}; rank(A) == dim.
+    """Extreme rays of the pointed cone {x : A x >= 0}; rank(A) == dim."""
+    dd = _double_description(_dedupe_sorted(tuple(r) for r in ineqs if any(r)), dim)
+    if dd is None:
+        raise ValueError("the inequalities do not have full rank")
+    return tuple(sorted(dd[0]))
 
-    Exact incremental double description (Motzkin, Raiffa, Thompson and
-    Thrall 1953; Fukuda and Prodon 1996): start from the simplicial cone
-    of dim independent rows, then cut by the other rows one at a time.
-    Each ray carries the bitmask of the rows it is tight on; a ray on the
-    positive side and one on the negative side are adjacent when their
-    common tight set has at least dim - 2 rows and lies in the tight set
-    of no third ray.
+
+def _double_description(rows, dim):
+    """Extreme rays of {x : A x >= 0} and the rows each one is tight on.
+
+    ``rows`` are distinct and nonzero.  Exact incremental double
+    description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and
+    Prodon 1996): start from the simplicial cone of dim independent rows,
+    then cut by the other rows one at a time.  Returns (rays, masks), bit k
+    of a ray's mask set when the ray is tight on row k, or None when
+    rank(A) < dim.
     """
-    rows = _dedupe_sorted(tuple(r) for r in ineqs if any(r))
-    if dim == 0:
-        return ()
-    if dim == 1:
-        signs = {1 if r[0] > 0 else -1 for r in rows}
-        if signs == {1}:
-            return ((1,),)
-        if signs == {-1}:
-            return ((-1,),)
-        return ()
-    basis, rays = _simplicial_start(rows, dim)
+    start = _simplicial_start(rows, dim)
+    if start is None:
+        return None
+    basis, rays = start
     in_basis = sum(1 << k for k in basis)
     masks = [in_basis & ~(1 << k) for k in basis]
     for k, a in enumerate(rows):
@@ -69,23 +69,71 @@ def _pointed_rays(ineqs, dim):
             continue
         bit = 1 << k
         vals = [sum(map(mul, a, r)) for r in rays]
-        new_rays = [r for r, s in zip(rays, vals) if s >= 0]
-        new_masks = [m | bit if s == 0 else m for m, s in zip(masks, vals) if s >= 0]
-        pos = [i for i, s in enumerate(vals) if s > 0]
-        neg = [i for i, s in enumerate(vals) if s < 0]
-        for p in pos:
-            for n in neg:
-                common = masks[p] & masks[n]
-                if bin(common).count("1") < dim - 2 or any(
-                    m & common == common and i != p and i != n
-                    for i, m in enumerate(masks)
-                ):
-                    continue
-                sp, sn = vals[p], -vals[n]
-                new_rays.append(primitive([sp * y + sn * x for x, y in zip(rays[p], rays[n])]))
-                new_masks.append(common | bit)
-        rays, masks = new_rays, new_masks
-    return tuple(sorted(rays))
+        cut_rays, cut_masks = _crossing_rays(rays, masks, vals, bit, dim)
+        rays = [r for r, s in zip(rays, vals) if s >= 0] + cut_rays
+        masks = [m | bit if s == 0 else m for m, s in zip(masks, vals) if s >= 0] + cut_masks
+    return rays, masks
+
+
+def _crossing_rays(rays, masks, vals, bit, dim):
+    """One double-description step: the rays of a pointed cone on a new
+    hyperplane, with their tight-row masks.
+
+    ``vals`` are the values of the hyperplane's row on the rays and
+    ``bit`` is its mask bit.  A ray on the positive side and one on the
+    negative side are adjacent when their common tight set has at least
+    dim - 2 rows and lies in the tight set of no third ray; each adjacent
+    pair gives one new ray.
+    """
+    out_rays, out_masks = [], []
+    neg = [i for i, s in enumerate(vals) if s < 0]
+    for p, sp in enumerate(vals):
+        if sp <= 0:
+            continue
+        for n in neg:
+            common = masks[p] & masks[n]
+            if bin(common).count("1") < dim - 2 or _contained_elsewhere(common, masks, p, n):
+                continue
+            sn = -vals[n]
+            out_rays.append(primitive([sp * y + sn * x for x, y in zip(rays[p], rays[n])]))
+            out_masks.append(common | bit)
+    return out_rays, out_masks
+
+
+def _contained_elsewhere(s, sets, *skip):
+    """Whether the bitmask s lies in some member of sets not indexed by skip.
+
+    The combinatorial test of the double description on a pointed cone,
+    for adjacent rays (s holds the rows tight on both) and for facets (s
+    holds the rays tight on one row; see ``_facet_rows``).
+    """
+    return any(m & s == s and i not in skip for i, m in enumerate(sets))
+
+
+def _facet_rows(rows, masks):
+    """The rows that define facets of the pointed cone {x : A x >= 0}.
+
+    ``masks`` are the tight-row masks of its extreme rays.  For distinct
+    primitive rows of a full-dimensional cone, a row is redundant exactly
+    when the rays tight on it are among the rays tight on another row.
+    Returns None when the cone is not full-dimensional, which shows as a
+    row tight on every ray.
+    """
+    tight = [0] * len(rows)
+    for i, m in enumerate(masks):
+        for k in range(len(rows)):
+            if m >> k & 1:
+                tight[k] |= 1 << i
+    if (1 << len(masks)) - 1 in tight:
+        return None
+    return tuple(
+        a for k, (a, t) in enumerate(zip(rows, tight)) if not _contained_elsewhere(t, tight, k)
+    )
+
+
+def _sorted_rays(rays, masks):
+    pairs = sorted(zip(rays, masks))
+    return tuple(r for r, _ in pairs), [m for _, m in pairs]
 
 
 def _simplicial_start(rows, dim):
@@ -95,11 +143,14 @@ def _simplicial_start(rows, dim):
     order, so they index the first dim independent rows B of A.  Each
     reduced row is (M A^T | M) with M B^T diagonal: row i of M, signed
     like its pivot, is the ray on which only row i of B is positive.
+    Returns None when A has rank below dim.
     """
     m = len(rows)
     a = [list(col) + [int(i == j) for j in range(dim)] for i, col in enumerate(zip(*rows))]
     basis = []
     for c in range(m):
+        if len(basis) == dim:
+            break
         r = len(basis)
         piv = next((i for i in range(r, dim) if a[i][c]), None)
         if piv is None:
@@ -110,12 +161,12 @@ def _simplicial_start(rows, dim):
                 f, g = a[r][c], a[i][c]
                 a[i] = primitive([f * x - g * y for x, y in zip(a[i], a[r])])
         basis.append(c)
-        if len(basis) == dim:
-            return basis, [
-                primitive(row[m:] if row[k] > 0 else [-x for x in row[m:]])
-                for row, k in zip(a, basis)
-            ]
-    raise ValueError("the inequalities do not have full rank")
+    if len(basis) < dim:
+        return None
+    return basis, [
+        primitive(row[m:] if row[k] > 0 else [-x for x in row[m:]])
+        for row, k in zip(a, basis)
+    ]
 
 
 def generators_of_dual(vectors, dim):
@@ -173,23 +224,36 @@ class QCone(NamedTuple):
         return rank(self.rays) if self.rays else 0
 
 
+def _dual_pair(vectors, dim):
+    """Canonical generators of the dual of cone(vectors) and of cone(vectors).
+
+    When the dual is pointed and full-dimensional, one double description
+    over the vectors as inequalities gives both: the dual's extreme rays,
+    and the vectors that define its facets, which are the extreme rays of
+    cone(vectors).  Otherwise a second pass makes the second list.
+    """
+    rows = _dedupe_sorted(tuple(primitive(v)) for v in vectors if any(v))
+    dd = _double_description(rows, dim)
+    if dd is None:
+        dual = generators_of_dual(rows, dim)
+        return dual, generators_of_dual(dual, dim)
+    dual, masks = _sorted_rays(*dd)
+    canon = _facet_rows(rows, masks)
+    return dual, generators_of_dual(dual, dim) if canon is None else canon
+
+
 def cone_from_rays(rays, dim):
-    rays = [tuple(primitive(r)) for r in rays if any(r)]
-    facets = generators_of_dual(rays, dim)
-    canon = generators_of_dual(facets, dim)
+    facets, canon = _dual_pair(rays, dim)
     return QCone(dim, canon, facets)
 
 
 def cone_from_facets(normals, dim):
-    normals = [tuple(primitive(n)) for n in normals if any(n)]
-    rays = generators_of_dual(normals, dim)
-    facets = generators_of_dual(rays, dim)
-    return QCone(dim, rays, facets)
+    return QCone(dim, *_dual_pair(normals, dim))
 
 
 def dual_cone(c: QCone) -> QCone:
-    rays = generators_of_dual(c.rays, c.dim)
-    return QCone(c.dim, rays, generators_of_dual(rays, c.dim))
+    # both lists of a QCone are canonical, and each is the other's dual
+    return QCone(c.dim, c.facets, c.rays)
 
 
 def mu(v):
@@ -438,8 +502,7 @@ def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision
             if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
                 nxt.append(c)
             else:
-                nxt.append(cone_from_facets(list(c.facets) + [h], c.dim))
-                nxt.append(cone_from_facets(list(c.facets) + [neg_h], c.dim))
+                nxt.extend(_halves(c, h, neg_h, vals))
         cells = nxt
     uniq = {}
     for c in cells:
@@ -447,6 +510,30 @@ def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision
     return PolyhedralSubdivision(
         ambient, tuple(uniq[k] for k in sorted(uniq))
     )
+
+
+def _halves(c: QCone, h, neg_h, vals):
+    """The two halves of a full-dimensional pointed cell cut by h, from
+    one double-description step on its rays and facets.
+
+    ``vals`` are the values of h on the cell's rays, of both signs.  The
+    halves share the new rays; the facets of each are the old facets that
+    stay facets, and h or -h.
+    """
+    bit = 1 << len(c.facets)
+    masks = [sum(1 << k for k, f in enumerate(c.facets) if dot(f, r) == 0) for r in c.rays]
+    cut_rays, cut_masks = _crossing_rays(c.rays, masks, vals, bit, c.dim)
+    halves = []
+    for sign, normal in ((1, h), (-1, neg_h)):
+        side = [sign * s >= 0 for s in vals]
+        rays, side_masks = _sorted_rays(
+            [r for r, keep in zip(c.rays, side) if keep] + cut_rays,
+            [m | bit if s == 0 else m for m, s, keep in zip(masks, vals, side) if keep]
+            + cut_masks,
+        )
+        facets = _facet_rows(c.facets + (normal,), side_masks)
+        halves.append(QCone(c.dim, rays, tuple(sorted(facets))))
+    return halves
 
 
 def common_refinement(subs, ambient: QCone) -> PolyhedralSubdivision:

@@ -8,7 +8,14 @@ from pdivgen.engine import GradedElement
 from pdivgen.intlinalg import kernel_lattice, primitive, rref
 from pdivgen.mpoly import MPoly
 from pdivgen.pdivisor import PDivisor
-from pdivgen.polyhedra import cone_from_rays, dot, dual_cone, tailed_polyhedron
+from pdivgen.polyhedra import (
+    QCone,
+    cone_from_rays,
+    dot,
+    dual_cone,
+    generators_of_dual,
+    tailed_polyhedron,
+)
 from pdivgen.varieties import ProjectiveSpace, QDivisor, ffe
 
 
@@ -257,6 +264,41 @@ def brute_force_pointed_rays(ineqs, dim):
             continue
         found.add(primitive(v) if pos or not neg else primitive([-x for x in v]))
     return tuple(sorted(found))
+
+
+# ---------------------------------------------------------------------------
+# cones by two passes of generators_of_dual
+
+
+def two_pass_cone_from_rays(rays, dim):
+    """``polyhedra.cone_from_rays`` as two ``generators_of_dual`` passes:
+    the facets, then the canonical rays as the dual of the facets."""
+    rays = [tuple(primitive(r)) for r in rays if any(r)]
+    facets = generators_of_dual(rays, dim)
+    return QCone(dim, generators_of_dual(facets, dim), facets)
+
+
+def two_pass_cone_from_facets(normals, dim):
+    """``polyhedra.cone_from_facets`` as two ``generators_of_dual`` passes."""
+    normals = [tuple(primitive(n)) for n in normals if any(n)]
+    rays = generators_of_dual(normals, dim)
+    return QCone(dim, rays, generators_of_dual(rays, dim))
+
+
+def two_pass_dual_cone(c):
+    """``polyhedra.dual_cone`` by recomputing both lists."""
+    rays = generators_of_dual(c.rays, c.dim)
+    return QCone(c.dim, rays, generators_of_dual(rays, c.dim))
+
+
+def two_pass_halves(c, h):
+    """The halves of the cell c on the two sides of the hyperplane h, each
+    cut out from scratch by the cell's facets and one halfspace."""
+    h = primitive(h)
+    return [
+        two_pass_cone_from_facets(list(c.facets) + [n], c.dim)
+        for n in (h, tuple(-x for x in h))
+    ]
 
 
 # ---------------------------------------------------------------------------

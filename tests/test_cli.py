@@ -176,6 +176,18 @@ def test_exit_codes(tmp_path, capsys):
     huge_power = tmp_path / "huge-power.pdiv"
     huge_power.write_text(shipped.replace("form.D = x*y*z", "form.D = (x+y)**100000"))
     assert main([str(huge_power)]) == EXIT_SEMANTIC
+    # degree 0 on the one cell: not big, on both routes that build generators
+    not_big = tmp_path / "not-big.pdiv"
+    not_big.write_text(
+        "[variety]\nbackend = projective-space\ncoordinates = x y z\nform.D = x*y*z\n"
+        "[pdivisor]\nrays = (-1,1) (1,1)\ncoefficient.D = (0,0)\n"
+    )
+    capsys.readouterr()
+    for route in ("general", "torus"):
+        assert main([str(not_big), "--pipeline", route]) == EXIT_SEMANTIC, route
+        err = capsys.readouterr().err
+        assert "not big on cell ((-1, 1), (1, 1))" in err, route
+        assert "Traceback" not in err, route
     capsys.readouterr()
 
 

@@ -2,6 +2,8 @@
 
 import gc
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -100,6 +102,28 @@ def test_reduce_generators_drops_products():
     assert {e.weight for e in reduced} == {(0, 1), (1, 1)}
 
 
+def test_reduce_generators_builds_each_pruning_cone_once():
+    d = plane_pdivisor()
+    y = d.variety
+    pool = run_general(y, d).elements
+    with mock.patch.object(engine, "cone_from_rays", wraps=engine.cone_from_rays) as build:
+        reduce_generators(y, pool)
+    built = [tuple(c.args[0]) for c in build.call_args_list]
+    assert built and len(built) == len(set(built))
+
+
+def test_normalize_or_export_takes_the_left_kernel_once():
+    d = plane_pdivisor()
+    y = d.variety
+    elements = run_general(y, d).elements
+    with mock.patch.object(engine, "kernel_lattice", wraps=engine.kernel_lattice) as ker:
+        result = engine.normalize_or_export(y, elements)
+    assert ker.call_count == 1
+    golden = Path("perfbench/golden/plane-general.txt").read_text()
+    assert result.presentation.startswith("# presentation")
+    assert result.presentation in golden
+
+
 def test_point_base_recovers_hilbert_basis():
     rays = [(2, -1), (0, 1)]
     cone = cone_from_rays(rays, 2)
@@ -177,13 +201,20 @@ def test_nn_decompositions_leave_no_reference_cycle():
 
 def test_nn_decompositions_match_the_recursive_search():
     rng = random.Random(5)
+    # one map of pruning cones for every search, as reduce_generators shares one
+    cones = {}
+    weight_sets = set()
     for _ in range(60):
         dim = rng.choice((2, 3))
         weights = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(4)]
         weights = [w for w in weights if any(w)]
+        if weights:
+            weight_sets.add(tuple(sorted(set(weights))))
         u = tuple(rng.randint(0, 6) for _ in range(dim))
         # small limits cut the search off part way
         for limit in (1, 5, 30, 20000):
-            assert _nn_decompositions(u, weights, limit) == recursive_nn_decompositions(
-                u, weights, limit
-            )
+            expected = recursive_nn_decompositions(u, weights, limit)
+            assert _nn_decompositions(u, weights, limit) == expected
+            assert _nn_decompositions(u, weights, limit, cones) == expected
+    assert set(cones) == weight_sets
+    assert all(c == cone_from_rays(w, len(w[0])) for w, c in cones.items())

@@ -21,6 +21,10 @@ from helpers import (
     plane_pdivisor,
     plane_variety,
     product_shift,
+    two_pass_cone_from_facets,
+    two_pass_cone_from_rays,
+    two_pass_dual_cone,
+    two_pass_halves,
 )
 from pdivgen import pdivisor, polyhedra
 from pdivgen.intlinalg import det, hnf, mat_mul, primitive, rank
@@ -28,10 +32,12 @@ from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import (
     _pointed_rays,
+    cone_from_facets,
     cone_from_rays,
     dot,
     dual_cone,
     generators_of_dual,
+    hyperplane_subdivision,
     minkowski_sum,
     tailed_polyhedron,
 )
@@ -198,6 +204,77 @@ def test_generators_of_dual_match_brute_force(case, shape):
     got = generators_of_dual(vectors, dim)
     with mock.patch.object(polyhedra, "_pointed_rays", brute_force_pointed_rays):
         assert got == generators_of_dual(vectors, dim)
+
+
+# Both descriptions of a cone from one double description, against two
+# passes of generators_of_dual.  The extra inputs repeat a vector, scale
+# one (the same after primitive), add two (redundant) or are zero.
+
+
+@st.composite
+def _cone_inputs(draw):
+    vectors, dim = draw(_vector_lists(min_size=1))
+    shape = draw(st.sampled_from(("as drawn", "in a halfspace", "flat", "with a line")))
+    if shape == "in a halfspace":
+        # x_0 > 0 on every vector: cone(vectors) is pointed
+        vectors = [(abs(v[0]) + 1,) + v[1:] for v in vectors]
+    elif shape == "flat":
+        vectors = [v[:-1] + v[:1] for v in vectors]
+    elif shape == "with a line":
+        vectors = vectors + [tuple(-x for x in vectors[0])]
+    pick = st.sampled_from(vectors)
+    extra = st.one_of(
+        pick,
+        st.tuples(pick, st.integers(2, 3)).map(lambda p: tuple(p[1] * x for x in p[0])),
+        st.tuples(pick, pick).map(lambda p: tuple(a + b for a, b in zip(*p))),
+        st.just((0,) * dim),
+    )
+    return vectors + draw(st.lists(extra, max_size=3)), dim
+
+
+@given(_cone_inputs())
+@settings(max_examples=300, deadline=None)
+def test_cones_match_the_two_pass_oracle(case):
+    vectors, dim = case
+    for build, oracle in (
+        (cone_from_rays, two_pass_cone_from_rays),
+        (cone_from_facets, two_pass_cone_from_facets),
+    ):
+        c = build(vectors, dim)
+        assert c == oracle(vectors, dim)
+        assert dual_cone(c) == two_pass_dual_cone(c)
+
+
+@st.composite
+def _cells_and_hyperplanes(draw):
+    """A pointed full-dimensional cell in dimension 2-6 and 1-3 hyperplanes.
+
+    A random hyperplane cuts the cell or misses it; a sum of facet normals
+    touches it along a face or meets it only at the origin; a random
+    hyperplane turned to contain a ray of the cell cuts through that ray
+    or touches the cell there.
+    """
+    vectors, dim = draw(_vector_lists())
+    cell = cone_from_rays([(abs(v[0]) + 1,) + v[1:] for v in vectors], dim)
+    assume(cell.is_full_dim())
+    vec = st.lists(tiny_int, min_size=dim, max_size=dim).map(tuple)
+    facet_sum = st.lists(st.sampled_from(cell.facets), min_size=1, unique=True).map(
+        lambda fs: tuple(map(sum, zip(*fs)))
+    )
+    through = st.tuples(vec, st.sampled_from(cell.rays)).map(
+        lambda p: tuple(dot(p[1], p[1]) * a - dot(p[0], p[1]) * b for a, b in zip(*p))
+    )
+    plane = st.one_of(vec, facet_sum, through).filter(any)
+    return cell, draw(st.lists(plane, min_size=1, max_size=3))
+
+
+@given(_cells_and_hyperplanes())
+@settings(max_examples=200, deadline=None)
+def test_hyperplane_cuts_match_the_two_pass_oracle(case):
+    cell, planes = case
+    got = hyperplane_subdivision(cell, planes)
+    with mock.patch.object(polyhedra, "_halves", lambda c, h, neg_h, vals: two_pass_halves(c, h)):
+        assert got == hyperplane_subdivision(cell, planes)
 
 
 # Span tests on the plane, where D and E are cubics.  The sections of one
