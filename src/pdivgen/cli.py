@@ -23,7 +23,15 @@ from .pdivisor import (
     bigness_checks,
     linearity_subdivision,
 )
-from .polyhedra import QCone, cone_from_rays, dual_cone, hilbert_basis, tailed_polyhedron
+from .polyhedra import (
+    NonPointedCone,
+    QCone,
+    cone_from_facets,
+    cone_from_rays,
+    dual_cone,
+    hilbert_basis,
+    tailed_polyhedron,
+)
 from .torus import UnsupportedBase, run_torus, standard_p2_fan_record
 from .varieties import (
     BlowupOfP2,
@@ -397,14 +405,14 @@ def _pipeline_general(job, y, d, max_iterations):
     return lines, gen_lines
 
 
-def _pipeline_torus(job, y, d, max_iterations):
+def _pipeline_torus(job, y, d):
     record_name = job.get("torus", "record", "standard-p2")
     if record_name != "standard-p2":
         raise UnsupportedBackend(f"unknown torus record '{record_name}'")
     if not isinstance(y, ProjectiveSpace) or y.n != 2:
         raise UnsupportedBackend("the standard torus record needs the plane")
     record = standard_p2_fan_record(y)
-    result = run_torus(y, d, record, max_iterations)
+    result = run_torus(y, d, record)
     lines = list(result.report)
     lines.append(f"{len(result.elements)} generators")
     lines.append(f"normalization status: {result.normalization_status}")
@@ -442,7 +450,8 @@ def _verify_lines(y, d):
     """Quick inline property checks on the parsed divisor."""
     checks = []
     omega = d.weight_cone
-    back = dual_cone(dual_cone(omega))
+    # recompute the rays from the facets: dual_cone only swaps the two lists
+    back = cone_from_facets(omega.facets, omega.dim)
     checks.append(("dual-cone involution", back.rays == omega.rays))
     samples = list(omega.rays)[:3]
     ok = True
@@ -502,7 +511,7 @@ def run_job(job: JobDescription, args) -> int:
             elif pipeline == "general":
                 more, gen_lines = _pipeline_general(job, y, d, args.max_iterations)
             else:
-                more, gen_lines = _pipeline_torus(job, y, d, args.max_iterations)
+                more, gen_lines = _pipeline_torus(job, y, d)
             lines.extend(more)
     except (JobParseError, JobSemanticError, IterationLimitExceeded) as exc:
         raise type(exc)(f"[stage {stage}] {exc}") from exc
@@ -512,6 +521,7 @@ def run_job(job: JobDescription, args) -> int:
         NotTMoveable,
         NotSubcone,
         WeightOutsideCone,
+        NonPointedCone,
     ) as exc:
         raise type(exc)(f"[stage {stage}] {exc}") from exc
     text = "\n".join(lines) + "\n"
@@ -557,7 +567,7 @@ def main(argv=None) -> int:
     except JobParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (JobSemanticError, NotSubcone, WeightOutsideCone, NotTMoveable) as exc:
+    except (JobSemanticError, NotSubcone, WeightOutsideCone, NotTMoveable, NonPointedCone) as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except IterationLimitExceeded as exc:

@@ -148,9 +148,9 @@ def reduce_rays(y, d: PDivisor, rays):
     return tuple(kept)
 
 
-def _t_monomial(u):
+def _t_monomial(u, cones):
     """Exponents of a monomial in the curve variables with total class u."""
-    decomps = _nn_decompositions(u, list(CURVE_COLUMNS), limit=5000)
+    decomps = _nn_decompositions(u, list(CURVE_COLUMNS), limit=5000, cones=cones)
     for parts in decomps:
         exps = [0] * len(CURVE_COLUMNS)
         for w in parts:
@@ -183,8 +183,9 @@ def presentation_text(y, elements):
         "# subalgebra of P = C[x0,x1,x2,h,t0..t9] / (h*(x0-x1+x2) - 1 + toric relations)",
         "# t_i carries the class of the i-th negative curve",
     ]
+    cones = {}  # one pruning cone of CURVE_COLUMNS for every element
     for e in _sorted_elements(elements):
-        exps = _t_monomial(e.weight)
+        exps = _t_monomial(e.weight, cones)
         poly = _coefficient_poly(e)
         if exps is None or poly is None:
             lines.append(f"# unpresentable element at weight {e.weight}")
@@ -296,7 +297,7 @@ def run_cox(max_iterations=64) -> CoxResult:
     minors_ok = minors_certificate(gens)
     report.append(f"minors certificate: {'pass' if minors_ok else 'fail'}")
 
-    final = normalize_or_export(y, gens, max_iterations)
+    final = normalize_or_export(y, gens)
     added = len(final.elements) - len(gens)
     report.append(
         f"normalization: {final.normalization_status}, {added} elements added"

@@ -511,7 +511,7 @@ def _vector_to_element(y, vec, rank):
     return GradedElement(ffe(num, den.items()), weight)
 
 
-def normalize_or_export(y, elements, max_iterations=64):
+def normalize_or_export(y, elements):
     """Saturate toric-like collections exactly; export everything else."""
     elements = _sorted_elements(_dedupe(elements))
     rank = len(elements[0].weight) if elements else 0
@@ -587,7 +587,7 @@ def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
     pruned = reduce_generators(y, pool)
     readded, witnesses = quotient_field_complete(d, pruned, pool, max_iterations)
     final = _sorted_elements(pruned + readded)
-    result = normalize_or_export(y, final, max_iterations)
+    result = normalize_or_export(y, final)
     report = (
         f"linearity cells: {len(domain.cells)}",
         f"subdivision rays: {len(domain.rays())}",

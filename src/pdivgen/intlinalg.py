@@ -107,8 +107,7 @@ def kernel_lattice(rows):
 
 
 def rank(rows):
-    h, _ = hnf(rows) if rows else ((), ())
-    return sum(1 for row in h if any(row))
+    return len(rref(rows)[1])
 
 
 def det(rows):
@@ -137,7 +136,7 @@ def primitive(vec):
     if all(type(x) is int for x in vec):
         g = gcd(*vec)
         # from a list, so the tuple is allocated at its final size
-        return tuple([x // g for x in vec]) if g else tuple(vec)
+        return tuple([x // g for x in vec]) if g > 1 else tuple(vec)
     fr = [Fraction(x) for x in vec]
     if not any(fr):
         return tuple(0 for _ in fr)
@@ -183,39 +182,42 @@ def solve_in_lattice(target, basis):
 
 
 def rref(rows):
-    """Reduced row echelon form over the rationals.
+    """Fraction-free reduced row echelon form of rational rows (Bareiss 1968).
 
-    Returns (rref_rows, pivot_columns); rows are tuples of Fractions.
+    Returns (rref_rows, pivot_columns); row i is the primitive integer
+    multiple of row i of the rational rref: positive pivots, zero rows last.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [primitive(row) for row in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     pivots = []
-    r = 0
     for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        if a[r][c] < 0:
+            a[r] = tuple([-x for x in a[r]])  # from a list, as in primitive
+        f = a[r][c]
         for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            g = a[i][c]
+            if i != r and g:
+                a[i] = primitive([f * x - g * y for x, y in zip(a[i], a[r])])
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return [tuple(row) for row in a], pivots
+    return a, pivots
 
 
-def inverse(rows):
-    """Inverse of a nonsingular square matrix as Fraction rows: rref of [A | I]."""
+def scaled_inverse(rows):
+    """(L, L * A^-1), L > 0 the least common denominator of A^-1: rref of [A | I]."""
     n = len(rows)
-    a, pivots = rref(
+    red, pivots = rref(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     )
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in a]
+    # row i is (D_i e_i | D_i * row i of A^-1)
+    den = lcm(*(row[i] for i, row in enumerate(red)))
+    return den, [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(red)]

@@ -17,10 +17,11 @@ from .intlinalg import (
     det,
     hnf,
     identity,
-    inverse,
     kernel_lattice,
     primitive,
     rank,
+    rref,
+    scaled_inverse,
     solve_in_lattice,
 )
 
@@ -139,34 +140,21 @@ def _sorted_rays(rays, masks):
 def _simplicial_start(rows, dim):
     """The first dim independent rows and the rays of their simplicial cone.
 
-    Fraction-free Gauss-Jordan on [A^T | I] takes the pivot columns in
-    order, so they index the first dim independent rows B of A.  Each
-    reduced row is (M A^T | M) with M B^T diagonal: row i of M, signed
-    like its pivot, is the ray on which only row i of B is positive.
-    Returns None when A has rank below dim.
+    The rref of [A^T | I] takes the pivot columns in order, so those below
+    m = len(A) index the first dim independent rows B of A.  Reduced row i
+    is (A y | y) for the primitive ray y on which only row i of B is
+    positive (that row is primitive, with a positive pivot).  Returns None
+    when A has rank below dim, that is when a pivot falls in the identity
+    block.
     """
     m = len(rows)
-    a = [list(col) + [int(i == j) for j in range(dim)] for i, col in enumerate(zip(*rows))]
-    basis = []
-    for c in range(m):
-        if len(basis) == dim:
-            break
-        r = len(basis)
-        piv = next((i for i in range(r, dim) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(dim):
-            if i != r and a[i][c]:
-                f, g = a[r][c], a[i][c]
-                a[i] = primitive([f * x - g * y for x, y in zip(a[i], a[r])])
-        basis.append(c)
+    red, pivots = rref(
+        [list(col) + [int(i == j) for j in range(dim)] for i, col in enumerate(zip(*rows))]
+    )
+    basis = [c for c in pivots if c < m]
     if len(basis) < dim:
         return None
-    return basis, [
-        primitive(row[m:] if row[k] > 0 else [-x for x in row[m:]])
-        for row, k in zip(a, basis)
-    ]
+    return basis, [row[m:] for row in red]
 
 
 def generators_of_dual(vectors, dim):
@@ -305,14 +293,12 @@ def _parallelepiped_points(cell_rows):
     # the row HNF H of the cell is upper triangular, so the vectors t with
     # 0 <= t_i < H[i][i] are one representative of each coset of Z^n / L
     h, _ = hnf(cell_rows)
-    binv_rows = inverse(cell_rows)
+    den, scaled = scaled_inverse(cell_rows)
     pts = set()
     for t in product(*(range(h[i][i]) for i in range(n))):
-        lam = [sum(t[i] * binv_rows[i][j] for i in range(n)) for j in range(n)]
-        frac = [x - x.__floor__() for x in lam]
-        p = tuple(
-            int(sum(frac[i] * cell_rows[i][j] for i in range(n))) for j in range(n)
-        )
+        # den times the fractional part of t B^-1, in integers
+        lam = [sum(t[i] * scaled[i][j] for i in range(n)) % den for j in range(n)]
+        p = tuple(sum(lam[i] * cell_rows[i][j] for i in range(n)) // den for j in range(n))
         if any(p):
             pts.add(p)
     return sorted(pts)
@@ -321,7 +307,9 @@ def _parallelepiped_points(cell_rows):
 def hilbert_basis(cone: QCone):
     """Unique minimal generating set of cone /\\ Z^n, sorted lexicographically."""
     if not cone.is_pointed():
-        raise NonPointedCone("hilbert_basis requires a pointed cone")
+        raise NonPointedCone(
+            f"the cone with rays {cone.rays} is not pointed; a Hilbert basis needs one"
+        )
     if not cone.rays:
         return ()
     span = _span_lattice_basis(cone.rays)
@@ -373,8 +361,9 @@ def unimodular_triangulation(cone: QCone):
         w = primitive(w)
         new_cells = []
         for cell in cells:
-            inv = inverse(cell)
-            lam = [sum(w[i] * inv[i][j] for i in range(n)) for j in range(n)]
+            # den * (coordinates of w in the cell's rays): only signs matter
+            _, scaled = scaled_inverse(cell)
+            lam = [sum(w[i] * scaled[i][j] for i in range(n)) for j in range(n)]
             if any(x < 0 for x in lam):
                 new_cells.append(cell)
                 continue

@@ -10,7 +10,7 @@ computation into a Hilbert basis problem for the upgraded cone.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .intlinalg import det, inverse, primitive
+from .intlinalg import det, invert_unimodular, primitive
 from .mpoly import MPoly
 from .pdivisor import PDivisor, linearity_subdivision
 from .polyhedra import (
@@ -173,15 +173,13 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
             )
         per_ray_coords.append(total_coords)
     # linear form w_r per fan ray: <w_r, rho_j> = coefficient of D_r at rho_j
-    inv = inverse(rays)
+    inv = invert_unimodular(rays)
     tail = dual_cone(cell)
     ray_coeffs = []
     for ray_idx, r in enumerate(record.rays):
         coord_idx = record.coordinate_rays.index(ray_idx)
         values = [per_ray_coords[j][coord_idx] for j in range(n)]
-        w = tuple(
-            sum(inv[i][j] * Fraction(values[j]) for j in range(n)) for i in range(n)
-        )
+        w = tuple(sum(inv[i][j] * values[j] for j in range(n)) for i in range(n))
         delta = tailed_polyhedron([w], tail.rays, n)
         ray_coeffs.append((tuple(r), delta))
     return (
@@ -239,7 +237,7 @@ def downgrade_generators(y, weights, twists, cell_rays, record):
     """Map upgraded lattice weights back to graded elements on Y."""
     rays = tuple(sorted(primitive(r) for r in cell_rays))
     n = len(rays)
-    inv = inverse(rays)
+    inv = invert_unimodular(rays)
     out = []
     for w in weights:
         wm, wp = tuple(w[:n]), tuple(w[n:])
@@ -248,18 +246,15 @@ def downgrade_generators(y, weights, twists, cell_rays, record):
             if e:
                 sec = sec * _power(y, chf, e)
         # coordinates of the M-weight in the ray basis select twist powers
-        u_rho = [
-            sum(Fraction(wm[j]) * inv[j][i] for j in range(n)) for i in range(n)
-        ]
+        u_rho = [sum(wm[j] * inv[j][i] for j in range(n)) for i in range(n)]
         for (rho, s), c in zip(sorted(twists.items()), u_rho):
-            c = int(c)
             if c and not s.is_one():
                 sec = sec * _power(y, s, c)
         out.append(GradedElement(sec.normalized(), wm))
     return out
 
 
-def run_torus(y, d: PDivisor, record: DivisorialFanRecord, max_iterations=64):
+def run_torus(y, d: PDivisor, record: DivisorialFanRecord):
     """Per-cell upgrade pipeline; cells contribute independent lists."""
     domain = linearity_subdivision(d)
     elements = []

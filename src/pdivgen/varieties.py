@@ -404,12 +404,8 @@ class BlowupOfP2(Variety):
             )
             for ce in cond_exps:
                 rows.append([mp.terms.get(ce, Fraction(0)) for mp in shifted])
-        if not rows:
-            kernel = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
-        else:
-            kernel = _frac_kernel_basis(rows)
         basis = []
-        for vec in kernel:
+        for vec in _kernel_basis(rows, len(monos)):
             g = MPoly(3, {e: vec[i] for e, i in index.items()})
             basis.append(g.content_normalized())
         return basis
@@ -464,16 +460,19 @@ def _format_point(p):
     return "(" + ", ".join(str(x) for x in p) + ")"
 
 
-def _frac_kernel_basis(rows):
-    n = len(rows[0])
+def _kernel_basis(rows, width):
+    """Integer kernel basis read off the rref: one vector per non-pivot
+    column j, a multiple of the rational one with 1 at j."""
     red, pivots = rref(rows)
-    free = [j for j in range(n) if j not in pivots]
+    den = lcm(*(r[p] for r, p in zip(red, pivots)))
     basis = []
-    for j in free:
-        vec = [Fraction(0)] * n
-        vec[j] = Fraction(1)
-        for r, pc in zip(red, pivots):
-            vec[pc] = -r[j]
+    for j in range(width):
+        if j in pivots:
+            continue
+        vec = [0] * width
+        vec[j] = den
+        for r, p in zip(red, pivots):
+            vec[p] = -r[j] * (den // r[p])
         basis.append(vec)
     return basis
 

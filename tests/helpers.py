@@ -5,7 +5,7 @@ from itertools import combinations
 from itertools import product as iproduct
 
 from pdivgen.engine import GradedElement
-from pdivgen.intlinalg import kernel_lattice, primitive, rref
+from pdivgen.intlinalg import kernel_lattice, primitive
 from pdivgen.mpoly import MPoly
 from pdivgen.pdivisor import PDivisor
 from pdivgen.polyhedra import (
@@ -188,6 +188,53 @@ class IncrementalRank:
 
 
 # ---------------------------------------------------------------------------
+# rational row reduction
+
+
+def fraction_rref(rows):
+    """``intlinalg.rref`` over the rationals, dividing by each pivot.
+
+    Returns (rref_rows, pivot_columns); rows are tuples of Fractions.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return [tuple(row) for row in a], pivots
+
+
+def fraction_kernel_basis(rows, width):
+    """Kernel basis over the rationals: per non-pivot column j, 1 at j."""
+    red, pivots = fraction_rref(rows)
+    basis = []
+    for j in range(width):
+        if j in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[j] = Fraction(1)
+        for r, pc in zip(red, pivots):
+            vec[pc] = -r[j]
+        basis.append(vec)
+    return basis
+
+
+# ---------------------------------------------------------------------------
 # span tests by two rational row reductions
 
 
@@ -213,14 +260,14 @@ def fraction_in_span(y, target, elements):
     if not elements:
         return not target.num
     vecs = _fraction_numerator_vectors(y, list(elements) + [target])
-    return len(rref(vecs)[1]) == len(rref(vecs[:-1])[1])
+    return len(fraction_rref(vecs)[1]) == len(fraction_rref(vecs[:-1])[1])
 
 
 def fraction_span_dimension(y, elements):
     """``varieties.span_dimension`` as the rank of a Fraction rref."""
     if not elements:
         return 0
-    return len(rref(_fraction_numerator_vectors(y, elements))[1])
+    return len(fraction_rref(_fraction_numerator_vectors(y, elements))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Job files and the command line front end."""
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SIGMA_TILDE_RAYS
 from pdivgen.cli import (
@@ -13,6 +18,7 @@ from pdivgen.cli import (
     MAX_EXPONENT,
     JobParseError,
     JobSemanticError,
+    _verify_lines,
     build_pdivisor,
     build_variety,
     format_job,
@@ -188,6 +194,21 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "not big on cell ((-1, 1), (1, 1))" in err, route
         assert "Traceback" not in err, route
+    # a Hilbert basis of a cone that is not pointed, given or as a dual
+    for name, cone, named in (
+        ("whole-plane", "rays = (1,0) (0,1) (-1,-1)", "((-1, 0), (0, -1), (0, 1), (1, 0))"),
+        (
+            "flat-dual",
+            "rays = (1,0,0) (0,1,0)\ndualize = true",
+            "((0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0))",
+        ),
+    ):
+        job = tmp_path / f"{name}.pdiv"
+        job.write_text(f"[cone]\n{cone}\n[job]\npipeline = hilbert\n")
+        assert main([str(job)]) == EXIT_SEMANTIC, name
+        err = capsys.readouterr().err
+        assert f"the cone with rays {named} is not pointed" in err, name
+        assert "Traceback" not in err, name
     capsys.readouterr()
 
 
@@ -200,6 +221,37 @@ def test_hilbert_pipeline(tmp_path, capsys):
     assert main([str(jobfile)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "hilbert basis: 65 elements" in out
+
+
+_small_cone_jobs = st.integers(min_value=1, max_value=3).flatmap(
+    lambda width: st.tuples(
+        st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=width, max_size=width),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+)
+
+
+# Entries stay in [-2, 2]: larger ones make some Hilbert bases take seconds.
+@given(_small_cone_jobs)
+@settings(max_examples=150, deadline=None)
+def test_hilbert_pipeline_exits_cleanly_on_small_cones(case):
+    rays, dualize = case
+    text = " ".join("(" + ",".join(map(str, r)) + ")" for r in rays)
+    with tempfile.TemporaryDirectory() as tmp:
+        job = Path(tmp) / "cone.pdiv"
+        job.write_text(
+            f"[cone]\nrays = {text}\ndualize = {str(dualize).lower()}\n"
+            "[job]\npipeline = hilbert\n"
+        )
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([str(job)])
+    assert code in (EXIT_OK, EXIT_SEMANTIC)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_output_file_and_sidecar(tmp_path, capsys):
@@ -218,6 +270,17 @@ def test_verify_flag(capsys):
     assert main(["jobs/p2.pdiv", "--pipeline", "eval", "--verify"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "D((0, 1)) = 1/2 D + 1 E" in out
+
+
+def test_verify_recomputes_the_weight_cone_from_its_facets():
+    job = parse_job(JOB_TEXT)
+    y = build_variety(job)
+    d = build_pdivisor(job, y)
+    assert _verify_lines(y, d)[0] == "verify dual-cone involution: ok"
+    # one facet dropped: the facets now cut out a half-plane
+    d.weight_cone = d.weight_cone._replace(facets=d.weight_cone.facets[1:])
+    with pytest.raises(JobSemanticError):
+        _verify_lines(y, d)
 
 
 def test_cox_pipeline_without_jobfile(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """The Cox construction on the four-point blow-up of the plane."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from pdivgen import engine
 from pdivgen.coxs5 import (
     CURVE_COLUMNS,
     build_cox_pdivisor,
     certificate_matrix,
     cox_surface,
     minors_certificate,
+    presentation_text,
     run_cox,
     weight_cone,
 )
@@ -85,6 +88,13 @@ def test_ten_generators(result):
         "(x2*h) * t9",
     ):
         assert expected in lines
+
+
+def test_presentation_builds_one_pruning_cone(result):
+    with mock.patch.object(engine, "cone_from_rays", wraps=engine.cone_from_rays) as build:
+        text = presentation_text(cox_surface(), result.generators.elements)
+    assert build.call_count == 1
+    assert text == result.presentation
 
 
 def test_minors_certificate(result):

@@ -1,6 +1,7 @@
 """Exact integer linear algebra."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from pdivgen.intlinalg import (
     hnf,
     hnf_basis,
     identity,
-    inverse,
     invert_unimodular,
     kernel_lattice,
     lattice_member,
@@ -19,6 +19,7 @@ from pdivgen.intlinalg import (
     primitive,
     rank,
     rref,
+    scaled_inverse,
     solve_in_lattice,
 )
 
@@ -109,11 +110,13 @@ def test_invert_unimodular():
 def test_inverse(a):
     if det(a) == 0:
         with pytest.raises(ValueError):
-            inverse(a)
+            scaled_inverse(a)
         return
-    inv = inverse(a)
-    assert mat_mul(a, inv) == identity(len(a))
-    assert all(type(x) is Fraction for row in inv for x in row)
+    den, inv = scaled_inverse(a)
+    assert den > 0
+    assert mat_mul(a, inv) == tuple(tuple(den * x for x in row) for row in identity(len(a)))
+    # den is the least common denominator of the inverse
+    assert gcd(den, *(x for row in inv for x in row)) == 1
 
 
 def test_rref_and_rank():

@@ -14,6 +14,7 @@ from pdivgen.polyhedra import (
     NonPointedCone,
     QCone,
     _parallelepiped_points,
+    _simplicial_start,
     common_refinement,
     cone_from_facets,
     cone_from_rays,
@@ -94,6 +95,13 @@ def test_dual_involution_random():
 def test_non_pointed_rejected():
     with pytest.raises(NonPointedCone):
         hilbert_basis(cone_from_rays([(1, 0), (-1, 0), (0, 1)], 2))
+
+
+def test_simplicial_start_needs_full_rank():
+    # the first two independent rows, and the ray each one alone is positive on
+    assert _simplicial_start([(2, 0), (4, 0), (1, 1)], 2) == ([0, 2], [(1, -1), (0, 1)])
+    for rows in ([(0, 0)], [(1, 0), (2, 0)], []):
+        assert _simplicial_start(rows, 2) is None
 
 
 def test_hilbert_basis_simple():

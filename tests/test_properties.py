@@ -16,7 +16,9 @@ from helpers import (
     brute_force_pointed_rays,
     fraction_evaluate,
     fraction_in_span,
+    fraction_kernel_basis,
     fraction_minimizers,
+    fraction_rref,
     fraction_span_dimension,
     plane_pdivisor,
     plane_variety,
@@ -27,7 +29,7 @@ from helpers import (
     two_pass_halves,
 )
 from pdivgen import pdivisor, polyhedra
-from pdivgen.intlinalg import det, hnf, mat_mul, primitive, rank
+from pdivgen.intlinalg import det, hnf, mat_mul, primitive, rank, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import (
@@ -41,7 +43,14 @@ from pdivgen.polyhedra import (
     minkowski_sum,
     tailed_polyhedron,
 )
-from pdivgen.varieties import PointBase, ffe, in_span, sections_of_floor, span_dimension
+from pdivgen.varieties import (
+    PointBase,
+    _kernel_basis,
+    ffe,
+    in_span,
+    sections_of_floor,
+    span_dimension,
+)
 
 small_int = st.integers(min_value=-7, max_value=7)
 tiny_int = st.integers(min_value=-4, max_value=4)
@@ -339,6 +348,58 @@ def test_span_tests_match_the_fraction_oracle(case):
     if combination:
         assert got
     assert span_dimension(_PLANE, elements) == fraction_span_dimension(_PLANE, elements)
+
+
+# Row reduction of rational matrices up to 6 x 6 against the Fraction rref.
+# Extra rows are zero, repeat a row or combine two rows, so many inputs are
+# rank deficient.
+
+
+@st.composite
+def _rational_matrices(draw):
+    """(rows, width): at most 6 rows of width 1 to 6."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(0), tiny_int, _rational)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=6 - len(rows)))):
+        kind = draw(st.sampled_from(("zero", "repeat", "combine")))
+        if kind == "zero" or not rows:
+            rows.append([0] * width)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_rational), draw(_rational)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows)), width
+
+
+@given(_rational_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_is_the_primitive_fraction_rref(case):
+    rows, _ = case
+    red, pivots = fraction_rref(rows)
+    got = rref(rows)
+    assert got == ([primitive(r) for r in red], pivots)
+    assert all(type(x) is int for r in got[0] for x in r)
+    assert rank(rows) == len(pivots)
+
+
+@given(_rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_matches_the_fraction_kernel_up_to_scale(case):
+    rows, width = case
+    got = _kernel_basis(rows, width)
+    want = fraction_kernel_basis(rows, width)
+    pivots = fraction_rref(rows)[1]
+    free = [j for j in range(width) if j not in pivots]
+    assert len(got) == len(want) == len(free)
+    for v, w, j in zip(got, want, free):
+        # w is 1 at its free column j, so v is v[j] * w with v[j] > 0
+        assert v[j] > 0
+        assert [Fraction(x, v[j]) for x in v] == w
+    for v in got:
+        assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
 
 
 # Support functions on random p-divisors: vertices with negative and
