@@ -362,7 +362,7 @@ def _generator_lines(elements, names):
     return [f"weight {tuple(e.weight)}  {format_section(e.section, names)}" for e in elements]
 
 
-def _pipeline_eval(job, y, d):
+def _pipeline_eval(job, d):
     weight = parse_vector(job.require("job", "weight"))
     if len(weight) != d.weight_cone.dim:
         raise JobSemanticError(
@@ -373,7 +373,7 @@ def _pipeline_eval(job, y, d):
     return [f"D({pretty}) = {div.format()}"], []
 
 
-def _pipeline_subdivide(job, y, d):
+def _pipeline_subdivide(d):
     domain = linearity_subdivision(d)
     lines = [
         f"linearity subdivision: {len(domain.cells)} maximal cones, "
@@ -393,7 +393,7 @@ def _pipeline_hilbert(job):
     return lines, []
 
 
-def _pipeline_general(job, y, d, max_iterations):
+def _pipeline_general(y, d, max_iterations):
     result = run_general(y, d, max_iterations)
     lines = list(result.report)
     lines.append(f"{len(result.elements)} generators")
@@ -446,7 +446,7 @@ def _require_big(d):
             raise JobSemanticError(f"the p-divisor is not {check.name}: {check.detail}")
 
 
-def _verify_lines(y, d):
+def _verify_lines(d):
     """Quick inline property checks on the parsed divisor."""
     checks = []
     omega = d.weight_cone
@@ -499,23 +499,24 @@ def run_job(job: JobDescription, args) -> int:
             d = build_pdivisor(job, y)
             if args.verify:
                 stage = "verify"
-                lines.extend(_verify_lines(y, d))
+                lines.extend(_verify_lines(d))
             if pipeline in ("general", "torus"):
                 stage = "bigness"
                 _require_big(d)
             stage = pipeline
             if pipeline == "eval":
-                more, gen_lines = _pipeline_eval(job, y, d)
+                more, gen_lines = _pipeline_eval(job, d)
             elif pipeline == "subdivide":
-                more, gen_lines = _pipeline_subdivide(job, y, d)
+                more, gen_lines = _pipeline_subdivide(d)
             elif pipeline == "general":
-                more, gen_lines = _pipeline_general(job, y, d, args.max_iterations)
+                more, gen_lines = _pipeline_general(y, d, args.max_iterations)
             else:
                 more, gen_lines = _pipeline_torus(job, y, d)
             lines.extend(more)
-    except (JobParseError, JobSemanticError, IterationLimitExceeded) as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
     except (
+        JobParseError,
+        JobSemanticError,
+        IterationLimitExceeded,
         UnsupportedBackend,
         UnsupportedBase,
         NotTMoveable,

@@ -177,7 +177,7 @@ def _coefficient_poly(elem):
     return MPoly(4, out)
 
 
-def presentation_text(y, elements):
+def presentation_text(elements):
     names = ["x0", "x1", "x2", "h"]
     lines = [
         "# subalgebra of P = C[x0,x1,x2,h,t0..t9] / (h*(x0-x1+x2) - 1 + toric relations)",
@@ -293,7 +293,7 @@ def run_cox(max_iterations=64) -> CoxResult:
     gens = reduce_generators(y, pool)
     report.append(f"generators after pruning: {len(gens)}")
 
-    text = presentation_text(y, gens)
+    text = presentation_text(gens)
     minors_ok = minors_certificate(gens)
     report.append(f"minors certificate: {'pass' if minors_ok else 'fail'}")
 

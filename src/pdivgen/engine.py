@@ -214,61 +214,19 @@ def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
 
 
 # ---------------------------------------------------------------------------
-# section factorization over backend atoms
-
-
-def atom_names(y):
-    """Coordinates followed by the non-monomial defining forms."""
-    names = [f"@{c}" for c in y.coordinates]
-    for label in sorted(y.forms()):
-        if not y.form(label).is_term():
-            names.append(label)
-    return names
-
-
-def factor_exponents(y, element):
-    """Exponent vector of a section over the backend atoms, or None.
-
-    Sections that are (up to a scalar) products of coordinates and
-    defining forms with integer exponents are factorable; anything else
-    returns None.
-    """
-    names = atom_names(y)
-    index = {n: i for i, n in enumerate(names)}
-    vec = [0] * len(names)
-    num = element.section.num if isinstance(element, GradedElement) else element.num
-    den = element.section.den if isinstance(element, GradedElement) else element.den
-    for label, e in den:
-        form = y.form(label)
-        if form.is_term():
-            exps, _ = form.leading()
-            for i, k in enumerate(exps):
-                vec[i] -= e * k
-        else:
-            vec[index[label]] -= e
-    for label in sorted(y.forms()):
-        form = y.form(label)
-        if form.is_term():
-            continue
-        while True:
-            q = num.divide_exact(form)
-            if q is None:
-                break
-            num = q
-            vec[index[label]] += 1
-    if not num.is_term():
-        return None
-    exps, _ = num.leading()
-    for i, k in enumerate(exps):
-        vec[i] += k
-    return tuple(vec)
+# exponent vectors over the backend atoms
 
 
 def extended_vector(y, element: GradedElement):
-    v = factor_exponents(y, element)
-    if v is None:
+    """Exponents of the section over ``y.atoms`` followed by the weight.
+
+    None unless the section is, up to a scalar, a product of coordinates
+    and defining forms with integer exponents.
+    """
+    vec, rest = y.exponents(element.section)
+    if not rest.is_term():
         return None
-    return v + tuple(element.weight)
+    return tuple(vec) + tuple(element.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +259,7 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
     kept_keys = {x.key() for x in kept}
     reserve = [e for e in _dedupe(pool) if e.key() not in kept_keys]
     rho = _interior_ray(d.weight_cone)
-    natoms = len(atom_names(y))
+    natoms = len(y.atoms)
     rank = d.weight_cone.dim
     added = []
     j = 0
@@ -484,37 +442,15 @@ def _saturate_semigroup(vectors):
     return sorted(hb)
 
 
-def _vector_to_element(y, vec, rank):
+def _vector_to_element(y, vec):
     """Rebuild a graded element from an extended exponent vector."""
-    names = atom_names(y)
-    weight = tuple(vec[len(names) :])
-    nv = y.nvars
-    num = MPoly.constant(nv, 1)
-    den = {}
-    for name, e in zip(names, vec[: len(names)]):
-        if not e:
-            continue
-        if name.startswith("@"):
-            i = y.coordinates.index(name[1:])
-            if e > 0:
-                num = num * MPoly.variable(nv, i) ** e
-            else:
-                # coordinate hyperplanes get a divisor label on demand
-                label = f"coord:{name[1:]}"
-                if label not in y.forms():
-                    y.register_divisor(label, MPoly.variable(nv, i))
-                den[label] = den.get(label, 0) - e
-        elif e > 0:
-            num = num * y.form(name) ** e
-        else:
-            den[name] = den.get(name, 0) - e
-    return GradedElement(ffe(num, den.items()), weight)
+    n = len(y.atoms)
+    return GradedElement(y.from_exponents(vec[:n]), tuple(vec[n:]))
 
 
 def normalize_or_export(y, elements):
     """Saturate toric-like collections exactly; export everything else."""
     elements = _sorted_elements(_dedupe(elements))
-    rank = len(elements[0].weight) if elements else 0
     if isinstance(y, PointBase):
         weights = [e.weight for e in elements]
         sat = _saturate_semigroup(weights)
@@ -530,7 +466,7 @@ def normalize_or_export(y, elements):
         sat = _saturate_semigroup(vectors)
         if sorted(set(vectors)) == sat:
             return GeneratorSet(tuple(elements), "Normal")
-        out = [_vector_to_element(y, v, rank) for v in sat]
+        out = [_vector_to_element(y, v) for v in sat]
         return GeneratorSet(tuple(_sorted_elements(out)), "SaturatedToric")
     text = _presentation(y, elements, vectors, relations)
     return GeneratorSet(tuple(elements), "ExportedForNormalization", presentation=text)

@@ -114,6 +114,8 @@ def det(rows):
     """Determinant of a square integer matrix, fraction-free Bareiss."""
     a = _as_rows(rows)
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a matrix that is not square")
     sign = 1
     prev = 1
     for k in range(n - 1):

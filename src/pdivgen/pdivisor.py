@@ -61,10 +61,6 @@ class PDivisor:
                 [[x.numerator * (scale // x.denominator) for x in v] for v in poly.vertices],
             )
 
-    @property
-    def rank(self):
-        return self.weight_cone.dim
-
     def evaluate(self, u) -> QDivisor:
         if not self.weight_cone.contains(u):
             raise WeightOutsideCone(f"{tuple(u)} is not in the weight cone")

@@ -7,7 +7,6 @@ invariant prime divisors.  Over a point base this turns the whole
 computation into a Hilbert basis problem for the upgraded cone.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .intlinalg import det, invert_unimodular, primitive
@@ -66,11 +65,7 @@ def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
     """The standard torus action on the projective plane."""
     if y.n != 2:
         raise UnsupportedBackend("standard record only provided for the plane")
-    for i, c in enumerate(y.coordinates):
-        label = f"coord:{c}"
-        if label not in y.forms():
-            y.register_divisor(label, MPoly.variable(3, i))
-    cz = f"coord:{y.coordinates[2]}"
+    cz = y.coordinate_label(2)
     x_over_z = ffe(MPoly.variable(3, 0), [(cz, 1)])
     y_over_z = ffe(MPoly.variable(3, 1), [(cz, 1)])
     return DivisorialFanRecord(
@@ -85,64 +80,14 @@ def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
 # orders of vanishing at the label level
 
 
-def _coordinate_orders(y, poly: MPoly):
-    """min exponent of each coordinate over the terms of the polynomial."""
-    if not poly:
-        raise ZeroDivisionError("zero polynomial has no divisor")
-    return [min(e[i] for e in poly.terms) for i in range(y.nvars)]
-
-
-def _form_order(poly: MPoly, form: MPoly):
-    k = 0
-    while True:
-        q = poly.divide_exact(form)
-        if q is None:
-            return k, poly
-        poly = q
-        k += 1
-
-
 def element_divisor(y, s: FunctionFieldElement):
-    """Div(s) split into coordinate hyperplanes and non-monomial form labels.
+    """Div(s) as an exponent vector over ``y.atoms``.
 
-    Returns (coordinate orders, {form label: order}).  Form labels are
-    treated as units; this is exact as long as the p-divisor uses the
-    same labels.
+    Form labels are treated as units; this is exact as long as the
+    p-divisor uses the same labels.  When the numerator left after the
+    forms is not a term, each coordinate gets its least exponent there.
     """
-    num = s.num
-    form_orders = {}
-    for label in sorted(y.forms()):
-        form = y.form(label)
-        if form.is_term():
-            continue
-        k, num = _form_order(num, form)
-        if k:
-            form_orders[label] = form_orders.get(label, 0) + k
-    coords = _coordinate_orders(y, num)
-    for label, e in s.den:
-        form = y.form(label)
-        if form.is_term():
-            exps, _ = form.leading()
-            for i, k in enumerate(exps):
-                coords[i] -= e * k
-        else:
-            form_orders[label] = form_orders.get(label, 0) - e
-    return coords, {k: v for k, v in form_orders.items() if v}
-
-
-def _expanded_coefficients(y, div):
-    """Divisor coefficients split into coordinates and non-monomial labels."""
-    coords = [Fraction(0)] * y.nvars
-    forms = {}
-    for label, c in div.coeffs.items():
-        form = y.form(label)
-        if form.is_term():
-            exps, _ = form.leading()
-            for i, k in enumerate(exps):
-                coords[i] += c * k
-        else:
-            forms[label] = forms.get(label, 0) + c
-    return coords, {k: v for k, v in forms.items() if v}
+    return y.exponents(s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +106,15 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
         div = d.evaluate(rho)
         s = y.invariantizing_section(div)
         twists.append((rho, s))
-        coords, forms = _expanded_coefficients(y, div)
-        s_coords, s_forms = element_divisor(y, s)
-        total_coords = [a + b for a, b in zip(coords, s_coords)]
-        total_forms = dict(forms)
-        for k, v in s_forms.items():
-            total_forms[k] = total_forms.get(k, 0) + v
-        if any(total_forms.values()):
+        total = element_divisor(y, s)
+        for label, c in div.coeffs.items():
+            total = [a + c * b for a, b in zip(total, y.label_exponents(label))]
+        moving = {l: c for l, c in zip(y.atoms[y.nvars :], total[y.nvars :]) if c}
+        if moving:
             raise NotTMoveable(
-                f"non-invariant part survives the twist at ray {rho}: {total_forms}"
+                f"non-invariant part survives the twist at ray {rho}: {moving}"
             )
-        per_ray_coords.append(total_coords)
+        per_ray_coords.append(total[: y.nvars])
     # linear form w_r per fan ray: <w_r, rho_j> = coefficient of D_r at rho_j
     inv = invert_unimodular(rays)
     tail = dual_cone(cell)
@@ -216,21 +159,12 @@ def _power(y, elem: FunctionFieldElement, k: int) -> FunctionFieldElement:
 
 
 def _invert(y, elem: FunctionFieldElement) -> FunctionFieldElement:
-    """Invert an element whose numerator is a single term."""
-    if not elem.num.is_term():
-        raise ValueError("can only invert monomial-numerator elements")
-    exps, coeff = elem.num.leading()
-    num = MPoly.constant(y.nvars, Fraction(1, 1) / coeff)
-    for label, e in elem.den:
-        num = num * y.form(label) ** e
-    den = {}
-    for i, k in enumerate(exps):
-        if k:
-            label = f"coord:{y.coordinates[i]}"
-            if label not in y.forms():
-                y.register_divisor(label, MPoly.variable(y.nvars, i))
-            den[label] = k
-    return ffe(num, den.items())
+    """Invert a scalar times a product of atoms."""
+    vec, rest = y.exponents(elem)
+    if not rest.is_term():
+        raise ValueError("can only invert a product of atoms")
+    inv = y.from_exponents([-e for e in vec])
+    return ffe(inv.num * (1 / rest.leading()[1]), inv.den)
 
 
 def downgrade_generators(y, weights, twists, cell_rays, record):
@@ -260,7 +194,7 @@ def run_torus(y, d: PDivisor, record: DivisorialFanRecord):
     elements = []
     report = []
     for cell in domain.cells:
-        if abs(det(cell.rays)) == 1 and len(cell.rays) == cell.dim:
+        if len(cell.rays) == cell.dim and abs(det(cell.rays)) == 1:
             pieces = [cell]
         else:
             pieces = list(unimodular_triangulation(cell).maximal_cells)

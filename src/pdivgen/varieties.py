@@ -151,12 +151,14 @@ class Variety:
         self.coordinates = tuple(coordinates)
         self._forms = {}
         self._form_powers = {}  # label -> {exponent: power of the form}
+        self._atoms = None
 
     def register_divisor(self, label, form: MPoly):
         if not form.is_homogeneous() or not form:
             raise ValueError(f"defining form of {label} must be homogeneous and nonzero")
         self._forms[label] = form.content_normalized()
         self._form_powers.pop(label, None)
+        self._atoms = None
 
     def forms(self):
         return dict(self._forms)
@@ -171,6 +173,72 @@ class Variety:
         if power is None:
             powers[k] = power = self._forms[label] ** k
         return power
+
+    # exponent vectors over the atoms: the coordinate hyperplanes, then the
+    # non-monomial defining forms in label order
+
+    @property
+    def atoms(self):
+        if self._atoms is None:
+            self._atoms = tuple(f"coord:{c}" for c in self.coordinates) + tuple(
+                label for label in sorted(self._forms) if not self._forms[label].is_term()
+            )
+        return self._atoms
+
+    def coordinate_label(self, i):
+        """Label of the hyperplane of coordinate i, registered on first use."""
+        label = self.atoms[i]
+        if label not in self._forms:
+            self.register_divisor(label, MPoly.variable(self.nvars, i))
+        return label
+
+    def label_exponents(self, label):
+        """Exponent vector of a prime divisor label over the atoms."""
+        form = self._forms[label]
+        vec = [0] * len(self.atoms)
+        if form.is_term():
+            vec[: self.nvars] = form.leading()[0]
+        else:
+            vec[self.atoms.index(label)] = 1
+        return vec
+
+    def exponents(self, section):
+        """(exponent vector over the atoms, residual numerator) of a section.
+
+        Subtracts the denominator labels and divides the non-monomial forms
+        out of the numerator in label order; what is left is the residual.
+        Each coordinate gets its least exponent over the residual's terms,
+        so the vector is the divisor of the section when the residual is a
+        term.
+        """
+        num = section.num
+        if not num:
+            raise ZeroDivisionError("the zero section has no divisor")
+        atoms = self.atoms
+        vec = [0] * len(atoms)
+        for label, e in section.den:
+            for i, k in enumerate(self.label_exponents(label)):
+                vec[i] -= e * k
+        for i in range(self.nvars, len(atoms)):
+            form = self._forms[atoms[i]]
+            while (q := num.divide_exact(form)) is not None:
+                num = q
+                vec[i] += 1
+        for i in range(self.nvars):
+            vec[i] += min(e[i] for e in num.terms)
+        return vec, num
+
+    def from_exponents(self, vec):
+        """The section with the exponent vector over the atoms."""
+        n = self.nvars
+        num = MPoly.monomial(n, [max(e, 0) for e in vec[:n]])
+        den = [(self.coordinate_label(i), -e) for i, e in enumerate(vec[:n]) if e < 0]
+        for label, e in zip(self.atoms[n:], vec[n:]):
+            if e > 0:
+                num = num * self.form_power(label, e)
+            else:
+                den.append((label, -e))
+        return ffe(num, den)
 
     def one(self):
         return ffe(MPoly.constant(self.nvars, 1))

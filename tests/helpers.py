@@ -414,3 +414,68 @@ def product_shift(poly, point):
             term = term * (MPoly.variable(n, i) + MPoly.constant(n, point[i])) ** k
         out = out + term
     return out
+
+
+# ---------------------------------------------------------------------------
+# section exponents: the two factorizations the atom codec replaced
+
+
+def oracle_factor_exponents(y, section):
+    """Exponents over the coordinates and then the non-monomial forms in
+    label order, or None unless the section is a scalar times a product of
+    coordinates and defining forms."""
+    names = [f"@{c}" for c in y.coordinates]
+    names += [label for label in sorted(y.forms()) if not y.form(label).is_term()]
+    index = {n: i for i, n in enumerate(names)}
+    vec = [0] * len(names)
+    num = section.num
+    for label, e in section.den:
+        form = y.form(label)
+        if form.is_term():
+            exps, _ = form.leading()
+            for i, k in enumerate(exps):
+                vec[i] -= e * k
+        else:
+            vec[index[label]] -= e
+    for label in sorted(y.forms()):
+        form = y.form(label)
+        if form.is_term():
+            continue
+        while True:
+            q = num.divide_exact(form)
+            if q is None:
+                break
+            num = q
+            vec[index[label]] += 1
+    if not num.is_term():
+        return None
+    exps, _ = num.leading()
+    for i, k in enumerate(exps):
+        vec[i] += k
+    return tuple(vec)
+
+
+def oracle_element_divisor(y, s):
+    """(least exponent of each coordinate, {non-monomial form label: order})."""
+    num = s.num
+    form_orders = {}
+    for label in sorted(y.forms()):
+        form = y.form(label)
+        if form.is_term():
+            continue
+        while True:
+            q = num.divide_exact(form)
+            if q is None:
+                break
+            num = q
+            form_orders[label] = form_orders.get(label, 0) + 1
+    coords = [min(e[i] for e in num.terms) for i in range(y.nvars)]
+    for label, e in s.den:
+        form = y.form(label)
+        if form.is_term():
+            exps, _ = form.leading()
+            for i, k in enumerate(exps):
+                coords[i] -= e * k
+        else:
+            form_orders[label] = form_orders.get(label, 0) - e
+    return coords, {k: v for k, v in form_orders.items() if v}

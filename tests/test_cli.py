@@ -1,6 +1,9 @@
 """Job files and the command line front end."""
 
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -276,11 +279,11 @@ def test_verify_recomputes_the_weight_cone_from_its_facets():
     job = parse_job(JOB_TEXT)
     y = build_variety(job)
     d = build_pdivisor(job, y)
-    assert _verify_lines(y, d)[0] == "verify dual-cone involution: ok"
+    assert _verify_lines(d)[0] == "verify dual-cone involution: ok"
     # one facet dropped: the facets now cut out a half-plane
     d.weight_cone = d.weight_cone._replace(facets=d.weight_cone.facets[1:])
     with pytest.raises(JobSemanticError):
-        _verify_lines(y, d)
+        _verify_lines(d)
 
 
 def test_cox_pipeline_without_jobfile(tmp_path, capsys):
@@ -290,3 +293,24 @@ def test_cox_pipeline_without_jobfile(tmp_path, capsys):
     text = report.read_text()
     assert "76 maximal cones, 20 rays" in text
     assert "minors certificate: pass" in text
+
+
+def test_torus_route_splits_a_cell_that_is_not_simplicial(tmp_path):
+    job = tmp_path / "square.pdiv"
+    job.write_text(
+        "[variety]\nbackend = projective-space\ncoordinates = x y z\nform.D = x*y*z\n"
+        "[pdivisor]\nrays = (1,0,1) (0,1,1) (-1,0,1) (0,-1,1)\ncoefficient.D = (0,0,1)\n"
+        "[job]\npipeline = torus\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "pdivgen.cli", str(job)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == EXIT_OK
+    assert "Traceback" not in run.stderr
+    # the square cell of four rays is cut into four unimodular pieces
+    assert run.stdout.count(": 30 generators") == 4
+    assert "total generators: 120" in run.stdout

@@ -92,7 +92,7 @@ def test_ten_generators(result):
 
 def test_presentation_builds_one_pruning_cone(result):
     with mock.patch.object(engine, "cone_from_rays", wraps=engine.cone_from_rays) as build:
-        text = presentation_text(cox_surface(), result.generators.elements)
+        text = presentation_text(result.generators.elements)
     assert build.call_count == 1
     assert text == result.presentation
 

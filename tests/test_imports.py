@@ -50,3 +50,29 @@ def test_no_function_level_imports():
         for line, text in _function_level_imports(ast.parse(path.read_text()))
     ]
     assert not found, "imports inside functions:\n" + "\n".join(found)
+
+
+def _unread_parameters(tree):
+    # methods are exempt: a backend interface method keeps its signature
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            n.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [(node.lineno, node.name, p.arg) for p in params if p.arg not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.name}:{line}: {name}({param})"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name, param in _unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert not unread, "parameters that are never read:\n" + "\n".join(unread)

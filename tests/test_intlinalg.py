@@ -78,6 +78,13 @@ def test_det_known_values():
     assert det([[0, 1], [1, 0]]) == -1
 
 
+def test_det_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError):
+        det([[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError):
+        det([[1, 0], [0, 1], [1, 1]])
+
+
 @given(small_matrix(3, 3), small_matrix(3, 3))
 @settings(max_examples=60, deadline=None)
 def test_det_is_multiplicative(a, b):

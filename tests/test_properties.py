@@ -20,6 +20,8 @@ from helpers import (
     fraction_minimizers,
     fraction_rref,
     fraction_span_dimension,
+    oracle_element_divisor,
+    oracle_factor_exponents,
     plane_pdivisor,
     plane_variety,
     product_shift,
@@ -29,6 +31,8 @@ from helpers import (
     two_pass_halves,
 )
 from pdivgen import pdivisor, polyhedra
+from pdivgen.coxs5 import cox_surface
+from pdivgen.engine import GradedElement, extended_vector
 from pdivgen.intlinalg import det, hnf, mat_mul, primitive, rank, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
@@ -43,6 +47,7 @@ from pdivgen.polyhedra import (
     minkowski_sum,
     tailed_polyhedron,
 )
+from pdivgen.torus import element_divisor
 from pdivgen.varieties import (
     PointBase,
     _kernel_basis,
@@ -470,3 +475,77 @@ def _shift_cases(draw):
 def test_shift_matches_the_product_shift(case):
     poly, point = case
     assert poly.shift(point) == product_shift(poly, point)
+
+
+# The exponent codec of a variety against the two factorizations it
+# replaced: on the plane (D = x y z is monomial, E is not), on the plane
+# with the monomial form x^2 y and the line x + y added, and on the
+# blow-up (H and the six lines).
+
+
+def _plane_with_more_forms():
+    y = plane_variety()
+    x, yy, _ = (MPoly.variable(3, i) for i in range(3))
+    y.register_divisor("M", x**2 * yy)
+    y.register_divisor("L", x + yy)
+    return y
+
+
+_CODEC_BASES = (plane_variety, _plane_with_more_forms, cox_surface)
+
+
+@st.composite
+def _codec_sections(draw):
+    """(variety, section): a scalar times coordinates and defining forms,
+    maybe times a linear factor such as x + y, over a factored
+    denominator; sometimes a coordinate hyperplane is registered first."""
+    y = draw(st.sampled_from(_CODEC_BASES))()
+    n = y.nvars
+    for i in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2)):
+        y.coordinate_label(i)
+    labels = sorted(y.forms())
+    exps = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    num = MPoly.monomial(n, exps, draw(_rational.filter(bool)))
+    for label in draw(st.lists(st.sampled_from(labels), max_size=3)):
+        num = num * y.form(label)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(tiny_int, min_size=n, max_size=n).filter(any))
+        num = num * MPoly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(coeffs)})
+    den = draw(st.dictionaries(st.sampled_from(labels), st.integers(min_value=1, max_value=2), max_size=3))
+    return y, ffe(num, den.items())
+
+
+def _same_up_to_scalar(y, a, b):
+    lhs, rhs = a.num, b.num
+    for label, k in b.den:
+        lhs = lhs * y.form(label) ** k
+    for label, k in a.den:
+        rhs = rhs * y.form(label) ** k
+    return lhs.content_normalized() == rhs.content_normalized()
+
+
+@given(_codec_sections())
+@settings(max_examples=200, deadline=None)
+def test_exponent_codec_matches_the_oracles(case):
+    y, s = case
+    expected = oracle_factor_exponents(y, s)
+    got = extended_vector(y, GradedElement(s, (1, 2)))
+    assert got == (None if expected is None else expected + (1, 2))
+    coords, forms = oracle_element_divisor(y, s)
+    vec = element_divisor(y, s)
+    n = y.nvars
+    assert vec[:n] == coords
+    assert {label: v for label, v in zip(y.atoms[n:], vec[n:]) if v} == forms
+    if expected is not None:
+        assert _same_up_to_scalar(y, s, y.from_exponents(expected))
+
+
+@given(st.sampled_from(_CODEC_BASES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_exponent_vectors_round_trip_through_sections(base, data):
+    y = base()
+    width = len(y.atoms)
+    vec = data.draw(st.lists(tiny_int, min_size=width, max_size=width))
+    got, rest = y.exponents(y.from_exponents(vec))
+    assert got == vec
+    assert rest.is_term()

@@ -1,6 +1,7 @@
 """The torus-action shortcut: invariantize, upgrade, downgrade."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,12 +9,14 @@ from helpers import (
     PRINTED_HB_COLUMNS,
     SIGMA_TILDE_RAYS,
     plane_pdivisor,
+    plane_variety,
     thirteen_generators,
 )
 from pdivgen.engine import algebra_membership
 from pdivgen.pdivisor import linearity_subdivision
 from pdivgen.polyhedra import dual_cone, hilbert_basis
 from pdivgen.torus import (
+    _invert,
     element_divisor,
     invariantize_cell,
     run_torus,
@@ -41,10 +44,22 @@ def test_element_divisor_of_coordinate_ratio():
     d, record, _ = _record_and_cells()
     y = d.variety
     x, yy, z = (MPoly.variable(3, i) for i in range(3))
-    coords, forms = element_divisor(y, ffe(x, [("D", 1)]).normalized())
-    # x / (x y z) vanishes to order -1 along y = 0 and z = 0
-    assert sorted(coords) == [-1, -1, 0]
-    assert not any(forms.values())
+    vec = element_divisor(y, ffe(x, [("D", 1)]).normalized())
+    # x / (x y z) vanishes to order -1 along y = 0 and z = 0, and E is no factor
+    assert y.atoms == ("coord:x", "coord:y", "coord:z", "E")
+    assert vec == [0, -1, -1, 0]
+
+
+def test_invert_gives_the_exact_inverse():
+    y = plane_variety()
+    x, yy, z = (MPoly.variable(3, i) for i in range(3))
+    elem = ffe(x * y.form("E") * 3, [("D", 1)])
+    inv = _invert(y, elem)
+    assert inv == ffe(yy * z * Fraction(1, 3), [("E", 1)])
+    # 3 x E / (x y z) is 3 E / (y z)
+    assert _invert(y, inv) == ffe(y.form("E") * 3, [("coord:y", 1), ("coord:z", 1)])
+    with pytest.raises(ValueError):
+        _invert(y, ffe((x + yy) * z, [("D", 1)]))
 
 
 def test_upgraded_cone_matches_known_rays():

@@ -1,6 +1,7 @@
 """Variety backends: sections, classes, base point freeness."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -158,3 +159,36 @@ def test_blowup_has_no_invariantizing_section():
     # the twist of the cell asks the backend for an invariantizing section
     with pytest.raises(UnsupportedBackend):
         invariantize_cell(d, omega, None)
+
+
+def test_atoms_and_coordinate_labels():
+    y = plane_variety()
+    x, yy, _ = (MPoly.variable(3, i) for i in range(3))
+    # D = x y z is monomial, so only E joins the coordinate hyperplanes
+    assert y.atoms == ("coord:x", "coord:y", "coord:z", "E")
+    with mock.patch.object(y, "register_divisor", wraps=y.register_divisor) as register:
+        assert y.coordinate_label(1) == "coord:y"
+        assert y.coordinate_label(1) == "coord:y"
+    assert register.call_count == 1
+    assert y.form("coord:y") == yy
+    assert y.label_exponents("coord:y") == [0, 1, 0, 0]
+    assert y.label_exponents("D") == [1, 1, 1, 0]
+    assert y.label_exponents("E") == [0, 0, 0, 1]
+    # a new non-monomial form is a new atom
+    y.register_divisor("F", x + yy)
+    assert y.atoms == ("coord:x", "coord:y", "coord:z", "E", "F")
+
+
+def test_exponents_keep_a_residual_that_does_not_factor():
+    y = plane_variety()
+    x, yy, z = (MPoly.variable(3, i) for i in range(3))
+    e = y.form("E")
+    vec, rest = y.exponents(ffe((x + yy) * z * e * 3, [("D", 1), ("E", 2)]))
+    # (x + y) z / (x y z E): z cancels, x and y appear in no term of x z + y z
+    assert vec == [-1, -1, 0, -1]
+    assert rest == (x + yy) * z * 3
+    vec, rest = y.exponents(ffe(x**2 * z * e * 3, [("D", 1)]))
+    assert (vec, rest) == ([1, -1, 0, 1], x**2 * z * 3)
+    assert y.from_exponents(vec) == ffe(x * e, [("coord:y", 1)])
+    with pytest.raises(ZeroDivisionError):
+        y.exponents(ffe(MPoly(3), [("D", 1)]))
