@@ -287,13 +287,13 @@ def _span_lattice_basis(rays):
 def _parallelepiped_points(cell_rows):
     """Nonzero lattice points in {sum l_i r_i : 0 <= l_i < 1} (full rank)."""
     n = len(cell_rows)
-    # B^-1 is integral exactly when the full-rank integer B is unimodular
-    den, scaled = scaled_inverse(cell_rows)
-    if den == 1:
-        return []
     # the row HNF H of the cell is upper triangular, so the vectors t with
-    # 0 <= t_i < H[i][i] are one representative of each coset of Z^n / L
+    # 0 <= t_i < H[i][i] are one representative of each coset of Z^n / L;
+    # their product |det B| is 1 exactly on a unimodular cell
     h, _ = hnf(cell_rows)
+    if all(h[i][i] == 1 for i in range(n)):
+        return []
+    den, scaled = scaled_inverse(cell_rows)
     pts = set()
     for t in product(*(range(h[i][i]) for i in range(n))):
         # den times the fractional part of t B^-1, in integers

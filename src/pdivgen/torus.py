@@ -77,20 +77,6 @@ def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
 
 
 # ---------------------------------------------------------------------------
-# orders of vanishing at the label level
-
-
-def element_divisor(y, s: FunctionFieldElement):
-    """Div(s) as an exponent vector over ``y.atoms``.
-
-    Form labels are treated as units; this is exact as long as the
-    p-divisor uses the same labels.  When the numerator left after the
-    forms is not a term, each coordinate gets its least exponent there.
-    """
-    return y.exponents(s)[0]
-
-
-# ---------------------------------------------------------------------------
 # the per-cell twist
 
 
@@ -106,7 +92,9 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
         div = d.evaluate(rho)
         s = y.invariantizing_section(div)
         twists.append((rho, s))
-        total = element_divisor(y, s)
+        # div(s) + D(rho) over the atoms; form labels count as prime, which
+        # is exact as long as the p-divisor uses the same labels
+        total = y.exponents(s)[0]
         for label, c in div.coeffs.items():
             total = [a + c * b for a, b in zip(total, y.label_exponents(label))]
         moving = {l: c for l, c in zip(y.atoms[y.nvars :], total[y.nvars :]) if c}

@@ -151,12 +151,21 @@ class Variety:
         self.coordinates = tuple(coordinates)
         self._forms = {}
         self._form_powers = {}  # label -> {exponent: power of the form}
+        self._hyperplanes = tuple(f"coord:{c}" for c in self.coordinates)
         self._atoms = None
 
     def register_divisor(self, label, form: MPoly):
         if not form.is_homogeneous() or not form:
             raise ValueError(f"defining form of {label} must be homogeneous and nonzero")
-        self._forms[label] = form.content_normalized()
+        form = form.content_normalized()
+        if label in self._hyperplanes:
+            i = self._hyperplanes.index(label)
+            if form != MPoly.variable(self.nvars, i):
+                raise ValueError(
+                    f"{label} is the hyperplane {self.coordinates[i]} = 0; "
+                    f"its defining form must be {self.coordinates[i]}"
+                )
+        self._forms[label] = form
         self._form_powers.pop(label, None)
         self._atoms = None
 
@@ -180,7 +189,7 @@ class Variety:
     @property
     def atoms(self):
         if self._atoms is None:
-            self._atoms = tuple(f"coord:{c}" for c in self.coordinates) + tuple(
+            self._atoms = self._hyperplanes + tuple(
                 label for label in sorted(self._forms) if not self._forms[label].is_term()
             )
         return self._atoms

@@ -1,9 +1,6 @@
 """Job files and the command line front end."""
 
 import io
-import os
-import subprocess
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -181,6 +178,15 @@ def test_exit_codes(tmp_path, capsys):
         )
     )
     assert main([str(wide_weight)]) == EXIT_SEMANTIC
+    # a coordinate hyperplane's label names that coordinate and nothing else
+    for form, code in (("x", EXIT_OK), ("x + y", EXIT_SEMANTIC), ("y", EXIT_SEMANTIC)):
+        job = tmp_path / "coord-label.pdiv"
+        job.write_text(
+            shipped.replace("pipeline = general", "pipeline = eval").replace(
+                "form.D = x*y*z", f"form.D = x*y*z\nform.coord:x = {form}"
+            )
+        )
+        assert main([str(job)]) == code, form
     # a huge power is rejected from the syntax tree, before it is built
     huge_power = tmp_path / "huge-power.pdiv"
     huge_power.write_text(shipped.replace("form.D = x*y*z", "form.D = (x+y)**100000"))
@@ -295,22 +301,15 @@ def test_cox_pipeline_without_jobfile(tmp_path, capsys):
     assert "minors certificate: pass" in text
 
 
-def test_torus_route_splits_a_cell_that_is_not_simplicial(tmp_path):
+def test_torus_route_splits_a_cell_that_is_not_simplicial(tmp_path, capsys):
     job = tmp_path / "square.pdiv"
     job.write_text(
         "[variety]\nbackend = projective-space\ncoordinates = x y z\nform.D = x*y*z\n"
         "[pdivisor]\nrays = (1,0,1) (0,1,1) (-1,0,1) (0,-1,1)\ncoefficient.D = (0,0,1)\n"
         "[job]\npipeline = torus\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    run = subprocess.run(
-        [sys.executable, "-m", "pdivgen.cli", str(job)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert run.returncode == EXIT_OK
-    assert "Traceback" not in run.stderr
+    assert main([str(job)]) == EXIT_OK
+    out = capsys.readouterr().out
     # the square cell of four rays is cut into four unimodular pieces
-    assert run.stdout.count(": 30 generators") == 4
-    assert "total generators: 120" in run.stdout
+    assert out.count(": 30 generators") == 4
+    assert "total generators: 120" in out

@@ -17,7 +17,6 @@ from pdivgen.pdivisor import linearity_subdivision
 from pdivgen.polyhedra import dual_cone, hilbert_basis
 from pdivgen.torus import (
     _invert,
-    element_divisor,
     invariantize_cell,
     run_torus,
     standard_p2_fan_record,
@@ -44,7 +43,7 @@ def test_element_divisor_of_coordinate_ratio():
     d, record, _ = _record_and_cells()
     y = d.variety
     x, yy, z = (MPoly.variable(3, i) for i in range(3))
-    vec = element_divisor(y, ffe(x, [("D", 1)]).normalized())
+    vec, _ = y.exponents(ffe(x, [("D", 1)]).normalized())
     # x / (x y z) vanishes to order -1 along y = 0 and z = 0, and E is no factor
     assert y.atoms == ("coord:x", "coord:y", "coord:z", "E")
     assert vec == [0, -1, -1, 0]

@@ -177,6 +177,12 @@ def test_atoms_and_coordinate_labels():
     # a new non-monomial form is a new atom
     y.register_divisor("F", x + yy)
     assert y.atoms == ("coord:x", "coord:y", "coord:z", "E", "F")
+    # a hyperplane label takes only its own coordinate, so no atom repeats
+    y.register_divisor("coord:x", x * 2)
+    for form in (x + yy, yy):
+        with pytest.raises(ValueError):
+            y.register_divisor("coord:x", form)
+    assert y.atoms == ("coord:x", "coord:y", "coord:z", "E", "F")
 
 
 def test_exponents_keep_a_residual_that_does_not_factor():
