@@ -120,17 +120,6 @@ def parse_job(text) -> JobDescription:
     return JobDescription(sections, line_nos)
 
 
-def format_job(job: JobDescription) -> str:
-    """Canonical writer; parse(format_job(parse(text))) round-trips."""
-    out = []
-    for section in sorted(job.sections):
-        out.append(f"[{section}]")
-        for key in sorted(job.sections[section]):
-            out.append(f"{key} = {job.sections[section][key]}")
-        out.append("")
-    return "\n".join(out)
-
-
 # ---------------------------------------------------------------------------
 # value parsers
 
@@ -327,6 +316,8 @@ def build_pdivisor(job: JobDescription, y) -> PDivisor:
         if not key.startswith("coefficient."):
             continue
         label = key[len("coefficient.") :]
+        if not y.has_label(label):
+            raise JobSemanticError(f"{key}: the {y.name} base has no prime divisor {label}")
         vertices = parse_vector_list(value)
         tail_key = f"tail.{label}"
         tail_rays = (

@@ -148,9 +148,13 @@ def reduce_rays(y, d: PDivisor, rays):
     return tuple(kept)
 
 
-def _t_monomial(u, cones):
-    """Exponents of a monomial in the curve variables with total class u."""
-    decomps = _nn_decompositions(u, list(CURVE_COLUMNS), limit=5000, cones=cones)
+def _t_monomial(u, cone, values):
+    """Exponents of a monomial in the curve variables with total class u.
+
+    ``cone`` is the cone of the curve columns and ``values`` its facet
+    value cache, both shared by every call of one presentation.
+    """
+    decomps = _nn_decompositions(u, CURVE_COLUMNS, limit=5000, cone=cone, values=values)
     for parts in decomps:
         exps = [0] * len(CURVE_COLUMNS)
         for w in parts:
@@ -183,9 +187,9 @@ def presentation_text(elements):
         "# subalgebra of P = C[x0,x1,x2,h,t0..t9] / (h*(x0-x1+x2) - 1 + toric relations)",
         "# t_i carries the class of the i-th negative curve",
     ]
-    cones = {}  # one pruning cone of CURVE_COLUMNS for every element
+    cone, values = weight_cone(), {}
     for e in _sorted_elements(elements):
-        exps = _t_monomial(e.weight, cones)
+        exps = _t_monomial(e.weight, cone, values)
         poly = _coefficient_poly(e)
         if exps is None or poly is None:
             lines.append(f"# unpresentable element at weight {e.weight}")
@@ -270,7 +274,12 @@ def run_cox(max_iterations=64) -> CoxResult:
     ray_classes = {r: y.divisor_class(d.evaluate(r).floor()) for r in rays}
     distinct = sorted(set(ray_classes.values()))
     report.append(f"evaluation classes at the rays: {len(distinct)} distinct")
-    bpf = {r: find_k_rho(d, r, max_iterations)[0] for r in rays}
+    bpf = {}
+    bases = {}  # the section basis of each ray whose multiple is 1
+    for r in rays:
+        bpf[r], basis = find_k_rho(d, r, max_iterations)
+        if bpf[r] == 1:
+            bases[r] = basis
     report.append(
         "base point free multiples: "
         + (
@@ -285,7 +294,9 @@ def run_cox(max_iterations=64) -> CoxResult:
 
     pool = []
     for u in reduced:
-        basis = sections(y, d.evaluate(u).floor())
+        basis = bases.get(u)
+        if basis is None:
+            basis = sections(y, d.evaluate(u).floor())
         pool.extend(GradedElement(s, u) for s in basis.elements)
     pool = _sorted_elements(pool)
     report.append(f"section pool: {len(pool)} elements")

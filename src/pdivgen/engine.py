@@ -8,6 +8,7 @@ presentation for an external normalization.
 """
 
 from math import gcd
+from operator import sub
 from typing import NamedTuple
 
 from .intlinalg import (
@@ -72,7 +73,6 @@ class GradedElement:
 class GeneratorSet(NamedTuple):
     elements: tuple
     normalization_status: str  # Normal | SaturatedToric | ExportedForNormalization
-    witnesses: tuple = ()
     report: tuple = ()
     presentation: str = ""
 
@@ -230,7 +230,7 @@ def extended_vector(y, element: GradedElement):
 
 
 # ---------------------------------------------------------------------------
-# step 12: quotient field witnesses
+# step 12: quotient field completion
 
 
 def _interior_ray(cone):
@@ -248,13 +248,13 @@ def _interior_ray(cone):
 def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
     """Ensure the function field generators are ratios of collected elements.
 
-    Returns (added elements, witnesses).  Witnesses express each backend
-    coordinate ratio as an integer combination of factorable elements.
+    Returns the added elements, after which each backend coordinate
+    ratio is an integer combination of factorable elements.
     """
     y = d.variety
     gens = y.function_field_generators()
     if not gens:
-        return [], ()
+        return []
     kept = list(elements)
     kept_keys = {x.key() for x in kept}
     reserve = [e for e in _dedupe(pool) if e.key() not in kept_keys]
@@ -281,17 +281,13 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
             yield (i_num, i_den), tuple(t) + tuple([0] * rank)
 
     while True:
-        usable, vectors = factorable(kept)
-        solved = []
-        missing = None
-        for pair, target in targets():
-            combo = solve_in_lattice(target, vectors)
-            if combo is None:
-                missing = pair
-                break
-            solved.append(_format_witness(y, pair, usable, combo))
+        _, vectors = factorable(kept)
+        missing = next(
+            (pair for pair, target in targets() if solve_in_lattice(target, vectors) is None),
+            None,
+        )
         if missing is None:
-            return added, tuple(solved)
+            return added
         # try again with the reserve pool and keep only what the witness uses
         usable2, vectors2 = factorable(kept + reserve)
         grabbed = set()
@@ -327,65 +323,77 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
         j += 1
 
 
-def _format_witness(y, pair, usable, combo):
-    i_num, i_den = pair
-    parts = [
-        f"(chi^{e.weight} elem)^{c}" for e, c in zip(usable, combo) if c
-    ]
-    lhs = f"{y.coordinates[i_num]}/{y.coordinates[i_den]}"
-    return f"{lhs} = " + (" * ".join(parts) if parts else "1")
-
-
 # ---------------------------------------------------------------------------
 # pruning
 
 
-def _nn_decompositions(u, weights, limit=20000, cones=None):
+def _facet_values(values, facets, v):
+    """The values of the facet normals on v, cached in ``values``."""
+    vals = values.get(v)
+    if vals is None:
+        vals = values[v] = tuple([dot(f, v) for f in facets])
+    return vals
+
+
+def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
     """All multisets of weights with nonnegative integer sum u.
 
     Weights live in a pointed cone, so the search tree is finite; a hard
-    node limit guards degenerate inputs.  Pruning uses containment in
-    the cone spanned by all weights.  ``cones`` maps each sorted weight
-    tuple to that cone, so a caller that searches one weight set many
-    times builds its cone once.
+    node limit guards degenerate inputs.  A remainder is kept while it
+    lies in the pruning cone, which is the cone of the weights unless the
+    caller passes one that contains them.  Such a cone prunes only
+    subtrees without a decomposition, so the search finds the same
+    decompositions in the same order and may visit more nodes; when it
+    stops at the node limit it is run again on the weights' own cone.
+    ``values`` caches the facet values of each weight on ``cone``, so a
+    caller can share it across searches on one cone.
     """
+    u = tuple(u)
     weights = tuple(sorted(set(weights)))
     if not weights:
         return [()] if not any(u) else []
-    if cones is None:
-        cones = {}
-    cone = cones.get(weights)
-    if cone is None:
-        cone = cones[weights] = cone_from_rays(weights, len(weights[0]))
+    if any(len(w) != len(u) for w in weights):
+        raise ValueError(f"weights of a width other than that of {u}")
+    own = cone is None
+    if own:
+        cone, values = cone_from_rays(weights, len(u)), {}
+    elif values is None:
+        values = {}
+    facets = cone.facets
+    wvals = [_facet_values(values, facets, w) for w in weights]
     out = []
     # preorder depth-first search; children are pushed in reverse so they
-    # pop in weight order, and the search stops after `limit` visited nodes
-    stack = [(tuple(u), 0, ())]
+    # pop in weight order, and the search stops after `limit` visited nodes.
+    # A child's facet values are its parent's less the weight's.
+    stack = [(u, _facet_values(values, facets, u), 0, ())]
     for _ in range(limit):
         if not stack:
-            break
-        remaining, start, chosen = stack.pop()
+            return out
+        remaining, vals, start, chosen = stack.pop()
         if not any(remaining):
             out.append(chosen)
             continue
         for i in range(len(weights) - 1, start - 1, -1):
-            w = weights[i]
-            nxt = tuple(a - b for a, b in zip(remaining, w))
-            if cone.contains(nxt):
-                stack.append((nxt, i, chosen + (w,)))
+            nvals = tuple(map(sub, vals, wvals[i]))
+            if min(nvals, default=0) >= 0:
+                w = weights[i]
+                stack.append((tuple(map(sub, remaining, w)), nvals, i, chosen + (w,)))
+    if stack and not own:
+        # cut off on the wider cone: the weights' own cone visits fewer nodes
+        return _nn_decompositions(u, weights, limit)
     return out
 
 
-def algebra_membership(y, element: GradedElement, gens, product_cap=600, cones=None):
+def algebra_membership(y, element: GradedElement, gens, product_cap=600, cone=None, values=None):
     """Whether the element's section is spanned by generator products.
 
-    ``cones`` is passed to ``_nn_decompositions``.
+    ``cone`` and ``values`` are passed to ``_nn_decompositions``.
     """
     u = element.weight
     by_weight = {}
     for g in gens:
         by_weight.setdefault(g.weight, []).append(g)
-    decomps = _nn_decompositions(u, list(by_weight), cones=cones)
+    decomps = _nn_decompositions(u, list(by_weight), cone=cone, values=values)
     products = []
     one = ffe(MPoly.constant(y.nvars, 1))
     for parts in decomps:
@@ -410,11 +418,13 @@ def reduce_generators(y, elements):
     order = sorted(
         kept, key=lambda e: (sum(abs(x) for x in e.weight), e.key()), reverse=True
     )
-    # the pruning cone of each weight set, built once in this call
-    cones = {}
+    # one pruning cone for every search: each weight set searched is part
+    # of the pool, so the cone of the pool's weights contains it
+    cone = cone_from_rays([e.weight for e in kept], len(kept[0].weight)) if kept else None
+    values = {}
     for e in order:
         rest = [g for g in kept if g.key() != e.key()]
-        if algebra_membership(y, e, rest, cones=cones):
+        if algebra_membership(y, e, rest, cone=cone, values=values):
             kept = rest
     return _sorted_elements(kept)
 
@@ -521,7 +531,7 @@ def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
     pool.extend(weight_lattice_completion(d, pool, max_iterations))
     raw_count = len(pool)
     pruned = reduce_generators(y, pool)
-    readded, witnesses = quotient_field_complete(d, pruned, pool, max_iterations)
+    readded = quotient_field_complete(d, pruned, pool, max_iterations)
     final = _sorted_elements(pruned + readded)
     result = normalize_or_export(y, final)
     report = (
@@ -535,7 +545,6 @@ def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
     return GeneratorSet(
         result.elements,
         result.normalization_status,
-        witnesses=witnesses,
         report=report,
         presentation=result.presentation,
     )

@@ -18,13 +18,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def hnf(rows):
     """Row Hermite normal form.
 

@@ -172,6 +172,10 @@ class Variety:
     def forms(self):
         return dict(self._forms)
 
+    def has_label(self, label):
+        """Whether a divisor on this variety may name the prime divisor label."""
+        return label in self._forms
+
     def form(self, label):
         return self._forms[label]
 
@@ -321,7 +325,9 @@ class ProjectiveSpace(Variety):
         return SectionBasis(d, tuple(elems))
 
     def _is_basepoint_free(self, d):
-        if not sections(self, d).elements:
+        # the degree of d is the free degree of ``_sections``: there is a
+        # section exactly when it is not negative
+        if self.divisor_degree(d) < 0:
             return False
         # every numerator carries the forced factor from the negative
         # coefficients; the residual monomials of a full degree have no
@@ -392,6 +398,9 @@ class BlowupOfP2(Variety):
     def register_divisor(self, label, form: MPoly):
         super().register_divisor(label, form)
         self._class_vectors.pop(label, None)
+
+    def has_label(self, label):
+        return label in self.exceptional or super().has_label(label)
 
     def function_field_generators(self):
         return ((0, 2), (1, 2))
@@ -662,7 +671,3 @@ def in_span(y, target, elements) -> bool:
     rows, _ = numerator_vectors(y, elements, (target,))
     return _reduce(_echelon(rows[:-1]), rows[-1]) is None
 
-
-def span_dimension(y, elements) -> int:
-    rows, _ = numerator_vectors(y, elements)
-    return len(_echelon(rows))

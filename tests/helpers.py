@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
 
+from pdivgen.cli import JobDescription
 from pdivgen.engine import GradedElement
 from pdivgen.intlinalg import kernel_lattice, primitive
 from pdivgen.mpoly import MPoly
@@ -16,7 +17,33 @@ from pdivgen.polyhedra import (
     generators_of_dual,
     tailed_polyhedron,
 )
-from pdivgen.varieties import ProjectiveSpace, QDivisor, ffe
+from pdivgen.varieties import (
+    ProjectiveSpace,
+    QDivisor,
+    _echelon,
+    ffe,
+    numerator_vectors,
+    sections,
+)
+
+
+def mat_mul(a, b):
+    """Product of two integer matrices given as rows."""
+    bt = list(zip(*b)) if b else []
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def format_job(job: JobDescription) -> str:
+    """Canonical job writer; parse_job(format_job(parse_job(text))) round-trips."""
+    out = []
+    for section in sorted(job.sections):
+        out.append(f"[{section}]")
+        for key in sorted(job.sections[section]):
+            out.append(f"{key} = {job.sections[section][key]}")
+        out.append("")
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +290,14 @@ def fraction_in_span(y, target, elements):
     return len(fraction_rref(vecs)[1]) == len(fraction_rref(vecs[:-1])[1])
 
 
+def span_dimension(y, elements) -> int:
+    """Dimension of the span of the sections, by the integer echelon of ``in_span``."""
+    rows, _ = numerator_vectors(y, elements)
+    return len(_echelon(rows))
+
+
 def fraction_span_dimension(y, elements):
-    """``varieties.span_dimension`` as the rank of a Fraction rref."""
+    """``span_dimension`` as the rank of a Fraction rref."""
     if not elements:
         return 0
     return len(fraction_rref(_fraction_numerator_vectors(y, elements))[1])
@@ -479,3 +512,15 @@ def oracle_element_divisor(y, s):
         else:
             form_orders[label] = form_orders.get(label, 0) - e
     return coords, {k: v for k, v in form_orders.items() if v}
+
+
+def oracle_projective_basepoint_free(y, d):
+    """Base point freeness on projective space by building the sections.
+
+    There is a section when the forced factor leaves a free degree of at
+    least 0; then the base locus is the zero set of that factor.
+    """
+    if not sections(y, d).elements:
+        return False
+    return all(y.form(l).total_degree() == 0 for l, c in d.coeffs.items() if c < 0)
+

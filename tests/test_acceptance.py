@@ -21,6 +21,7 @@ from helpers import (
     SIGMA_TILDE_RAYS,
     brute_hilbert_basis,
     plane_pdivisor,
+    span_dimension,
     thirteen_generators,
 )
 from pdivgen.coxs5 import run_cox
@@ -29,11 +30,7 @@ from pdivgen.intlinalg import det
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import cone_from_rays, dual_cone, hilbert_basis
 from pdivgen.torus import run_torus, standard_p2_fan_record
-from pdivgen.varieties import (
-    PointBase,
-    sections_of_floor,
-    span_dimension,
-)
+from pdivgen.varieties import PointBase, sections_of_floor
 
 
 def _report(n, checks, elapsed, budget):

@@ -2,6 +2,7 @@
 
 import io
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SIGMA_TILDE_RAYS
+from helpers import SIGMA_TILDE_RAYS, format_job
 from pdivgen.cli import (
     EXIT_BACKEND,
+    EXIT_ITERATION,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEMANTIC,
@@ -21,7 +23,6 @@ from pdivgen.cli import (
     _verify_lines,
     build_pdivisor,
     build_variety,
-    format_job,
     main,
     parse_fraction,
     parse_job,
@@ -218,7 +219,30 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"the cone with rays {named} is not pointed" in err, name
         assert "Traceback" not in err, name
+    # a coefficient label with no form, on the routes that evaluate and solve
+    no_form = tmp_path / "no-form.pdiv"
+    no_form.write_text(shipped.replace("form.D = x*y*z\n", ""))
+    for route in ("eval", "general"):
+        assert main([str(no_form), "--pipeline", route]) == EXIT_SEMANTIC, route
+        err = capsys.readouterr().err
+        assert "coefficient.D: the projective-space base has no prime divisor D" in err, route
+        assert "Traceback" not in err, route
     capsys.readouterr()
+
+
+def test_a_ray_without_a_base_point_free_multiple_exits_at_the_cap(tmp_path, capsys):
+    # D(k*(1,0)) = -k E for every k, so no multiple has a section; the
+    # degree test answers without multiplying out E**k
+    job = tmp_path / "no-free-multiple.pdiv"
+    job.write_text(
+        Path("jobs/p2.pdiv").read_text().replace("rays = (-1,1) (1,1)", "rays = (1,0) (0,1)")
+    )
+    start = time.perf_counter()
+    assert main([str(job)]) == EXIT_ITERATION
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert "no integral base point free multiple of (1, 0) up to 64" in err
+    assert "Traceback" not in err
 
 
 def test_hilbert_pipeline(tmp_path, capsys):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from pdivgen import engine
+from pdivgen import coxs5, engine
 from pdivgen.coxs5 import (
     CURVE_COLUMNS,
     build_cox_pdivisor,
@@ -17,8 +17,8 @@ from pdivgen.coxs5 import (
     weight_cone,
 )
 from pdivgen.pdivisor import linearity_subdivision
-from pdivgen.polyhedra import cone_from_rays
-from pdivgen.varieties import QDivisor
+from pdivgen.engine import GradedElement, _sorted_elements
+from pdivgen.varieties import QDivisor, sections
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +91,31 @@ def test_ten_generators(result):
 
 
 def test_presentation_builds_one_pruning_cone(result):
-    with mock.patch.object(engine, "cone_from_rays", wraps=engine.cone_from_rays) as build:
+    # the presentation builds the cone of the curve columns itself and
+    # passes it to every search
+    with mock.patch.object(coxs5, "cone_from_rays", wraps=coxs5.cone_from_rays) as build:
         text = presentation_text(result.generators.elements)
     assert build.call_count == 1
+    assert build.call_args.args[0] == CURVE_COLUMNS
     assert text == result.presentation
+
+
+def test_run_cox_reuses_the_section_bases_of_the_rays():
+    with mock.patch.object(coxs5, "sections", wraps=coxs5.sections) as from_cox, \
+            mock.patch.object(engine, "sections", wraps=engine.sections) as from_engine:
+        result = run_cox()
+    # every ray's multiple is 1, so find_k_rho computes each ray's basis
+    # once and the pool needs no further one
+    assert from_engine.call_count == 20
+    assert from_cox.call_count == 0
+    y = cox_surface()
+    d = build_cox_pdivisor(y)
+    pool = [
+        GradedElement(s, u)
+        for u in result.reduced_rays
+        for s in sections(y, d.evaluate(u).floor()).elements
+    ]
+    assert result.pool == tuple(_sorted_elements(pool))
 
 
 def test_minors_certificate(result):

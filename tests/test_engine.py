@@ -6,6 +6,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_hilbert_basis,
@@ -27,7 +29,7 @@ from pdivgen.engine import (
 )
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor
 from pdivgen.intlinalg import det
-from pdivgen.polyhedra import cone_from_rays
+from pdivgen.polyhedra import cone_from_rays, dot
 from pdivgen.varieties import PointBase, ffe, sections_of_floor
 from pdivgen.mpoly import MPoly
 
@@ -108,8 +110,9 @@ def test_reduce_generators_builds_each_pruning_cone_once():
     pool = run_general(y, d).elements
     with mock.patch.object(engine, "cone_from_rays", wraps=engine.cone_from_rays) as build:
         reduce_generators(y, pool)
-    built = [tuple(c.args[0]) for c in build.call_args_list]
-    assert built and len(built) == len(set(built))
+    # one cone of all the pool's weights prunes every search
+    assert build.call_count == 1
+    assert sorted(build.call_args.args[0]) == sorted(e.weight for e in pool)
 
 
 def test_normalize_or_export_takes_the_left_kernel_once():
@@ -199,22 +202,65 @@ def test_nn_decompositions_leave_no_reference_cycle():
     ]
 
 
-def test_nn_decompositions_match_the_recursive_search():
-    rng = random.Random(5)
-    # one map of pruning cones for every search, as reduce_generators shares one
-    cones = {}
-    weight_sets = set()
-    for _ in range(60):
-        dim = rng.choice((2, 3))
-        weights = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(4)]
-        weights = [w for w in weights if any(w)]
-        if weights:
-            weight_sets.add(tuple(sorted(set(weights))))
-        u = tuple(rng.randint(0, 6) for _ in range(dim))
-        # small limits cut the search off part way
+@st.composite
+def _decomposition_searches(draw):
+    """Weights in a pointed cone of dimension 2-5, maybe not full-dimensional,
+    a superset of them spanning a wider pointed cone, and targets."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    entry = st.integers(min_value=0, max_value=2)
+    row = st.lists(entry, min_size=dim, max_size=dim)
+    # nonnegative combinations of fewer than dim rows span a flat cone
+    basis = draw(st.lists(row, min_size=1, max_size=dim))
+    coeffs = st.lists(entry, min_size=len(basis), max_size=len(basis))
+    weights = []
+    for c in draw(st.lists(coeffs, min_size=1, max_size=5)):
+        w = tuple(sum(a * b[j] for a, b in zip(c, basis)) for j in range(dim))
+        if any(w):
+            weights.append(w)
+    # unit vectors widen the cone to the orthant, so that its search visits
+    # more nodes than the search on the weights' own cone
+    extra = [tuple(int(i == j) for j in range(dim)) for i in range(dim) if draw(st.booleans())]
+    extra += [tuple(r) for r in draw(st.lists(row, max_size=2)) if any(r)]
+    multiplicities = st.lists(
+        st.integers(min_value=0, max_value=3), min_size=len(weights), max_size=len(weights)
+    )
+    targets = []
+    for c in draw(st.lists(multiplicities, min_size=1, max_size=3)):
+        u = [sum(a * w[j] for a, w in zip(c, weights)) for j in range(dim)]
+        # a small shift sometimes leaves no decomposition
+        shift = draw(st.lists(st.integers(min_value=-1, max_value=1), min_size=dim, max_size=dim))
+        targets.append(tuple(a + b for a, b in zip(u, shift)))
+    return weights, weights + extra, targets
+
+
+@given(_decomposition_searches())
+@settings(max_examples=60, deadline=None)
+def test_nn_decompositions_match_the_recursive_search(search):
+    weights, superset, targets = search
+    assume(weights)
+    dim = len(weights[0])
+    # one wider cone and one facet value cache for every search, as
+    # reduce_generators shares them
+    wide = cone_from_rays(superset, dim)
+    values = {}
+    for u in targets:
+        # small limits cut the search off part way, and make the search on
+        # the wider cone run again on the weights' own cone
         for limit in (1, 5, 30, 20000):
             expected = recursive_nn_decompositions(u, weights, limit)
             assert _nn_decompositions(u, weights, limit) == expected
-            assert _nn_decompositions(u, weights, limit, cones) == expected
-    assert set(cones) == weight_sets
-    assert all(c == cone_from_rays(w, len(w[0])) for w, c in cones.items())
+            assert _nn_decompositions(u, weights, limit, wide, values) == expected
+    assert all(v == tuple(dot(f, w) for f in wide.facets) for w, v in values.items())
+
+
+def test_nn_decompositions_on_a_wider_cone_run_again_at_the_limit():
+    weights = [(1, 0), (1, 1)]
+    expected = [((1, 1), (1, 1), (1, 1))]
+    # on its own cone the search walks (3, 3), (2, 2), (1, 1), (0, 0); the
+    # quadrant keeps (2, 3) and its children, the whole plane keeps every
+    # remainder, and both stop at 5 nodes before they reach a decomposition
+    for rays in ([(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, -1)]):
+        wide = cone_from_rays(rays, 2)
+        assert _nn_decompositions((3, 3), weights, 5, wide, {}) == expected
+    assert _nn_decompositions((3, 3), weights, 4) == expected
+    assert _nn_decompositions((3, 3), weights, 3) == []

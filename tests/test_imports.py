@@ -76,3 +76,41 @@ def test_every_parameter_is_read():
         for line, name, param in _unread_parameters(ast.parse(path.read_text()))
     ]
     assert not unread, "parameters that are never read:\n" + "\n".join(unread)
+
+
+# library entry points read only from outside src/pdivgen
+UNREAD_ALLOWED = {("cli", "main"), ("pdivisor", "validate")}
+
+
+def _references(node):
+    """Names loaded and attributes read anywhere under the node, with counts."""
+    refs = {}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs[n.id] = refs.get(n.id, 0) + 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] = refs.get(n.attr, 0) + 1
+    return refs
+
+
+def _definitions_without_a_reader():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    total = {}
+    for tree in trees.values():
+        for name, count in _references(tree).items():
+            total[name] = total.get(name, 0) + count
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            # a reference inside the definition itself, such as recursion, is no reader
+            own = _references(node).get(node.name, 0)
+            if total.get(node.name, 0) == own and (module, node.name) not in UNREAD_ALLOWED:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_every_definition_has_a_reader():
+    unread = _definitions_without_a_reader()
+    assert not unread, "definitions that nothing in src/pdivgen reads:\n" + "\n".join(unread)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mat_mul
 from pdivgen.intlinalg import (
     det,
     hnf,
@@ -15,7 +16,6 @@ from pdivgen.intlinalg import (
     invert_unimodular,
     kernel_lattice,
     lattice_member,
-    mat_mul,
     primitive,
     rank,
     rref,

@@ -20,11 +20,14 @@ from helpers import (
     fraction_minimizers,
     fraction_rref,
     fraction_span_dimension,
+    mat_mul,
     oracle_element_divisor,
     oracle_factor_exponents,
+    oracle_projective_basepoint_free,
     plane_pdivisor,
     plane_variety,
     product_shift,
+    span_dimension,
     two_pass_cone_from_facets,
     two_pass_cone_from_rays,
     two_pass_dual_cone,
@@ -33,7 +36,7 @@ from helpers import (
 from pdivgen import pdivisor, polyhedra
 from pdivgen.coxs5 import cox_surface
 from pdivgen.engine import GradedElement, extended_vector
-from pdivgen.intlinalg import det, hnf, mat_mul, primitive, rank, rref
+from pdivgen.intlinalg import det, hnf, primitive, rank, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import (
@@ -49,11 +52,12 @@ from pdivgen.polyhedra import (
 )
 from pdivgen.varieties import (
     PointBase,
+    QDivisor,
     _kernel_basis,
     ffe,
     in_span,
+    is_basepoint_free,
     sections_of_floor,
-    span_dimension,
 )
 
 small_int = st.integers(min_value=-7, max_value=7)
@@ -352,6 +356,21 @@ def test_span_tests_match_the_fraction_oracle(case):
     if combination:
         assert got
     assert span_dimension(_PLANE, elements) == fraction_span_dimension(_PLANE, elements)
+
+
+# Base point freeness on the plane with the cubics D and E and the line
+# L = x + y: the degree test against building the sections.
+
+_PLANE_WITH_LINE = plane_variety()
+_PLANE_WITH_LINE.register_divisor("L", MPoly.variable(3, 0) + MPoly.variable(3, 1))
+
+
+@given(st.dictionaries(st.sampled_from(("D", "E", "L")), st.integers(-3, 3)))
+@settings(max_examples=150, deadline=None)
+def test_plane_basepoint_freeness_matches_building_the_sections(coeffs):
+    div = QDivisor(coeffs)
+    got = is_basepoint_free(_PLANE_WITH_LINE, div)
+    assert got == oracle_projective_basepoint_free(_PLANE_WITH_LINE, div)
 
 
 # Row reduction of rational matrices up to 6 x 6 against the Fraction rref.

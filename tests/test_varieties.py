@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from helpers import plane_variety
+from helpers import plane_variety, span_dimension
 from pdivgen.coxs5 import cox_surface
 from pdivgen.mpoly import MPoly, multiplicity_at
 from pdivgen.pdivisor import PDivisor
@@ -21,7 +21,6 @@ from pdivgen.varieties import (
     is_basepoint_free,
     sections,
     sections_of_floor,
-    span_dimension,
 )
 
 
