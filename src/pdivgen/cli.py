@@ -17,7 +17,6 @@ from .intlinalg import primitive
 from .mpoly import MPoly
 from .pdivisor import (
     IterationLimitExceeded,
-    NotSubcone,
     PDivisor,
     WeightOutsideCone,
     bigness_checks,
@@ -32,7 +31,7 @@ from .polyhedra import (
     hilbert_basis,
     tailed_polyhedron,
 )
-from .torus import UnsupportedBase, run_torus, standard_p2_fan_record
+from .torus import run_torus, standard_p2_fan_record
 from .varieties import (
     BlowupOfP2,
     NotTMoveable,
@@ -65,6 +64,18 @@ class JobParseError(ValueError):
 
 class JobSemanticError(ValueError):
     pass
+
+
+# exception -> (exit code, stderr prefix); run_job tags the message with its stage
+EXIT_CODES = {
+    JobParseError: (EXIT_PARSE, "parse error"),
+    JobSemanticError: (EXIT_SEMANTIC, "semantic error"),
+    WeightOutsideCone: (EXIT_SEMANTIC, "semantic error"),
+    NotTMoveable: (EXIT_SEMANTIC, "semantic error"),
+    NonPointedCone: (EXIT_SEMANTIC, "semantic error"),
+    IterationLimitExceeded: (EXIT_ITERATION, "iteration cap"),
+    UnsupportedBackend: (EXIT_BACKEND, "unsupported backend"),
+}
 
 
 class JobDescription:
@@ -504,27 +515,22 @@ def run_job(job: JobDescription, args) -> int:
             else:
                 more, gen_lines = _pipeline_torus(job, y, d)
             lines.extend(more)
-    except (
-        JobParseError,
-        JobSemanticError,
-        IterationLimitExceeded,
-        UnsupportedBackend,
-        UnsupportedBase,
-        NotTMoveable,
-        NotSubcone,
-        WeightOutsideCone,
-        NonPointedCone,
-    ) as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
+    except tuple(EXIT_CODES) as exc:
+        exc.args = (f"[stage {stage}] {exc}",)
+        raise
     text = "\n".join(lines) + "\n"
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
         if gen_lines:
             with open(args.output + ".gens.txt", "w") as fh:
                 fh.write("\n".join(gen_lines) + "\n")
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
 
 
@@ -552,25 +558,18 @@ def main(argv=None) -> int:
             if args.jobfile is None:
                 print("error: a job file is required", file=sys.stderr)
                 return EXIT_SEMANTIC
-            with open(args.jobfile) as fh:
-                text = fh.read()
+            try:
+                with open(args.jobfile, encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"parse error: {exc}", file=sys.stderr)
+                return EXIT_PARSE
             job = parse_job(text)
         return run_job(job, args)
-    except JobParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (JobSemanticError, NotSubcone, WeightOutsideCone, NotTMoveable, NonPointedCone) as exc:
-        print(f"semantic error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except IterationLimitExceeded as exc:
-        print(f"iteration cap: {exc}", file=sys.stderr)
-        return EXIT_ITERATION
-    except (UnsupportedBackend, UnsupportedBase) as exc:
-        print(f"unsupported backend: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(EXIT_CODES) as exc:
+        code, prefix = next(v for t, v in EXIT_CODES.items() if isinstance(exc, t))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

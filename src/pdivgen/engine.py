@@ -20,7 +20,7 @@ from .intlinalg import (
     solve_in_lattice,
 )
 from .mpoly import MPoly
-from .pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision, restrict
+from .pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision
 from .polyhedra import (
     NonPointedCone,
     cone_from_rays,
@@ -522,8 +522,8 @@ def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
     twist_report = []
     for cell in domain.cells:
         for simplex in triangulate(cell):
-            sub = restrict(d, cone_from_rays(simplex, d.weight_cone.dim))
-            elems, twists = zariski_generators(sub, simplex, max_iterations)
+            # D|simplex evaluates as D does on the simplex, so read D itself
+            elems, twists = zariski_generators(d, simplex, max_iterations)
             pool.extend(elems)
             for w, s in sorted(twists.items()):
                 twist_report.append(f"twist at weight {w}")

@@ -19,9 +19,8 @@ from .polyhedra import (
     hyperplane_subdivision,
     mu,
     normal_fan,
-    point_polyhedron,
     primitive,
-    trivial_subdivision,
+    tailed_polyhedron,
 )
 from .varieties import QDivisor, is_basepoint_free
 
@@ -72,33 +71,20 @@ class PDivisor:
         )
 
 
-class LinearityDomain(NamedTuple):
-    """Cells of the weight cone on which evaluation is linear."""
-
-    subdivision: PolyhedralSubdivision
-    minimizers: dict  # cell -> {label: vertex achieving the min on the cell}
-
-    @property
-    def cells(self):
-        return self.subdivision.maximal_cells
-
-    def rays(self):
-        return self.subdivision.all_rays()
-
-
 def _interior_sample(cell: QCone):
     return tuple(sum(r[i] for r in cell.rays) for i in range(cell.dim))
 
 
-def linearity_subdivision(d: PDivisor) -> LinearityDomain:
+def linearity_subdivision(d: PDivisor) -> PolyhedralSubdivision:
+    """Cells of the weight cone on which evaluation is linear."""
     multi = [
         d.coefficients[label]
         for label in sorted(d.coefficients)
         if len(d.coefficients[label].vertices) > 1
     ]
     if not multi:
-        sub = trivial_subdivision(d.weight_cone)
-    elif (
+        return PolyhedralSubdivision((d.weight_cone,))
+    if (
         all(len(p.vertices) == 2 for p in multi)
         and d.weight_cone.is_pointed()
         and d.weight_cone.is_full_dim()
@@ -108,33 +94,20 @@ def linearity_subdivision(d: PDivisor) -> LinearityDomain:
             primitive(tuple(a - b for a, b in zip(p.vertices[0], p.vertices[1])))
             for p in multi
         ]
-        sub = hyperplane_subdivision(d.weight_cone, planes)
-    else:
-        fans = [normal_fan(p) for p in multi]
-        sub = common_refinement(fans, d.weight_cone)
-    minimizers = {}
-    for cell in sub.maximal_cells:
-        sample = _interior_sample(cell)
-        per_label = {}
-        for label, poly in d.coefficients.items():
-            # rank by the integer dots of the scaled vertices, ties by vertex
-            _, scaled = d._scaled_vertices[label]
-            _, best = min(
-                zip(scaled, poly.vertices), key=lambda p: (dot(p[0], sample), p[1])
-            )
-            per_label[label] = best
-        minimizers[cell] = per_label
-    return LinearityDomain(sub, minimizers)
+        return hyperplane_subdivision(d.weight_cone, planes)
+    return common_refinement([normal_fan(p) for p in multi], d.weight_cone)
 
 
 def restrict(d: PDivisor, c: QCone) -> PDivisor:
+    """D|c on a subcone c of the weight cone: each coefficient with tail
+    dual(c), which contains its old tail."""
     for r in c.rays:
         if not d.weight_cone.contains(r):
             raise NotSubcone(f"ray {r} is outside the weight cone")
-    new_tail = dual_cone(c)
-    tail_poly = point_polyhedron(tuple([0] * c.dim), new_tail)
+    tail = dual_cone(c).rays
     coeffs = {
-        label: poly + tail_poly for label, poly in d.coefficients.items()
+        label: tailed_polyhedron(poly.vertices, tail, c.dim)
+        for label, poly in d.coefficients.items()
     }
     return PDivisor(d.variety, c, coeffs)
 
@@ -149,25 +122,6 @@ class ValidationCheck(NamedTuple):
     detail: str = ""
 
 
-class ValidationReport(NamedTuple):
-    checks: tuple
-
-    @property
-    def ok(self):
-        return all(c.verdict != "fail" for c in self.checks)
-
-    @property
-    def unverifiable(self):
-        return tuple(c for c in self.checks if c.verdict == "UNVERIFIABLE")
-
-    def format(self):
-        lines = []
-        for c in self.checks:
-            tail = f"  ({c.detail})" if c.detail else ""
-            lines.append(f"{c.verdict:12s} {c.name}{tail}")
-        return "\n".join(lines)
-
-
 def _semiample_at_ray(d: PDivisor, ray, cap):
     base = d.evaluate(ray)
     step = mu(base.coeffs.values())
@@ -179,8 +133,8 @@ def _semiample_at_ray(d: PDivisor, ray, cap):
     return None
 
 
-def validate(d: PDivisor, max_iterations=64) -> ValidationReport:
-    """Semiampleness at subdivision rays, bigness at cell interiors."""
+def validate(d: PDivisor, max_iterations=64):
+    """Checks of semiampleness at subdivision rays, bigness at cell interiors."""
     domain = linearity_subdivision(d)
     checks = []
     for ray in domain.rays():
@@ -198,10 +152,10 @@ def validate(d: PDivisor, max_iterations=64) -> ValidationReport:
                 ValidationCheck(f"semiample at ray {ray}", "pass", f"k = {k}")
             )
     checks.extend(bigness_checks(d, domain))
-    return ValidationReport(tuple(checks))
+    return tuple(checks)
 
 
-def bigness_checks(d: PDivisor, domain: LinearityDomain):
+def bigness_checks(d: PDivisor, domain: PolyhedralSubdivision):
     """Bigness of the divisor at the interior sample of each cell."""
     checks = []
     for cell in domain.cells:

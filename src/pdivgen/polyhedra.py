@@ -376,9 +376,7 @@ def unimodular_triangulation(cone: QCone):
             if not replaced:
                 new_cells.append(cell)
         cells = sorted(set(new_cells))
-    return PolyhedralSubdivision(
-        cone, tuple(cone_from_rays(c, n) for c in sorted(cells))
-    )
+    return PolyhedralSubdivision(tuple(cone_from_rays(c, n) for c in sorted(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +389,6 @@ class TailedPolyhedron(NamedTuple):
     dim: int
     vertices: tuple
     tail: QCone
-
-    def support(self, u):
-        """min <P, u>; requires u in dual(tail)."""
-        return min(dot(v, u) for v in self.vertices)
-
-    def __add__(self, other):
-        return minkowski_sum(self, other)
 
 
 def tailed_polyhedron(vertices, tail_rays, dim):
@@ -419,34 +410,18 @@ def tailed_polyhedron(vertices, tail_rays, dim):
     return TailedPolyhedron(dim, tuple(sorted(verts)), cone_from_rays(tails, dim))
 
 
-def minkowski_sum(p: TailedPolyhedron, q: TailedPolyhedron) -> TailedPolyhedron:
-    if p.dim != q.dim:
-        raise ValueError("ambient dimension mismatch")
-    verts = [tuple(a + b for a, b in zip(v, w)) for v in p.vertices for w in q.vertices]
-    return tailed_polyhedron(verts, list(p.tail.rays) + list(q.tail.rays), p.dim)
-
-
-def point_polyhedron(v, tail: QCone) -> TailedPolyhedron:
-    return tailed_polyhedron([v], tail.rays, tail.dim)
-
-
 # ---------------------------------------------------------------------------
 # fans
 
 
 class PolyhedralSubdivision(NamedTuple):
-    ambient: QCone
-    maximal_cells: tuple
+    cells: tuple
 
-    def all_rays(self):
+    def rays(self):
         seen = set()
-        for c in self.maximal_cells:
+        for c in self.cells:
             seen.update(c.rays)
         return tuple(sorted(seen))
-
-
-def trivial_subdivision(ambient: QCone) -> PolyhedralSubdivision:
-    return PolyhedralSubdivision(ambient, (ambient,))
 
 
 def normal_fan(p: TailedPolyhedron) -> PolyhedralSubdivision:
@@ -467,7 +442,7 @@ def normal_fan(p: TailedPolyhedron) -> PolyhedralSubdivision:
         if cell.span_rank() == full and cell.rays not in seen:
             seen.add(cell.rays)
             cells.append(cell)
-    return PolyhedralSubdivision(ambient, tuple(sorted(cells, key=lambda c: c.rays)))
+    return PolyhedralSubdivision(tuple(sorted(cells, key=lambda c: c.rays)))
 
 
 def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision:
@@ -496,9 +471,7 @@ def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision
     uniq = {}
     for c in cells:
         uniq.setdefault(c.rays, c)
-    return PolyhedralSubdivision(
-        ambient, tuple(uniq[k] for k in sorted(uniq))
-    )
+    return PolyhedralSubdivision(tuple(uniq[k] for k in sorted(uniq)))
 
 
 def _halves(c: QCone, h, neg_h, vals):
@@ -533,7 +506,7 @@ def common_refinement(subs, ambient: QCone) -> PolyhedralSubdivision:
         nxt = []
         seen = set()
         for c in cells:
-            for f in sub.maximal_cells:
+            for f in sub.cells:
                 extra = [n for n in f.facets if any(dot(n, r) < 0 for r in c.rays)]
                 piece = c if not extra else cone_from_facets(
                     list(c.facets) + extra, ambient.dim
@@ -542,4 +515,4 @@ def common_refinement(subs, ambient: QCone) -> PolyhedralSubdivision:
                     seen.add(piece.rays)
                     nxt.append(piece)
         cells = nxt
-    return PolyhedralSubdivision(ambient, tuple(sorted(cells, key=lambda c: c.rays)))
+    return PolyhedralSubdivision(tuple(sorted(cells, key=lambda c: c.rays)))

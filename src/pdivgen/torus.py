@@ -23,7 +23,6 @@ from .polyhedra import (
 from .varieties import (
     FunctionFieldElement,
     NotTMoveable,
-    PointBase,
     ProjectiveSpace,
     UnsupportedBackend,
     ffe,
@@ -31,34 +30,16 @@ from .varieties import (
 from .engine import GeneratorSet, GradedElement, _dedupe
 
 
-class UnsupportedBase(ValueError):
-    pass
-
-
 class DivisorialFanRecord(NamedTuple):
     """Combinatorial data of the quotient description of the base.
 
-    For a toric base the record holds the fan rays, the fan ray attached
-    to each homogeneous coordinate, and for every basis direction of the
-    torus lattice a coordinate character as a function field element.
+    For a toric base the record holds the fan rays, ray i for the i-th
+    homogeneous coordinate, and for every basis direction of the torus
+    lattice a coordinate character as a function field element.
     """
 
-    base: object  # quotient backend, PointBase for a toric Y
     rays: tuple
-    coordinate_rays: tuple  # per backend coordinate: index into rays
     character_functions: tuple
-
-    @property
-    def torus_rank(self):
-        return len(self.rays[0]) if self.rays else 0
-
-
-class InvariantRepresentation(NamedTuple):
-    """Per-ray coefficient polyhedra of the twisted divisor on a cell."""
-
-    cell: QCone
-    ray_coefficients: tuple  # per fan ray: (ray, TailedPolyhedron Delta_r)
-    twists: tuple  # per cell ray: (ray, section)
 
 
 def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
@@ -69,9 +50,7 @@ def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
     x_over_z = ffe(MPoly.variable(3, 0), [(cz, 1)])
     y_over_z = ffe(MPoly.variable(3, 1), [(cz, 1)])
     return DivisorialFanRecord(
-        base=PointBase(),
         rays=((1, 0), (0, 1), (-1, -1)),
-        coordinate_rays=(0, 1, 2),
         character_functions=(x_over_z, y_over_z),
     )
 
@@ -81,17 +60,18 @@ def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
 
 
 def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
+    """((fan ray, twisted coefficient) per fan ray, {cell ray: twist section})."""
     y = d.variety
     rays = tuple(sorted(primitive(r) for r in cell.rays))
     n = cell.dim
     if len(rays) != n or abs(det(rays)) != 1:
         raise ValueError("invariantize_cell needs a unimodular simplicial cell")
-    twists = []
+    twists = {}
     per_ray_coords = []
     for rho in rays:
         div = d.evaluate(rho)
         s = y.invariantizing_section(div)
-        twists.append((rho, s))
+        twists[rho] = s
         # div(s) + D(rho) over the atoms; form labels count as prime, which
         # is exact as long as the p-divisor uses the same labels
         total = y.exponents(s)[0]
@@ -107,36 +87,30 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
     inv = invert_unimodular(rays)
     tail = dual_cone(cell)
     ray_coeffs = []
-    for ray_idx, r in enumerate(record.rays):
-        coord_idx = record.coordinate_rays.index(ray_idx)
+    for coord_idx, r in enumerate(record.rays):
         values = [per_ray_coords[j][coord_idx] for j in range(n)]
         w = tuple(sum(inv[i][j] * values[j] for j in range(n)) for i in range(n))
         delta = tailed_polyhedron([w], tail.rays, n)
         ray_coeffs.append((tuple(r), delta))
-    return (
-        InvariantRepresentation(cell, tuple(ray_coeffs), tuple(twists)),
-        dict(twists),
-    )
+    return tuple(ray_coeffs), twists
 
 
-def upgrade(rep: InvariantRepresentation, cell: QCone, record: DivisorialFanRecord):
+def upgrade(ray_coefficients, cell: QCone, record: DivisorialFanRecord):
     """The upgraded cone over the quotient; the weight data on a point base.
 
     Generators: the dual of the cell at torus height zero, and each
     coefficient polyhedron placed at the height of its fan ray.
     """
     n = cell.dim
-    rk = record.torus_rank
+    rk = len(record.rays[0])
     gens = []
     for c in dual_cone(cell).rays:
         gens.append(tuple(c) + tuple([0] * rk))
-    for r, delta in rep.ray_coefficients:
+    for r, delta in ray_coefficients:
         for v in delta.vertices:
             gens.append(primitive(tuple(v) + tuple(r)))
         for t in delta.tail.rays:
             gens.append(tuple(t) + tuple([0] * rk))
-    if not isinstance(record.base, PointBase):
-        raise UnsupportedBase("only a point base is supported end to end")
     return cone_from_rays(gens, n + rk)
 
 
@@ -185,10 +159,10 @@ def run_torus(y, d: PDivisor, record: DivisorialFanRecord):
         if len(cell.rays) == cell.dim and abs(det(cell.rays)) == 1:
             pieces = [cell]
         else:
-            pieces = list(unimodular_triangulation(cell).maximal_cells)
+            pieces = list(unimodular_triangulation(cell).cells)
         for piece in pieces:
-            rep, twists = invariantize_cell(d, piece, record)
-            sigma = upgrade(rep, piece, record)
+            ray_coefficients, twists = invariantize_cell(d, piece, record)
+            sigma = upgrade(ray_coefficients, piece, record)
             hb = hilbert_basis(dual_cone(sigma))
             gens = downgrade_generators(y, hb, twists, piece.rays, record)
             gens = _dedupe(gens)

@@ -122,7 +122,6 @@ def ffe(num, den=()):
 
 
 class SectionBasis(NamedTuple):
-    divisor: QDivisor
     elements: tuple
 
     @property
@@ -270,8 +269,8 @@ class PointBase(Variety):
 
     def _sections(self, d):
         if any(v < 0 for v in d.coeffs.values()):
-            return SectionBasis(d, ())
-        return SectionBasis(d, (self.one(),))
+            return SectionBasis(())
+        return SectionBasis((self.one(),))
 
     def _is_basepoint_free(self, d):
         return all(v >= 0 for v in d.coeffs.values())
@@ -317,12 +316,12 @@ class ProjectiveSpace(Variety):
         # uses up part of it
         free_deg = den_deg - forced.total_degree()
         if free_deg < 0:
-            return SectionBasis(d, ())
+            return SectionBasis(())
         elems = []
         for e in monomials_of_degree(self.nvars, free_deg):
             num = MPoly.monomial(self.nvars, e) * forced
             elems.append(ffe(num, den))
-        return SectionBasis(d, tuple(elems))
+        return SectionBasis(tuple(elems))
 
     def _is_basepoint_free(self, d):
         # the degree of d is the free degree of ``_sections``: there is a
@@ -460,10 +459,10 @@ class BlowupOfP2(Variety):
                 req[i] -= c * m
         free_deg = den_deg - forced.total_degree()
         if free_deg < 0:
-            return SectionBasis(d, ())
+            return SectionBasis(())
         basis = self._forms_with_multiplicities(free_deg, req)
         elems = tuple(ffe(g * forced, den) for g in basis)
-        return SectionBasis(d, elems)
+        return SectionBasis(elems)
 
     def _forms_with_multiplicities(self, degree, req_mults):
         """Degree-d forms vanishing to the given orders at the four points."""

@@ -419,22 +419,14 @@ def recursive_nn_decompositions(u, weights, limit=20000):
 # Fraction support functions and the product-based shift
 
 
+def support(poly, u):
+    """min <P, u> over a tailed polyhedron, in Fractions; u in dual(tail)."""
+    return min(dot(v, u) for v in poly.vertices)
+
+
 def fraction_evaluate(d, u):
     """``PDivisor.evaluate`` by the Fraction support function of each coefficient."""
-    return QDivisor({label: poly.support(u) for label, poly in d.coefficients.items()})
-
-
-def fraction_minimizers(d, cells, sample):
-    """Minimizers of ``linearity_subdivision``: on each cell, the vertex of
-    least Fraction dot with ``sample(cell)``, ties broken by the vertex."""
-    out = {}
-    for cell in cells:
-        u = sample(cell)
-        out[cell] = {
-            label: min(poly.vertices, key=lambda v: (dot(v, u), v))
-            for label, poly in d.coefficients.items()
-        }
-    return out
+    return QDivisor({label: support(poly, u) for label, poly in d.coefficients.items()})
 
 
 def product_shift(poly, point):
@@ -524,3 +516,22 @@ def oracle_projective_basepoint_free(y, d):
         return False
     return all(y.form(l).total_degree() == 0 for l, c in d.coeffs.items() if c < 0)
 
+
+# ---------------------------------------------------------------------------
+# reading the checks of ``pdivisor.validate``
+
+
+def report_ok(checks):
+    return all(c.verdict != "fail" for c in checks)
+
+
+def report_unverifiable(checks):
+    return tuple(c for c in checks if c.verdict == "UNVERIFIABLE")
+
+
+def format_report(checks):
+    lines = []
+    for c in checks:
+        tail = f"  ({c.detail})" if c.detail else ""
+        lines.append(f"{c.verdict:12s} {c.name}{tail}")
+    return "\n".join(lines)

@@ -139,6 +139,20 @@ def test_exit_codes(tmp_path, capsys):
     alien.write_text("[variety]\nbackend = martian\n[job]\npipeline = eval\n")
     assert main([str(alien)]) == EXIT_BACKEND
     assert main([str(tmp_path / "missing.pdiv")]) == EXIT_PARSE
+    # a job path that is a directory or not UTF-8 text, and a report path
+    # that is a directory, exit cleanly
+    not_utf8 = tmp_path / "latin-1.pdiv"
+    not_utf8.write_bytes("# caf\xe9\n".encode("latin-1"))
+    capsys.readouterr()
+    for argv, prefix in (
+        ([str(tmp_path)], "parse error: "),
+        ([str(not_utf8)], "parse error: "),
+        (["jobs/p2.pdiv", "--pipeline", "eval", "--output", str(tmp_path)], "output error: "),
+    ):
+        assert main(argv) == EXIT_PARSE, argv
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), argv
+        assert "Traceback" not in err, argv
     # both backends that take defining forms reject one that is not homogeneous
     plane = tmp_path / "inhomogeneous-plane.pdiv"
     plane.write_text(

@@ -16,7 +16,8 @@ from helpers import (
     recursive_nn_decompositions,
     thirteen_generators,
 )
-from pdivgen import engine
+from pdivgen import engine, pdivisor
+from pdivgen.cli import build_pdivisor, build_variety, parse_job
 from pdivgen.engine import (
     GradedElement,
     _interior_ray,
@@ -75,6 +76,25 @@ def test_run_general_plane_example():
     assert result.normalization_status == "ExportedForNormalization"
     weights = {e.weight for e in result.elements}
     assert weights <= {(-2, 2), (0, 2), (2, 2), (0, 1), (1, 1), (-1, 1), (2, 1)}
+
+
+def test_run_general_restricts_to_no_simplex():
+    job = parse_job(Path("jobs/p2.pdiv").read_text())
+    y = build_variety(job)
+    d = build_pdivisor(job, y)
+    built = []
+    init = PDivisor.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    with mock.patch.object(pdivisor, "restrict", wraps=pdivisor.restrict) as restrict:
+        with mock.patch.object(PDivisor, "__init__", counting_init):
+            run_general(y, d)
+    # ray sections are read from d itself: no restriction D|simplex is built
+    assert restrict.call_count == 0
+    assert built == []
 
 
 def test_thirteen_generators_lie_in_computed_algebra():

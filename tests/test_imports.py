@@ -79,7 +79,13 @@ def test_every_parameter_is_read():
 
 
 # library entry points read only from outside src/pdivgen
-UNREAD_ALLOWED = {("cli", "main"), ("pdivisor", "validate")}
+UNREAD_ALLOWED = {
+    ("cli", "main"),
+    ("pdivisor", "validate"),
+    # the paper's restriction D|c; the general route reads D itself on each
+    # simplex, and a property test pins that the two evaluate alike there
+    ("pdivisor", "restrict"),
+}
 
 
 def _references(node):
@@ -114,3 +120,61 @@ def _definitions_without_a_reader():
 def test_every_definition_has_a_reader():
     unread = _definitions_without_a_reader()
     assert not unread, "definitions that nothing in src/pdivgen reads:\n" + "\n".join(unread)
+
+
+# members read only from outside src/pdivgen
+MEMBER_UNREAD_ALLOWED = {
+    # the size of a section space, which the unit and acceptance suites compare
+    ("varieties", "SectionBasis.dimension"),
+    # the table of defining forms, which the test oracles walk
+    ("varieties", "Variety.forms"),
+    # the Cox construction's intermediate data, which the acceptance suites check
+    ("coxs5", "CoxResult.ray_classes"),
+    ("coxs5", "CoxResult.bpf_multiples"),
+    ("coxs5", "CoxResult.pool"),
+    ("coxs5", "CoxResult.minors_match"),
+}
+
+
+def _members(cls):
+    """Methods, properties and annotated fields (NamedTuple fields) of a class."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _attribute_loads(node):
+    loads = {}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            loads[n.attr] = loads.get(n.attr, 0) + 1
+    return loads
+
+
+def _members_without_a_reader():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    total = {}
+    for tree in trees.values():
+        for name, count in _attribute_loads(tree).items():
+            total[name] = total.get(name, 0) + count
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name, node in _members(cls):
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                # a read inside the member itself, such as recursion, is no reader
+                own = _attribute_loads(node).get(name, 0)
+                qualified = f"{cls.name}.{name}"
+                if total.get(name, 0) == own and (module, qualified) not in MEMBER_UNREAD_ALLOWED:
+                    found.append(f"{module}.{qualified}")
+    return found
+
+
+def test_every_member_has_a_reader():
+    unread = _members_without_a_reader()
+    assert not unread, "members that nothing in src/pdivgen reads:\n" + "\n".join(unread)

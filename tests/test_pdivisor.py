@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import plane_pdivisor, plane_variety
+from helpers import format_report, plane_pdivisor, plane_variety, report_ok, report_unverifiable
 from pdivgen.coxs5 import cox_surface, weight_cone
 from pdivgen.pdivisor import (
     NotSubcone,
@@ -59,6 +59,11 @@ def test_linearity_subdivision():
         a, b = cell.rays
         mid = tuple(x + y for x, y in zip(a, b))
         assert d.evaluate(mid) == d.evaluate(a) + d.evaluate(b)
+    # with no coefficients the weight cone is the one cell
+    omega = cone_from_rays([(1, 0), (0, 1)], 2)
+    dom = linearity_subdivision(PDivisor(PointBase(), omega, {}))
+    assert dom.cells == (omega,)
+    assert dom.rays() == omega.rays
 
 
 def test_restrict():
@@ -85,19 +90,19 @@ def test_constructor_rejects_wrong_tail():
 
 def test_validate_plane_example():
     report = validate(plane_pdivisor())
-    assert report.ok
-    assert not report.unverifiable
+    assert report_ok(report)
+    assert not report_unverifiable(report)
 
 
 def test_validate_reports_checks():
     report = validate(plane_pdivisor())
-    text = report.format()
+    text = format_report(report)
     assert "pass" in text.lower() or "ok" in text.lower()
 
 
 def test_validate_on_point_base():
     d = PDivisor(PointBase(), cone_from_rays([(1, 0), (1, 2)], 2), {})
-    checks = validate(d).checks
+    checks = validate(d)
     assert [c.verdict for c in checks] == ["pass", "pass", "pass"]
     assert checks[-1].detail == "base is a point"
 
@@ -106,5 +111,5 @@ def test_validate_bigness_on_blowup():
     omega = weight_cone()
     h = tailed_polyhedron([(1, 0, 0, 0, 0)], dual_cone(omega).rays, 5)
     d = PDivisor(cox_surface(), omega, {"H": h})
-    big = validate(d).checks[-1]
+    big = validate(d)[-1]
     assert (big.verdict, big.detail) == ("pass", "self-intersection 36 > 0")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_hilbert_basis
+from helpers import brute_hilbert_basis, support
 from pdivgen.intlinalg import det, rank
 from pdivgen.polyhedra import (
     NonPointedCone,
@@ -22,11 +22,9 @@ from pdivgen.polyhedra import (
     dual_cone,
     hilbert_basis,
     hyperplane_subdivision,
-    minkowski_sum,
     normal_fan,
     tailed_polyhedron,
     triangulate,
-    trivial_subdivision,
     unimodular_triangulation,
 )
 
@@ -122,27 +120,23 @@ def test_triangulations():
     tris = triangulate(c)
     assert sum(1 for _ in tris) >= 1
     sub = unimodular_triangulation(cone_from_rays([(1, 0), (1, 2)], 2))
-    for cell in sub.maximal_cells:
+    for cell in sub.cells:
         assert abs(det(cell.rays)) == 1
 
 
 def test_tailed_polyhedron_support_and_sum():
     tail = cone_from_rays([(1, 0), (0, 1)], 2)
     p = tailed_polyhedron([(0, 0), (1, -1)], tail.rays, 2)
-    q = tailed_polyhedron([(1, 1)], tail.rays, 2)
     assert len(p.vertices) == 2
-    assert p.support((1, 1)) == 0
-    assert p.support((1, 2)) == -1
-    s = minkowski_sum(p, q)
-    for u in [(1, 0), (0, 1), (1, 2), (3, 1)]:
-        assert s.support(u) == p.support(u) + q.support(u)
+    assert support(p, (1, 1)) == 0
+    assert support(p, (1, 2)) == -1
 
 
 def test_normal_fan_of_segment():
     tail = cone_from_rays([(1, 0), (0, 1)], 2)
     p = tailed_polyhedron([(0, 0), (1, -1)], tail.rays, 2)
     fan = normal_fan(p)
-    assert len(fan.maximal_cells) == 2
+    assert len(fan.cells) == 2
 
 
 def test_hyperplane_subdivision_covers_and_is_disjoint():
@@ -150,17 +144,17 @@ def test_hyperplane_subdivision_covers_and_is_disjoint():
     cuts = [(1, -1, 0), (0, 1, -1), (1, 1, -2)]
     # (1, 1, 1) meets the cone only at the origin, so it leaves every cell whole
     miss = (1, 1, 1)
-    assert hyperplane_subdivision(ambient, [miss]).maximal_cells == (ambient,)
-    cut_cells = hyperplane_subdivision(ambient, cuts).maximal_cells
+    assert hyperplane_subdivision(ambient, [miss]).cells == (ambient,)
+    cut_cells = hyperplane_subdivision(ambient, cuts).cells
     with_miss = hyperplane_subdivision(ambient, [cuts[0], miss] + cuts[1:])
-    assert with_miss.maximal_cells == cut_cells
+    assert with_miss.cells == cut_cells
     for planes in ([miss], cuts):
         _check_covers_and_is_disjoint(ambient, planes)
 
 
 def _check_covers_and_is_disjoint(ambient, planes):
     rng = random.Random(3)
-    cells = hyperplane_subdivision(ambient, planes).maximal_cells
+    cells = hyperplane_subdivision(ambient, planes).cells
     for _ in range(300):
         pt = tuple(
             sum(rng.randint(0, 9) * r[i] for r in ambient.rays) for i in range(3)
@@ -197,8 +191,8 @@ def test_common_refinement_matches_hyperplane_path(case):
     tail = dual_cone(ambient)
     fans = [normal_fan(tailed_polyhedron(s, tail.rays, ambient.dim)) for s in segments]
     planes = [tuple(a - b for a, b in zip(*s)) for s in segments]
-    hyp = hyperplane_subdivision(ambient, planes).maximal_cells
-    ref = common_refinement(fans, ambient).maximal_cells
+    hyp = hyperplane_subdivision(ambient, planes).cells
+    ref = common_refinement(fans, ambient).cells
     assert [(c.rays, c.facets) for c in hyp] == [(c.rays, c.facets) for c in ref]
 
 
@@ -234,9 +228,3 @@ def _brute_parallelepiped_points(rows):
 def test_parallelepiped_points_match_brute_force(rows):
     assume(det(rows) != 0)
     assert _parallelepiped_points(rows) == _brute_parallelepiped_points(rows)
-
-
-def test_trivial_subdivision():
-    c = cone_from_rays([(1, 0), (0, 1)], 2)
-    sub = trivial_subdivision(c)
-    assert [cell.rays for cell in sub.maximal_cells] == [c.rays]

@@ -17,7 +17,6 @@ from helpers import (
     fraction_evaluate,
     fraction_in_span,
     fraction_kernel_basis,
-    fraction_minimizers,
     fraction_rref,
     fraction_span_dimension,
     mat_mul,
@@ -33,12 +32,12 @@ from helpers import (
     two_pass_dual_cone,
     two_pass_halves,
 )
-from pdivgen import pdivisor, polyhedra
+from pdivgen import polyhedra
 from pdivgen.coxs5 import cox_surface
 from pdivgen.engine import GradedElement, extended_vector
 from pdivgen.intlinalg import det, hnf, primitive, rank, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
-from pdivgen.pdivisor import PDivisor, linearity_subdivision
+from pdivgen.pdivisor import PDivisor, linearity_subdivision, restrict
 from pdivgen.polyhedra import (
     _pointed_rays,
     cone_from_facets,
@@ -47,8 +46,8 @@ from pdivgen.polyhedra import (
     dual_cone,
     generators_of_dual,
     hyperplane_subdivision,
-    minkowski_sum,
     tailed_polyhedron,
+    triangulate,
 )
 from pdivgen.varieties import (
     PointBase,
@@ -107,32 +106,6 @@ def test_dual_pairing_is_nonnegative():
         for u in d.rays:
             for v in c.rays:
                 assert dot(u, v) >= 0
-
-
-def test_support_is_additive_under_minkowski_sum():
-    rng = random.Random(31)
-    tail = cone_from_rays([(1, 0), (0, 1)], 2)
-    for _ in range(20):
-        p = tailed_polyhedron(
-            [
-                (rng.randint(-3, 3), rng.randint(-3, 3))
-                for _ in range(rng.randint(1, 3))
-            ],
-            tail.rays,
-            2,
-        )
-        q = tailed_polyhedron(
-            [
-                (rng.randint(-3, 3), rng.randint(-3, 3))
-                for _ in range(rng.randint(1, 3))
-            ],
-            tail.rays,
-            2,
-        )
-        s = minkowski_sum(p, q)
-        for _ in range(10):
-            u = (rng.randint(0, 5), rng.randint(0, 5))
-            assert s.support(u) == p.support(u) + q.support(u)
 
 
 def test_evaluation_is_superadditive_and_homogeneous():
@@ -461,22 +434,18 @@ def test_evaluate_matches_the_fraction_support_function(d, data):
         assert d.evaluate(u) == fraction_evaluate(d, u)
 
 
-@given(
-    _random_pdivisors(),
-    st.sampled_from(("interior", "first ray", "origin")),
-)
+@given(_random_pdivisors(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_minimizers_match_the_fraction_ranking(d, where):
-    # a ray of a cell lies on its walls, and at the origin every vertex
-    # ties, so the last two cases exercise the tie break
-    sample = {
-        "interior": pdivisor._interior_sample,
-        "first ray": lambda cell: cell.rays[0],
-        "origin": lambda cell: (0,) * cell.dim,
-    }[where]
-    with mock.patch.object(pdivisor, "_interior_sample", sample):
-        domain = linearity_subdivision(d)
-    assert domain.minimizers == fraction_minimizers(d, domain.cells, sample)
+def test_restriction_to_a_simplex_evaluates_as_the_divisor(d, data):
+    # the general route reads ray sections from D on each simplex, which
+    # is exact because dual(simplex) only adds directions u is >= 0 on
+    for cell in linearity_subdivision(d).cells:
+        for simplex in triangulate(cell):
+            cone = cone_from_rays(simplex, d.weight_cone.dim)
+            restricted = restrict(d, cone)
+            for _ in range(2):
+                u = data.draw(_weight_in_cone(cone))
+                assert restricted.evaluate(u) == d.evaluate(u)
 
 
 @st.composite

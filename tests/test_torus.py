@@ -35,8 +35,7 @@ def _record_and_cells():
 
 def test_standard_p2_record():
     d, record, _ = _record_and_cells()
-    assert record.torus_rank == 2
-    assert len(record.rays) == 3
+    assert record.rays == ((1, 0), (0, 1), (-1, -1))
 
 
 def test_element_divisor_of_coordinate_ratio():
@@ -64,16 +63,16 @@ def test_invert_gives_the_exact_inverse():
 def test_upgraded_cone_matches_known_rays():
     d, record, cells = _record_and_cells()
     right = [c for c in cells if (1, 1) in c.rays][0]
-    rep, _ = invariantize_cell(d, right, record)
-    sigma = upgrade(rep, right, record)
+    ray_coefficients, _ = invariantize_cell(d, right, record)
+    sigma = upgrade(ray_coefficients, right, record)
     assert set(sigma.rays) == set(SIGMA_TILDE_RAYS)
 
 
 def test_hilbert_basis_of_dual_matches_printed_columns():
     d, record, cells = _record_and_cells()
     right = [c for c in cells if (1, 1) in c.rays][0]
-    rep, _ = invariantize_cell(d, right, record)
-    sigma = upgrade(rep, right, record)
+    ray_coefficients, _ = invariantize_cell(d, right, record)
+    sigma = upgrade(ray_coefficients, right, record)
     hb = hilbert_basis(dual_cone(sigma))
     printed = set(PRINTED_HB_COLUMNS)
     assert len(printed) == 65
@@ -83,8 +82,8 @@ def test_hilbert_basis_of_dual_matches_printed_columns():
 def test_mirror_cell_also_has_65():
     d, record, cells = _record_and_cells()
     left = [c for c in cells if (-1, 1) in c.rays][0]
-    rep, _ = invariantize_cell(d, left, record)
-    sigma = upgrade(rep, left, record)
+    ray_coefficients, _ = invariantize_cell(d, left, record)
+    sigma = upgrade(ray_coefficients, left, record)
     assert len(hilbert_basis(dual_cone(sigma))) == 65
 
 
