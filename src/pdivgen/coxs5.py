@@ -297,7 +297,7 @@ def run_cox(max_iterations=64) -> CoxResult:
         basis = bases.get(u)
         if basis is None:
             basis = sections(y, d.evaluate(u).floor())
-        pool.extend(GradedElement(s, u) for s in basis.elements)
+        pool.extend(GradedElement(s, u) for s in basis)
     pool = _sorted_elements(pool)
     report.append(f"section pool: {len(pool)} elements")
 

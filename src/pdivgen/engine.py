@@ -32,7 +32,6 @@ from .polyhedra import (
 from .varieties import (
     PointBase,
     QDivisor,
-    SectionBasis,
     ffe,
     in_span,
     is_basepoint_free,
@@ -112,21 +111,21 @@ def find_k_rho(d: PDivisor, rho, max_iterations=64):
 def zariski_generators(d: PDivisor, cell_rays, max_iterations=64):
     """Elements eta_j * chi^(k*rho) for every generating ray of the cell.
 
-    Returns (elements, twists) where twists records a section making the
-    ray divisor effective whenever it is not already.
+    Returns (elements, twisted weights): a ray weight is twisted when its
+    divisor is not effective but has sections.
     """
     elements = []
-    twists = {}
+    twisted = set()
     for rho in cell_rays:
         rho = primitive(rho)
         k, basis = find_k_rho(d, rho, max_iterations)
         weight = tuple(k * x for x in rho)
         div = d.evaluate(weight)
-        if any(c < 0 for c in div.coeffs.values()) and basis.elements:
-            twists[weight] = basis.elements[0]
-        for eta in basis.elements:
+        if any(c < 0 for c in div.coeffs.values()) and basis:
+            twisted.add(weight)
+        for eta in basis:
             elements.append(GradedElement(eta, weight))
-    return _dedupe(elements), twists
+    return _dedupe(elements), twisted
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +174,11 @@ def interior_lattice_basis(cone):
     return basis
 
 
-def _pick_section(y, basis: SectionBasis, div: QDivisor):
+def _pick_section(y, basis, div: QDivisor):
     """Deterministic nonzero section choice; 1 when the divisor is effective."""
     if all(c >= 0 for c in div.floor().coeffs.values()):
         return y.one()
-    return min(basis.elements, key=lambda s: GradedElement(s, ()).key())
+    return min(basis, key=lambda s: GradedElement(s, ()).key())
 
 
 def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
@@ -200,7 +199,7 @@ def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
             u = tuple(j * x for x in b)
             div = d.evaluate(u)
             sec = sections_of_floor(y, div)
-            if not sec.elements:
+            if not sec:
                 continue
             g.append(j)
             h = hnf_basis(weights) if weights else ()
@@ -262,7 +261,7 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
     natoms = len(y.atoms)
     rank = d.weight_cone.dim
     added = []
-    j = 0
+    j = 1
 
     def factorable(pool):
         usable, vectors = [], []
@@ -315,7 +314,7 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
         u = tuple(j * x for x in rho)
         div = d.evaluate(u)
         kept_keys = {x.key() for x in kept}
-        for s in sections_of_floor(y, div).elements:
+        for s in sections_of_floor(y, div):
             el = GradedElement(s, u)
             if el.key() not in kept_keys:
                 kept.append(el)
@@ -523,9 +522,9 @@ def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
     for cell in domain.cells:
         for simplex in triangulate(cell):
             # D|simplex evaluates as D does on the simplex, so read D itself
-            elems, twists = zariski_generators(d, simplex, max_iterations)
+            elems, twisted = zariski_generators(d, simplex, max_iterations)
             pool.extend(elems)
-            for w, s in sorted(twists.items()):
+            for w in sorted(twisted):
                 twist_report.append(f"twist at weight {w}")
     pool = _dedupe(pool)
     pool.extend(weight_lattice_completion(d, pool, max_iterations))

@@ -121,15 +121,6 @@ class MPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def evaluate(self, point):
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                v *= Fraction(x) ** k
-            total += v
-        return total
-
     def shift(self, point):
         """Substitute x_i -> x_i + point_i.
 

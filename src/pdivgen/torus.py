@@ -17,7 +17,6 @@ from .polyhedra import (
     cone_from_rays,
     dual_cone,
     hilbert_basis,
-    tailed_polyhedron,
     unimodular_triangulation,
 )
 from .varieties import (
@@ -60,7 +59,7 @@ def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
 
 
 def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
-    """((fan ray, twisted coefficient) per fan ray, {cell ray: twist section})."""
+    """((fan ray, height vector w) per fan ray, {cell ray: twist section})."""
     y = d.variety
     rays = tuple(sorted(primitive(r) for r in cell.rays))
     n = cell.dim
@@ -85,32 +84,29 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
         per_ray_coords.append(total[: y.nvars])
     # linear form w_r per fan ray: <w_r, rho_j> = coefficient of D_r at rho_j
     inv = invert_unimodular(rays)
-    tail = dual_cone(cell)
-    ray_coeffs = []
+    heights = []
     for coord_idx, r in enumerate(record.rays):
         values = [per_ray_coords[j][coord_idx] for j in range(n)]
         w = tuple(sum(inv[i][j] * values[j] for j in range(n)) for i in range(n))
-        delta = tailed_polyhedron([w], tail.rays, n)
-        ray_coeffs.append((tuple(r), delta))
-    return tuple(ray_coeffs), twists
+        heights.append((tuple(r), w))
+    return tuple(heights), twists
 
 
-def upgrade(ray_coefficients, cell: QCone, record: DivisorialFanRecord):
+def upgrade(heights, cell: QCone, record: DivisorialFanRecord):
     """The upgraded cone over the quotient; the weight data on a point base.
 
-    Generators: the dual of the cell at torus height zero, and each
-    coefficient polyhedron placed at the height of its fan ray.
+    Generators: the dual of the cell at torus height zero, and for each
+    (fan ray r, height vector w) of ``invariantize_cell`` the point w at
+    the height r.  The coefficient of the fan ray's divisor is the
+    polyhedron w + dual(cell), whose tail the first generators span.
     """
     n = cell.dim
     rk = len(record.rays[0])
     gens = []
     for c in dual_cone(cell).rays:
         gens.append(tuple(c) + tuple([0] * rk))
-    for r, delta in ray_coefficients:
-        for v in delta.vertices:
-            gens.append(primitive(tuple(v) + tuple(r)))
-        for t in delta.tail.rays:
-            gens.append(tuple(t) + tuple([0] * rk))
+    for r, w in heights:
+        gens.append(primitive(w + r))
     return cone_from_rays(gens, n + rk)
 
 
@@ -161,8 +157,8 @@ def run_torus(y, d: PDivisor, record: DivisorialFanRecord):
         else:
             pieces = list(unimodular_triangulation(cell).cells)
         for piece in pieces:
-            ray_coefficients, twists = invariantize_cell(d, piece, record)
-            sigma = upgrade(ray_coefficients, piece, record)
+            heights, twists = invariantize_cell(d, piece, record)
+            sigma = upgrade(heights, piece, record)
             hb = hilbert_basis(dual_cone(sigma))
             gens = downgrade_generators(y, hb, twists, piece.rays, record)
             gens = _dedupe(gens)

@@ -121,14 +121,6 @@ def ffe(num, den=()):
     return FunctionFieldElement(num, tuple(sorted((l, e) for l, e in den if e)))
 
 
-class SectionBasis(NamedTuple):
-    elements: tuple
-
-    @property
-    def dimension(self):
-        return len(self.elements)
-
-
 # ---------------------------------------------------------------------------
 # backends
 
@@ -137,13 +129,20 @@ class Variety:
     """What the pipelines need of a base variety; shared by the backends.
 
     A backend holds its coordinates and a table of prime divisor labels
-    with their defining forms.  On top of that it implements, for
-    integral divisors, ``_sections(d)`` and ``_is_basepoint_free(d)``
-    (called through the module functions ``sections`` and
-    ``is_basepoint_free``), ``bigness(div)`` giving the (verdict, detail)
-    pair of the validity report, ``invariantizing_section(d)`` for the
-    torus shortcut, and ``function_field_generators()``.
+    with their defining forms.  ``_sections(d)`` builds the tuple of
+    sections of an integral divisor from the backend's
+    ``_free_forms(degree, d)``; a base whose sections are not split that
+    way, such as ``PointBase``, overrides ``_sections(d)`` instead.  A
+    backend also implements ``_is_basepoint_free(d)`` for integral
+    divisors (the module functions ``sections`` and ``is_basepoint_free``
+    check integrality and call the two), ``bigness(div)`` giving the
+    (verdict, detail) pair of the validity report,
+    ``invariantizing_section(d)`` for the torus shortcut, and
+    ``function_field_generators()``.
     """
+
+    # prime divisors with no defining form, which the section split skips
+    exceptional = ()
 
     def __init__(self, nvars, coordinates):
         self.nvars = nvars
@@ -255,6 +254,35 @@ class Variety:
     def one(self):
         return ffe(MPoly.constant(self.nvars, 1))
 
+    def _split(self, coeffs):
+        """(denominator, forced factor, free degree) of integral coefficients.
+
+        A positive coefficient is a power of its form in the denominator and
+        a negative one forces its form into every numerator.  The numerator
+        degree matches the denominator, so the free factor gets what the
+        forced factor leaves of it.
+        """
+        forced = MPoly.constant(self.nvars, 1)
+        den = []
+        den_deg = 0
+        for l, c in coeffs:
+            if l in self.exceptional:
+                continue
+            f = self.form(l)
+            c = int(c)
+            if c > 0:
+                den.append((l, c))
+                den_deg += c * f.total_degree()
+            else:
+                forced = forced * f ** (-c)
+        return den, forced, den_deg - forced.total_degree()
+
+    def _sections(self, d):
+        den, forced, free_deg = self._split(d.coeffs.items())
+        if free_deg < 0:
+            return ()
+        return tuple(ffe(g * forced, den) for g in self._free_forms(free_deg, d))
+
 
 class PointBase(Variety):
     """Y = a point; the only divisor is zero, sections are constants."""
@@ -269,8 +297,8 @@ class PointBase(Variety):
 
     def _sections(self, d):
         if any(v < 0 for v in d.coeffs.values()):
-            return SectionBasis(())
-        return SectionBasis((self.one(),))
+            return ()
+        return (self.one(),)
 
     def _is_basepoint_free(self, d):
         return all(v >= 0 for v in d.coeffs.values())
@@ -300,31 +328,11 @@ class ProjectiveSpace(Variety):
     def divisor_degree(self, d: QDivisor):
         return sum(c * self._forms[l].total_degree() for l, c in d.coeffs.items())
 
-    def _sections(self, d):
-        forced = MPoly.constant(self.nvars, 1)
-        den = []
-        den_deg = 0
-        for l, c in d.coeffs.items():
-            f = self.form(l)
-            c = int(c)
-            if c > 0:
-                den.append((l, c))
-                den_deg += c * f.total_degree()
-            else:
-                forced = forced * f ** (-c)
-        # the numerator degree matches the denominator; the forced factor
-        # uses up part of it
-        free_deg = den_deg - forced.total_degree()
-        if free_deg < 0:
-            return SectionBasis(())
-        elems = []
-        for e in monomials_of_degree(self.nvars, free_deg):
-            num = MPoly.monomial(self.nvars, e) * forced
-            elems.append(ffe(num, den))
-        return SectionBasis(tuple(elems))
+    def _free_forms(self, degree, d):
+        return [MPoly.monomial(self.nvars, e) for e in monomials_of_degree(self.nvars, degree)]
 
     def _is_basepoint_free(self, d):
-        # the degree of d is the free degree of ``_sections``: there is a
+        # the degree of d is the free degree of ``_split``: there is a
         # section exactly when it is not negative
         if self.divisor_degree(d) < 0:
             return False
@@ -342,28 +350,22 @@ class ProjectiveSpace(Variety):
 
     def invariantizing_section(self, d):
         """A section s with D + Div(s) supported on torus-invariant divisors."""
-        den = []
-        deg = 0
+        moving = []
         for l, c in d.coeffs.items():
-            form = self.form(l)
-            if form.is_term():  # monomial forms are the invariant ones
+            if self.form(l).is_term():  # monomial forms are the invariant ones
                 continue
             if c.denominator != 1:
                 raise NotTMoveable(
                     f"non-integral coefficient {c} on non-invariant divisor {l}"
                 )
-            c = int(c)
-            den.append((l, c))
-            deg += c * form.total_degree()
-        if not den:
+            moving.append((l, c))
+        if not moving:
             return self.one()
+        den, forced, deg = self._split(moving)
         if deg < 0:
             raise NotTMoveable("negative degree on the non-invariant part")
-        num = MPoly.monomial(self.nvars, _balanced_monomial(self.nvars, deg))
-        for l, c in den:
-            if c < 0:
-                num = num * self.form(l) ** (-c)
-        return ffe(num, [(l, c) for l, c in den if c > 0])
+        free = MPoly.monomial(self.nvars, _balanced_monomial(self.nvars, deg))
+        return ffe(free * forced, den)
 
 
 class BlowupOfP2(Variety):
@@ -436,40 +438,19 @@ class BlowupOfP2(Variety):
         curves += [self.class_vector(f"E{i + 1}{j + 1}") for i, j in combinations(range(4), 2)]
         return curves
 
-    def _sections(self, d):
-        forced = MPoly.constant(3, 1)
-        den = []
-        den_deg = 0
-        # required multiplicities at the four points for the free factor:
-        # those of the denominator, less those of the forced factor and the
-        # exceptional coefficients; class_vector holds -multiplicity
+    def _free_forms(self, degree, d):
+        """Forms of the degree vanishing at the four points to the orders d asks."""
+        # the orders of the denominator, less those of the forced factor and
+        # the exceptional coefficients; class_vector holds -multiplicity
         req = [0, 0, 0, 0]
         for l, c in d.coeffs.items():
             c = int(c)
-            if l in self.exceptional:
-                req[int(l[1]) - 1] -= c
-                continue
-            f = self.form(l)
-            if c > 0:
-                den.append((l, c))
-                den_deg += c * f.total_degree()
-            else:
-                forced = forced * f ** (-c)
             for i, m in enumerate(self.class_vector(l)[1:]):
                 req[i] -= c * m
-        free_deg = den_deg - forced.total_degree()
-        if free_deg < 0:
-            return SectionBasis(())
-        basis = self._forms_with_multiplicities(free_deg, req)
-        elems = tuple(ffe(g * forced, den) for g in basis)
-        return SectionBasis(elems)
-
-    def _forms_with_multiplicities(self, degree, req_mults):
-        """Degree-d forms vanishing to the given orders at the four points."""
         monos = monomials_of_degree(3, degree)
         index = {e: i for i, e in enumerate(monos)}
         rows = []
-        for p, m in zip(self.points, req_mults):
+        for p, m in zip(self.points, req):
             if m <= 0:
                 continue
             chart = next(i for i, x in enumerate(p) if x)
@@ -576,13 +557,13 @@ def _balanced_monomial(nvars, degree):
 # sections and base point freeness
 
 
-def sections(y, d: QDivisor) -> SectionBasis:
+def sections(y, d: QDivisor) -> tuple:
     if not d.is_integral():
         raise NonIntegralDivisor(d.format())
     return y._sections(d)
 
 
-def sections_of_floor(y, d: QDivisor) -> SectionBasis:
+def sections_of_floor(y, d: QDivisor) -> tuple:
     """Sections of the floor; the H^0 of a rational divisor."""
     return sections(y, d.floor())
 

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 from pdivgen.cli import JobDescription
 from pdivgen.engine import GradedElement
 from pdivgen.intlinalg import kernel_lattice, primitive
-from pdivgen.mpoly import MPoly
+from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import PDivisor
 from pdivgen.polyhedra import (
     QCone,
@@ -18,6 +18,7 @@ from pdivgen.polyhedra import (
     tailed_polyhedron,
 )
 from pdivgen.varieties import (
+    NotTMoveable,
     ProjectiveSpace,
     QDivisor,
     _echelon,
@@ -429,6 +430,17 @@ def fraction_evaluate(d, u):
     return QDivisor({label: support(poly, u) for label, poly in d.coefficients.items()})
 
 
+def evaluate(poly, point):
+    """The value of the polynomial at a point, in Fractions."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
 def product_shift(poly, point):
     """``MPoly.shift`` by products of polynomials: x_i -> (x_i + point_i)."""
     n = poly.nvars
@@ -512,9 +524,111 @@ def oracle_projective_basepoint_free(y, d):
     There is a section when the forced factor leaves a free degree of at
     least 0; then the base locus is the zero set of that factor.
     """
-    if not sections(y, d).elements:
+    if not sections(y, d):
         return False
     return all(y.form(l).total_degree() == 0 for l, c in d.coeffs.items() if c < 0)
+
+
+# ---------------------------------------------------------------------------
+# section spaces as each backend built them before they shared one split
+
+
+def oracle_projective_sections(y, d):
+    """Sections of an integral divisor on projective space: monomials of the
+    free degree times the forms of the negative coefficients."""
+    forced = MPoly.constant(y.nvars, 1)
+    den = []
+    den_deg = 0
+    for l, c in d.coeffs.items():
+        f = y.form(l)
+        c = int(c)
+        if c > 0:
+            den.append((l, c))
+            den_deg += c * f.total_degree()
+        else:
+            forced = forced * f ** (-c)
+    free_deg = den_deg - forced.total_degree()
+    if free_deg < 0:
+        return ()
+    return tuple(
+        ffe(MPoly.monomial(y.nvars, e) * forced, den)
+        for e in monomials_of_degree(y.nvars, free_deg)
+    )
+
+
+def oracle_blowup_sections(y, d):
+    """Sections of an integral divisor on the four-point blow-up: forms of the
+    free degree with the multiplicities the class asks for at the points."""
+    forced = MPoly.constant(3, 1)
+    den = []
+    den_deg = 0
+    req = [0, 0, 0, 0]
+    for l, c in d.coeffs.items():
+        c = int(c)
+        if l in y.exceptional:
+            req[int(l[1]) - 1] -= c
+            continue
+        f = y.form(l)
+        if c > 0:
+            den.append((l, c))
+            den_deg += c * f.total_degree()
+        else:
+            forced = forced * f ** (-c)
+        for i, m in enumerate(y.class_vector(l)[1:]):
+            req[i] -= c * m
+    free_deg = den_deg - forced.total_degree()
+    if free_deg < 0:
+        return ()
+    return tuple(ffe(g * forced, den) for g in _oracle_forms_with_multiplicities(y, free_deg, req))
+
+
+def _oracle_forms_with_multiplicities(y, degree, req_mults):
+    """Degree-d forms vanishing to the given orders at the four points, from a
+    Fraction kernel of the vanishing Taylor coefficients."""
+    monos = monomials_of_degree(3, degree)
+    rows = []
+    for p, m in zip(y.points, req_mults):
+        if m <= 0:
+            continue
+        chart = next(i for i, x in enumerate(p) if x)
+        shift_pt = [Fraction(p[i], p[chart]) if i != chart else Fraction(0) for i in range(3)]
+        shifted = [MPoly.monomial(3, e).dehomogenize(chart, 1).shift(shift_pt) for e in monos]
+        cond_exps = sorted({ex for mp in shifted for ex in mp.terms if sum(ex) < m})
+        for ce in cond_exps:
+            rows.append([mp.terms.get(ce, Fraction(0)) for mp in shifted])
+    return [
+        MPoly(3, dict(zip(monos, vec))).content_normalized()
+        for vec in fraction_kernel_basis(rows, len(monos))
+    ]
+
+
+def oracle_invariantizing_section(y, d):
+    """``ProjectiveSpace.invariantizing_section``: the most balanced monomial
+    of the non-invariant degree times the forms of the negative coefficients."""
+    den = []
+    deg = 0
+    for l, c in d.coeffs.items():
+        form = y.form(l)
+        if form.is_term():
+            continue
+        if c.denominator != 1:
+            raise NotTMoveable(f"non-integral coefficient {c} on non-invariant divisor {l}")
+        c = int(c)
+        den.append((l, c))
+        deg += c * form.total_degree()
+    if not den:
+        return y.one()
+    if deg < 0:
+        raise NotTMoveable("negative degree on the non-invariant part")
+    balanced = min(
+        monomials_of_degree(y.nvars, deg),
+        key=lambda e: (tuple(sorted(e, reverse=True)), tuple(-x for x in e)),
+    )
+    num = MPoly.monomial(y.nvars, balanced)
+    for l, c in den:
+        if c < 0:
+            num = num * y.form(l) ** (-c)
+    return ffe(num, [(l, c) for l, c in den if c > 0])
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,8 @@ def test_acceptance_2_general_route_on_the_plane_example():
     domain = linearity_subdivision(d)
     k_left, _ = find_k_rho(d, (-1, 1))
     k_right, _ = find_k_rho(d, (1, 1))
-    dim_left = sections_of_floor(y, d.evaluate((-2, 2))).dimension
-    dim_mid = sections_of_floor(y, d.evaluate((0, 2))).dimension
+    dim_left = len(sections_of_floor(y, d.evaluate((-2, 2))))
+    dim_mid = len(sections_of_floor(y, d.evaluate((0, 2))))
     result = run_general(y, d)
     report = dict(line.split(": ") for line in result.report if ": " in line)
     membership = all(
@@ -145,7 +145,7 @@ def test_acceptance_4_cross_oracle_graded_dimensions():
         if not omega.contains(w):
             continue
         tested += 1
-        target = sections_of_floor(y, d.evaluate(w)).dimension
+        target = len(sections_of_floor(y, d.evaluate(w)))
         products = {}
         for dec in _weight_decompositions(w, gen_weights):
             pools = [

@@ -113,7 +113,7 @@ def test_run_cox_reuses_the_section_bases_of_the_rays():
     pool = [
         GradedElement(s, u)
         for u in result.reduced_rays
-        for s in sections(y, d.evaluate(u).floor()).elements
+        for s in sections(y, d.evaluate(u).floor())
     ]
     assert result.pool == tuple(_sorted_elements(pool))
 

@@ -23,14 +23,17 @@ from pdivgen.engine import (
     _interior_ray,
     _nn_decompositions,
     algebra_membership,
+    extended_vector,
     find_k_rho,
     interior_lattice_basis,
+    quotient_field_complete,
     reduce_generators,
     run_general,
+    zariski_generators,
 )
-from pdivgen.pdivisor import IterationLimitExceeded, PDivisor
-from pdivgen.intlinalg import det
-from pdivgen.polyhedra import cone_from_rays, dot
+from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision
+from pdivgen.intlinalg import det, solve_in_lattice
+from pdivgen.polyhedra import cone_from_rays, dot, triangulate
 from pdivgen.varieties import PointBase, ffe, sections_of_floor
 from pdivgen.mpoly import MPoly
 
@@ -51,17 +54,17 @@ def test_find_k_rho_plane_example():
     d = plane_pdivisor()
     k, basis = find_k_rho(d, (-1, 1))
     assert k == 2
-    assert basis.dimension == 10
+    assert len(basis) == 10
     k, basis = find_k_rho(d, (1, 1))
     assert k == 2
-    assert basis.dimension == 10
+    assert len(basis) == 10
 
 
 def test_known_section_dimensions():
     d = plane_pdivisor()
     y = d.variety
-    assert sections_of_floor(y, d.evaluate((-2, 2))).dimension == 10
-    assert sections_of_floor(y, d.evaluate((0, 2))).dimension == 55
+    assert len(sections_of_floor(y, d.evaluate((-2, 2)))) == 10
+    assert len(sections_of_floor(y, d.evaluate((0, 2)))) == 55
 
 
 def test_run_general_plane_example():
@@ -205,6 +208,49 @@ def test_interior_ray_falls_back_on_a_cone_that_is_not_pointed(monkeypatch):
     monkeypatch.setattr(engine, "hilbert_basis", broken)
     with pytest.raises(ZeroDivisionError):
         _interior_ray(half)
+
+
+def _every_coordinate_ratio_solves(y, elements):
+    """Whether each x_i / x_j of the backend is an integer combination of the
+    exponent vectors of the factorable elements."""
+    vectors = [v for v in (extended_vector(y, e) for e in elements) if v is not None]
+    rank = len(elements[0].weight)
+    for i_num, i_den in y.function_field_generators():
+        target = [0] * (len(y.atoms) + rank)
+        target[i_num] += 1
+        target[i_den] -= 1
+        if solve_in_lattice(tuple(target), vectors) is None:
+            return False
+    return True
+
+
+def test_quotient_field_steps_start_at_the_first_multiple():
+    # the plane's interior ray is (0, 1); its first step adds the 10 cubic
+    # sections there, and no unit at the zero weight
+    d = plane_pdivisor()
+    added = quotient_field_complete(d, [], ())
+    assert len(added) == 10
+    assert {e.weight for e in added} == {(0, 1)}
+    assert _every_coordinate_ratio_solves(d.variety, added)
+    assert len(quotient_field_complete(d, [], (), max_iterations=1)) == 10
+    with pytest.raises(
+        IterationLimitExceeded, match=r"no quotient field witness for coordinate ratio \(0, 2\)"
+    ):
+        quotient_field_complete(d, [], (), max_iterations=0)
+
+
+def test_quotient_field_takes_its_witness_from_the_reserve():
+    d = plane_pdivisor()
+    pool = []
+    for cell in linearity_subdivision(d).cells:
+        for simplex in triangulate(cell):
+            pool.extend(zariski_generators(d, simplex)[0])
+    # the reserve branch moves elements, so no step along the interior ray runs
+    added = quotient_field_complete(d, [], pool, max_iterations=0)
+    assert len(added) == 3
+    assert {e.weight for e in added} == {(2, 2)}
+    assert all(e in pool for e in added)
+    assert _every_coordinate_ratio_solves(d.variety, added)
 
 
 def test_nn_decompositions_leave_no_reference_cycle():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import evaluate
 from pdivgen.mpoly import MPoly, monomials_of_degree, multiplicity_at
 
 
@@ -59,10 +60,10 @@ def test_monomials_of_degree():
 def test_evaluate_and_shift():
     x, y = (MPoly.variable(2, i) for i in range(2))
     f = x * x + y + y
-    assert f.evaluate((Fraction(3), Fraction(1))) == 11
+    assert evaluate(f, (Fraction(3), Fraction(1))) == 11
     shifted = f.shift((Fraction(1), Fraction(0)))
-    assert shifted.evaluate((Fraction(2), Fraction(1))) == f.evaluate(
-        (Fraction(3), Fraction(1))
+    assert evaluate(shifted, (Fraction(2), Fraction(1))) == evaluate(
+        f, (Fraction(3), Fraction(1))
     )
 
 

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -22,7 +22,10 @@ from helpers import (
     mat_mul,
     oracle_element_divisor,
     oracle_factor_exponents,
+    oracle_blowup_sections,
+    oracle_invariantizing_section,
     oracle_projective_basepoint_free,
+    oracle_projective_sections,
     plane_pdivisor,
     plane_variety,
     product_shift,
@@ -50,12 +53,14 @@ from pdivgen.polyhedra import (
     triangulate,
 )
 from pdivgen.varieties import (
+    NotTMoveable,
     PointBase,
     QDivisor,
     _kernel_basis,
     ffe,
     in_span,
     is_basepoint_free,
+    sections,
     sections_of_floor,
 )
 
@@ -145,11 +150,11 @@ def test_section_products_multiply_into_the_sum_weight():
         target = sections_of_floor(y, d.evaluate(w))
         bu = sections_of_floor(y, d.evaluate(u))
         bv = sections_of_floor(y, d.evaluate(v))
-        if not bu.elements or not bv.elements:
+        if not bu or not bv:
             continue
-        prod = (bu.elements[0] * bv.elements[0]).normalized()
+        prod = (bu[0] * bv[0]).normalized()
         # the product of sections lives in the sections of the sum weight
-        assert in_span(y, prod, target.elements), (u, v)
+        assert in_span(y, prod, target), (u, v)
 
 
 def test_primitive_is_idempotent_and_parallel():
@@ -344,6 +349,59 @@ def test_plane_basepoint_freeness_matches_building_the_sections(coeffs):
     div = QDivisor(coeffs)
     got = is_basepoint_free(_PLANE_WITH_LINE, div)
     assert got == oracle_projective_basepoint_free(_PLANE_WITH_LINE, div)
+
+
+# Section spaces against the construction each backend had before the split
+# moved to Variety: on the plane with the cubics D, E and the line x = 0, and
+# on the four-point blow-up with H, the exceptional curves and the lines.
+
+_PLANE_WITH_HYPERPLANE = plane_variety()
+_PLANE_WITH_HYPERPLANE.coordinate_label(0)
+_BLOWUP = cox_surface()
+_BLOWUP_LABELS = ("H", "E1", "E2", "E3", "E4", "E12", "E13", "E14", "E23", "E24", "E34")
+
+
+@given(st.dictionaries(st.sampled_from(("D", "E", "coord:x")), st.integers(-3, 3)))
+@example({"D": -1, "coord:x": 2})  # free degree -1
+@settings(max_examples=150, deadline=None)
+def test_plane_sections_match_the_monomial_construction(coeffs):
+    div = QDivisor(coeffs)
+    assert sections(_PLANE_WITH_HYPERPLANE, div) == oracle_projective_sections(
+        _PLANE_WITH_HYPERPLANE, div
+    )
+
+
+@given(st.dictionaries(st.sampled_from(_BLOWUP_LABELS), st.integers(-3, 3), max_size=3))
+@example({"H": 1, "E12": -2})  # free degree -1
+@example({"H": 2, "E1": -3, "E13": 1})  # free degree 3, multiplicity 2 at the first point
+@settings(max_examples=100, deadline=None)
+def test_blowup_sections_match_the_multiplicity_construction(coeffs):
+    div = QDivisor(coeffs)
+    assert sections(_BLOWUP, div) == oracle_blowup_sections(_BLOWUP, div)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotTMoveable as exc:
+        return ("NotTMoveable", str(exc))
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(("D", "E", "coord:x")),
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2))),
+    )
+)
+@example({"E": Fraction(1, 2)})  # not integral on a non-invariant divisor
+@example({"E": -1, "D": 2})  # negative degree on the non-invariant part
+@settings(max_examples=150, deadline=None)
+def test_invariantizing_section_matches_the_balanced_construction(coeffs):
+    div = QDivisor(coeffs)
+    y = _PLANE_WITH_HYPERPLANE
+    assert _outcome(y.invariantizing_section, div) == _outcome(
+        oracle_invariantizing_section, y, div
+    )
 
 
 # Row reduction of rational matrices up to 6 x 6 against the Fraction rref.

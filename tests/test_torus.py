@@ -63,16 +63,16 @@ def test_invert_gives_the_exact_inverse():
 def test_upgraded_cone_matches_known_rays():
     d, record, cells = _record_and_cells()
     right = [c for c in cells if (1, 1) in c.rays][0]
-    ray_coefficients, _ = invariantize_cell(d, right, record)
-    sigma = upgrade(ray_coefficients, right, record)
+    heights, _ = invariantize_cell(d, right, record)
+    sigma = upgrade(heights, right, record)
     assert set(sigma.rays) == set(SIGMA_TILDE_RAYS)
 
 
 def test_hilbert_basis_of_dual_matches_printed_columns():
     d, record, cells = _record_and_cells()
     right = [c for c in cells if (1, 1) in c.rays][0]
-    ray_coefficients, _ = invariantize_cell(d, right, record)
-    sigma = upgrade(ray_coefficients, right, record)
+    heights, _ = invariantize_cell(d, right, record)
+    sigma = upgrade(heights, right, record)
     hb = hilbert_basis(dual_cone(sigma))
     printed = set(PRINTED_HB_COLUMNS)
     assert len(printed) == 65
@@ -82,8 +82,8 @@ def test_hilbert_basis_of_dual_matches_printed_columns():
 def test_mirror_cell_also_has_65():
     d, record, cells = _record_and_cells()
     left = [c for c in cells if (-1, 1) in c.rays][0]
-    ray_coefficients, _ = invariantize_cell(d, left, record)
-    sigma = upgrade(ray_coefficients, left, record)
+    heights, _ = invariantize_cell(d, left, record)
+    sigma = upgrade(heights, left, record)
     assert len(hilbert_basis(dual_cone(sigma))) == 65
 
 

@@ -26,25 +26,25 @@ from pdivgen.varieties import (
 
 def test_point_base_sections():
     y = PointBase()
-    assert sections(y, QDivisor({})).dimension == 1
-    assert sections(y, QDivisor({"P": 1})).dimension == 1
-    assert sections(y, QDivisor({"P": -1})).dimension == 0
+    assert len(sections(y, QDivisor({}))) == 1
+    assert len(sections(y, QDivisor({"P": 1}))) == 1
+    assert len(sections(y, QDivisor({"P": -1}))) == 0
     assert not is_basepoint_free(y, QDivisor({"P": -1}))
 
 
 def test_projective_sections_dimensions():
     y = plane_variety()
-    assert sections(y, QDivisor({"D": 1})).dimension == 10
-    assert sections(y, QDivisor({"D": 1, "E": 2})).dimension == 55
-    assert sections(y, QDivisor({})).dimension == 1
+    assert len(sections(y, QDivisor({"D": 1}))) == 10
+    assert len(sections(y, QDivisor({"D": 1, "E": 2}))) == 55
+    assert len(sections(y, QDivisor({}))) == 1
 
 
 def test_projective_sections_with_negative_part():
     y = plane_variety()
     basis = sections(y, QDivisor({"D": 1, "E": -1}))
     # cubic numerator forced to be a multiple of the cubic form of E
-    assert basis.dimension == 1
-    elem = basis.elements[0]
+    assert len(basis) == 1
+    elem = basis[0]
     assert elem.num.divide_exact(y.form("E")) is not None
 
 
@@ -52,7 +52,22 @@ def test_sections_of_floor_and_integrality():
     y = plane_variety()
     with pytest.raises(NonIntegralDivisor):
         sections(y, QDivisor({"D": Fraction(1, 2)}))
-    assert sections_of_floor(y, QDivisor({"D": Fraction(3, 2)})).dimension == 10
+    assert len(sections_of_floor(y, QDivisor({"D": Fraction(3, 2)}))) == 10
+
+
+def test_sections_of_an_unknown_label_raise_key_error():
+    # the split skips only the blow-up's exceptional curves, which have no
+    # form; any other label without a form is an error on both backends
+    for y, known in ((plane_variety(), "D"), (cox_surface(), "H")):
+        for c in (1, -1):
+            with pytest.raises(KeyError):
+                sections(y, QDivisor({"Q": c}))
+            with pytest.raises(KeyError):
+                sections(y, QDivisor({known: 2, "Q": c}))
+    # E1 is a curve on the blow-up, but no label on the plane
+    assert len(sections(cox_surface(), QDivisor({"H": 1, "E1": -1}))) == 2
+    with pytest.raises(KeyError):
+        sections(plane_variety(), QDivisor({"D": 1, "E1": -1}))
 
 
 def test_blowup_class_vectors():
@@ -84,26 +99,16 @@ def test_blowup_class_vector_follows_a_new_form():
 def test_blowup_section_dimensions():
     y = cox_surface()
     # lines through one point, conics through all four, anticanonical
-    assert sections(y, QDivisor({"H": 1, "E1": -1})).dimension == 2
-    assert (
-        sections(
-            y, QDivisor({"H": 2, "E1": -1, "E2": -1, "E3": -1, "E4": -1})
-        ).dimension
-        == 2
-    )
-    assert (
-        sections(
-            y, QDivisor({"H": 3, "E1": -1, "E2": -1, "E3": -1, "E4": -1})
-        ).dimension
-        == 6
-    )
+    assert len(sections(y, QDivisor({"H": 1, "E1": -1}))) == 2
+    assert len(sections(y, QDivisor({"H": 2, "E1": -1, "E2": -1, "E3": -1, "E4": -1}))) == 2
+    assert len(sections(y, QDivisor({"H": 3, "E1": -1, "E2": -1, "E3": -1, "E4": -1}))) == 6
 
 
 def test_blowup_section_with_line_transform():
     y = cox_surface()
     basis = sections(y, QDivisor({"H": 1, "E1": -1, "E4": -1, "E14": -1}))
-    assert basis.dimension == 1
-    assert basis.elements[0].num.content_normalized().terms == {
+    assert len(basis) == 1
+    assert basis[0].num.content_normalized().terms == {
         (0, 1, 0): Fraction(1),
         (0, 0, 1): Fraction(-1),
     }
