@@ -550,7 +550,10 @@ def build_arg_parser():
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    if args.max_iterations < 1:
+        parser.error(f"argument --max-iterations: must be at least 1, got {args.max_iterations}")
     try:
         if args.pipeline == "cox-s5" and args.jobfile is None:
             job = JobDescription({"job": {"pipeline": "cox-s5"}}, {})

@@ -103,15 +103,16 @@ class CoxResult(NamedTuple):
     report: tuple
 
 
-def reduce_rays(y, d: PDivisor, rays):
+def reduce_rays(y, d: PDivisor, ray_classes):
     """Drop rays whose sections are products from smaller weights.
 
-    A weight u2 is redundant when u2 = u0 + u1 with both summands in
-    the weight cone, the evaluation at u0 principal, and the
+    ``ray_classes`` maps each ray to the class of the floor of its
+    evaluation.  A weight u2 is redundant when u2 = u0 + u1 with both
+    summands in the weight cone, the evaluation at u0 principal, and the
     evaluations at u1 and u2 linearly equivalent: multiplication by the
     canonical section of the principal part is onto.
     """
-    cls = {}
+    cls = dict(ray_classes)
 
     def class_of(u):
         if u not in cls:
@@ -119,8 +120,10 @@ def reduce_rays(y, d: PDivisor, rays):
         return cls[u]
 
     zero_candidates = [c for c in CURVE_COLUMNS if not any(class_of(c))]
-    zero_candidates += [r for r in rays if not any(class_of(r)) and r not in zero_candidates]
-    kept = sorted(rays)
+    zero_candidates += [
+        r for r in ray_classes if not any(class_of(r)) and r not in zero_candidates
+    ]
+    kept = sorted(ray_classes)
     changed = True
     while changed:
         changed = False
@@ -289,7 +292,7 @@ def run_cox(max_iterations=64) -> CoxResult:
         )
     )
 
-    reduced = reduce_rays(y, d, rays)
+    reduced = reduce_rays(y, d, ray_classes)
     report.append(f"rays kept after the product reduction: {len(reduced)}")
 
     pool = []

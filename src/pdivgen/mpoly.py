@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial is a mapping {exponent tuple: Fraction}; the number of
+A polynomial is a mapping {exponent tuple: coefficient}, where an
+integral coefficient is an int and any other a Fraction; the number of
 variables is fixed per polynomial.  Just enough arithmetic for section
 spaces: products, powers, affine shifts and exact division.
 """
@@ -18,13 +19,14 @@ class MPoly:
         self.terms = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = _rational(c)
                 if c:
                     self.terms[tuple(e)] = c
 
     @classmethod
     def _of(cls, nvars, terms):
-        """Wrap terms that already map exponent tuples to nonzero Fractions."""
+        """Wrap terms that already map exponent tuples to nonzero
+        coefficients, each an int when integral and a Fraction otherwise."""
         p = cls.__new__(cls)
         p.nvars = nvars
         p.terms = terms
@@ -32,17 +34,17 @@ class MPoly:
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {tuple([0] * nvars): Fraction(c)})
+        return cls(nvars, {tuple([0] * nvars): c})
 
     @classmethod
     def variable(cls, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, nvars, exps, c=1):
-        return cls(nvars, {tuple(exps): Fraction(c)})
+        return cls(nvars, {tuple(exps): c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -64,7 +66,7 @@ class MPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MPoly._of(self.nvars, out)
+        return MPoly._of(self.nvars, _tidied(out))
 
     def __neg__(self):
         return MPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -76,7 +78,7 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return MPoly(self.nvars)
-            return MPoly._of(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return MPoly._of(self.nvars, _tidied({e: c * other for e, c in self.terms.items()}))
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -86,7 +88,7 @@ class MPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return MPoly._of(self.nvars, out)
+        return MPoly._of(self.nvars, _tidied(out))
 
     __rmul__ = __mul__
 
@@ -127,7 +129,7 @@ class MPoly:
         Each term expands by the binomial theorem: x_i^k becomes
         sum_j C(k, j) point_i^(k - j) x_i^j.
         """
-        point = [Fraction(a) for a in point]
+        point = [_rational(a) for a in point]
         out = {}
         for e, c in self.terms.items():
             expanded = [((), c)]
@@ -139,18 +141,19 @@ class MPoly:
                     expanded = [(ex + (k,), t) for ex, t in expanded]
             for ex, t in expanded:
                 out[ex] = out.get(ex, 0) + t
-        return MPoly._of(self.nvars, {e: c for e, c in out.items() if c})
+        return MPoly._of(self.nvars, _tidied({e: c for e, c in out.items() if c}))
 
     def dehomogenize(self, var, value=1):
         """Set variable `var` to a constant, dropping it from the support."""
+        value = _rational(value)
         out = {}
         for e, c in self.terms.items():
-            c = c * Fraction(value) ** e[var]
+            c = c * value ** e[var]
             if not c:
                 continue
             e2 = e[:var] + (0,) + e[var + 1 :]
             out[e2] = out.get(e2, 0) + c
-        return MPoly._of(self.nvars, {e: c for e, c in out.items() if c})
+        return MPoly._of(self.nvars, _tidied({e: c for e, c in out.items() if c}))
 
     def low_degree(self):
         """Smallest total degree among terms (order of vanishing at 0)."""
@@ -168,7 +171,7 @@ class MPoly:
             qe = tuple(a - b for a, b in zip(re, de))
             if any(x < 0 for x in qe):
                 return None
-            t = MPoly.monomial(self.nvars, qe, rc / dc)
+            t = MPoly.monomial(self.nvars, qe, Fraction(rc, dc))
             quot = quot + t
             rem = rem - t * divisor
         return quot
@@ -183,7 +186,7 @@ class MPoly:
         _, lead = max(ints.items())
         if lead < 0:
             g = -g
-        return MPoly._of(self.nvars, {e: Fraction(c // g) for e, c in ints.items()})
+        return MPoly._of(self.nvars, {e: c // g for e, c in ints.items()})
 
     def format(self, names):
         if not self.terms:
@@ -211,6 +214,22 @@ class MPoly:
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
         return f"MPoly({self.format(names)})"
+
+
+def _rational(c):
+    """The rational number c as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _tidied(terms):
+    """The terms, with each integral Fraction coefficient made an int in place."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
 
 
 def monomials_of_degree(nvars, degree):

@@ -63,12 +63,11 @@ class PDivisor:
     def evaluate(self, u) -> QDivisor:
         if not self.weight_cone.contains(u):
             raise WeightOutsideCone(f"{tuple(u)} is not in the weight cone")
-        return QDivisor(
-            {
-                label: Fraction(min([dot(v, u) for v in scaled]), scale)
-                for label, (scale, scaled) in self._scaled_vertices.items()
-            }
-        )
+        values = {}
+        for label, (scale, scaled) in self._scaled_vertices.items():
+            value = min([dot(v, u) for v in scaled])
+            values[label] = value if scale == 1 else Fraction(value, scale)
+        return QDivisor(values)
 
 
 def _interior_sample(cell: QCone):

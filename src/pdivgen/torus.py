@@ -7,6 +7,7 @@ invariant prime divisors.  Over a point base this turns the whole
 computation into a Hilbert basis problem for the upgraded cone.
 """
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .intlinalg import det, invert_unimodular, primitive
@@ -122,7 +123,7 @@ def _invert(y, elem: FunctionFieldElement) -> FunctionFieldElement:
     if not rest.is_term():
         raise ValueError("can only invert a product of atoms")
     inv = y.from_exponents([-e for e in vec])
-    return ffe(inv.num * (1 / rest.leading()[1]), inv.den)
+    return ffe(inv.num * Fraction(1, rest.leading()[1]), inv.den)
 
 
 def downgrade_generators(y, weights, twists, cell_rays, record):

@@ -13,7 +13,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intlinalg import rref
-from .mpoly import MPoly, monomials_of_degree, multiplicity_at
+from .mpoly import MPoly, _rational, monomials_of_degree, multiplicity_at
 
 
 class NonIntegralDivisor(ValueError):
@@ -33,13 +33,16 @@ class NotTMoveable(ValueError):
 
 
 class QDivisor:
-    """Finite formal rational combination of prime divisor labels."""
+    """Finite formal rational combination of prime divisor labels.
+
+    An integral coefficient is stored as an int, any other as a Fraction.
+    """
 
     def __init__(self, coeffs=None):
         self.coeffs = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Fraction(v)
+                v = _rational(v)
                 if v:
                     self.coeffs[k] = v
 
@@ -54,7 +57,8 @@ class QDivisor:
         return QDivisor(out)
 
     def __mul__(self, scalar):
-        return QDivisor({k: v * Fraction(scalar) for k, v in self.coeffs.items()})
+        scalar = _rational(scalar)
+        return QDivisor({k: v * scalar for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -68,14 +72,14 @@ class QDivisor:
         return hash(frozenset(self.coeffs.items()))
 
     def get(self, label):
-        return self.coeffs.get(label, Fraction(0))
+        return self.coeffs.get(label, 0)
 
     def is_integral(self):
         return all(v.denominator == 1 for v in self.coeffs.values())
 
     def floor(self):
         """Label-wise floor; valid for squarefree defining forms."""
-        return QDivisor({k: Fraction(v.numerator // v.denominator) for k, v in self.coeffs.items()})
+        return QDivisor({k: v.numerator // v.denominator for k, v in self.coeffs.items()})
 
     def format(self):
         if not self.coeffs:
@@ -427,7 +431,7 @@ class BlowupOfP2(Variety):
         return c1[0] * c2[0] - sum(a * b for a, b in zip(c1[1:], c2[1:]))
 
     def divisor_class(self, d: QDivisor):
-        out = [Fraction(0)] * 5
+        out = [0] * 5
         for l, c in d.coeffs.items():
             for k, v in enumerate(self.class_vector(l)):
                 out[k] += c * v
@@ -469,7 +473,7 @@ class BlowupOfP2(Variety):
                 }
             )
             for ce in cond_exps:
-                rows.append([mp.terms.get(ce, Fraction(0)) for mp in shifted])
+                rows.append([mp.terms.get(ce, 0) for mp in shifted])
         basis = []
         for vec in _kernel_basis(rows, len(monos)):
             g = MPoly(3, {e: vec[i] for e, i in index.items()})

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
+from math import comb, gcd, lcm
 
 from pdivgen.cli import JobDescription
 from pdivgen.engine import GradedElement
@@ -451,6 +452,106 @@ def product_shift(poly, point):
             term = term * (MPoly.variable(n, i) + MPoly.constant(n, point[i])) ** k
         out = out + term
     return out
+
+
+# ---------------------------------------------------------------------------
+# polynomial arithmetic with every coefficient a Fraction
+
+
+class FractionMPoly:
+    """``MPoly`` arithmetic as it was before integral coefficients were kept
+    as ints: every coefficient is a ``Fraction``."""
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                self.terms[tuple(e)] = c
+
+    @classmethod
+    def monomial(cls, nvars, exps, c=1):
+        return cls(nvars, {tuple(exps): Fraction(c)})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return FractionMPoly(self.nvars, out)
+
+    def __neg__(self):
+        return FractionMPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return FractionMPoly(self.nvars, out)
+
+    def __pow__(self, k):
+        out = FractionMPoly.monomial(self.nvars, [0] * self.nvars)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def shift(self, point):
+        """x_i -> x_i + point_i, term by term through the binomial theorem."""
+        point = [Fraction(a) for a in point]
+        out = {}
+        for e, c in self.terms.items():
+            expanded = [((), c)]
+            for k, a in zip(e, point):
+                steps = [(j, comb(k, j) * a ** (k - j)) for j in range(k + 1)]
+                expanded = [(ex + (j,), t * f) for ex, t in expanded for j, f in steps]
+            for ex, t in expanded:
+                out[ex] = out.get(ex, 0) + t
+        return FractionMPoly(self.nvars, out)
+
+    def dehomogenize(self, var, value=1):
+        out = {}
+        for e, c in self.terms.items():
+            e2 = e[:var] + (0,) + e[var + 1 :]
+            out[e2] = out.get(e2, 0) + c * Fraction(value) ** e[var]
+        return FractionMPoly(self.nvars, out)
+
+    def divide_exact(self, divisor):
+        rem = self
+        quot = FractionMPoly(self.nvars)
+        de = max(divisor.terms)
+        dc = divisor.terms[de]
+        while rem:
+            re = max(rem.terms)
+            qe = tuple(a - b for a, b in zip(re, de))
+            if any(x < 0 for x in qe):
+                return None
+            t = FractionMPoly.monomial(self.nvars, qe, rem.terms[re] / dc)
+            quot = quot + t
+            rem = rem - t * divisor
+        return quot
+
+    def content_normalized(self):
+        if not self.terms:
+            return self
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        ints = {e: c.numerator * (scale // c.denominator) for e, c in self.terms.items()}
+        g = gcd(*ints.values())
+        _, lead = max(ints.items())
+        if lead < 0:
+            g = -g
+        return FractionMPoly(self.nvars, {e: Fraction(c // g) for e, c in ints.items()})
 
 
 # ---------------------------------------------------------------------------

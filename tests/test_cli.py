@@ -259,6 +259,16 @@ def test_a_ray_without_a_base_point_free_multiple_exits_at_the_cap(tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_an_iteration_cap_below_one_is_a_usage_error(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["jobs/p2.pdiv", "--max-iterations", cap])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"argument --max-iterations: must be at least 1, got {cap}" in err
+    assert "Traceback" not in err
+
+
 def test_hilbert_pipeline(tmp_path, capsys):
     rays = " ".join("(" + ",".join(str(x) for x in r) + ")" for r in SIGMA_TILDE_RAYS)
     jobfile = tmp_path / "hb.pdiv"

@@ -1,4 +1,5 @@
-"""Every pdivgen import is at module level, and every imported name is used."""
+"""Every pdivgen import is at module level, and every imported name is used;
+no definition or parameter goes unread, and no division makes a float."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,24 @@ def test_every_parameter_is_read():
         for line, name, param in _unread_parameters(ast.parse(path.read_text()))
     ]
     assert not unread, "parameters that are never read:\n" + "\n".join(unread)
+
+
+def _true_divisions(tree):
+    # integral coefficients are ints, and int / int is a float
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+
+
+def test_no_true_division():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _true_divisions(ast.parse(path.read_text()))
+    ]
+    assert not found, "true divisions, which give floats on ints:\n" + "\n".join(found)
 
 
 # library entry points read only from outside src/pdivgen

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FractionMPoly,
     brute_force_pointed_rays,
     fraction_evaluate,
     fraction_in_span,
@@ -484,12 +485,21 @@ def _weight_in_cone(draw, cone):
     return tuple(x if den == 1 else Fraction(x, den) for x in u)
 
 
+def _assert_ints_where_integral(values):
+    """No float, and an int for every integral value."""
+    for v in values:
+        assert isinstance(v, (int, Fraction)), repr(v)
+        assert type(v) is (int if v.denominator == 1 else Fraction), repr(v)
+
+
 @given(_random_pdivisors(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_evaluate_matches_the_fraction_support_function(d, data):
     for _ in range(4):
         u = data.draw(_weight_in_cone(d.weight_cone))
-        assert d.evaluate(u) == fraction_evaluate(d, u)
+        got = d.evaluate(u)
+        assert got == fraction_evaluate(d, u)
+        _assert_ints_where_integral(got.coeffs.values())
 
 
 @given(_random_pdivisors(), st.data())
@@ -520,6 +530,54 @@ def _shift_cases(draw):
 def test_shift_matches_the_product_shift(case):
     poly, point = case
     assert poly.shift(point) == product_shift(poly, point)
+
+
+# MPoly against the all-Fraction arithmetic it replaced; coefficients are
+# often integral, so that sums, products and quotients can turn a
+# non-integral coefficient into an integral one.
+
+_coefficient = st.one_of(tiny_int, _rational)
+
+
+@st.composite
+def _polynomial_pairs(draw):
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exponent = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    terms = st.dictionaries(exponent, _coefficient, max_size=4)
+    return nvars, draw(terms), draw(terms.filter(lambda t: any(t.values())))
+
+
+def _assert_same_terms(got, expected):
+    if expected is None:
+        assert got is None
+        return
+    assert got.terms == expected.terms
+    _assert_ints_where_integral(got.terms.values())
+
+
+@given(
+    _polynomial_pairs(),
+    st.integers(0, 3),
+    st.lists(_coefficient, min_size=3, max_size=3),
+    st.integers(0, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_mpoly_matches_the_fraction_arithmetic(case, k, point, var):
+    nvars, a_terms, b_terms = case
+    a, b = MPoly(nvars, a_terms), MPoly(nvars, b_terms)
+    fa, fb = FractionMPoly(nvars, a_terms), FractionMPoly(nvars, b_terms)
+    point, var = point[:nvars], var % nvars
+    _assert_same_terms(a, fa)
+    _assert_same_terms(a + b, fa + fb)
+    _assert_same_terms(a - b, fa - fb)
+    _assert_same_terms(a * b, fa * fb)
+    _assert_same_terms(a * point[0], fa * FractionMPoly(nvars, {(0,) * nvars: point[0]}))
+    _assert_same_terms(a**k, fa**k)
+    _assert_same_terms((a * b).divide_exact(b), (fa * fb).divide_exact(fb))
+    _assert_same_terms(a.divide_exact(b), fa.divide_exact(fb))
+    _assert_same_terms(a.shift(point), fa.shift(point))
+    _assert_same_terms(a.dehomogenize(var, point[0]), fa.dehomogenize(var, point[0]))
+    _assert_same_terms(a.content_normalized(), fa.content_normalized())
 
 
 # The exponent codec of a variety against the two factorizations it

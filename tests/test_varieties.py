@@ -96,6 +96,18 @@ def test_blowup_class_vector_follows_a_new_form():
     assert y.class_vector("L")[0] == 2
 
 
+def test_floors_and_classes_are_ints():
+    y = cox_surface()
+    d = QDivisor({"H": Fraction(5, 2), "E1": Fraction(-1, 3), "E12": Fraction(4, 2)})
+    assert d.coeffs["E12"] == 2 and type(d.coeffs["E12"]) is int
+    floor = d.floor()
+    assert floor.coeffs == {"H": 2, "E1": -1, "E12": 2}
+    assert all(type(v) is int for v in floor.coeffs.values())
+    cls = y.divisor_class(floor)
+    assert cls == (4, -3, -2, 0, 0)
+    assert all(type(v) is int for v in cls)
+
+
 def test_blowup_section_dimensions():
     y = cox_surface()
     # lines through one point, conics through all four, anticanonical
