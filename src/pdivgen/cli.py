@@ -14,7 +14,7 @@ from math import comb
 from .coxs5 import run_cox
 from .engine import format_section, run_general
 from .intlinalg import primitive
-from .mpoly import MPoly
+from .mpoly import MPoly, _rational
 from .pdivisor import (
     IterationLimitExceeded,
     PDivisor,
@@ -79,11 +79,10 @@ EXIT_CODES = {
 
 
 class JobDescription:
-    """Parsed job file: per-section key/value pairs plus line numbers."""
+    """Parsed job file: per-section key/value pairs."""
 
-    def __init__(self, sections, lines):
+    def __init__(self, sections):
         self.sections = sections
-        self.lines = lines
 
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
@@ -97,7 +96,6 @@ class JobDescription:
 
 def parse_job(text) -> JobDescription:
     sections = {}
-    line_nos = {}
     current = None
     seen_content = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -125,10 +123,9 @@ def parse_job(text) -> JobDescription:
         if key in sections[current]:
             raise JobParseError(line_no, col, f"duplicate key '{key}'")
         sections[current][key] = value
-        line_nos[(current, key)] = line_no
     if not seen_content:
         raise JobParseError(1, 1, "empty job description")
-    return JobDescription(sections, line_nos)
+    return JobDescription(sections)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +133,9 @@ def parse_job(text) -> JobDescription:
 
 
 def parse_fraction(text):
+    """An exact rational literal, as an int when it is integral."""
     try:
-        return Fraction(text.strip())
+        return _rational(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise JobSemanticError(f"bad rational literal '{text.strip()}': {exc}")
 
@@ -321,6 +319,11 @@ def build_pdivisor(job: JobDescription, y) -> PDivisor:
     rays = parse_vector_list(job.require("pdivisor", "rays"))
     dim = len(rays[0])
     omega = cone_from_rays(rays, dim)
+    if not omega.is_full_dim():
+        raise JobSemanticError(
+            f"the weight cone with rays {omega.rays} is not full-dimensional, "
+            "so its dual tail cone is not pointed"
+        )
     tail = dual_cone(omega)
     coeffs = {}
     for key, value in section.items():
@@ -335,7 +338,8 @@ def build_pdivisor(job: JobDescription, y) -> PDivisor:
             parse_vector_list(section[tail_key]) if tail_key in section else tail.rays
         )
         for name, vecs in ((key, vertices), (tail_key, tail_rays)):
-            if len(vecs[0]) != dim:
+            # the tail of a weight cone that is a whole space is the origin
+            if vecs and len(vecs[0]) != dim:
                 raise JobSemanticError(
                     f"{name} has vectors of width {len(vecs[0])}, rays have width {dim}"
                 )
@@ -556,7 +560,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --max-iterations: must be at least 1, got {args.max_iterations}")
     try:
         if args.pipeline == "cox-s5" and args.jobfile is None:
-            job = JobDescription({"job": {"pipeline": "cox-s5"}}, {})
+            job = JobDescription({"job": {"pipeline": "cox-s5"}})
         else:
             if args.jobfile is None:
                 print("error: a job file is required", file=sys.stderr)

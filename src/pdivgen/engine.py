@@ -27,7 +27,7 @@ from .polyhedra import (
     dot,
     hilbert_basis,
     primitive,
-    triangulate,
+    ray_sum,
 )
 from .varieties import (
     PointBase,
@@ -108,16 +108,18 @@ def find_k_rho(d: PDivisor, rho, max_iterations=64):
     )
 
 
-def zariski_generators(d: PDivisor, cell_rays, max_iterations=64):
-    """Elements eta_j * chi^(k*rho) for every generating ray of the cell.
+def zariski_generators(d: PDivisor, rays, max_iterations=64):
+    """Elements eta_j * chi^(k*rho) for every distinct primitive ray.
 
-    Returns (elements, twisted weights): a ray weight is twisted when its
-    divisor is not effective but has sections.
+    Each ray is visited once, in the order ``rays`` first lists it.  D(u)
+    is read from the p-divisor itself, so a ray's sections do not depend
+    on the cell it comes from, and distinct primitive rays give distinct
+    weights k*rho.  Returns (elements, twisted weights): a ray weight is
+    twisted when its divisor is not effective but has sections.
     """
     elements = []
     twisted = set()
-    for rho in cell_rays:
-        rho = primitive(rho)
+    for rho in dict.fromkeys(primitive(r) for r in rays):
         k, basis = find_k_rho(d, rho, max_iterations)
         weight = tuple(k * x for x in rho)
         div = d.evaluate(weight)
@@ -125,15 +127,11 @@ def zariski_generators(d: PDivisor, cell_rays, max_iterations=64):
             twisted.add(weight)
         for eta in basis:
             elements.append(GradedElement(eta, weight))
-    return _dedupe(elements), twisted
+    return elements, twisted
 
 
 # ---------------------------------------------------------------------------
 # steps 7-11: weight lattice completion
-
-
-def _interior_point(cone):
-    return primitive(tuple(sum(r[i] for r in cone.rays) for i in range(cone.dim)))
 
 
 def interior_lattice_basis(cone):
@@ -144,7 +142,7 @@ def interior_lattice_basis(cone):
     smallest multiple of the interior one that satisfies every facet.
     """
     n = cone.dim
-    u = _interior_point(cone)
+    u = primitive(ray_sum(cone))
     if n == 1:
         return [u]
     comp = kernel_lattice([u])
@@ -241,7 +239,7 @@ def _interior_ray(cone):
     interior = [h for h in hb if cone.contains_interior(h)]
     if interior:
         return min(interior)
-    return _interior_point(cone)
+    return primitive(ray_sum(cone))
 
 
 def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
@@ -517,16 +515,8 @@ def _presentation(y, elements, extended_vectors, relations):
 
 def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
     domain = linearity_subdivision(d)
-    pool = []
-    twist_report = []
-    for cell in domain.cells:
-        for simplex in triangulate(cell):
-            # D|simplex evaluates as D does on the simplex, so read D itself
-            elems, twisted = zariski_generators(d, simplex, max_iterations)
-            pool.extend(elems)
-            for w in sorted(twisted):
-                twist_report.append(f"twist at weight {w}")
-    pool = _dedupe(pool)
+    cell_rays = [r for cell in domain.cells for r in cell.rays]
+    pool, twisted = zariski_generators(d, cell_rays, max_iterations)
     pool.extend(weight_lattice_completion(d, pool, max_iterations))
     raw_count = len(pool)
     pruned = reduce_generators(y, pool)
@@ -540,10 +530,5 @@ def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
         f"pruned size: {len(pruned)}",
         f"re-added for quotient field: {len(readded)}",
         f"normalization status: {result.normalization_status}",
-    ) + tuple(twist_report)
-    return GeneratorSet(
-        result.elements,
-        result.normalization_status,
-        report=report,
-        presentation=result.presentation,
-    )
+    ) + tuple(f"twist at weight {w}" for w in sorted(twisted))
+    return result._replace(report=report)

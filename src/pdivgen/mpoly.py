@@ -245,15 +245,15 @@ def monomials_of_degree(nvars, degree):
     return sorted(out, reverse=True)
 
 
+def local_at(poly, point):
+    """The form in the affine chart of the projective point's first nonzero
+    coordinate, with the point moved to the origin."""
+    chart = next(i for i, x in enumerate(point) if x != 0)
+    shift_pt = [Fraction(point[i], point[chart]) if i != chart else 0 for i in range(poly.nvars)]
+    return poly.dehomogenize(chart, 1).shift(shift_pt)
+
+
 def multiplicity_at(poly, point):
     """Order of vanishing of a homogeneous form at a projective point."""
-    chart = next(i for i, x in enumerate(point) if x != 0)
-    aff = poly.dehomogenize(chart, 1)
-    # move the point to the origin of the affine chart x_chart = 1
-    shift_pt = [
-        Fraction(point[i], point[chart]) if i != chart else Fraction(0)
-        for i in range(poly.nvars)
-    ]
-    shifted = aff.shift(shift_pt)
-    low = shifted.low_degree()
+    low = local_at(poly, point).low_degree()
     return poly.total_degree() + 1 if low is None else low

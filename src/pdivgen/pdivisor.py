@@ -20,6 +20,7 @@ from .polyhedra import (
     mu,
     normal_fan,
     primitive,
+    ray_sum,
     tailed_polyhedron,
 )
 from .varieties import QDivisor, is_basepoint_free
@@ -68,10 +69,6 @@ class PDivisor:
             value = min([dot(v, u) for v in scaled])
             values[label] = value if scale == 1 else Fraction(value, scale)
         return QDivisor(values)
-
-
-def _interior_sample(cell: QCone):
-    return tuple(sum(r[i] for r in cell.rays) for i in range(cell.dim))
 
 
 def linearity_subdivision(d: PDivisor) -> PolyhedralSubdivision:
@@ -155,10 +152,11 @@ def validate(d: PDivisor, max_iterations=64):
 
 
 def bigness_checks(d: PDivisor, domain: PolyhedralSubdivision):
-    """Bigness of the divisor at the interior sample of each cell."""
+    """Bigness of the divisor at the sum of the rays of each cell."""
     checks = []
     for cell in domain.cells:
-        div = d.evaluate(_interior_sample(cell))
+        # unscaled: the degree in a failure detail depends on the scale
+        div = d.evaluate(ray_sum(cell))
         verdict, detail = d.variety.bigness(div * mu(div.coeffs.values()))
         checks.append(ValidationCheck(f"big on cell {cell.rays}", verdict, detail))
     return checks

@@ -244,6 +244,11 @@ def dual_cone(c: QCone) -> QCone:
     return QCone(c.dim, c.facets, c.rays)
 
 
+def ray_sum(c: QCone):
+    """The sum of the cone's rays, a point in its relative interior."""
+    return tuple(sum(r[i] for r in c.rays) for i in range(c.dim))
+
+
 def mu(v):
     """Smallest positive integer k with k*v a lattice point."""
     return lcm(*(Fraction(x).denominator for x in v))

@@ -27,7 +27,7 @@ from .varieties import (
     UnsupportedBackend,
     ffe,
 )
-from .engine import GeneratorSet, GradedElement, _dedupe
+from .engine import GeneratorSet, GradedElement
 
 
 class DivisorialFanRecord(NamedTuple):
@@ -126,9 +126,13 @@ def _invert(y, elem: FunctionFieldElement) -> FunctionFieldElement:
     return ffe(inv.num * Fraction(1, rest.leading()[1]), inv.den)
 
 
-def downgrade_generators(y, weights, twists, cell_rays, record):
-    """Map upgraded lattice weights back to graded elements on Y."""
-    rays = tuple(sorted(primitive(r) for r in cell_rays))
+def downgrade_generators(y, weights, twists, record):
+    """Map upgraded lattice weights back to graded elements on Y.
+
+    ``twists`` maps the sorted primitive rays of the cell to their twist
+    sections, as ``invariantize_cell`` returns it.
+    """
+    rays = tuple(twists)
     n = len(rays)
     inv = invert_unimodular(rays)
     out = []
@@ -140,7 +144,7 @@ def downgrade_generators(y, weights, twists, cell_rays, record):
                 sec = sec * _power(y, chf, e)
         # coordinates of the M-weight in the ray basis select twist powers
         u_rho = [sum(wm[j] * inv[j][i] for j in range(n)) for i in range(n)]
-        for (rho, s), c in zip(sorted(twists.items()), u_rho):
+        for s, c in zip(twists.values(), u_rho):
             if c and not s.is_one():
                 sec = sec * _power(y, s, c)
         out.append(GradedElement(sec.normalized(), wm))
@@ -153,16 +157,14 @@ def run_torus(y, d: PDivisor, record: DivisorialFanRecord):
     elements = []
     report = []
     for cell in domain.cells:
-        if len(cell.rays) == cell.dim and abs(det(cell.rays)) == 1:
-            pieces = [cell]
-        else:
-            pieces = list(unimodular_triangulation(cell).cells)
-        for piece in pieces:
+        # a unimodular cell is its own only piece
+        for piece in unimodular_triangulation(cell).cells:
             heights, twists = invariantize_cell(d, piece, record)
             sigma = upgrade(heights, piece, record)
             hb = hilbert_basis(dual_cone(sigma))
-            gens = downgrade_generators(y, hb, twists, piece.rays, record)
-            gens = _dedupe(gens)
+            # distinct Hilbert basis elements of one M-weight differ in their
+            # character exponents, so no two generators coincide
+            gens = downgrade_generators(y, hb, twists, record)
             elements.extend(gens)
             report.append(f"cell {piece.rays}: {len(gens)} generators")
     report.append(f"total generators: {len(elements)}")

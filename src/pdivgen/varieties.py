@@ -13,7 +13,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intlinalg import rref
-from .mpoly import MPoly, _rational, monomials_of_degree, multiplicity_at
+from .mpoly import MPoly, _rational, local_at, monomials_of_degree, multiplicity_at
 
 
 class NonIntegralDivisor(ValueError):
@@ -457,13 +457,8 @@ class BlowupOfP2(Variety):
         for p, m in zip(self.points, req):
             if m <= 0:
                 continue
-            chart = next(i for i, x in enumerate(p) if x)
-            shift_pt = [Fraction(p[i], p[chart]) if i != chart else Fraction(0) for i in range(3)]
             # condition: all Taylor coefficients of total degree < m vanish
-            shifted = []
-            for e in monos:
-                mono = MPoly.monomial(3, e).dehomogenize(chart, 1).shift(shift_pt)
-                shifted.append(mono)
+            shifted = [local_at(MPoly.monomial(3, e), p) for e in monos]
             cond_exps = sorted(
                 {
                     ex

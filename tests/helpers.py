@@ -6,10 +6,10 @@ from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 from pdivgen.cli import JobDescription
-from pdivgen.engine import GradedElement
+from pdivgen.engine import GradedElement, find_k_rho
 from pdivgen.intlinalg import kernel_lattice, primitive
 from pdivgen.mpoly import MPoly, monomials_of_degree
-from pdivgen.pdivisor import PDivisor
+from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import (
     QCone,
     cone_from_rays,
@@ -17,6 +17,7 @@ from pdivgen.polyhedra import (
     dual_cone,
     generators_of_dual,
     tailed_polyhedron,
+    triangulate,
 )
 from pdivgen.varieties import (
     NotTMoveable,
@@ -46,6 +47,26 @@ def format_job(job: JobDescription) -> str:
             out.append(f"{key} = {job.sections[section][key]}")
         out.append("")
     return "\n".join(out)
+
+
+def per_simplex_ray_pool(d, max_iterations=64):
+    """The general route's ray harvest, one simplex of each cell at a time.
+
+    A ray that several simplices share is harvested once per simplex and
+    the repeats are dropped by key, so the elements come in the order of
+    the triangulated cells' rays.
+    """
+    pool = {}
+    for cell in linearity_subdivision(d).cells:
+        for simplex in triangulate(cell):
+            for rho in simplex:
+                rho = primitive(rho)
+                k, basis = find_k_rho(d, rho, max_iterations)
+                weight = tuple(k * x for x in rho)
+                for eta in basis:
+                    element = GradedElement(eta, weight)
+                    pool.setdefault(element.key(), element)
+    return list(pool.values())
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import tempfile
 import time
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -54,6 +55,16 @@ def test_parse_scalars_and_vectors():
     assert parse_fraction("1/2") == pytest.approx(0.5)
     assert parse_vector("(0, 1/2)") == (0, pytest.approx(0.5))
     assert parse_vector_list("(-1,1) (1,1)") == [(-1, 1), (1, 1)]
+    # integral literals are ints, as polynomial and divisor coefficients are
+    assert [type(parse_fraction(t)) for t in ("3", "4/2", "-0", "1/2")] == [int, int, int, Fraction]
+
+
+def test_a_weight_outside_the_cone_is_named_with_int_entries(tmp_path, capsys):
+    job = tmp_path / "outside.pdiv"
+    job.write_text(JOB_TEXT.replace("weight = (0,1)", "weight = (1,0)"))
+    assert main([str(job)]) == EXIT_SEMANTIC
+    err = capsys.readouterr().err
+    assert err == "semantic error: [stage eval] (1, 0) is not in the weight cone\n"
 
 
 def test_parse_polynomial():
@@ -361,3 +372,105 @@ def test_torus_route_splits_a_cell_that_is_not_simplicial(tmp_path, capsys):
     # the square cell of four rays is cut into four unimodular pieces
     assert out.count(": 30 generators") == 4
     assert "total generators: 120" in out
+
+
+BLOWUP_JOB = """\
+[variety]
+backend = blowup-p2
+points = (1,0,0) (0,1,0) (0,0,1) (1,1,1)
+form.H = x0 - x1 + x2
+
+[pdivisor]
+rays = (-1,1) (1,1)
+coefficient.H = (0,2)
+coefficient.E1 = (-1,-1) (1,-1)
+
+[job]
+pipeline = general
+"""
+
+# the general route's report on BLOWUP_JOB; the shared ray (0, 1) is twisted
+# and its line appears once
+BLOWUP_GENERAL_REPORT = """\
+linearity cells: 2
+subdivision rays: 3
+raw pool size: 11
+pruned size: 11
+re-added for quotient field: 0
+normalization status: ExportedForNormalization
+twist at weight (-1, 1)
+twist at weight (0, 1)
+twist at weight (1, 1)
+11 generators
+normalization status: ExportedForNormalization
+weight (-1, 1)  section (x2^2) / (H^2)
+weight (-1, 1)  section (x1*x2) / (H^2)
+weight (-1, 1)  section (x1^2) / (H^2)
+weight (0, 1)  section (x2^2) / (H^2)
+weight (0, 1)  section (x1*x2) / (H^2)
+weight (0, 1)  section (x1^2) / (H^2)
+weight (0, 1)  section (x0*x2) / (H^2)
+weight (0, 1)  section (x0*x1) / (H^2)
+weight (1, 1)  section (x2^2) / (H^2)
+weight (1, 1)  section (x1*x2) / (H^2)
+weight (1, 1)  section (x1^2) / (H^2)
+# presentation of the collected generator algebra
+# 11 generators; variables g0..g10
+g0 : weight (-1, 1) section (x2^2) / (H^2)
+g1 : weight (-1, 1) section (x1*x2) / (H^2)
+g2 : weight (-1, 1) section (x1^2) / (H^2)
+g3 : weight (0, 1) section (x2^2) / (H^2)
+g4 : weight (0, 1) section (x1*x2) / (H^2)
+g5 : weight (0, 1) section (x1^2) / (H^2)
+g6 : weight (0, 1) section (x0*x2) / (H^2)
+g7 : weight (0, 1) section (x0*x1) / (H^2)
+g8 : weight (1, 1) section (x2^2) / (H^2)
+g9 : weight (1, 1) section (x1*x2) / (H^2)
+g10 : weight (1, 1) section (x1^2) / (H^2)
+# toric relations among factorable generators
+relation: g0^1 * g10^3 = g5^2 * g9^2  (up to scalar)
+relation: g1^1 * g10^2 = g5^2 * g9^1  (up to scalar)
+relation: g2^1 * g10^1 = g5^2  (up to scalar)
+relation: g3^1 * g10^2 = g5^1 * g9^2  (up to scalar)
+relation: g4^1 * g10^1 = g5^1 * g9^1  (up to scalar)
+relation: g6^1 * g10^1 = g7^1 * g9^1  (up to scalar)
+relation: g8^1 * g10^1 = g9^2  (up to scalar)
+"""
+
+
+def test_a_twisted_ray_shared_by_two_cells_is_reported_once(tmp_path, capsys):
+    job = tmp_path / "blowup.pdiv"
+    job.write_text(BLOWUP_JOB)
+    assert main([str(job)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("twist at weight (0, 1)\n") == 1
+    assert out == BLOWUP_GENERAL_REPORT
+
+
+_EVERY_ROUTE_SEMANTIC = dict.fromkeys(("eval", "subdivide", "general", "torus"), EXIT_SEMANTIC)
+
+
+@pytest.mark.parametrize(
+    "rays, codes, named",
+    [
+        # the whole plane: its tail is the origin, so coefficients are
+        # polytopes, and D is not big on the half-plane cells
+        (
+            "(1,0) (-1,0) (0,1) (0,-1)",
+            {"eval": EXIT_OK, "subdivide": EXIT_OK, "general": EXIT_SEMANTIC, "torus": EXIT_SEMANTIC},
+            None,
+        ),
+        ("(1,1)", _EVERY_ROUTE_SEMANTIC, "((1, 1),)"),
+        ("(1,0) (-1,0)", _EVERY_ROUTE_SEMANTIC, "((-1, 0), (1, 0))"),
+    ],
+)
+def test_degenerate_weight_cones_exit_cleanly(tmp_path, capsys, rays, codes, named):
+    job = tmp_path / "degenerate.pdiv"
+    job.write_text(Path("jobs/p2.pdiv").read_text().replace("rays = (-1,1) (1,1)", f"rays = {rays}"))
+    capsys.readouterr()
+    for route, code in codes.items():
+        assert main([str(job), "--pipeline", route]) == code, route
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, route
+        if named:
+            assert f"the weight cone with rays {named} is not full-dimensional" in err, route

@@ -33,7 +33,7 @@ from pdivgen.engine import (
 )
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision
 from pdivgen.intlinalg import det, solve_in_lattice
-from pdivgen.polyhedra import cone_from_rays, dot, triangulate
+from pdivgen.polyhedra import cone_from_rays, dot
 from pdivgen.varieties import PointBase, ffe, sections_of_floor
 from pdivgen.mpoly import MPoly
 
@@ -48,6 +48,14 @@ def test_cached_key_keeps_equality_and_hash():
     assert a == fresh and hash(a) == hash(fresh)
     assert fresh in {a} and a.key() == fresh.key()
     assert a != GradedElement(ffe(x * 2, [("D", 1)]), (1, 1))
+
+
+def test_each_subdivision_ray_is_harvested_once():
+    # the plane's two cells share the ray (0, 1)
+    d = plane_pdivisor()
+    with mock.patch.object(engine, "find_k_rho", wraps=find_k_rho) as spy:
+        run_general(d.variety, d)
+    assert [c.args[1] for c in spy.call_args_list] == [(-1, 1), (0, 1), (1, 1)]
 
 
 def test_find_k_rho_plane_example():
@@ -241,10 +249,8 @@ def test_quotient_field_steps_start_at_the_first_multiple():
 
 def test_quotient_field_takes_its_witness_from_the_reserve():
     d = plane_pdivisor()
-    pool = []
-    for cell in linearity_subdivision(d).cells:
-        for simplex in triangulate(cell):
-            pool.extend(zariski_generators(d, simplex)[0])
+    cells = linearity_subdivision(d).cells
+    pool = zariski_generators(d, [r for cell in cells for r in cell.rays])[0]
     # the reserve branch moves elements, so no step along the interior ray runs
     added = quotient_field_complete(d, [], pool, max_iterations=0)
     assert len(added) == 3

@@ -101,8 +101,9 @@ def test_no_true_division():
 UNREAD_ALLOWED = {
     ("cli", "main"),
     ("pdivisor", "validate"),
-    # the paper's restriction D|c; the general route reads D itself on each
-    # simplex, and a property test pins that the two evaluate alike there
+    # the paper's restriction D|c; the general route reads each ray's
+    # sections from D itself, and a property test pins that the two
+    # evaluate alike on every simplex of the subdivision
     ("pdivisor", "restrict"),
 }
 
@@ -170,12 +171,18 @@ def _attribute_loads(node):
     return loads
 
 
-def _members_without_a_reader():
+def _trees_and_attribute_loads():
+    """Each module's syntax tree, and the attribute reads across all of them."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     total = {}
     for tree in trees.values():
         for name, count in _attribute_loads(tree).items():
             total[name] = total.get(name, 0) + count
+    return trees, total
+
+
+def _members_without_a_reader():
+    trees, total = _trees_and_attribute_loads()
     found = []
     for module, tree in trees.items():
         for cls in tree.body:
@@ -197,3 +204,46 @@ def _members_without_a_reader():
 def test_every_member_has_a_reader():
     unread = _members_without_a_reader()
     assert not unread, "members that nothing in src/pdivgen reads:\n" + "\n".join(unread)
+
+
+# attributes read only from outside src/pdivgen
+INIT_ATTRIBUTE_UNREAD_ALLOWED = {
+    # the position of a job parse error, which the CLI tests read
+    ("cli", "JobParseError.line"),
+    ("cli", "JobParseError.col"),
+}
+
+
+def _init_attributes(cls):
+    """Each self.<attribute> that the class's __init__ assigns."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__" and node.args.args:
+            this = node.args.args[0].arg
+            for n in ast.walk(node):
+                if (
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == this
+                ):
+                    yield n.attr
+
+
+def _init_attributes_without_a_reader():
+    trees, total = _trees_and_attribute_loads()
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name in dict.fromkeys(_init_attributes(cls)):
+                # reads are matched by attribute name, as for members
+                qualified = f"{cls.name}.{name}"
+                if not total.get(name) and (module, qualified) not in INIT_ATTRIBUTE_UNREAD_ALLOWED:
+                    found.append(f"{module}.{qualified}")
+    return found
+
+
+def test_every_attribute_set_in_init_has_a_reader():
+    unread = _init_attributes_without_a_reader()
+    assert not unread, "attributes that nothing in src/pdivgen reads:\n" + "\n".join(unread)

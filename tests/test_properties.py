@@ -27,6 +27,7 @@ from helpers import (
     oracle_invariantizing_section,
     oracle_projective_basepoint_free,
     oracle_projective_sections,
+    per_simplex_ray_pool,
     plane_pdivisor,
     plane_variety,
     product_shift,
@@ -38,10 +39,10 @@ from helpers import (
 )
 from pdivgen import polyhedra
 from pdivgen.coxs5 import cox_surface
-from pdivgen.engine import GradedElement, extended_vector
+from pdivgen.engine import GradedElement, extended_vector, zariski_generators
 from pdivgen.intlinalg import det, hnf, primitive, rank, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
-from pdivgen.pdivisor import PDivisor, linearity_subdivision, restrict
+from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision, restrict
 from pdivgen.polyhedra import (
     _pointed_rays,
     cone_from_facets,
@@ -505,8 +506,9 @@ def test_evaluate_matches_the_fraction_support_function(d, data):
 @given(_random_pdivisors(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_restriction_to_a_simplex_evaluates_as_the_divisor(d, data):
-    # the general route reads ray sections from D on each simplex, which
-    # is exact because dual(simplex) only adds directions u is >= 0 on
+    # the general route reads each ray's sections from D itself, not from
+    # D restricted to a cell or simplex that holds the ray; that is exact
+    # because dual(simplex) only adds directions u is >= 0 on
     for cell in linearity_subdivision(d).cells:
         for simplex in triangulate(cell):
             cone = cone_from_rays(simplex, d.weight_cone.dim)
@@ -514,6 +516,48 @@ def test_restriction_to_a_simplex_evaluates_as_the_divisor(d, data):
             for _ in range(2):
                 u = data.draw(_weight_in_cone(cone))
                 assert restricted.evaluate(u) == d.evaluate(u)
+
+
+def _pool_keys(harvest):
+    """The keys of a ray harvest's elements, or the cap message it stops at."""
+    try:
+        return [e.key() for e in harvest()]
+    except IterationLimitExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def _effective_pdivisors(draw):
+    """Random p-divisors over a point whose vertices lie in the tail cone,
+    so that D(u) >= 0 and every ray has a base point free multiple."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    omega = _random_pointed_cone(random.Random(draw(st.integers(0, 10**6))), dim)
+    tail = dual_cone(omega).rays
+    multiple = st.fractions(min_value=0, max_value=2, max_denominator=3)
+    vertex = st.lists(multiple, min_size=len(tail), max_size=len(tail)).map(
+        lambda c: tuple(sum(a * r[i] for a, r in zip(c, tail)) for i in range(dim))
+    )
+    coefficients = {}
+    for label in ("A", "B", "C")[: draw(st.integers(min_value=1, max_value=3))]:
+        vertices = draw(st.lists(vertex, min_size=1, max_size=4))
+        coefficients[label] = tailed_polyhedron(vertices, tail, dim)
+    return PDivisor(PointBase(), omega, coefficients)
+
+
+@given(st.one_of(_random_pdivisors(), _effective_pdivisors()))
+@settings(max_examples=80, deadline=None)
+def test_one_pass_ray_pool_matches_the_per_simplex_harvest(d):
+    cells = linearity_subdivision(d).cells
+    rays = [r for cell in cells for r in cell.rays]
+    got = _pool_keys(lambda: zariski_generators(d, rays)[0])
+    expected = _pool_keys(lambda: per_simplex_ray_pool(d))
+    if all(len(cell.rays) == rank(cell.rays) for cell in cells):
+        assert got == expected
+    elif isinstance(expected, str):
+        # both walks stop at the cap, possibly at different rays
+        assert isinstance(got, str)
+    else:
+        assert len(set(got)) == len(got) and set(got) == set(expected)
 
 
 @st.composite
