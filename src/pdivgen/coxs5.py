@@ -274,15 +274,15 @@ def run_cox(max_iterations=64) -> CoxResult:
     rays = tuple(sorted(primitive(r) for r in domain.rays()))
     report = [f"linearity subdivision: {len(cells)} maximal cones, {len(rays)} rays"]
 
-    ray_classes = {r: y.divisor_class(d.evaluate(r).floor()) for r in rays}
+    bpf = {}
+    floors = {}  # the floor of each ray's evaluation
+    ray_classes = {}
+    for r in rays:
+        bpf[r], base = find_k_rho(d, r, max_iterations)
+        floors[r] = base.floor()
+        ray_classes[r] = y.divisor_class(floors[r])
     distinct = sorted(set(ray_classes.values()))
     report.append(f"evaluation classes at the rays: {len(distinct)} distinct")
-    bpf = {}
-    bases = {}  # the section basis of each ray whose multiple is 1
-    for r in rays:
-        bpf[r], basis = find_k_rho(d, r, max_iterations)
-        if bpf[r] == 1:
-            bases[r] = basis
     report.append(
         "base point free multiples: "
         + (
@@ -297,10 +297,8 @@ def run_cox(max_iterations=64) -> CoxResult:
 
     pool = []
     for u in reduced:
-        basis = bases.get(u)
-        if basis is None:
-            basis = sections(y, d.evaluate(u).floor())
-        pool.extend(GradedElement(s, u) for s in basis)
+        floor = floors[u] if u in floors else d.evaluate(u).floor()
+        pool.extend(GradedElement(s, u) for s in sections(y, floor))
     pool = _sorted_elements(pool)
     report.append(f"section pool: {len(pool)} elements")
 

@@ -20,7 +20,7 @@ from .intlinalg import (
     solve_in_lattice,
 )
 from .mpoly import MPoly
-from .pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision
+from .pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from .polyhedra import (
     NonPointedCone,
     cone_from_rays,
@@ -34,7 +34,6 @@ from .varieties import (
     QDivisor,
     ffe,
     in_span,
-    is_basepoint_free,
     sections,
     sections_of_floor,
 )
@@ -95,19 +94,6 @@ def _sorted_elements(elements):
 # steps 4-6: ray sections
 
 
-def find_k_rho(d: PDivisor, rho, max_iterations=64):
-    """Smallest k with evaluate(d, k*rho) integral and base point free."""
-    for k in range(1, max_iterations + 1):
-        div = d.evaluate(tuple(k * x for x in rho))
-        if not div.is_integral():
-            continue
-        if is_basepoint_free(d.variety, div):
-            return k, sections(d.variety, div)
-    raise IterationLimitExceeded(
-        f"no integral base point free multiple of {tuple(rho)} up to {max_iterations}"
-    )
-
-
 def zariski_generators(d: PDivisor, rays, max_iterations=64):
     """Elements eta_j * chi^(k*rho) for every distinct primitive ray.
 
@@ -120,9 +106,10 @@ def zariski_generators(d: PDivisor, rays, max_iterations=64):
     elements = []
     twisted = set()
     for rho in dict.fromkeys(primitive(r) for r in rays):
-        k, basis = find_k_rho(d, rho, max_iterations)
+        k, base = find_k_rho(d, rho, max_iterations)
         weight = tuple(k * x for x in rho)
-        div = d.evaluate(weight)
+        div = base * k
+        basis = sections(d.variety, div)
         if any(c < 0 for c in div.coeffs.values()) and basis:
             twisted.add(weight)
         for eta in basis:

@@ -108,6 +108,23 @@ def restrict(d: PDivisor, c: QCone) -> PDivisor:
     return PDivisor(d.variety, c, coeffs)
 
 
+def find_k_rho(d: PDivisor, rho, max_iterations=64):
+    """Smallest k <= max_iterations with D(k*rho) integral and base point free.
+
+    Returns (k, D(rho)).  Support functions are positively homogeneous,
+    so D(k*rho) = k*D(rho): one evaluation serves every multiple, and
+    only the multiples of its denominator lcm are integral.
+    """
+    base = d.evaluate(rho)
+    step = mu(base.coeffs.values())
+    for k in range(step, max_iterations + 1, step):
+        if is_basepoint_free(d.variety, base * k):
+            return k, base
+    raise IterationLimitExceeded(
+        f"no integral base point free multiple of {tuple(rho)} up to {max_iterations}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # validity report
 
@@ -118,35 +135,17 @@ class ValidationCheck(NamedTuple):
     detail: str = ""
 
 
-def _semiample_at_ray(d: PDivisor, ray, cap):
-    base = d.evaluate(ray)
-    step = mu(base.coeffs.values())
-    k = step
-    while k <= cap * step:
-        if is_basepoint_free(d.variety, base * k):
-            return k
-        k += step
-    return None
-
-
 def validate(d: PDivisor, max_iterations=64):
     """Checks of semiampleness at subdivision rays, bigness at cell interiors."""
     domain = linearity_subdivision(d)
     checks = []
     for ray in domain.rays():
-        k = _semiample_at_ray(d, ray, max_iterations)
-        if k is None:
-            checks.append(
-                ValidationCheck(
-                    f"semiample at ray {ray}",
-                    "fail",
-                    f"no base point free multiple up to cap {max_iterations}",
-                )
-            )
-        else:
-            checks.append(
-                ValidationCheck(f"semiample at ray {ray}", "pass", f"k = {k}")
-            )
+        try:
+            k, _ = find_k_rho(d, ray, max_iterations)
+            verdict, detail = "pass", f"k = {k}"
+        except IterationLimitExceeded:
+            verdict, detail = "fail", f"no base point free multiple up to cap {max_iterations}"
+        checks.append(ValidationCheck(f"semiample at ray {ray}", verdict, detail))
     checks.extend(bigness_checks(d, domain))
     return tuple(checks)
 

@@ -149,8 +149,17 @@ class Variety:
     exceptional = ()
 
     def __init__(self, nvars, coordinates):
+        coordinates = tuple(coordinates)
+        if len(coordinates) != nvars:
+            raise ValueError(
+                f"the {self.name} base needs {nvars} coordinate names, "
+                f"got {len(coordinates)}: {' '.join(coordinates)}"
+            )
+        repeated = sorted({c for c in coordinates if coordinates.count(c) > 1})
+        if repeated:
+            raise ValueError(f"coordinate names must be distinct; repeated: {' '.join(repeated)}")
         self.nvars = nvars
-        self.coordinates = tuple(coordinates)
+        self.coordinates = coordinates
         self._forms = {}
         self._form_powers = {}  # label -> {exponent: power of the form}
         self._hyperplanes = tuple(f"coord:{c}" for c in self.coordinates)

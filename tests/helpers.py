@@ -6,10 +6,10 @@ from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 from pdivgen.cli import JobDescription
-from pdivgen.engine import GradedElement, find_k_rho
+from pdivgen.engine import GradedElement
 from pdivgen.intlinalg import kernel_lattice, primitive
 from pdivgen.mpoly import MPoly, monomials_of_degree
-from pdivgen.pdivisor import PDivisor, linearity_subdivision
+from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
     QCone,
     cone_from_rays,
@@ -25,6 +25,7 @@ from pdivgen.varieties import (
     QDivisor,
     _echelon,
     ffe,
+    is_basepoint_free,
     numerator_vectors,
     sections,
 )
@@ -61,12 +62,27 @@ def per_simplex_ray_pool(d, max_iterations=64):
         for simplex in triangulate(cell):
             for rho in simplex:
                 rho = primitive(rho)
-                k, basis = find_k_rho(d, rho, max_iterations)
+                k, base = find_k_rho(d, rho, max_iterations)
                 weight = tuple(k * x for x in rho)
-                for eta in basis:
+                for eta in sections(d.variety, base * k):
                     element = GradedElement(eta, weight)
                     pool.setdefault(element.key(), element)
     return list(pool.values())
+
+
+def every_k_ray_search(d, rho, max_iterations=64):
+    """The ray search without homogeneity: evaluate D(k*rho) afresh for
+    every k = 1..max_iterations, integral or not.
+
+    Returns (k, D(k*rho)) for the least integral base point free multiple.
+    """
+    for k in range(1, max_iterations + 1):
+        div = d.evaluate(tuple(k * x for x in rho))
+        if div.is_integral() and is_basepoint_free(d.variety, div):
+            return k, div
+    raise IterationLimitExceeded(
+        f"no integral base point free multiple of {tuple(rho)} up to {max_iterations}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +97,12 @@ def plane_variety() -> ProjectiveSpace:
     return y
 
 
-def plane_pdivisor(y=None) -> PDivisor:
+def plane_pdivisor(y=None, d_vertex=(0, Fraction(1, 2))) -> PDivisor:
     if y is None:
         y = plane_variety()
     omega = cone_from_rays([(-1, 1), (1, 1)], 2)
     tail = dual_cone(omega)
-    coeff_d = tailed_polyhedron([(Fraction(0), Fraction(1, 2))], tail.rays, 2)
+    coeff_d = tailed_polyhedron([d_vertex], tail.rays, 2)
     coeff_e = tailed_polyhedron([(-1, 1), (1, 1)], tail.rays, 2)
     return PDivisor(y, omega, {"D": coeff_d, "E": coeff_e})
 

@@ -255,6 +255,41 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+BLOWUP_HEAD = "[variety]\nbackend = blowup-p2\npoints = (1,0,0) (0,1,0) (0,0,1) (1,1,1)\n"
+BLOWUP_TAIL = "[pdivisor]\nrays = (1,0) (0,1)\ncoefficient.H = (0,0)\n"
+PLANE_HEAD = "[variety]\nbackend = projective-space\n"
+PLANE_TAIL = "[pdivisor]\nrays = (-1,1) (1,1)\ncoefficient.D = (0,1/2)\n"
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        # one coordinate too many ended in a KeyError traceback, one too
+        # few in a misleading iteration cap
+        (
+            BLOWUP_HEAD + "coordinates = a b c d\nform.H = a - b + c\n" + BLOWUP_TAIL,
+            "the blowup-p2 base needs 3 coordinate names, got 4: a b c d",
+        ),
+        (
+            BLOWUP_HEAD + "coordinates = a b\nform.H = a - b\n" + BLOWUP_TAIL,
+            "the blowup-p2 base needs 3 coordinate names, got 2: a b",
+        ),
+        # a repeated name bound both positions to the last one
+        (
+            PLANE_HEAD + "coordinates = x x z\nform.D = x*z\n" + PLANE_TAIL,
+            "coordinate names must be distinct; repeated: x",
+        ),
+    ],
+)
+def test_coordinate_names_are_counted_and_distinct(text, named, tmp_path, capsys):
+    job = tmp_path / "coordinates.pdiv"
+    job.write_text(text + "[job]\npipeline = general\n")
+    assert main([str(job)]) == EXIT_SEMANTIC
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_a_ray_without_a_base_point_free_multiple_exits_at_the_cap(tmp_path, capsys):
     # D(k*(1,0)) = -k E for every k, so no multiple has a section; the
     # degree test answers without multiplying out E**k

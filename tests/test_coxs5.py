@@ -16,7 +16,7 @@ from pdivgen.coxs5 import (
     run_cox,
     weight_cone,
 )
-from pdivgen.pdivisor import linearity_subdivision
+from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.engine import GradedElement, _sorted_elements
 from pdivgen.varieties import QDivisor, sections
 
@@ -102,12 +102,17 @@ def test_presentation_builds_one_pruning_cone(result):
 
 def test_run_cox_reuses_the_section_bases_of_the_rays():
     with mock.patch.object(coxs5, "sections", wraps=coxs5.sections) as from_cox, \
-            mock.patch.object(engine, "sections", wraps=engine.sections) as from_engine:
+            mock.patch.object(engine, "sections", wraps=engine.sections) as from_engine, \
+            mock.patch.object(PDivisor, "evaluate", autospec=True, side_effect=PDivisor.evaluate) as evaluate:
         result = run_cox()
-    # every ray's multiple is 1, so find_k_rho computes each ray's basis
-    # once and the pool needs no further one
-    assert from_engine.call_count == 20
-    assert from_cox.call_count == 0
+    # the search evaluates each ray once and builds no sections; the pool
+    # builds one section space per kept ray from the floor of that one
+    # evaluation, and the product reduction evaluates each weight it
+    # classes once
+    assert from_cox.call_count == len(result.reduced_rays) == 20
+    assert from_engine.call_count == 0
+    weights = [c.args[1] for c in evaluate.call_args_list]
+    assert len(weights) == len(set(weights)) == 50
     y = cox_surface()
     d = build_cox_pdivisor(y)
     pool = [

@@ -34,7 +34,7 @@ from pdivgen.engine import (
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision
 from pdivgen.intlinalg import det, solve_in_lattice
 from pdivgen.polyhedra import cone_from_rays, dot
-from pdivgen.varieties import PointBase, ffe, sections_of_floor
+from pdivgen.varieties import PointBase, ffe, sections, sections_of_floor
 from pdivgen.mpoly import MPoly
 
 
@@ -53,19 +53,23 @@ def test_cached_key_keeps_equality_and_hash():
 def test_each_subdivision_ray_is_harvested_once():
     # the plane's two cells share the ray (0, 1)
     d = plane_pdivisor()
-    with mock.patch.object(engine, "find_k_rho", wraps=find_k_rho) as spy:
+    with mock.patch.object(engine, "find_k_rho", wraps=find_k_rho) as spy, \
+            mock.patch.object(PDivisor, "evaluate", autospec=True, side_effect=PDivisor.evaluate) as evaluate:
         run_general(d.variety, d)
     assert [c.args[1] for c in spy.call_args_list] == [(-1, 1), (0, 1), (1, 1)]
+    # one evaluation per ray serves its search and its sections; the
+    # other two come from the weight lattice completion
+    assert evaluate.call_count == 5
 
 
 def test_find_k_rho_plane_example():
     d = plane_pdivisor()
-    k, basis = find_k_rho(d, (-1, 1))
-    assert k == 2
-    assert len(basis) == 10
-    k, basis = find_k_rho(d, (1, 1))
-    assert k == 2
-    assert len(basis) == 10
+    y = d.variety
+    for rho in ((-1, 1), (1, 1)):
+        k, base = find_k_rho(d, rho)
+        assert k == 2
+        assert base == d.evaluate(rho)
+        assert len(sections(y, base * k)) == 10
 
 
 def test_known_section_dimensions():

@@ -9,12 +9,14 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     FractionMPoly,
     brute_force_pointed_rays,
+    every_k_ray_search,
     fraction_evaluate,
     fraction_in_span,
     fraction_kernel_basis,
@@ -39,10 +41,17 @@ from helpers import (
 )
 from pdivgen import polyhedra
 from pdivgen.coxs5 import cox_surface
-from pdivgen.engine import GradedElement, extended_vector, zariski_generators
+from pdivgen.engine import GradedElement, extended_vector, run_general, zariski_generators
 from pdivgen.intlinalg import det, hnf, primitive, rank, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
-from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision, restrict
+from pdivgen.pdivisor import (
+    IterationLimitExceeded,
+    PDivisor,
+    find_k_rho,
+    linearity_subdivision,
+    restrict,
+    validate,
+)
 from pdivgen.polyhedra import (
     _pointed_rays,
     cone_from_facets,
@@ -558,6 +567,48 @@ def test_one_pass_ray_pool_matches_the_per_simplex_harvest(d):
         assert isinstance(got, str)
     else:
         assert len(set(got)) == len(got) and set(got) == set(expected)
+
+
+# the plane job with D = (0,1/65): the denominator 65 on every ray is
+# above the cap of 64
+_PLANE_65 = plane_pdivisor(d_vertex=(0, Fraction(1, 65)))
+
+
+def _ray_search(search, d, rho):
+    """(k, D(k*rho)) of a ray search, or the cap message it stops at."""
+    try:
+        return search(d, rho)
+    except IterationLimitExceeded as exc:
+        return str(exc)
+
+
+def _one_evaluation_search(d, rho):
+    k, base = find_k_rho(d, rho)
+    return k, base * k
+
+
+@given(st.one_of(_random_pdivisors(), _effective_pdivisors()))
+@example(_PLANE_65)
+@example(plane_pdivisor())
+@settings(max_examples=80, deadline=None)
+def test_one_evaluation_per_ray_matches_the_every_k_search(d):
+    semiample = {c.name: c for c in validate(d) if c.name.startswith("semiample")}
+    for rho in linearity_subdivision(d).rays():
+        expected = _ray_search(every_k_ray_search, d, rho)
+        got = _ray_search(_one_evaluation_search, d, rho)
+        assert got == expected
+        check = semiample[f"semiample at ray {rho}"]
+        if isinstance(got, str):
+            assert (check.verdict, check.detail) == ("fail", "no base point free multiple up to cap 64")
+        else:
+            assert (check.verdict, check.detail) == ("pass", f"k = {got[0]}")
+
+
+def test_validate_and_the_general_route_share_the_cap():
+    checks = validate(_PLANE_65)
+    assert [c.verdict for c in checks if c.name.startswith("semiample")] == ["fail"] * 3
+    with pytest.raises(IterationLimitExceeded, match=r"multiple of \(-1, 1\) up to 64"):
+        run_general(_PLANE_65.variety, _PLANE_65)
 
 
 @st.composite
