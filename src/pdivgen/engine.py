@@ -2,9 +2,10 @@
 
 The pipeline mirrors the structure of the computation: make the divisor
 linear on cells, harvest ray sections, complete the weight lattice,
-certify the quotient field, prune dependent elements, and finally either
-saturate (when the algebra is toric in disguise) or export a
-presentation for an external normalization.
+certify the quotient field, prune dependent elements, and finally
+normalize or export.  Saturation runs on a point base; on any other base
+an independent factorable set is normal, and anything else is exported
+as a presentation for an external normalization.
 """
 
 from math import gcd
@@ -12,11 +13,11 @@ from operator import sub
 from typing import NamedTuple
 
 from .intlinalg import (
+    det,
     hnf,
     hnf_basis,
     invert_unimodular,
     kernel_lattice,
-    lattice_member,
     solve_in_lattice,
 )
 from .mpoly import MPoly
@@ -70,7 +71,9 @@ class GradedElement:
 
 class GeneratorSet(NamedTuple):
     elements: tuple
-    normalization_status: str  # Normal | SaturatedToric | ExportedForNormalization
+    # Normal | SaturatedToric | ExportedForNormalization; the general route
+    # saturates only on a point base, the torus route always
+    normalization_status: str
     report: tuple = ()
     presentation: str = ""
 
@@ -128,19 +131,19 @@ def interior_lattice_basis(cone):
     lattice, then push the remaining vectors into the cone by adding the
     smallest multiple of the interior one that satisfies every facet.
     """
-    n = cone.dim
     u = primitive(ray_sum(cone))
-    if n == 1:
+    if not any(u):
+        raise NonPointedCone(
+            f"the rays {cone.rays} of the weight cone sum to zero, so it has no interior ray"
+        )
+    if cone.dim == 1:
         return [u]
-    comp = kernel_lattice([u])
-    candidates = [u] + [tuple(r) for r in comp]
-    if hnf_basis(candidates) != tuple(
-        tuple(int(i == j) for j in range(n)) for i in range(n)
-    ):
+    candidates = [u] + [tuple(r) for r in kernel_lattice([u])]
+    # n vectors of Z^n form a basis exactly when |det| = 1
+    if abs(det(candidates)) != 1:
         # complete u to a basis via the HNF transform of the column vector
-        h, tr = hnf([[x] for x in u])
-        uinv = invert_unimodular(tr)
-        cols = list(zip(*uinv))
+        _, tr = hnf([[x] for x in u])
+        cols = list(zip(*invert_unimodular(tr)))
         candidates = [u] + [tuple(c) for c in cols[1:]]
     basis = [u]
     for b in candidates[1:]:
@@ -171,11 +174,10 @@ def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
     y = d.variety
     added = []
     weights = [e.weight for e in elements]
-    basis = interior_lattice_basis(d.weight_cone)
-    for b in basis:
-        g = []
+    for b in interior_lattice_basis(d.weight_cone):
+        g = 0  # gcd of the multiples j with sections
         j = 0
-        while gcd(*g) != 1:
+        while g != 1:
             j += 1
             if j > max_iterations:
                 raise IterationLimitExceeded(
@@ -186,13 +188,10 @@ def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
             sec = sections_of_floor(y, div)
             if not sec:
                 continue
-            g.append(j)
-            h = hnf_basis(weights) if weights else ()
-            if h and lattice_member(u, h):
+            g = gcd(g, j)
+            if solve_in_lattice(u, weights) is not None:
                 continue
-            s = _pick_section(y, sec, div)
-            el = GradedElement(s, u)
-            added.append(el)
+            added.append(GradedElement(_pick_section(y, sec, div), u))
             weights.append(u)
     return added
 
@@ -211,6 +210,17 @@ def extended_vector(y, element: GradedElement):
     if not rest.is_term():
         return None
     return tuple(vec) + tuple(element.weight)
+
+
+def _factorable(y, elements):
+    """The elements that have an extended vector, and those vectors."""
+    usable, vectors = [], []
+    for e in elements:
+        v = extended_vector(y, e)
+        if v is not None:
+            usable.append(e)
+            vectors.append(v)
+    return usable, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -233,78 +243,55 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
     """Ensure the function field generators are ratios of collected elements.
 
     Returns the added elements, after which each backend coordinate
-    ratio is an integer combination of factorable elements.
+    ratio is an integer combination of factorable elements.  A missing
+    ratio is first sought in the reserve ``pool``, then along an interior ray.
     """
     y = d.variety
-    gens = y.function_field_generators()
-    if not gens:
+    zeros = (0,) * d.weight_cone.dim
+    targets = []
+    for i_num, i_den in y.function_field_generators():
+        t = [0] * len(y.atoms)
+        t[i_num] += 1
+        t[i_den] -= 1
+        targets.append(((i_num, i_den), tuple(t) + zeros))
+    if not targets:
         return []
-    kept = list(elements)
-    kept_keys = {x.key() for x in kept}
-    reserve = [e for e in _dedupe(pool) if e.key() not in kept_keys]
-    rho = _interior_ray(d.weight_cone)
-    natoms = len(y.atoms)
-    rank = d.weight_cone.dim
+    elements = list(elements)
+    keys = {e.key() for e in elements}
+    reserve = [e for e in _dedupe(pool) if e.key() not in keys]
     added = []
+    rho = None
     j = 1
-
-    def factorable(pool):
-        usable, vectors = [], []
-        for e in pool:
-            v = extended_vector(y, e)
-            if v is not None:
-                usable.append(e)
-                vectors.append(v)
-        return usable, vectors
-
-    def targets():
-        for i_num, i_den in gens:
-            t = [0] * natoms
-            t[i_num] += 1
-            t[i_den] -= 1
-            yield (i_num, i_den), tuple(t) + tuple([0] * rank)
-
     while True:
-        _, vectors = factorable(kept)
+        vectors = _factorable(y, elements + added)[1]
         missing = next(
-            (pair for pair, target in targets() if solve_in_lattice(target, vectors) is None),
-            None,
+            (pair for pair, t in targets if solve_in_lattice(t, vectors) is None), None
         )
         if missing is None:
             return added
-        # try again with the reserve pool and keep only what the witness uses
-        usable2, vectors2 = factorable(kept + reserve)
-        grabbed = set()
-        feasible = True
-        for pair, target in targets():
-            combo = solve_in_lattice(target, vectors2)
-            if combo is None:
-                feasible = False
-                break
-            for e, c in zip(usable2, combo):
-                if c:
-                    grabbed.add(e.key())
-        if feasible and grabbed:
-            kept_keys = {x.key() for x in kept}
-            moved = [e for e in reserve if e.key() in grabbed and e.key() not in kept_keys]
-            if moved:
-                kept.extend(moved)
-                added.extend(moved)
-                reserve = [e for e in reserve if e.key() not in grabbed]
-                continue
-        if j > max_iterations:
-            raise IterationLimitExceeded(
-                f"no quotient field witness for coordinate ratio {missing}"
-            )
-        u = tuple(j * x for x in rho)
-        div = d.evaluate(u)
-        kept_keys = {x.key() for x in kept}
-        for s in sections_of_floor(y, div):
-            el = GradedElement(s, u)
-            if el.key() not in kept_keys:
-                kept.append(el)
-                added.append(el)
-        j += 1
+        usable, vectors = _factorable(y, elements + added + reserve)
+        combos = [solve_in_lattice(t, vectors) for _, t in targets]
+        if None not in combos:
+            # keep what the witness uses; the missing ratio's combination
+            # uses a reserve element whose key is not kept, since equal keys
+            # give equal vectors and the kept elements alone do not solve it
+            grabbed = {e.key() for combo in combos for e, c in zip(usable, combo) if c}
+            fresh = [e for e in reserve if e.key() in grabbed]
+            reserve = [e for e in reserve if e.key() not in grabbed]
+        else:
+            if j > max_iterations:
+                raise IterationLimitExceeded(
+                    f"no quotient field witness for coordinate ratio {missing}"
+                )
+            if rho is None:
+                rho = _interior_ray(d.weight_cone)
+            u = tuple(j * x for x in rho)
+            fresh = [GradedElement(s, u) for s in sections_of_floor(y, d.evaluate(u))]
+            j += 1
+        for e in fresh:
+            if e.key() not in keys:
+                keys.add(e.key())
+                added.append(e)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +355,11 @@ def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
     return out
 
 
-def algebra_membership(y, element: GradedElement, gens, product_cap=600, cone=None, values=None):
+# products kept per decomposition; the search stops past four times as many
+PRODUCT_CAP = 600
+
+
+def algebra_membership(y, element: GradedElement, gens, cone=None, values=None):
     """Whether the element's section is spanned by generator products.
 
     ``cone`` and ``values`` are passed to ``_nn_decompositions``.
@@ -384,10 +375,10 @@ def algebra_membership(y, element: GradedElement, gens, product_cap=600, cone=No
         partials = [one]
         for w in parts:
             partials = [p * g.section for p in partials for g in by_weight[w]]
-            if len(partials) > product_cap:
-                partials = partials[:product_cap]
+            if len(partials) > PRODUCT_CAP:
+                partials = partials[:PRODUCT_CAP]
         products.extend(partials)
-        if len(products) > 4 * product_cap:
+        if len(products) > 4 * PRODUCT_CAP:
             break
     if not products:
         return False
@@ -414,7 +405,7 @@ def reduce_generators(y, elements):
 
 
 # ---------------------------------------------------------------------------
-# step 13: saturation or export
+# step 13: normalization or export
 
 
 def _saturate_semigroup(vectors):
@@ -423,27 +414,16 @@ def _saturate_semigroup(vectors):
     Returns saturated vectors expressed back in the ambient coordinates.
     """
     span = hnf_basis(vectors)
-    coords = [solve_in_lattice(v, span) for v in vectors]
-    r = len(span)
-    cone = cone_from_rays(coords, r)
-    hb = []
-    for h in hilbert_basis(cone):
-        hb.append(
-            tuple(
-                sum(h[i] * span[i][j] for i in range(r)) for j in range(len(span[0]))
-            )
-        )
-    return sorted(hb)
-
-
-def _vector_to_element(y, vec):
-    """Rebuild a graded element from an extended exponent vector."""
-    n = len(y.atoms)
-    return GradedElement(y.from_exponents(vec[:n]), tuple(vec[n:]))
+    cone = cone_from_rays([solve_in_lattice(v, span) for v in vectors], len(span))
+    return sorted(
+        tuple(sum(c * x for c, x in zip(h, column)) for column in zip(*span))
+        for h in hilbert_basis(cone)
+    )
 
 
 def normalize_or_export(y, elements):
-    """Saturate toric-like collections exactly; export everything else."""
+    """Saturate on a point base; elsewhere an independent factorable set is
+    normal, and everything else is exported."""
     elements = _sorted_elements(_dedupe(elements))
     if isinstance(y, PointBase):
         weights = [e.weight for e in elements]
@@ -457,11 +437,9 @@ def normalize_or_export(y, elements):
     # vectors themselves
     relations = kernel_lattice(list(zip(*usable))) if usable else ()
     if len(usable) == len(vectors) and not relations:
-        sat = _saturate_semigroup(vectors)
-        if sorted(set(vectors)) == sat:
-            return GeneratorSet(tuple(elements), "Normal")
-        out = [_vector_to_element(y, v) for v in sat]
-        return GeneratorSet(tuple(_sorted_elements(out)), "SaturatedToric")
+        # Z-independent vectors are a basis of the lattice they span, so
+        # their cone meets that lattice in their own semigroup
+        return GeneratorSet(tuple(elements), "Normal")
     text = _presentation(y, elements, vectors, relations)
     return GeneratorSet(tuple(elements), "ExportedForNormalization", presentation=text)
 
@@ -508,8 +486,7 @@ def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
     raw_count = len(pool)
     pruned = reduce_generators(y, pool)
     readded = quotient_field_complete(d, pruned, pool, max_iterations)
-    final = _sorted_elements(pruned + readded)
-    result = normalize_or_export(y, final)
+    result = normalize_or_export(y, pruned + readded)
     report = (
         f"linearity cells: {len(domain.cells)}",
         f"subdivision rays: {len(domain.rays())}",

@@ -68,21 +68,6 @@ def hnf_basis(rows):
     return tuple(row for row in h if any(row))
 
 
-def lattice_member(v, h):
-    """Whether v lies in the row lattice of h (h in HNF, zero rows allowed)."""
-    basis = [row for row in h if any(row)]
-    if basis and len(v) != len(basis[0]):
-        raise ValueError("dimension mismatch")
-    v = list(v)
-    for row in basis:
-        c = next(i for i, x in enumerate(row) if x)
-        if v[c] % row[c]:
-            return False
-        q = v[c] // row[c]
-        v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
-
-
 def kernel_lattice(rows):
     """Z-basis of the integer kernel {x : rows . x = 0} (as rows).
 
@@ -154,8 +139,11 @@ def solve_in_lattice(target, basis):
     """Integer coordinates of target in the row lattice, or None.
 
     basis rows need not be in HNF and may be dependent; any valid
-    coordinate vector is returned.
+    coordinate vector is returned.  Raises ValueError when a row's width
+    is not the target's.
     """
+    if any(len(row) != len(target) for row in basis):
+        raise ValueError(f"basis rows of a width other than that of {tuple(target)}")
     if not basis:
         return None if any(target) else ()
     h, u = hnf(basis)

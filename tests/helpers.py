@@ -6,8 +6,8 @@ from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 from pdivgen.cli import JobDescription
-from pdivgen.engine import GradedElement
-from pdivgen.intlinalg import kernel_lattice, primitive
+from pdivgen.engine import GradedElement, _dedupe, _interior_ray, extended_vector
+from pdivgen.intlinalg import kernel_lattice, primitive, solve_in_lattice
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
@@ -28,6 +28,7 @@ from pdivgen.varieties import (
     is_basepoint_free,
     numerator_vectors,
     sections,
+    sections_of_floor,
 )
 
 
@@ -83,6 +84,85 @@ def every_k_ray_search(d, rho, max_iterations=64):
     raise IterationLimitExceeded(
         f"no integral base point free multiple of {tuple(rho)} up to {max_iterations}"
     )
+
+
+def guarded_quotient_field_complete(d, elements, pool=(), max_iterations=64):
+    """The quotient field step with a guard on each reserve move.
+
+    A pass whose reserve witness is feasible keeps the reserve elements it
+    uses when there are any, and otherwise steps along the interior ray,
+    which it takes before its first check.  The targets and kept keys are
+    rebuilt on every pass.
+    """
+    y = d.variety
+    gens = y.function_field_generators()
+    if not gens:
+        return []
+    kept = list(elements)
+    kept_keys = {x.key() for x in kept}
+    reserve = [e for e in _dedupe(pool) if e.key() not in kept_keys]
+    rho = _interior_ray(d.weight_cone)
+    natoms = len(y.atoms)
+    rank = d.weight_cone.dim
+    added = []
+    j = 1
+
+    def factorable(pool):
+        usable, vectors = [], []
+        for e in pool:
+            v = extended_vector(y, e)
+            if v is not None:
+                usable.append(e)
+                vectors.append(v)
+        return usable, vectors
+
+    def targets():
+        for i_num, i_den in gens:
+            t = [0] * natoms
+            t[i_num] += 1
+            t[i_den] -= 1
+            yield (i_num, i_den), tuple(t) + tuple([0] * rank)
+
+    while True:
+        _, vectors = factorable(kept)
+        missing = next(
+            (pair for pair, target in targets() if solve_in_lattice(target, vectors) is None),
+            None,
+        )
+        if missing is None:
+            return added
+        usable2, vectors2 = factorable(kept + reserve)
+        grabbed = set()
+        feasible = True
+        for pair, target in targets():
+            combo = solve_in_lattice(target, vectors2)
+            if combo is None:
+                feasible = False
+                break
+            for e, c in zip(usable2, combo):
+                if c:
+                    grabbed.add(e.key())
+        if feasible and grabbed:
+            kept_keys = {x.key() for x in kept}
+            moved = [e for e in reserve if e.key() in grabbed and e.key() not in kept_keys]
+            if moved:
+                kept.extend(moved)
+                added.extend(moved)
+                reserve = [e for e in reserve if e.key() not in grabbed]
+                continue
+        if j > max_iterations:
+            raise IterationLimitExceeded(
+                f"no quotient field witness for coordinate ratio {missing}"
+            )
+        u = tuple(j * x for x in rho)
+        div = d.evaluate(u)
+        kept_keys = {x.key() for x in kept}
+        for s in sections_of_floor(y, div):
+            el = GradedElement(s, u)
+            if el.key() not in kept_keys:
+                kept.append(el)
+                added.append(el)
+        j += 1
 
 
 # ---------------------------------------------------------------------------

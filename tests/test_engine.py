@@ -16,12 +16,14 @@ from helpers import (
     recursive_nn_decompositions,
     thirteen_generators,
 )
-from pdivgen import engine, pdivisor
+from pdivgen import cli, coxs5, engine, pdivisor, polyhedra, torus
 from pdivgen.cli import build_pdivisor, build_variety, parse_job
+from pdivgen.coxs5 import run_cox
 from pdivgen.engine import (
     GradedElement,
     _interior_ray,
     _nn_decompositions,
+    _saturate_semigroup,
     algebra_membership,
     extended_vector,
     find_k_rho,
@@ -32,8 +34,8 @@ from pdivgen.engine import (
     zariski_generators,
 )
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision
-from pdivgen.intlinalg import det, solve_in_lattice
-from pdivgen.polyhedra import cone_from_rays, dot
+from pdivgen.intlinalg import det, rank, solve_in_lattice
+from pdivgen.polyhedra import NonPointedCone, cone_from_rays, dot, hilbert_basis
 from pdivgen.varieties import PointBase, ffe, sections, sections_of_floor
 from pdivgen.mpoly import MPoly
 
@@ -162,6 +164,46 @@ def test_normalize_or_export_takes_the_left_kernel_once():
     assert result.presentation in golden
 
 
+def test_only_a_point_base_solve_builds_a_hilbert_basis(monkeypatch):
+    calls = []
+
+    def spy(cone):
+        calls.append(cone)
+        return hilbert_basis(cone)
+
+    for module in (cli, coxs5, engine, polyhedra, torus):
+        if getattr(module, "hilbert_basis", None) is hilbert_basis:
+            monkeypatch.setattr(module, "hilbert_basis", spy)
+    # the quotient field step on the plane needs no interior ray, and the
+    # independent factorable sets of both solves are normal as they stand
+    d = plane_pdivisor()
+    run_general(d.variety, d)
+    assert calls == []
+    run_cox()
+    assert calls == []
+    # a point base saturates its weights
+    point = PDivisor(PointBase(), cone_from_rays([(2, -1), (0, 1)], 2), {})
+    run_general(point.variety, point)
+    assert len(calls) == 1
+
+
+@st.composite
+def _independent_vectors(draw):
+    dim = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=-3, max_value=3), min_size=dim, max_size=dim)
+    vectors = [tuple(v) for v in draw(st.lists(row, min_size=1, max_size=dim))]
+    assume(rank(vectors) == len(vectors))
+    return vectors
+
+
+@given(_independent_vectors())
+@settings(max_examples=100, deadline=None)
+def test_independent_vectors_are_their_own_saturation(vectors):
+    # Z-independent vectors are a basis of the lattice they span, so their
+    # cone meets that lattice in their own semigroup
+    assert _saturate_semigroup(vectors) == sorted(vectors)
+
+
 def test_point_base_recovers_hilbert_basis():
     rays = [(2, -1), (0, 1)]
     cone = cone_from_rays(rays, 2)
@@ -206,6 +248,13 @@ def test_interior_lattice_basis_rejects_a_flat_cone():
     flat = cone_from_rays([(1, 0, 0), (0, 1, 0)], 3)
     with pytest.raises(IterationLimitExceeded):
         interior_lattice_basis(flat)
+
+
+def test_interior_lattice_basis_rejects_a_whole_space():
+    # the rays sum to zero, so no primitive interior point starts a basis
+    whole = cone_from_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    with pytest.raises(NonPointedCone, match="sum to zero"):
+        interior_lattice_basis(whole)
 
 
 def test_interior_ray_falls_back_on_a_cone_that_is_not_pointed(monkeypatch):

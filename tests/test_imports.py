@@ -1,5 +1,6 @@
 """Every pdivgen import is at module level, and every imported name is used;
-no definition or parameter goes unread, and no division makes a float."""
+no definition or parameter goes unread, every default is overridden by some
+call, and no division makes a float."""
 
 import ast
 from pathlib import Path
@@ -247,3 +248,56 @@ def _init_attributes_without_a_reader():
 def test_every_attribute_set_in_init_has_a_reader():
     unread = _init_attributes_without_a_reader()
     assert not unread, "attributes that nothing in src/pdivgen reads:\n" + "\n".join(unread)
+
+
+def _defaulted_parameters(node):
+    """Index (None when keyword-only) and name of each parameter with a default."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    found = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+    found += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def _calls_by_name(trees):
+    """Each call in the trees, under the name of the function it calls."""
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(n)
+    return calls
+
+
+def _passes(call, index, name):
+    """Whether the call passes the parameter, by position or by keyword."""
+    # a starred argument may pass any positional parameter, a ** mapping any
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    if index is not None and (index < len(call.args) or starred):
+        return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def _defaults_never_passed():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls = _calls_by_name(trees)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (module, node.name) in UNREAD_ALLOWED:
+                continue
+            for index, name in _defaulted_parameters(node):
+                if not any(_passes(c, index, name) for c in calls.get(node.name, ())):
+                    found.append(f"{module}.{node.name}({name})")
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a constant in disguise
+    never = _defaults_never_passed()
+    assert not never, "defaulted parameters that no call in src/pdivgen passes:\n" + "\n".join(never)

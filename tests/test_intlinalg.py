@@ -15,7 +15,6 @@ from pdivgen.intlinalg import (
     identity,
     invert_unimodular,
     kernel_lattice,
-    lattice_member,
     primitive,
     rank,
     rref,
@@ -68,7 +67,7 @@ def test_kernel_annihilates_and_is_saturated(a):
     for k in ker:
         half = tuple(x // 2 for x in k)
         if all(x % 2 == 0 for x in k) and any(half):
-            assert lattice_member(half, hnf_basis(ker))
+            assert solve_in_lattice(half, ker) is not None
 
 
 def test_det_known_values():
@@ -99,11 +98,24 @@ def test_primitive():
 
 def test_lattice_membership_and_solve():
     basis = hnf_basis([[2, 0], [0, 3]])
-    assert lattice_member((4, 3), basis)
-    assert not lattice_member((1, 0), basis)
+    assert solve_in_lattice((4, 3), basis) is not None
+    assert solve_in_lattice((1, 0), basis) is None
     coords = solve_in_lattice((4, 3), [[2, 0], [0, 3]])
     assert coords == (2, 1)
     assert solve_in_lattice((1, 1), [[2, 0], [0, 3]]) is None
+    # dependent rows and zero rows are allowed
+    rows = [[1, 2], [0, 0], [2, 4]]
+    assert mat_mul([solve_in_lattice((2, 4), rows)], rows) == ((2, 4),)
+
+
+@pytest.mark.parametrize(
+    "target, basis",
+    [((1, 0, 5), [(1, 0)]), ((1,), [(1, 0)]), ((4, 3), [(2, 0), (0, 3, 1)])],
+)
+def test_solve_in_lattice_rejects_a_target_of_another_width(target, basis):
+    # zip would truncate the longer of the two and answer for the shorter
+    with pytest.raises(ValueError, match="width"):
+        solve_in_lattice(target, basis)
 
 
 def test_invert_unimodular():

@@ -22,6 +22,7 @@ from helpers import (
     fraction_kernel_basis,
     fraction_rref,
     fraction_span_dimension,
+    guarded_quotient_field_complete,
     mat_mul,
     oracle_element_divisor,
     oracle_factor_exponents,
@@ -41,7 +42,14 @@ from helpers import (
 )
 from pdivgen import polyhedra
 from pdivgen.coxs5 import cox_surface
-from pdivgen.engine import GradedElement, extended_vector, run_general, zariski_generators
+from pdivgen.engine import (
+    GradedElement,
+    extended_vector,
+    quotient_field_complete,
+    run_general,
+    weight_lattice_completion,
+    zariski_generators,
+)
 from pdivgen.intlinalg import det, hnf, primitive, rank, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import (
@@ -609,6 +617,34 @@ def test_validate_and_the_general_route_share_the_cap():
     assert [c.verdict for c in checks if c.name.startswith("semiample")] == ["fail"] * 3
     with pytest.raises(IterationLimitExceeded, match=r"multiple of \(-1, 1\) up to 64"):
         run_general(_PLANE_65.variety, _PLANE_65)
+
+
+# the general route's raw pool on the plane: 75 ray sections at (-2, 2),
+# (0, 2) and (2, 2), then the lattice completion's (0, 1) and (1, 1)
+_PLANE_D = plane_pdivisor()
+_PLANE_POOL = zariski_generators(
+    _PLANE_D, [r for cell in linearity_subdivision(_PLANE_D).cells for r in cell.rays]
+)[0]
+_PLANE_POOL += weight_lattice_completion(_PLANE_D, _PLANE_POOL)
+_pool_indices = st.sets(st.integers(min_value=0, max_value=76))
+
+
+@given(_pool_indices, _pool_indices, st.integers(min_value=0, max_value=3))
+@example(set(), set(), 0)  # no witness and no step: the cap
+@example(set(), set(), 1)  # one step along the interior ray (0, 1)
+@example(set(), set(range(77)), 0)  # the reserve holds the witness
+@example(set(), {75, 76}, 1)  # the reserve has none: one step along the ray
+@example({13}, {13, 17, 34, 66}, 1)  # a kept element also in the reserve
+@settings(max_examples=150, deadline=None)
+def test_quotient_field_completion_matches_the_guarded_oracle(kept, reserve, max_iterations):
+    assert len(_PLANE_POOL) == 77
+    elements = [_PLANE_POOL[i] for i in sorted(kept)]
+    pool = [_PLANE_POOL[i] for i in sorted(reserve)]
+    expected = _pool_keys(
+        lambda: guarded_quotient_field_complete(_PLANE_D, elements, pool, max_iterations)
+    )
+    got = _pool_keys(lambda: quotient_field_complete(_PLANE_D, elements, pool, max_iterations))
+    assert got == expected
 
 
 @st.composite
