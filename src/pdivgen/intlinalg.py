@@ -4,6 +4,11 @@ All matrices are plain tuples of tuples of Python ints (arbitrary
 precision); rational vectors use fractions.Fraction.  Row convention
 throughout: a lattice is the set of integer combinations of the rows of
 its basis matrix.
+
+Hermite normal forms come from one elimination on sparse rows, each a
+dict of its nonzero entries.  Only ``hnf`` and the callers that read the
+transform (``kernel_lattice``, ``solve_in_lattice``) carry it, as identity
+columns appended to the rows; ``hnf_basis`` builds none.
 """
 
 from fractions import Fraction
@@ -18,54 +23,107 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _width(rows):
+    """The common length of the rows, 0 for none; a ValueError names two that differ."""
+    n = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"rows of widths {n} and {len(row)} in one matrix")
+    return n
+
+
+def _sparse(rows, transform):
+    """Rows as dicts of their nonzero entries, and their common width n.
+
+    With ``transform`` row i also holds a 1 in column n + i, so the rows are
+    those of [A | I].
+    """
+    out = []
+    n = _width(rows)
+    for i, row in enumerate(rows):
+        d = {j: x for j, x in enumerate(row) if x}
+        if transform:
+            d[n + i] = 1
+        out.append(d)
+    return out, n
+
+
+def _sub(x, q, y):
+    """x -= q * y on sparse rows, q != 0: an entry that cancels was in x."""
+    for j, v in y.items():
+        w = x.get(j, 0) - q * v
+        if w:
+            x[j] = w
+        else:
+            del x[j]
+
+
+def _dense(row, lo, width):
+    """Columns lo .. lo + width - 1 of a sparse row, as a tuple."""
+    out = [0] * width
+    for j, x in row.items():
+        if lo <= j < lo + width:
+            out[j - lo] = x
+    return tuple(out)
+
+
+def _hermite(a, n):
+    """Row Hermite normal form, in place, of sparse rows with pivots in 0 .. n-1.
+
+    Pivots positive, entries above each pivot reduced into [0, pivot),
+    rows without a pivot last.  Columns from n on (a transform) are only
+    carried along.  Returns the pivot columns, one per leading row.  The
+    order of the row operations fixes the transform, and with it the
+    coordinates ``solve_in_lattice`` returns.
+    """
+    m = len(a)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if c in a[i]), None)
+        if piv is None:
+            continue
+        p = a[piv]
+        a[piv] = a[r]
+        # clear below the pivot with exact gcd steps
+        for i in range(r + 1, m):
+            b = a[i]
+            while c in b:
+                q = p[c] // b[c]
+                if q:
+                    _sub(p, q, b)
+                p, b = b, p
+            a[i] = b
+        if p[c] < 0:
+            for j in p:
+                p[j] = -p[j]
+        # reduce entries above the pivot
+        for i in range(r):
+            q = a[i].get(c, 0) // p[c]
+            if q:
+                _sub(a[i], q, p)
+        a[r] = p
+        pivots.append(c)
+    return pivots
+
+
 def hnf(rows):
     """Row Hermite normal form.
 
     Returns (H, U) with U unimodular, H = U * rows, pivots positive,
     entries above each pivot reduced into [0, pivot), zero rows last.
     """
-    a = _as_rows(rows)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = _as_rows(identity(m))
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        u[r], u[piv] = u[piv], u[r]
-        # clear below the pivot with exact gcd steps
-        for i in range(r + 1, m):
-            while a[i][c] != 0:
-                q = a[r][c] // a[i][c]
-                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
-                a[r], a[i] = a[i], a[r]
-                u[r], u[i] = u[i], u[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
-        # reduce entries above the pivot
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in a), tuple(tuple(row) for row in u)
+    a, n = _sparse(rows, True)
+    _hermite(a, n)
+    return tuple(_dense(row, 0, n) for row in a), tuple(_dense(row, n, len(a)) for row in a)
 
 
 def hnf_basis(rows):
     """Nonzero rows of the HNF: a canonical lattice basis."""
-    h, _ = hnf(rows)
-    return tuple(row for row in h if any(row))
+    a, n = _sparse(rows, False)
+    return tuple(_dense(row, 0, n) for row in a[: len(_hermite(a, n))])
 
 
 def kernel_lattice(rows):
@@ -76,12 +134,11 @@ def kernel_lattice(rows):
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    # HNF of the transpose augmented with an identity: zero columns of the
-    # transformed matrix expose kernel vectors.
-    at = tuple(zip(*rows, strict=True))
-    h, u = hnf(at)
-    ker = [u[i] for i in range(n) if not any(h[i])]
-    return hnf_basis(ker) if ker else tuple()
+    # HNF of the transpose augmented with an identity: zero rows of the
+    # transformed matrix expose kernel vectors in their transform part
+    a, _ = _sparse(tuple(zip(*rows, strict=True)), True)
+    ker = [{j - m: x for j, x in row.items()} for row in a[len(_hermite(a, m)) :]]
+    return tuple(_dense(row, 0, n) for row in ker[: len(_hermite(ker, n))])
 
 
 def rank(rows):
@@ -138,27 +195,29 @@ def invert_unimodular(rows):
 def solve_in_lattice(target, basis):
     """Integer coordinates of target in the row lattice, or None.
 
-    basis rows need not be in HNF and may be dependent; any valid
-    coordinate vector is returned.  Raises ValueError when a row's width
-    is not the target's.
+    basis rows need not be in HNF and may be dependent.  The coordinates
+    are those the HNF transform U of ``hnf(basis)`` gives: back-substitute
+    target into H and combine the rows of U.  Which coordinates come back
+    matters, since ``engine.quotient_field_complete`` takes the reserve
+    elements whose coordinate is nonzero.  Raises ValueError when a row's
+    width is not the target's.
     """
     if any(len(row) != len(target) for row in basis):
         raise ValueError(f"basis rows of a width other than that of {tuple(target)}")
     if not basis:
         return None if any(target) else ()
-    h, u = hnf(basis)
-    nz = [i for i, row in enumerate(h) if any(row)]
+    a, n = _sparse(basis, True)
     v = list(target)
     coeffs = [0] * len(basis)
-    for i in nz:
-        row = h[i]
-        c = next(j for j, x in enumerate(row) if x)
+    for c, row in zip(_hermite(a, n), a):
         if v[c] % row[c]:
             return None
         q = v[c] // row[c]
-        v = [x - q * y for x, y in zip(v, row)]
-        for k in range(len(basis)):
-            coeffs[k] += q * u[i][k]
+        for j, x in row.items():
+            if j < n:
+                v[j] -= q * x
+            else:
+                coeffs[j - n] += q * x
     if any(v):
         return None
     return tuple(coeffs)
@@ -172,7 +231,7 @@ def rref(rows):
     """
     a = [primitive(row) for row in rows]
     m = len(a)
-    n = len(a[0]) if m else 0
+    n = _width(a)
     pivots = []
     for c in range(n):
         r = len(pivots)

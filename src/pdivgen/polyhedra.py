@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .intlinalg import (
     det,
-    hnf,
+    hnf_basis,
     identity,
     kernel_lattice,
     primitive,
@@ -295,7 +295,7 @@ def _parallelepiped_points(cell_rows):
     # the row HNF H of the cell is upper triangular, so the vectors t with
     # 0 <= t_i < H[i][i] are one representative of each coset of Z^n / L;
     # their product |det B| is 1 exactly on a unimodular cell
-    h, _ = hnf(cell_rows)
+    h = hnf_basis(cell_rows)
     if all(h[i][i] == 1 for i in range(n)):
         return []
     den, scaled = scaled_inverse(cell_rows)

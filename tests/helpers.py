@@ -7,7 +7,7 @@ from math import comb, gcd, lcm
 
 from pdivgen.cli import JobDescription
 from pdivgen.engine import GradedElement, _dedupe, _interior_ray, extended_vector
-from pdivgen.intlinalg import kernel_lattice, primitive, solve_in_lattice
+from pdivgen.intlinalg import identity, kernel_lattice, primitive, solve_in_lattice
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
@@ -378,6 +378,91 @@ def fraction_kernel_basis(rows, width):
             vec[pc] = -r[j]
         basis.append(vec)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# dense Hermite normal forms: the elimination on lists that carries its
+# m x m transform through every row operation
+
+
+def dense_hnf(rows):
+    """Row Hermite normal form.
+
+    Returns (H, U) with U unimodular, H = U * rows, pivots positive,
+    entries above each pivot reduced into [0, pivot), zero rows last.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u = [list(row) for row in identity(m)]
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        u[r], u[piv] = u[piv], u[r]
+        # clear below the pivot with exact gcd steps
+        for i in range(r + 1, m):
+            while a[i][c] != 0:
+                q = a[r][c] // a[i][c]
+                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
+                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
+                a[r], a[i] = a[i], a[r]
+                u[r], u[i] = u[i], u[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+            u[r] = [-x for x in u[r]]
+        # reduce entries above the pivot
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in a), tuple(tuple(row) for row in u)
+
+
+def dense_hnf_basis(rows):
+    h, _ = dense_hnf(rows)
+    return tuple(row for row in h if any(row))
+
+
+def dense_kernel_lattice(rows):
+    """Kernel rows of U where H of the transpose is zero, in HNF."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    h, u = dense_hnf(tuple(zip(*rows, strict=True)))
+    ker = [u[i] for i in range(n) if not any(h[i])]
+    return dense_hnf_basis(ker) if ker else tuple()
+
+
+def dense_solve_in_lattice(target, basis):
+    """Back-substitution into dense_hnf(basis), combining the rows of U."""
+    if not basis:
+        return None if any(target) else ()
+    h, u = dense_hnf(basis)
+    nz = [i for i, row in enumerate(h) if any(row)]
+    v = list(target)
+    coeffs = [0] * len(basis)
+    for i in nz:
+        row = h[i]
+        c = next(j for j, x in enumerate(row) if x)
+        if v[c] % row[c]:
+            return None
+        q = v[c] // row[c]
+        v = [x - q * y for x, y in zip(v, row)]
+        for k in range(len(basis)):
+            coeffs[k] += q * u[i][k]
+    if any(v):
+        return None
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

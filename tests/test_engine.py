@@ -2,6 +2,7 @@
 
 import gc
 import random
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -31,11 +32,19 @@ from pdivgen.engine import (
     quotient_field_complete,
     reduce_generators,
     run_general,
+    weight_lattice_completion,
     zariski_generators,
 )
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision
-from pdivgen.intlinalg import det, rank, solve_in_lattice
-from pdivgen.polyhedra import NonPointedCone, cone_from_rays, dot, hilbert_basis
+from pdivgen.intlinalg import det, kernel_lattice, rank, solve_in_lattice
+from pdivgen.polyhedra import (
+    NonPointedCone,
+    cone_from_rays,
+    dot,
+    dual_cone,
+    hilbert_basis,
+    tailed_polyhedron,
+)
 from pdivgen.varieties import PointBase, ffe, sections, sections_of_floor
 from pdivgen.mpoly import MPoly
 
@@ -162,6 +171,39 @@ def test_normalize_or_export_takes_the_left_kernel_once():
     golden = Path("perfbench/golden/plane-general.txt").read_text()
     assert result.presentation.startswith("# presentation")
     assert result.presentation in golden
+
+
+def test_the_left_kernel_of_a_975_section_pool_is_in_hermite_form():
+    # weight cone (0,-1) (2,1), D = (2,-4), E = (4/3,-2/3): 975 sections at
+    # three weights, all factorable, whose 975 x 6 extended vectors have
+    # rank 5; the dense elimination with its 975 x 975 transform took 75 s
+    y = plane_variety()
+    omega = cone_from_rays([(0, -1), (2, 1)], 2)
+    tail = dual_cone(omega).rays
+    d = PDivisor(y, omega, {
+        "D": tailed_polyhedron([(2, -4)], tail, 2),
+        "E": tailed_polyhedron([(Fraction(4, 3), Fraction(-2, 3))], tail, 2),
+    })
+    rays = [r for cell in linearity_subdivision(d).cells for r in cell.rays]
+    pool, _ = zariski_generators(d, rays)
+    pool.extend(weight_lattice_completion(d, pool))
+    vectors = [extended_vector(y, e) for e in pool]
+    assert len(vectors) == 975 and None not in vectors
+    ker = kernel_lattice(list(zip(*vectors)))
+    assert len(ker) == 970 and {len(row) for row in ker} == {975}
+    for row in ker:
+        total = [0] * len(vectors[0])
+        for c, v in zip(row, vectors):
+            if c:
+                total = [t + c * x for t, x in zip(total, v)]
+        assert not any(total)
+    # Hermite shape: pivots positive in increasing columns, entries above
+    # a pivot in [0, pivot)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in ker]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(ker, pivots)):
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in ker[:i])
 
 
 def test_only_a_point_base_solve_builds_a_hilbert_basis(monkeypatch):

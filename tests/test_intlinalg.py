@@ -4,10 +4,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mat_mul
+from helpers import (
+    dense_hnf,
+    dense_hnf_basis,
+    dense_kernel_lattice,
+    dense_solve_in_lattice,
+    mat_mul,
+)
 from pdivgen.intlinalg import (
     det,
     hnf,
@@ -68,6 +74,64 @@ def test_kernel_annihilates_and_is_saturated(a):
         half = tuple(x // 2 for x in k)
         if all(x % 2 == 0 for x in k) and any(half):
             assert solve_in_lattice(half, ker) is not None
+
+
+# about 80% zeros, the rest in [-9, 9]
+sparse_int = st.tuples(st.integers(0, 4), small_int).map(lambda t: t[1] if t[0] == 0 else 0)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """1-12 rows of width 1-16, some of them duplicates, sums or zero."""
+    n = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.lists(sparse_int, min_size=n, max_size=n), min_size=1, max_size=12))
+    index = st.integers(0, len(rows) - 1)
+    extra = draw(
+        st.lists(st.tuples(st.sampled_from("dsz"), index, index), max_size=12 - len(rows))
+    )
+    for kind, i, j in extra:
+        if kind == "d":
+            rows.append(list(rows[i]))
+        elif kind == "s":
+            rows.append([x + y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append([0] * n)
+    return draw(st.permutations(rows))
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+# a pivot smaller in absolute value than the entry below it: q = 0, then -1
+@example([[2, 1], [5, 3]], None)
+@example([[-2, 0, 1], [5, 1, 0], [0, 0, 0], [3, 1, 1]], None)
+@example([[0, 3], [0, 7], [0, 3]], None)
+def test_sparse_elimination_matches_the_dense_one(a, data):
+    assert hnf(a) == dense_hnf(a)
+    assert hnf_basis(a) == dense_hnf_basis(a)
+    assert kernel_lattice(a) == dense_kernel_lattice(a)
+    coeffs = (
+        data.draw(st.lists(small_int, min_size=len(a), max_size=len(a)))
+        if data is not None
+        else [1] * len(a)
+    )
+    inside = mat_mul([coeffs], a)[0]
+    for target in (inside, (1,) + inside[1:], tuple(x * 2 + 1 for x in inside)):
+        assert solve_in_lattice(target, a) == dense_solve_in_lattice(target, a)
+
+
+@pytest.mark.parametrize(
+    "fn, rows, widths",
+    [
+        (hnf, [[3], [2, 4]], "1 and 2"),
+        (hnf_basis, [[3], [0, 5]], "1 and 2"),
+        (hnf, [[2, 4], [3]], "2 and 1"),
+        (rref, [[1, 2], [3]], "2 and 1"),
+    ],
+)
+def test_ragged_rows_are_rejected(fn, rows, widths):
+    # zip would drop the entries past the shorter row, and indexing past it raises
+    with pytest.raises(ValueError, match=f"widths {widths}"):
+        fn(rows)
 
 
 def test_det_known_values():
