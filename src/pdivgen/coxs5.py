@@ -184,13 +184,14 @@ def _coefficient_poly(elem):
     return MPoly(4, out)
 
 
-def presentation_text(elements):
+def presentation_text(elements, cone):
+    """The elements as monomials in the curve variables; ``cone`` is the weight cone."""
     names = ["x0", "x1", "x2", "h"]
     lines = [
         "# subalgebra of P = C[x0,x1,x2,h,t0..t9] / (h*(x0-x1+x2) - 1 + toric relations)",
         "# t_i carries the class of the i-th negative curve",
     ]
-    cone, values = weight_cone(), {}
+    values = {}
     for e in _sorted_elements(elements):
         exps = _t_monomial(e.weight, cone, values)
         poly = _coefficient_poly(e)
@@ -305,7 +306,7 @@ def run_cox(max_iterations=64) -> CoxResult:
     gens = reduce_generators(y, pool)
     report.append(f"generators after pruning: {len(gens)}")
 
-    text = presentation_text(gens)
+    text = presentation_text(gens, d.weight_cone)
     minors_ok = minors_certificate(gens)
     report.append(f"minors certificate: {'pass' if minors_ok else 'fail'}")
 

@@ -8,15 +8,13 @@ its basis matrix.
 Hermite normal forms come from one elimination on sparse rows, each a
 dict of its nonzero entries.  Only ``hnf`` and the callers that read the
 transform (``kernel_lattice``, ``solve_in_lattice``) carry it, as identity
-columns appended to the rows; ``hnf_basis`` builds none.
+columns appended to the rows; ``hnf_basis`` builds none.  Everything over
+Q (span tests, ``rank``, ``rref`` and what reads it) goes through one
+fraction-free forward elimination, ``reduce_row``.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def _as_rows(mat):
-    return [list(row) for row in mat]
 
 
 def identity(n):
@@ -141,13 +139,9 @@ def kernel_lattice(rows):
     return tuple(_dense(row, 0, n) for row in ker[: len(_hermite(ker, n))])
 
 
-def rank(rows):
-    return len(rref(rows)[1])
-
-
 def det(rows):
     """Determinant of a square integer matrix, fraction-free Bareiss."""
-    a = _as_rows(rows)
+    a = [list(row) for row in rows]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a matrix that is not square")
@@ -175,21 +169,8 @@ def primitive(vec):
         # from a list, so the tuple is allocated at its final size
         return tuple([x // g for x in vec]) if g > 1 else tuple(vec)
     fr = [Fraction(x) for x in vec]
-    if not any(fr):
-        return tuple(0 for _ in fr)
     scale = lcm(*(x.denominator for x in fr))
-    ints = [int(x * scale) for x in fr]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def invert_unimodular(rows):
-    """Inverse of a unimodular integer matrix (again integral)."""
-    n = len(rows)
-    h, u = hnf(rows)
-    if h != identity(n):
-        raise ValueError("matrix is not unimodular")
-    return u
+    return primitive([int(x * scale) for x in fr])
 
 
 def solve_in_lattice(target, basis):
@@ -223,33 +204,91 @@ def solve_in_lattice(target, basis):
     return tuple(coeffs)
 
 
-def rref(rows):
-    """Fraction-free reduced row echelon form of rational rows (Bareiss 1968).
+def reduce_row(echelon, v):
+    """Reduce the integer row v against the echelon rows {pivot: row}.
 
-    Returns (rref_rows, pivot_columns); row i is the primitive integer
-    multiple of row i of the rational rref: positive pivots, zero rows last.
+    Fraction free, as in Bareiss 1968: against the row r with pivot p,
+    v <- r[p] v - v[p] r (both factors divided by their gcd first), then v is
+    divided by its content.  Returns (pivot, reduced row) at the first
+    nonzero column that is no row's pivot, or None when v reduces to zero.
     """
-    a = [primitive(row) for row in rows]
-    m = len(a)
-    n = _width(a)
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        if a[r][c] < 0:
-            a[r] = tuple([-x for x in a[r]])  # from a list, as in primitive
-        f = a[r][c]
-        for i in range(m):
-            g = a[i][c]
-            if i != r and g:
-                a[i] = primitive([f * x - g * y for x, y in zip(a[i], a[r])])
-        pivots.append(c)
-    return a, pivots
+    width = len(v)
+    p = next((j for j, x in enumerate(v) if x), width)
+    while p < width:
+        r = echelon.get(p)
+        if r is None:
+            return p, v
+        g = gcd(r[p], v[p])
+        a, b = r[p] // g, v[p] // g
+        v = [a * x - b * z for x, z in zip(v, r)]
+        g = gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+        p = next((j for j in range(p + 1, width) if v[j]), width)
+    return None
+
+
+def echelon(rows):
+    """Integer row echelon of the rows, keyed by pivot column."""
+    echelon = {}
+    for v in rows:
+        reduced = reduce_row(echelon, v)
+        if reduced is not None:
+            p, r = reduced
+            echelon[p] = r
+    return echelon
+
+
+def rank(rows):
+    """Rank of rational rows: the size of their echelon."""
+    _width(rows)  # reduce_row zips, so ragged rows are caught here
+    return len(echelon([primitive(row) for row in rows]))
+
+
+def rref(rows):
+    """Fraction-free reduced row echelon form of rational rows.
+
+    ``echelon`` eliminates forward; an upward pass, from the last pivot to
+    the first, clears each pivot column in the rows above.  Returns
+    (rref_rows, pivot_columns); row i is the primitive integer multiple of
+    row i of the rational rref: positive pivots, zero rows last.
+    """
+    rows = [primitive(row) for row in rows]
+    n = _width(rows)
+    ech = echelon(rows)
+    pivots = sorted(ech)
+    red = [ech[p] for p in pivots]
+    for k in range(len(red) - 1, 0, -1):
+        p, r = pivots[k], red[k]
+        for i in range(k):
+            v = red[i]
+            if v[p]:
+                g = gcd(r[p], v[p])
+                a, b = r[p] // g, v[p] // g
+                red[i] = [a * x - b * y for x, y in zip(v, r)]
+    out = []
+    for p, row in zip(pivots, red):
+        g = gcd(*row) if row[p] > 0 else -gcd(*row)
+        # from a list, as in primitive
+        out.append(tuple(row) if g == 1 else tuple([x // g for x in row]))
+    out.extend([(0,) * n] * (len(rows) - len(out)))
+    return out, pivots
+
+
+def rational_kernel(rows, width):
+    """Integer kernel basis read off the rref: one vector per non-pivot
+    column j, a multiple of the rational one with 1 at j."""
+    red, pivots = rref(rows)
+    den = lcm(*(r[p] for r, p in zip(red, pivots)))
+    basis = []
+    for j in range(width):
+        if j not in pivots:
+            vec = [0] * width
+            vec[j] = den
+            for r, p in zip(red, pivots):
+                vec[p] = -r[j] * (den // r[p])
+            basis.append(vec)
+    return basis
 
 
 def scaled_inverse(rows):
@@ -258,8 +297,18 @@ def scaled_inverse(rows):
     red, pivots = rref(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     )
+    if n and len(red[0]) != 2 * n:  # [A | I] is n wide plus the width of A
+        raise ValueError("inverse of a matrix that is not square")
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     # row i is (D_i e_i | D_i * row i of A^-1)
     den = lcm(*(row[i] for i, row in enumerate(red)))
     return den, [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(red)]
+
+
+def invert_unimodular(rows):
+    """Inverse of a unimodular integer matrix (again integral)."""
+    den, inv = scaled_inverse(rows)
+    if den != 1:
+        raise ValueError("matrix is not unimodular")
+    return inv

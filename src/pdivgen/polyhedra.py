@@ -198,18 +198,16 @@ class QCone(NamedTuple):
         return True
 
     def contains_interior(self, point):
-        if rank(self.rays) < self.dim:
-            return False
-        return all(dot(f, point) > 0 for f in self.facets)
+        return self.is_full_dim() and all(dot(f, point) > 0 for f in self.facets)
 
     def is_pointed(self):
-        return rank(self.facets) == self.dim if self.facets else self.dim == 0
+        return rank(self.facets) == self.dim
 
     def is_full_dim(self):
-        return rank(self.rays) == self.dim if self.rays else self.dim == 0
+        return self.span_rank() == self.dim
 
     def span_rank(self):
-        return rank(self.rays) if self.rays else 0
+        return rank(self.rays)
 
 
 def _dual_pair(vectors, dim):

@@ -4,15 +4,17 @@ Three backends ship, each a subclass of ``Variety``: a point, projective
 space, and the blow-up of the plane in four points.  Sections are
 represented as fractions whose denominators stay factored into the
 registered defining forms, so that products and span tests reduce to
-linear algebra on numerators.
+linear algebra on numerators.  That linear algebra is ``intlinalg``'s:
+span tests reduce against its echelon, and the multiplicity conditions of
+the blow-up take its rational kernel.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
-from .intlinalg import rref
+from .intlinalg import echelon, rational_kernel, reduce_row
 from .mpoly import MPoly, _rational, local_at, monomials_of_degree, multiplicity_at
 
 
@@ -479,7 +481,7 @@ class BlowupOfP2(Variety):
             for ce in cond_exps:
                 rows.append([mp.terms.get(ce, 0) for mp in shifted])
         basis = []
-        for vec in _kernel_basis(rows, len(monos)):
+        for vec in rational_kernel(rows, len(monos)):
             g = MPoly(3, {e: vec[i] for e, i in index.items()})
             basis.append(g.content_normalized())
         return basis
@@ -532,23 +534,6 @@ def _check_general_position(points):
 
 def _format_point(p):
     return "(" + ", ".join(str(x) for x in p) + ")"
-
-
-def _kernel_basis(rows, width):
-    """Integer kernel basis read off the rref: one vector per non-pivot
-    column j, a multiple of the rational one with 1 at j."""
-    red, pivots = rref(rows)
-    den = lcm(*(r[p] for r, p in zip(red, pivots)))
-    basis = []
-    for j in range(width):
-        if j in pivots:
-            continue
-        vec = [0] * width
-        vec[j] = den
-        for r, p in zip(red, pivots):
-            vec[p] = -r[j] * (den // r[p])
-        basis.append(vec)
-    return basis
 
 
 def _balanced_monomial(nvars, degree):
@@ -619,43 +604,8 @@ def numerator_vectors(y, elements, extra=()):
     return rows, index
 
 
-def _reduce(echelon, v):
-    """Reduce the integer row v against the echelon rows {pivot: row}.
-
-    Fraction free, as in Bareiss 1968: against the row r with pivot p,
-    v <- r[p] v - v[p] r (both factors divided by their gcd first), then v is
-    divided by its content.  Returns (pivot, reduced row) at the first
-    nonzero column that is no row's pivot, or None when v reduces to zero.
-    """
-    width = len(v)
-    p = next((j for j, x in enumerate(v) if x), width)
-    while p < width:
-        r = echelon.get(p)
-        if r is None:
-            return p, v
-        g = gcd(r[p], v[p])
-        a, b = r[p] // g, v[p] // g
-        v = [a * x - b * z for x, z in zip(v, r)]
-        g = gcd(*v)
-        if g > 1:
-            v = [x // g for x in v]
-        p = next((j for j in range(p + 1, width) if v[j]), width)
-    return None
-
-
-def _echelon(rows):
-    """Integer row echelon of the rows, keyed by pivot column."""
-    echelon = {}
-    for v in rows:
-        reduced = _reduce(echelon, v)
-        if reduced is not None:
-            p, r = reduced
-            echelon[p] = r
-    return echelon
-
-
 def in_span(y, target, elements) -> bool:
     """Whether target lies in the rational span of the elements."""
     rows, _ = numerator_vectors(y, elements, (target,))
-    return _reduce(_echelon(rows[:-1]), rows[-1]) is None
+    return reduce_row(echelon(rows[:-1]), rows[-1]) is None
 

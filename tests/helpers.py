@@ -7,7 +7,7 @@ from math import comb, gcd, lcm
 
 from pdivgen.cli import JobDescription
 from pdivgen.engine import GradedElement, _dedupe, _interior_ray, extended_vector
-from pdivgen.intlinalg import identity, kernel_lattice, primitive, solve_in_lattice
+from pdivgen.intlinalg import echelon, identity, kernel_lattice, primitive, solve_in_lattice
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
@@ -23,7 +23,6 @@ from pdivgen.varieties import (
     NotTMoveable,
     ProjectiveSpace,
     QDivisor,
-    _echelon,
     ffe,
     is_basepoint_free,
     numerator_vectors,
@@ -497,7 +496,7 @@ def fraction_in_span(y, target, elements):
 def span_dimension(y, elements) -> int:
     """Dimension of the span of the sections, by the integer echelon of ``in_span``."""
     rows, _ = numerator_vectors(y, elements)
-    return len(_echelon(rows))
+    return len(echelon(rows))
 
 
 def fraction_span_dimension(y, elements):

@@ -1,5 +1,6 @@
 """Job files and the command line front end."""
 
+import hashlib
 import io
 import tempfile
 import time
@@ -136,7 +137,67 @@ def test_eval_golden_output(tmp_path, capsys):
 def test_shipped_job_file(capsys):
     assert main(["jobs/p2.pdiv", "--pipeline", "subdivide"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "2 maximal cones, 3 rays" in out
+    assert out == (
+        "linearity subdivision: 2 maximal cones, 3 rays\n"
+        "cone 0: rays ((-1, 1), (0, 1))\n"
+        "cone 1: rays ((0, 1), (1, 1))\n"
+        "rays: ((-1, 1), (0, 1), (1, 1))\n"
+    )
+
+
+# Jobs whose coefficients have three vertices, so the linearity subdivision
+# is the common refinement of their normal fans, which keeps a piece when its
+# span rank is the weight cone's.  The second weight cone is a half-plane.
+REFINED_JOBS = {
+    "triangle": (
+        "[variety]\nbackend = projective-space\ncoordinates = x y z\nform.D = x*y*z\n"
+        "[pdivisor]\nrays = (1,0) (0,1)\ncoefficient.D = (0,2) (1,1) (3,0)\n",
+        "linearity subdivision: 3 maximal cones, 4 rays\n"
+        "cone 0: rays ((0, 1), (1, 2))\n"
+        "cone 1: rays ((1, 0), (1, 1))\n"
+        "cone 2: rays ((1, 1), (1, 2))\n"
+        "rays: ((0, 1), (1, 0), (1, 1), (1, 2))\n",
+    ),
+    "half-plane": (
+        "[variety]\nbackend = projective-space\ncoordinates = x y z\n"
+        "form.E = (y - z)*(x - z)*(x - y)\n"
+        "[pdivisor]\nrays = (1,0) (-1,0) (0,1)\ncoefficient.E = (-1,1) (1,1) (0,3)\n",
+        "linearity subdivision: 2 maximal cones, 3 rays\n"
+        "cone 0: rays ((-1, 0), (0, 1))\n"
+        "cone 1: rays ((0, 1), (1, 0))\n"
+        "rays: ((-1, 0), (0, 1), (1, 0))\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINED_JOBS))
+def test_subdivide_report_of_a_common_refinement(name, tmp_path, capsys):
+    text, report = REFINED_JOBS[name]
+    job = tmp_path / f"{name}.pdiv"
+    job.write_text(text)
+    assert main([str(job), "--pipeline", "subdivide"]) == EXIT_OK
+    assert capsys.readouterr().out == report
+
+
+def test_general_route_on_common_refinements(tmp_path, capsys):
+    job = tmp_path / "triangle.pdiv"
+    job.write_text(REFINED_JOBS["triangle"][0])
+    assert main([str(job), "--pipeline", "general"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("linearity cells: 3\nsubdivision rays: 4\nraw pool size: 85\n")
+    assert "\n56 generators\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b127a8a803e04c290f72476c936f3a4ae0b38fd39d335f6cab42e8196a765507"
+    )
+    # D is not big on the cell of the half-plane whose rays are (-1, 0) and (0, 1)
+    job = tmp_path / "half-plane.pdiv"
+    job.write_text(REFINED_JOBS["half-plane"][0])
+    assert main([str(job), "--pipeline", "general"]) == EXIT_SEMANTIC
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "semantic error: [stage bigness] the p-divisor is not big on cell "
+        "((-1, 0), (0, 1)): degree 0 <= 0\n"
+    )
 
 
 def test_exit_codes(tmp_path, capsys):

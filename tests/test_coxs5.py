@@ -90,14 +90,21 @@ def test_ten_generators(result):
         assert expected in lines
 
 
-def test_presentation_builds_one_pruning_cone(result):
-    # the presentation builds the cone of the curve columns itself and
-    # passes it to every search
+def test_presentation_builds_no_pruning_cone(result):
+    # the presentation takes the weight cone, the cone of the curve
+    # columns, from its caller and passes it to every search
+    cone = weight_cone()
     with mock.patch.object(coxs5, "cone_from_rays", wraps=coxs5.cone_from_rays) as build:
-        text = presentation_text(result.generators.elements)
-    assert build.call_count == 1
-    assert build.call_args.args[0] == CURVE_COLUMNS
+        text = presentation_text(result.generators.elements, cone)
+    assert build.call_count == 0
     assert text == result.presentation
+
+
+def test_run_cox_builds_the_weight_cone_once():
+    # the presentation reads the p-divisor's weight cone
+    with mock.patch.object(coxs5, "weight_cone", wraps=coxs5.weight_cone) as build:
+        run_cox()
+    assert build.call_count == 1
 
 
 def test_run_cox_reuses_the_section_bases_of_the_rays():

@@ -126,6 +126,7 @@ def test_sparse_elimination_matches_the_dense_one(a, data):
         (hnf_basis, [[3], [0, 5]], "1 and 2"),
         (hnf, [[2, 4], [3]], "2 and 1"),
         (rref, [[1, 2], [3]], "2 and 1"),
+        (rank, [[1, 2], [3]], "2 and 1"),
     ],
 )
 def test_ragged_rows_are_rejected(fn, rows, widths):
@@ -188,6 +189,47 @@ def test_invert_unimodular():
     assert mat_mul(u, inv) == identity(2)
 
 
+@st.composite
+def _unimodular_matrices(draw):
+    """A square matrix of size 1 to 5 built from the identity by elementary
+    row operations: swaps, negations and adding a multiple of another row."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    a = [list(row) for row in identity(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("swap", "negate", "add")))
+        if kind == "swap":
+            a[i], a[j] = a[j], a[i]
+        elif kind == "negate":
+            a[i] = [-x for x in a[i]]
+        elif i != j:
+            q = draw(st.integers(min_value=-3, max_value=3))
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+@given(_unimodular_matrices(), st.sampled_from((0, 2, 3, 5)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_invert_unimodular_is_exact_and_integral(u, k, data):
+    n = len(u)
+    inv = invert_unimodular(u)
+    assert all(type(x) is int for row in inv for x in row)
+    assert mat_mul(u, inv) == mat_mul(inv, u) == identity(n)
+    # scaling a row by k gives |det| = k: singular for k = 0, and with an
+    # inverse that is not integral for k >= 2
+    i = data.draw(st.integers(0, n - 1))
+    with pytest.raises(ValueError):
+        invert_unimodular([[k * x for x in row] if r == i else row for r, row in enumerate(u)])
+
+
+def test_invert_unimodular_rejects_matrices_that_are_not_square():
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(ValueError):
+            invert_unimodular(rows)
+        with pytest.raises(ValueError):
+            scaled_inverse(rows)
+
+
 @given(st.one_of(small_matrix(2, 2), small_matrix(3, 3), small_matrix(4, 4)))
 @settings(max_examples=80, deadline=None)
 def test_inverse(a):
@@ -207,3 +249,6 @@ def test_rref_and_rank():
     assert piv == [0]
     assert tuple(red[0]) == (Fraction(1), Fraction(2))
     assert len(rref([[1, 2], [2, 4], [0, 1]])[1]) == 2
+    # negative pivots come out positive, each row primitive, zero rows last
+    red, piv = rref([[0, -3, 6], [-2, 4, 0], [2, -1, -6]])
+    assert (red, piv) == ([(1, 0, -4), (0, 1, -2), (0, 0, 0)], [0, 1])

@@ -50,7 +50,7 @@ from pdivgen.engine import (
     weight_lattice_completion,
     zariski_generators,
 )
-from pdivgen.intlinalg import det, hnf, primitive, rank, rref
+from pdivgen.intlinalg import det, hnf, primitive, rank, rational_kernel, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import (
     IterationLimitExceeded,
@@ -75,7 +75,6 @@ from pdivgen.varieties import (
     NotTMoveable,
     PointBase,
     QDivisor,
-    _kernel_basis,
     ffe,
     in_span,
     is_basepoint_free,
@@ -462,7 +461,7 @@ def test_rref_is_the_primitive_fraction_rref(case):
 @settings(max_examples=200, deadline=None)
 def test_kernel_basis_matches_the_fraction_kernel_up_to_scale(case):
     rows, width = case
-    got = _kernel_basis(rows, width)
+    got = rational_kernel(rows, width)
     want = fraction_kernel_basis(rows, width)
     pivots = fraction_rref(rows)[1]
     free = [j for j in range(width) if j not in pivots]
