@@ -4,27 +4,29 @@ The surface is the blow-up of the projective plane in four general
 points.  Its effective cone is spanned by the classes of the ten
 negative curves; a polyhedral divisor on the surface itself, graded by
 the class lattice, has the Cox ring as its section algebra.  This
-module builds that divisor and feeds it through the general machinery.
+module builds that divisor (``jobs/cox-s5.pdiv`` is the same one as a
+job file), and ``run_cox`` runs the general route's steps on it: the ray
+harvest, the ray sections and the completion.  What it adds is specific
+to the Cox ring: the ray classes and their product reduction, the report
+lines, the presentation in the curve variables and the minors certificate.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
 from .engine import (
     GeneratorSet,
-    GradedElement,
     _nn_decompositions,
     _sorted_elements,
-    find_k_rho,
-    normalize_or_export,
-    reduce_generators,
+    complete_generators,
+    harvest_rays,
+    zariski_generators,
 )
 from .intlinalg import primitive
 from .mpoly import MPoly
 from .pdivisor import PDivisor, linearity_subdivision
 from .polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
-from .varieties import BlowupOfP2, sections
+from .varieties import BlowupOfP2
 
 # columns: classes of the negative curves in the basis (H, E1..E4);
 # first the four exceptional curves, then the six line transforms,
@@ -46,15 +48,7 @@ CURVE_COLUMNS = (
 
 def cox_surface() -> BlowupOfP2:
     """The four-point blow-up with a line avoiding all base points."""
-    f = MPoly(
-        3,
-        {
-            (1, 0, 0): Fraction(1),
-            (0, 1, 0): Fraction(-1),
-            (0, 0, 1): Fraction(1),
-        },
-    )
-    return BlowupOfP2(POINTS, f)
+    return BlowupOfP2(POINTS, MPoly(3, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1}))
 
 
 def weight_cone() -> "QCone":
@@ -202,7 +196,7 @@ def presentation_text(elements, cone):
             f"t{i}" if k == 1 else f"t{i}^{k}" for i, k in enumerate(exps) if k
         )
         coeff = poly.format(names)
-        if poly.is_term() and poly.terms == {(0, 0, 0, 0): Fraction(1)}:
+        if poly.terms == {(0, 0, 0, 0): 1}:
             lines.append(tpart or "1")
         else:
             lines.append(f"({coeff}) * {tpart}" if tpart else f"({coeff})")
@@ -275,53 +269,37 @@ def run_cox(max_iterations=64) -> CoxResult:
     rays = tuple(sorted(primitive(r) for r in domain.rays()))
     report = [f"linearity subdivision: {len(cells)} maximal cones, {len(rays)} rays"]
 
-    bpf = {}
-    floors = {}  # the floor of each ray's evaluation
-    ray_classes = {}
-    for r in rays:
-        bpf[r], base = find_k_rho(d, r, max_iterations)
-        floors[r] = base.floor()
-        ray_classes[r] = y.divisor_class(floors[r])
-    distinct = sorted(set(ray_classes.values()))
-    report.append(f"evaluation classes at the rays: {len(distinct)} distinct")
-    report.append(
-        "base point free multiples: "
-        + (
-            "all 1"
-            if all(k == 1 for k in bpf.values())
-            else str(sorted(set(bpf.values())))
-        )
-    )
+    harvest = harvest_rays(d, rays, max_iterations)
+    bpf = {r: k for r, (k, _) in harvest.items()}
+    ray_classes = {r: y.divisor_class(base.floor()) for r, (_, base) in harvest.items()}
+    report.append(f"evaluation classes at the rays: {len(set(ray_classes.values()))} distinct")
+    multiples = sorted(set(bpf.values()))
+    report.append(f"base point free multiples: {'all 1' if multiples == [1] else multiples}")
 
     reduced = reduce_rays(y, d, ray_classes)
     report.append(f"rays kept after the product reduction: {len(reduced)}")
 
-    pool = []
-    for u in reduced:
-        floor = floors[u] if u in floors else d.evaluate(u).floor()
-        pool.extend(GradedElement(s, u) for s in sections(y, floor))
-    pool = _sorted_elements(pool)
-    report.append(f"section pool: {len(pool)} elements")
+    # a weight the reduction adds goes through the same harvest as a ray
+    kept = [primitive(u) for u in reduced]
+    harvest.update(harvest_rays(d, [r for r in kept if r not in harvest], max_iterations))
+    pool, _ = zariski_generators(d, {r: harvest[r] for r in kept})
+    raw_count, pruned, _, final = complete_generators(y, d, pool, harvest, max_iterations)
+    report.append(f"section pool: {raw_count} elements")
+    report.append(f"generators after pruning: {len(pruned)}")
 
-    gens = reduce_generators(y, pool)
-    report.append(f"generators after pruning: {len(gens)}")
-
-    text = presentation_text(gens, d.weight_cone)
-    minors_ok = minors_certificate(gens)
+    text = presentation_text(pruned, d.weight_cone)
+    minors_ok = minors_certificate(pruned)
     report.append(f"minors certificate: {'pass' if minors_ok else 'fail'}")
 
-    final = normalize_or_export(y, gens)
-    added = len(final.elements) - len(gens)
-    report.append(
-        f"normalization: {final.normalization_status}, {added} elements added"
-    )
+    added = len(final.elements) - len(pruned)
+    report.append(f"normalization: {final.normalization_status}, {added} elements added")
     return CoxResult(
         cells=cells,
         rays=rays,
         ray_classes=ray_classes,
         bpf_multiples=bpf,
         reduced_rays=reduced,
-        pool=tuple(pool),
+        pool=tuple(_sorted_elements(pool)),
         generators=final,
         presentation=text,
         minors_match=minors_ok,

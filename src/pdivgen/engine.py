@@ -1,11 +1,14 @@
 """Generating sets of the multigraded section algebra of a p-divisor.
 
-The pipeline mirrors the structure of the computation: make the divisor
-linear on cells, harvest ray sections, complete the weight lattice,
-certify the quotient field, prune dependent elements, and finally
-normalize or export.  Saturation runs on a point base; on any other base
-an independent factorable set is normal, and anything else is exported
-as a presentation for an external normalization.
+``run_general`` runs the steps of the computation, each a function that
+returns its data: ``linearity_subdivision`` makes the divisor linear on
+cells, ``harvest_rays`` finds each ray's base point free multiple,
+``zariski_generators`` builds the ray sections, and ``complete_generators``
+completes the weight lattice, prunes dependent elements, completes the
+quotient field and normalizes or exports.  ``coxs5.run_cox`` runs the same
+steps.  Saturation runs on a point base; on any other base an independent
+factorable set is normal, and anything else is exported as a presentation
+for an external normalization.
 """
 
 from math import gcd
@@ -16,6 +19,7 @@ from .intlinalg import (
     det,
     hnf,
     hnf_basis,
+    identity,
     invert_unimodular,
     kernel_lattice,
     solve_in_lattice,
@@ -97,19 +101,24 @@ def _sorted_elements(elements):
 # steps 4-6: ray sections
 
 
-def zariski_generators(d: PDivisor, rays, max_iterations=64):
-    """Elements eta_j * chi^(k*rho) for every distinct primitive ray.
+def harvest_rays(d: PDivisor, rays, max_iterations=64):
+    """Each distinct primitive ray, in the order ``rays`` first lists it,
+    mapped to (k, D(rho)) from ``find_k_rho``: D is read from the p-divisor
+    itself, not from the cell a ray comes from."""
+    rays = dict.fromkeys(primitive(r) for r in rays)
+    return {rho: find_k_rho(d, rho, max_iterations) for rho in rays}
 
-    Each ray is visited once, in the order ``rays`` first lists it.  D(u)
-    is read from the p-divisor itself, so a ray's sections do not depend
-    on the cell it comes from, and distinct primitive rays give distinct
-    weights k*rho.  Returns (elements, twisted weights): a ray weight is
-    twisted when its divisor is not effective but has sections.
+
+def zariski_generators(d: PDivisor, harvest):
+    """Elements eta_j * chi^(k*rho) for every ray of the harvest.
+
+    Distinct primitive rays give distinct weights k*rho.  Returns
+    (elements, twisted weights): a ray weight is twisted when its divisor
+    is not effective but has sections.
     """
     elements = []
     twisted = set()
-    for rho in dict.fromkeys(primitive(r) for r in rays):
-        k, base = find_k_rho(d, rho, max_iterations)
+    for rho, (k, base) in harvest.items():
         weight = tuple(k * x for x in rho)
         div = base * k
         basis = sections(d.variety, div)
@@ -169,12 +178,19 @@ def _pick_section(y, basis, div: QDivisor):
     return min(basis, key=lambda s: GradedElement(s, ()).key())
 
 
-def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
-    """Add elements until the collected weights generate the full lattice."""
+def weight_lattice_completion(d: PDivisor, elements, harvest, max_iterations=64):
+    """Add elements until the collected weights generate the full lattice.
+
+    D(j*b) = j*D(b), with D(b) read from the ray ``harvest`` when b is a ray.
+    """
     y = d.variety
-    added = []
     weights = [e.weight for e in elements]
+    # the Hermite basis is the identity when the weights generate Z^n
+    if hnf_basis(weights) == identity(d.weight_cone.dim):
+        return []
+    added = []
     for b in interior_lattice_basis(d.weight_cone):
+        base = harvest[b][1] if b in harvest else d.evaluate(b)
         g = 0  # gcd of the multiples j with sections
         j = 0
         while g != 1:
@@ -184,7 +200,7 @@ def weight_lattice_completion(d: PDivisor, elements, max_iterations=64):
                     f"weight lattice completion stalled along {b}"
                 )
             u = tuple(j * x for x in b)
-            div = d.evaluate(u)
+            div = base * j
             sec = sections_of_floor(y, div)
             if not sec:
                 continue
@@ -478,15 +494,20 @@ def _presentation(y, elements, extended_vectors, relations):
 # full pipeline
 
 
-def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
-    domain = linearity_subdivision(d)
-    cell_rays = [r for cell in domain.cells for r in cell.rays]
-    pool, twisted = zariski_generators(d, cell_rays, max_iterations)
-    pool.extend(weight_lattice_completion(d, pool, max_iterations))
-    raw_count = len(pool)
+def complete_generators(y, d: PDivisor, pool, harvest, max_iterations=64):
+    """Steps 7-13 on the ray sections ``pool``.  Returns the raw pool size,
+    the pruned and the re-added elements, and the GeneratorSet."""
+    pool = pool + weight_lattice_completion(d, pool, harvest, max_iterations)
     pruned = reduce_generators(y, pool)
     readded = quotient_field_complete(d, pruned, pool, max_iterations)
-    result = normalize_or_export(y, pruned + readded)
+    return len(pool), pruned, readded, normalize_or_export(y, pruned + readded)
+
+
+def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
+    domain = linearity_subdivision(d)
+    harvest = harvest_rays(d, [r for cell in domain.cells for r in cell.rays], max_iterations)
+    pool, twisted = zariski_generators(d, harvest)
+    raw_count, pruned, readded, result = complete_generators(y, d, pool, harvest, max_iterations)
     report = (
         f"linearity cells: {len(domain.cells)}",
         f"subdivision rays: {len(domain.rays())}",

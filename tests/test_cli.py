@@ -456,6 +456,17 @@ def test_cox_pipeline_without_jobfile(tmp_path, capsys):
     assert "minors certificate: pass" in text
 
 
+def test_the_cox_job_file_prints_the_cox_generators(tmp_path, capsys):
+    # the general route on the shipped Cox p-divisor writes the generator
+    # lines of the cox-s5 pipeline
+    report = tmp_path / "cox-general.txt"
+    args = ["jobs/cox-s5.pdiv", "--pipeline", "general", "--output", str(report)]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    golden = Path("perfbench/golden/cox-s5.gens.txt").read_text()
+    assert Path(f"{report}.gens.txt").read_text() == golden
+
+
 def test_torus_route_splits_a_cell_that_is_not_simplicial(tmp_path, capsys):
     job = tmp_path / "square.pdiv"
     job.write_text(

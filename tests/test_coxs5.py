@@ -1,11 +1,14 @@
 """The Cox construction on the four-point blow-up of the plane."""
 
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from pdivgen import coxs5, engine
+from helpers import plane_pdivisor
+from pdivgen import coxs5
+from pdivgen.cli import build_pdivisor, build_variety, parse_job
 from pdivgen.coxs5 import (
     CURVE_COLUMNS,
     build_cox_pdivisor,
@@ -17,8 +20,8 @@ from pdivgen.coxs5 import (
     weight_cone,
 )
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
-from pdivgen.engine import GradedElement, _sorted_elements
-from pdivgen.varieties import QDivisor, sections
+from pdivgen.engine import GradedElement, _sorted_elements, weight_lattice_completion
+from pdivgen.varieties import QDivisor, Variety, sections
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +33,19 @@ def test_weight_cone_rays():
     omega = weight_cone()
     assert set(omega.rays) == set(CURVE_COLUMNS)
     assert len(omega.rays) == 10
+
+
+def test_the_job_file_holds_the_cox_pdivisor():
+    job = parse_job(Path("jobs/cox-s5.pdiv").read_text())
+    parsed = build_pdivisor(job, build_variety(job))
+    built = build_cox_pdivisor()
+    for cone in ("rays", "facets"):
+        assert getattr(parsed.weight_cone, cone) == getattr(built.weight_cone, cone)
+    assert list(parsed.coefficients) == list(built.coefficients)
+    for label, poly in built.coefficients.items():
+        assert parsed.coefficients[label].vertices == poly.vertices
+        assert parsed.coefficients[label].tail.rays == poly.tail.rays
+        assert parsed.coefficients[label].tail.facets == poly.tail.facets
 
 
 def test_pdivisor_evaluation_at_curve_columns():
@@ -108,16 +124,14 @@ def test_run_cox_builds_the_weight_cone_once():
 
 
 def test_run_cox_reuses_the_section_bases_of_the_rays():
-    with mock.patch.object(coxs5, "sections", wraps=coxs5.sections) as from_cox, \
-            mock.patch.object(engine, "sections", wraps=engine.sections) as from_engine, \
+    with mock.patch.object(Variety, "_sections", autospec=True, side_effect=Variety._sections) as built, \
             mock.patch.object(PDivisor, "evaluate", autospec=True, side_effect=PDivisor.evaluate) as evaluate:
         result = run_cox()
-    # the search evaluates each ray once and builds no sections; the pool
+    # the harvest evaluates each ray once and builds no sections; the pool
     # builds one section space per kept ray from the floor of that one
-    # evaluation, and the product reduction evaluates each weight it
-    # classes once
-    assert from_cox.call_count == len(result.reduced_rays) == 20
-    assert from_engine.call_count == 0
+    # evaluation, the completion builds none, and the product reduction
+    # evaluates each weight it classes once
+    assert built.call_count == len(result.reduced_rays) == 20
     weights = [c.args[1] for c in evaluate.call_args_list]
     assert len(weights) == len(set(weights)) == 50
     y = cox_surface()
@@ -128,6 +142,20 @@ def test_run_cox_reuses_the_section_bases_of_the_rays():
         for s in sections(y, d.evaluate(u).floor())
     ]
     assert result.pool == tuple(_sorted_elements(pool))
+
+
+def test_a_pool_whose_weights_generate_the_lattice_needs_no_completion(result):
+    plane = plane_pdivisor()
+    y = plane.variety
+    cases = [
+        (build_cox_pdivisor(), list(result.pool)),
+        (plane, [GradedElement(y.one(), (0, 1)), GradedElement(y.one(), (1, 1))]),
+    ]
+    for d, pool in cases:
+        with mock.patch.object(Variety, "_sections", autospec=True, side_effect=Variety._sections) as built, \
+                mock.patch.object(PDivisor, "evaluate", autospec=True, side_effect=PDivisor.evaluate) as evaluate:
+            assert weight_lattice_completion(d, pool, {}) == []
+        assert built.call_count == evaluate.call_count == 0
 
 
 def test_minors_certificate(result):

@@ -28,6 +28,7 @@ from pdivgen.engine import (
     algebra_membership,
     extended_vector,
     find_k_rho,
+    harvest_rays,
     interior_lattice_basis,
     quotient_field_complete,
     reduce_generators,
@@ -68,9 +69,10 @@ def test_each_subdivision_ray_is_harvested_once():
             mock.patch.object(PDivisor, "evaluate", autospec=True, side_effect=PDivisor.evaluate) as evaluate:
         run_general(d.variety, d)
     assert [c.args[1] for c in spy.call_args_list] == [(-1, 1), (0, 1), (1, 1)]
-    # one evaluation per ray serves its search and its sections; the
-    # other two come from the weight lattice completion
-    assert evaluate.call_count == 5
+    # one evaluation per ray serves its search, its sections and the
+    # weight lattice completion, whose basis vectors (0, 1) and (1, 1)
+    # are rays
+    assert evaluate.call_count == 3
 
 
 def test_find_k_rho_plane_example():
@@ -185,8 +187,9 @@ def test_the_left_kernel_of_a_975_section_pool_is_in_hermite_form():
         "E": tailed_polyhedron([(Fraction(4, 3), Fraction(-2, 3))], tail, 2),
     })
     rays = [r for cell in linearity_subdivision(d).cells for r in cell.rays]
-    pool, _ = zariski_generators(d, rays)
-    pool.extend(weight_lattice_completion(d, pool))
+    harvest = harvest_rays(d, rays)
+    pool, _ = zariski_generators(d, harvest)
+    pool.extend(weight_lattice_completion(d, pool, harvest))
     vectors = [extended_vector(y, e) for e in pool]
     assert len(vectors) == 975 and None not in vectors
     ker = kernel_lattice(list(zip(*vectors)))
@@ -345,7 +348,7 @@ def test_quotient_field_steps_start_at_the_first_multiple():
 def test_quotient_field_takes_its_witness_from_the_reserve():
     d = plane_pdivisor()
     cells = linearity_subdivision(d).cells
-    pool = zariski_generators(d, [r for cell in cells for r in cell.rays])[0]
+    pool = zariski_generators(d, harvest_rays(d, [r for cell in cells for r in cell.rays]))[0]
     # the reserve branch moves elements, so no step along the interior ray runs
     added = quotient_field_complete(d, [], pool, max_iterations=0)
     assert len(added) == 3

@@ -45,6 +45,7 @@ from pdivgen.coxs5 import cox_surface
 from pdivgen.engine import (
     GradedElement,
     extended_vector,
+    harvest_rays,
     quotient_field_complete,
     run_general,
     weight_lattice_completion,
@@ -565,7 +566,7 @@ def _effective_pdivisors(draw):
 def test_one_pass_ray_pool_matches_the_per_simplex_harvest(d):
     cells = linearity_subdivision(d).cells
     rays = [r for cell in cells for r in cell.rays]
-    got = _pool_keys(lambda: zariski_generators(d, rays)[0])
+    got = _pool_keys(lambda: zariski_generators(d, harvest_rays(d, rays))[0])
     expected = _pool_keys(lambda: per_simplex_ray_pool(d))
     if all(len(cell.rays) == rank(cell.rays) for cell in cells):
         assert got == expected
@@ -621,10 +622,11 @@ def test_validate_and_the_general_route_share_the_cap():
 # the general route's raw pool on the plane: 75 ray sections at (-2, 2),
 # (0, 2) and (2, 2), then the lattice completion's (0, 1) and (1, 1)
 _PLANE_D = plane_pdivisor()
-_PLANE_POOL = zariski_generators(
+_PLANE_HARVEST = harvest_rays(
     _PLANE_D, [r for cell in linearity_subdivision(_PLANE_D).cells for r in cell.rays]
-)[0]
-_PLANE_POOL += weight_lattice_completion(_PLANE_D, _PLANE_POOL)
+)
+_PLANE_POOL = zariski_generators(_PLANE_D, _PLANE_HARVEST)[0]
+_PLANE_POOL += weight_lattice_completion(_PLANE_D, _PLANE_POOL, _PLANE_HARVEST)
 _pool_indices = st.sets(st.integers(min_value=0, max_value=76))
 
 
