@@ -16,7 +16,6 @@ from operator import sub
 from typing import NamedTuple
 
 from .intlinalg import (
-    det,
     hnf,
     hnf_basis,
     identity,
@@ -147,9 +146,10 @@ def interior_lattice_basis(cone):
         )
     if cone.dim == 1:
         return [u]
-    candidates = [u] + [tuple(r) for r in kernel_lattice([u])]
-    # n vectors of Z^n form a basis exactly when |det| = 1
-    if abs(det(candidates)) != 1:
+    # the saturated basis K of u-perp has maximal minors +-u: |det([u] + K)| = |u|^2
+    if sum(x * x for x in u) == 1:
+        candidates = [u] + [tuple(r) for r in kernel_lattice([u])]
+    else:
         # complete u to a basis via the HNF transform of the column vector
         _, tr = hnf([[x] for x in u])
         cols = list(zip(*invert_unimodular(tr)))

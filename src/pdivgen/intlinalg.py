@@ -10,7 +10,8 @@ dict of its nonzero entries.  Only ``hnf`` and the callers that read the
 transform (``kernel_lattice``, ``solve_in_lattice``) carry it, as identity
 columns appended to the rows; ``hnf_basis`` builds none.  Everything over
 Q (span tests, ``rank``, ``rref`` and what reads it) goes through one
-fraction-free forward elimination, ``reduce_row``.
+fraction-free forward elimination, ``reduce_row``.  There is no determinant:
+each unimodularity test reads work its caller already does.
 """
 
 from fractions import Fraction
@@ -137,29 +138,6 @@ def kernel_lattice(rows):
     a, _ = _sparse(tuple(zip(*rows, strict=True)), True)
     ker = [{j - m: x for j, x in row.items()} for row in a[len(_hermite(a, m)) :]]
     return tuple(_dense(row, 0, n) for row in ker[: len(_hermite(ker, n))])
-
-
-def det(rows):
-    """Determinant of a square integer matrix, fraction-free Bareiss."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a matrix that is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
 
 
 def primitive(vec):

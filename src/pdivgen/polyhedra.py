@@ -14,7 +14,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .intlinalg import (
-    det,
     hnf_basis,
     identity,
     kernel_lattice,
@@ -352,14 +351,11 @@ def unimodular_triangulation(cone: QCone):
     n = cone.dim
     cells = [tuple(c) for c in triangulate(cone)]
     while True:
-        target = None
-        for cell in sorted(cells):
-            if abs(det(cell)) != 1:
-                target = cell
-                break
-        if target is None:
+        # the worst cell is the first, in sorted order, that is not unimodular:
+        # the first with a nonzero point in its parallelepiped
+        pts = next(filter(None, (_parallelepiped_points(list(c)) for c in sorted(cells))), None)
+        if pts is None:
             break
-        pts = _parallelepiped_points(list(target))
         w = min(pts, key=lambda p: (sum(x * x for x in p), p))
         w = primitive(w)
         new_cells = []

@@ -10,7 +10,7 @@ computation into a Hilbert basis problem for the upgraded cone.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .intlinalg import det, invert_unimodular, primitive
+from .intlinalg import invert_unimodular, primitive
 from .mpoly import MPoly
 from .pdivisor import PDivisor, linearity_subdivision
 from .polyhedra import (
@@ -64,7 +64,13 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
     y = d.variety
     rays = tuple(sorted(primitive(r) for r in cell.rays))
     n = cell.dim
-    if len(rays) != n or abs(det(rays)) != 1:
+    # invert_unimodular refuses a matrix that is not square or not unimodular,
+    # but inverts the empty one, so the zero cone is caught by the count
+    try:
+        inv = invert_unimodular(rays)
+    except ValueError:
+        inv = None
+    if inv is None or len(rays) != n:
         raise ValueError("invariantize_cell needs a unimodular simplicial cell")
     twists = {}
     per_ray_coords = []
@@ -84,7 +90,6 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
             )
         per_ray_coords.append(total[: y.nvars])
     # linear form w_r per fan ray: <w_r, rho_j> = coefficient of D_r at rho_j
-    inv = invert_unimodular(rays)
     heights = []
     for coord_idx, r in enumerate(record.rays):
         values = [per_ray_coords[j][coord_idx] for j in range(n)]

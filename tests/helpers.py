@@ -39,6 +39,29 @@ def mat_mul(a, b):
     )
 
 
+def det(rows):
+    """Determinant of a square integer matrix, fraction-free Bareiss."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a matrix that is not square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def format_job(job: JobDescription) -> str:
     """Canonical job writer; parse_job(format_job(parse_job(text))) round-trips."""
     out = []

@@ -20,13 +20,13 @@ from helpers import (
     PRINTED_HB_COLUMNS,
     SIGMA_TILDE_RAYS,
     brute_hilbert_basis,
+    det,
     plane_pdivisor,
     span_dimension,
     thirteen_generators,
 )
 from pdivgen.coxs5 import run_cox
 from pdivgen.engine import algebra_membership, find_k_rho, run_general
-from pdivgen.intlinalg import det
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import cone_from_rays, dual_cone, hilbert_basis
 from pdivgen.torus import run_torus, standard_p2_fan_record

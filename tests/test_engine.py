@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_hilbert_basis,
+    det,
     plane_pdivisor,
     plane_variety,
     recursive_nn_decompositions,
@@ -37,7 +38,7 @@ from pdivgen.engine import (
     zariski_generators,
 )
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, linearity_subdivision
-from pdivgen.intlinalg import det, kernel_lattice, rank, solve_in_lattice
+from pdivgen.intlinalg import kernel_lattice, rank, solve_in_lattice
 from pdivgen.polyhedra import (
     NonPointedCone,
     cone_from_rays,

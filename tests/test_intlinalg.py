@@ -12,10 +12,10 @@ from helpers import (
     dense_hnf_basis,
     dense_kernel_lattice,
     dense_solve_in_lattice,
+    det,
     mat_mul,
 )
 from pdivgen.intlinalg import (
-    det,
     hnf,
     hnf_basis,
     identity,

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_hilbert_basis, support
-from pdivgen.intlinalg import det, rank
+from helpers import brute_hilbert_basis, det, support
+from pdivgen.intlinalg import rank
 from pdivgen.polyhedra import (
     NonPointedCone,
     QCone,
@@ -122,6 +122,43 @@ def test_triangulations():
     sub = unimodular_triangulation(cone_from_rays([(1, 0), (1, 2)], 2))
     for cell in sub.cells:
         assert abs(det(cell.rays)) == 1
+
+
+@pytest.mark.parametrize(
+    "rays, cells",
+    [
+        (
+            [(1, 0), (1, 5)],
+            [((1, 0), (1, 1)), ((1, 1), (1, 2)), ((1, 2), (1, 3)), ((1, 3), (1, 4)),
+             ((1, 4), (1, 5))],
+        ),
+        (
+            [(2, -3), (1, 4)],
+            [((1, -1), (1, 0)), ((1, -1), (2, -3)), ((1, 0), (1, 1)), ((1, 1), (1, 2)),
+             ((1, 2), (1, 3)), ((1, 3), (1, 4))],
+        ),
+        (
+            [(1, 0, 0), (0, 1, 0), (1, 1, 3)],
+            [((0, 1, 0), (1, 0, 0), (1, 1, 1)), ((0, 1, 0), (1, 1, 1), (1, 1, 2)),
+             ((0, 1, 0), (1, 1, 2), (1, 1, 3)), ((1, 0, 0), (1, 1, 1), (1, 1, 2)),
+             ((1, 0, 0), (1, 1, 2), (1, 1, 3))],
+        ),
+        (
+            [(1, 0, 0), (0, 1, 0), (2, 3, 5)],
+            [((0, 1, 0), (1, 0, 0), (1, 1, 1)), ((0, 1, 0), (1, 1, 1), (1, 2, 2)),
+             ((0, 1, 0), (1, 2, 2), (2, 3, 5)), ((1, 0, 0), (1, 1, 1), (2, 2, 3)),
+             ((1, 0, 0), (2, 2, 3), (2, 3, 5)), ((1, 1, 1), (1, 2, 2), (2, 3, 4)),
+             ((1, 1, 1), (2, 2, 3), (2, 3, 5)), ((1, 1, 1), (2, 3, 4), (2, 3, 5)),
+             ((1, 2, 2), (2, 3, 4), (2, 3, 5))],
+        ),
+    ],
+)
+def test_unimodular_triangulation_over_several_subdivision_steps(rays, cells):
+    # each cone needs several stellar steps; the pinned cells fix which cell
+    # and which lattice point every step picks
+    sub = unimodular_triangulation(cone_from_rays(rays, len(rays[0])))
+    assert all(abs(det(cell.rays)) == 1 for cell in sub.cells)
+    assert [cell.rays for cell in sub.cells] == cells
 
 
 def test_tailed_polyhedron_support_and_sum():

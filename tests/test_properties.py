@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import (
     FractionMPoly,
     brute_force_pointed_rays,
+    det,
     every_k_ray_search,
     fraction_evaluate,
     fraction_in_span,
@@ -46,12 +47,13 @@ from pdivgen.engine import (
     GradedElement,
     extended_vector,
     harvest_rays,
+    interior_lattice_basis,
     quotient_field_complete,
     run_general,
     weight_lattice_completion,
     zariski_generators,
 )
-from pdivgen.intlinalg import det, hnf, primitive, rank, rational_kernel, rref
+from pdivgen.intlinalg import hnf, kernel_lattice, primitive, rank, rational_kernel, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import (
     IterationLimitExceeded,
@@ -188,6 +190,38 @@ def test_primitive_is_idempotent_and_parallel():
         nz = next(i for i in range(3) if v[i])
         assert v[nz] * p[nz] > 0
         assert all(v[i] * p[nz] == p[i] * v[nz] for i in range(3))
+
+
+@st.composite
+def _primitive_vectors_and_cones(draw):
+    """(u, cone) in one dimension 1-5: u primitive, the cone full-dimensional
+    and pointed, spanned by independent rays and up to two combinations of them."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    vec = st.lists(small_int, min_size=dim, max_size=dim).map(tuple)
+    u = primitive(draw(vec.filter(any)))
+    rays = draw(st.lists(vec, min_size=dim, max_size=dim))
+    assume(det(rays) != 0)
+    coeffs = st.lists(st.integers(min_value=0, max_value=3), min_size=dim, max_size=dim)
+    extra = [
+        tuple(sum(k * r[j] for k, r in zip(c, rays)) for j in range(dim))
+        for c in draw(st.lists(coeffs.filter(any), max_size=2))
+    ]
+    return u, cone_from_rays(rays + extra, dim)
+
+
+@given(_primitive_vectors_and_cones())
+# the rays sum to the unit vector (0, 0, 1), so the kernel completion is kept
+@example(((2, 3, 0), cone_from_rays([(1, 0, 0), (0, 1, 0), (-1, -1, 1)], 3)))
+@settings(max_examples=200, deadline=None)
+def test_unimodularity_tests_that_need_no_determinant(case):
+    u, cone = case
+    # the kernel completion of a primitive u has |det| = |u|^2, so it is a
+    # basis exactly when u is a unit vector
+    assert abs(det([u] + list(kernel_lattice([u])))) == sum(x * x for x in u)
+    basis = interior_lattice_basis(cone)
+    assert len(basis) == cone.dim
+    assert all(cone.contains(b) for b in basis)
+    assert abs(det(basis)) == 1
 
 
 # The brute force tries every (dim-1)-subset, so inputs stay at most

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -13,8 +14,8 @@ from helpers import (
     thirteen_generators,
 )
 from pdivgen.engine import algebra_membership
-from pdivgen.pdivisor import linearity_subdivision
-from pdivgen.polyhedra import dual_cone, hilbert_basis
+from pdivgen.pdivisor import PDivisor, linearity_subdivision
+from pdivgen.polyhedra import cone_from_rays, dual_cone, hilbert_basis
 from pdivgen.torus import (
     _invert,
     invariantize_cell,
@@ -58,6 +59,24 @@ def test_invert_gives_the_exact_inverse():
     assert _invert(y, inv) == ffe(y.form("E") * 3, [("coord:y", 1), ("coord:z", 1)])
     with pytest.raises(ValueError):
         _invert(y, ffe((x + yy) * z, [("D", 1)]))
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # the whole weight cone: rays (-1, 1) (1, 1), |det| = 2
+        cone_from_rays([(-1, 1), (1, 1)], 2),
+        # the zero cone, whose empty ray matrix inverts
+        cone_from_rays([], 2),
+    ],
+)
+def test_invariantize_cell_refuses_a_cell_that_is_not_unimodular(cell):
+    d, record, _ = _record_and_cells()
+    with mock.patch.object(PDivisor, "evaluate", autospec=True) as evaluate:
+        with pytest.raises(ValueError, match="needs a unimodular simplicial cell"):
+            invariantize_cell(d, cell, record)
+    # refused before any ray is evaluated
+    evaluate.assert_not_called()
 
 
 def test_upgraded_cone_matches_known_rays():
