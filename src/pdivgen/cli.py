@@ -332,24 +332,27 @@ def build_pdivisor(job: JobDescription, y) -> PDivisor:
         label = key[len("coefficient.") :]
         if not y.has_label(label):
             raise JobSemanticError(f"{key}: the {y.name} base has no prime divisor {label}")
-        vertices = parse_vector_list(value)
+        vertices = _vectors_of_width(section, key, dim)
         tail_key = f"tail.{label}"
-        tail_rays = (
-            parse_vector_list(section[tail_key]) if tail_key in section else tail.rays
-        )
-        for name, vecs in ((key, vertices), (tail_key, tail_rays)):
-            # the tail of a weight cone that is a whole space is the origin
-            if vecs and len(vecs[0]) != dim:
-                raise JobSemanticError(
-                    f"{name} has vectors of width {len(vecs[0])}, rays have width {dim}"
-                )
-        coeffs[label] = tailed_polyhedron(vertices, tail_rays, dim)
+        own_tail = tail
+        if tail_key in section:
+            own_tail = cone_from_rays(_vectors_of_width(section, tail_key, dim), dim)
+        coeffs[label] = tailed_polyhedron(vertices, own_tail)
     if not coeffs:
         raise JobSemanticError("no coefficient.<label> entries in [pdivisor]")
     try:
         return PDivisor(y, omega, coeffs)
     except ValueError as exc:
         raise JobSemanticError(str(exc))
+
+
+def _vectors_of_width(section, key, dim):
+    vectors = parse_vector_list(section[key])
+    if len(vectors[0]) != dim:
+        raise JobSemanticError(
+            f"{key} has vectors of width {len(vectors[0])}, rays have width {dim}"
+        )
+    return vectors
 
 
 def build_cone(job: JobDescription) -> QCone:
@@ -399,8 +402,8 @@ def _pipeline_hilbert(job):
     return lines, []
 
 
-def _pipeline_general(y, d, max_iterations):
-    result = run_general(y, d, max_iterations)
+def _pipeline_general(y, d, max_iterations, domain):
+    result = run_general(y, d, max_iterations, domain)
     lines = list(result.report)
     lines.append(f"{len(result.elements)} generators")
     lines.append(f"normalization status: {result.normalization_status}")
@@ -411,14 +414,14 @@ def _pipeline_general(y, d, max_iterations):
     return lines, gen_lines
 
 
-def _pipeline_torus(job, y, d):
+def _pipeline_torus(job, y, d, domain):
     record_name = job.get("torus", "record", "standard-p2")
     if record_name != "standard-p2":
         raise UnsupportedBackend(f"unknown torus record '{record_name}'")
     if not isinstance(y, ProjectiveSpace) or y.n != 2:
         raise UnsupportedBackend("the standard torus record needs the plane")
     record = standard_p2_fan_record(y)
-    result = run_torus(y, d, record)
+    result = run_torus(y, d, record, domain)
     lines = list(result.report)
     lines.append(f"{len(result.elements)} generators")
     lines.append(f"normalization status: {result.normalization_status}")
@@ -443,13 +446,16 @@ def _pipeline_cox(max_iterations):
 
 
 def _require_big(d):
-    """Reject a p-divisor that is definitely not big on some linearity cell.
+    """Reject a p-divisor that is definitely not big on some linearity cell,
+    and return the linearity subdivision it checked.
 
     An UNVERIFIABLE verdict passes: no criterion decides it.
     """
-    for check in bigness_checks(d, linearity_subdivision(d)):
+    domain = linearity_subdivision(d)
+    for check in bigness_checks(d, domain):
         if check.verdict == "fail":
             raise JobSemanticError(f"the p-divisor is not {check.name}: {check.detail}")
+    return domain
 
 
 def _verify_lines(d):
@@ -508,16 +514,16 @@ def run_job(job: JobDescription, args) -> int:
                 lines.extend(_verify_lines(d))
             if pipeline in ("general", "torus"):
                 stage = "bigness"
-                _require_big(d)
+                domain = _require_big(d)
             stage = pipeline
             if pipeline == "eval":
                 more, gen_lines = _pipeline_eval(job, d)
             elif pipeline == "subdivide":
                 more, gen_lines = _pipeline_subdivide(d)
             elif pipeline == "general":
-                more, gen_lines = _pipeline_general(y, d, args.max_iterations)
+                more, gen_lines = _pipeline_general(y, d, args.max_iterations, domain)
             else:
-                more, gen_lines = _pipeline_torus(job, y, d)
+                more, gen_lines = _pipeline_torus(job, y, d, domain)
             lines.extend(more)
     except tuple(EXIT_CODES) as exc:
         exc.args = (f"[stage {stage}] {exc}",)

@@ -70,9 +70,9 @@ def build_cox_pdivisor(y=None) -> PDivisor:
     zero = tuple([0] * 5)
 
     def seg(v):
-        return tailed_polyhedron([zero, v], tail.rays, 5)
+        return tailed_polyhedron([zero, v], tail)
 
-    coeffs = {"H": tailed_polyhedron([(1, 0, 0, 0, 0)], tail.rays, 5)}
+    coeffs = {"H": tailed_polyhedron([(1, 0, 0, 0, 0)], tail)}
     for i in range(1, 5):
         coeffs[f"E{i}"] = seg(tuple(1 if k == i else 0 for k in range(5)))
     for i, j in combinations(range(1, 5), 2):

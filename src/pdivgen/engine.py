@@ -322,6 +322,14 @@ def _facet_values(values, facets, v):
     return vals
 
 
+def _pack(vals, width):
+    """The facet values as one integer, a field of ``width`` bits per facet."""
+    packed = 0
+    for v in reversed(vals):
+        packed = packed << width | v
+    return packed
+
+
 def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
     """All multisets of weights with nonnegative integer sum u.
 
@@ -334,6 +342,14 @@ def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
     stops at the node limit it is run again on the weights' own cone.
     ``values`` caches the facet values of each weight on ``cone``, so a
     caller can share it across searches on one cone.
+
+    A remainder's facet values lie between 0 and the root's, and a
+    weight's are at least 0, so each tuple packs into one integer with a
+    field per facet wide enough for both, plus a guard bit on top.  With
+    every guard bit G set, subtracting a weight borrows from no
+    neighbouring field, and a field's guard survives exactly when the
+    remainder stays on that facet's side: a child is kept exactly when
+    ``(p | G) - q`` keeps all of G, and its packed values are then p - q.
     """
     u = tuple(u)
     weights = tuple(sorted(set(weights)))
@@ -348,23 +364,34 @@ def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
         values = {}
     facets = cone.facets
     wvals = [_facet_values(values, facets, w) for w in weights]
+    flat = [x for v in wvals for x in v]
+    if min(flat, default=0) < 0:
+        raise ValueError("a weight lies outside the pruning cone")
+    root = _facet_values(values, facets, u)
+    if min(root, default=0) < 0:
+        # every remainder below the root is outside too, and u is not zero
+        return []
+    bits = max(max(root, default=0), max(flat, default=0)).bit_length()
+    width = bits + 1
+    guard = _pack([1 << bits] * len(facets), width)
+    packed = [_pack(v, width) for v in wvals]
     out = []
     # preorder depth-first search; children are pushed in reverse so they
-    # pop in weight order, and the search stops after `limit` visited nodes.
-    # A child's facet values are its parent's less the weight's.
-    stack = [(u, _facet_values(values, facets, u), 0, ())]
+    # pop in weight order, and the search stops after `limit` visited nodes
+    stack = [(u, _pack(root, width), 0, ())]
     for _ in range(limit):
         if not stack:
             return out
-        remaining, vals, start, chosen = stack.pop()
+        remaining, p, start, chosen = stack.pop()
         if not any(remaining):
             out.append(chosen)
             continue
+        p |= guard
         for i in range(len(weights) - 1, start - 1, -1):
-            nvals = tuple(map(sub, vals, wvals[i]))
-            if min(nvals, default=0) >= 0:
+            left = p - packed[i]
+            if left & guard == guard:
                 w = weights[i]
-                stack.append((tuple(map(sub, remaining, w)), nvals, i, chosen + (w,)))
+                stack.append((tuple(map(sub, remaining, w)), left ^ guard, i, chosen + (w,)))
     if stack and not own:
         # cut off on the wider cone: the weights' own cone visits fewer nodes
         return _nn_decompositions(u, weights, limit)
@@ -503,8 +530,13 @@ def complete_generators(y, d: PDivisor, pool, harvest, max_iterations=64):
     return len(pool), pruned, readded, normalize_or_export(y, pruned + readded)
 
 
-def run_general(y, d: PDivisor, max_iterations=64) -> GeneratorSet:
-    domain = linearity_subdivision(d)
+def run_general(y, d: PDivisor, max_iterations=64, domain=None) -> GeneratorSet:
+    """Generators of the section algebra of d over y.
+
+    ``domain`` is the linearity subdivision of d when the caller has it.
+    """
+    if domain is None:
+        domain = linearity_subdivision(d)
     harvest = harvest_rays(d, [r for cell in domain.cells for r in cell.rays], max_iterations)
     pool, twisted = zariski_generators(d, harvest)
     raw_count, pruned, readded, result = complete_generators(y, d, pool, harvest, max_iterations)

@@ -100,9 +100,9 @@ def restrict(d: PDivisor, c: QCone) -> PDivisor:
     for r in c.rays:
         if not d.weight_cone.contains(r):
             raise NotSubcone(f"ray {r} is outside the weight cone")
-    tail = dual_cone(c).rays
+    tail = dual_cone(c)
     coeffs = {
-        label: tailed_polyhedron(poly.vertices, tail, c.dim)
+        label: tailed_polyhedron(poly.vertices, tail)
         for label, poly in d.coefficients.items()
     }
     return PDivisor(d.variety, c, coeffs)

@@ -200,7 +200,13 @@ class QCone(NamedTuple):
         return self.is_full_dim() and all(dot(f, point) > 0 for f in self.facets)
 
     def is_pointed(self):
-        return rank(self.facets) == self.dim
+        # the facets generate the dual, so their sum is interior to it
+        # exactly when the dual is full-dimensional, that is when the cone
+        # is pointed; an interior point of the dual is positive on each ray
+        if not self.rays:
+            return True
+        total = [sum(col) for col in zip(*self.facets)]
+        return bool(total) and all(dot(total, r) > 0 for r in self.rays)
 
     def is_full_dim(self):
         return self.span_rank() == self.dim
@@ -390,23 +396,39 @@ class TailedPolyhedron(NamedTuple):
     tail: QCone
 
 
-def tailed_polyhedron(vertices, tail_rays, dim):
-    homog = [tuple(Fraction(x) for x in v) + (Fraction(1),) for v in vertices]
-    homog = [primitive(h) for h in homog]
-    homog += [tuple(r) + (0,) for r in tail_rays if any(r)]
-    c = cone_from_rays(homog, dim + 1)
-    verts = []
-    tails = []
-    for r in c.rays:
-        if r[-1] > 0:
-            verts.append(tuple(Fraction(x, r[-1]) for x in r[:-1]))
-        elif r[-1] == 0:
-            tails.append(r[:-1])
-        else:
-            raise ValueError("unbounded in the negative homogenization direction")
+def tailed_polyhedron(vertices, tail: QCone):
+    """conv(vertices) + tail, with the vertices that are vertices of it.
+
+    ``vertices`` are rational points of width ``tail.dim``, repeats
+    allowed.  On a pointed tail T a point is a vertex exactly when it is
+    not in conv(other points) + T, so with two distinct points a and b, a
+    is dropped exactly when a - b lies in T.  That test runs on the
+    facets of T in integers, over the common denominator of the points,
+    and no double description is needed.  Three or more points, or a
+    tail that is not pointed, take the rays of height one of the cone
+    over the points at height one and the rays of T at height zero.
+    """
+    dim = tail.dim
+    verts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
     if not verts:
         raise ValueError("a tailed polyhedron needs at least one vertex")
-    return TailedPolyhedron(dim, tuple(sorted(verts)), cone_from_rays(tails, dim))
+    if any(len(v) != dim for v in verts):
+        raise ValueError(f"vertices of a width other than that of a tail in dimension {dim}")
+    if len(verts) <= 2 and tail.is_pointed():
+        if len(verts) == 2:
+            scale = lcm(*(x.denominator for v in verts for x in v))
+            a, b = ([x.numerator * (scale // x.denominator) for x in v] for v in verts)
+            if tail.contains([x - y for x, y in zip(a, b)]):
+                del verts[0]
+            elif tail.contains([y - x for x, y in zip(a, b)]):
+                del verts[1]
+        return TailedPolyhedron(dim, tuple(verts), tail)
+    homog = [primitive(v + (Fraction(1),)) for v in verts]
+    homog += [tuple(r) + (0,) for r in tail.rays]
+    # every generator has a last entry >= 0, so each ray of the cone does
+    rays = cone_from_rays(homog, dim + 1).rays
+    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1]]
+    return TailedPolyhedron(dim, tuple(sorted(verts)), tail)
 
 
 # ---------------------------------------------------------------------------

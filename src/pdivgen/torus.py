@@ -60,7 +60,8 @@ def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
 
 
 def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
-    """((fan ray, height vector w) per fan ray, {cell ray: twist section})."""
+    """((fan ray, height vector w) per fan ray, {cell ray: twist section},
+    inverse of the matrix of the sorted primitive cell rays)."""
     y = d.variety
     rays = tuple(sorted(primitive(r) for r in cell.rays))
     n = cell.dim
@@ -95,7 +96,7 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
         values = [per_ray_coords[j][coord_idx] for j in range(n)]
         w = tuple(sum(inv[i][j] * values[j] for j in range(n)) for i in range(n))
         heights.append((tuple(r), w))
-    return tuple(heights), twists
+    return tuple(heights), twists, inv
 
 
 def upgrade(heights, cell: QCone, record: DivisorialFanRecord):
@@ -131,15 +132,14 @@ def _invert(y, elem: FunctionFieldElement) -> FunctionFieldElement:
     return ffe(inv.num * Fraction(1, rest.leading()[1]), inv.den)
 
 
-def downgrade_generators(y, weights, twists, record):
+def downgrade_generators(y, weights, twists, inv, record):
     """Map upgraded lattice weights back to graded elements on Y.
 
     ``twists`` maps the sorted primitive rays of the cell to their twist
-    sections, as ``invariantize_cell`` returns it.
+    sections and ``inv`` is the inverse of their matrix, as
+    ``invariantize_cell`` returns both.
     """
-    rays = tuple(twists)
-    n = len(rays)
-    inv = invert_unimodular(rays)
+    n = len(twists)
     out = []
     for w in weights:
         wm, wp = tuple(w[:n]), tuple(w[n:])
@@ -156,20 +156,24 @@ def downgrade_generators(y, weights, twists, record):
     return out
 
 
-def run_torus(y, d: PDivisor, record: DivisorialFanRecord):
-    """Per-cell upgrade pipeline; cells contribute independent lists."""
-    domain = linearity_subdivision(d)
+def run_torus(y, d: PDivisor, record: DivisorialFanRecord, domain=None):
+    """Per-cell upgrade pipeline; cells contribute independent lists.
+
+    ``domain`` is the linearity subdivision of d when the caller has it.
+    """
+    if domain is None:
+        domain = linearity_subdivision(d)
     elements = []
     report = []
     for cell in domain.cells:
         # a unimodular cell is its own only piece
         for piece in unimodular_triangulation(cell).cells:
-            heights, twists = invariantize_cell(d, piece, record)
+            heights, twists, inv = invariantize_cell(d, piece, record)
             sigma = upgrade(heights, piece, record)
             hb = hilbert_basis(dual_cone(sigma))
             # distinct Hilbert basis elements of one M-weight differ in their
             # character exponents, so no two generators coincide
-            gens = downgrade_generators(y, hb, twists, record)
+            gens = downgrade_generators(y, hb, twists, inv, record)
             elements.extend(gens)
             report.append(f"cell {piece.rays}: {len(gens)} generators")
     report.append(f"total generators: {len(elements)}")

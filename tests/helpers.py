@@ -12,6 +12,7 @@ from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
     QCone,
+    TailedPolyhedron,
     cone_from_rays,
     dot,
     dual_cone,
@@ -204,8 +205,8 @@ def plane_pdivisor(y=None, d_vertex=(0, Fraction(1, 2))) -> PDivisor:
         y = plane_variety()
     omega = cone_from_rays([(-1, 1), (1, 1)], 2)
     tail = dual_cone(omega)
-    coeff_d = tailed_polyhedron([d_vertex], tail.rays, 2)
-    coeff_e = tailed_polyhedron([(-1, 1), (1, 1)], tail.rays, 2)
+    coeff_d = tailed_polyhedron([d_vertex], tail)
+    coeff_e = tailed_polyhedron([(-1, 1), (1, 1)], tail)
     return PDivisor(y, omega, {"D": coeff_d, "E": coeff_e})
 
 
@@ -605,6 +606,32 @@ def two_pass_halves(c, h):
         two_pass_cone_from_facets(list(c.facets) + [n], c.dim)
         for n in (h, tuple(-x for x in h))
     ]
+
+
+# ---------------------------------------------------------------------------
+# tailed polyhedra by one homogenized double description
+
+
+def homogenized_tailed_polyhedron(vertices, tail_rays, dim):
+    """``polyhedra.tailed_polyhedron`` from the rays of its tail: the
+    vertices and the tail are read off the cone over the points at height
+    one and the tail rays at height zero, whatever their number."""
+    homog = [tuple(Fraction(x) for x in v) + (Fraction(1),) for v in vertices]
+    homog = [primitive(h) for h in homog]
+    homog += [tuple(r) + (0,) for r in tail_rays if any(r)]
+    c = cone_from_rays(homog, dim + 1)
+    verts = []
+    tails = []
+    for r in c.rays:
+        if r[-1] > 0:
+            verts.append(tuple(Fraction(x, r[-1]) for x in r[:-1]))
+        elif r[-1] == 0:
+            tails.append(r[:-1])
+        else:
+            raise ValueError("unbounded in the negative homogenization direction")
+    if not verts:
+        raise ValueError("a tailed polyhedron needs at least one vertex")
+    return TailedPolyhedron(dim, tuple(sorted(verts)), cone_from_rays(tails, dim))
 
 
 # ---------------------------------------------------------------------------

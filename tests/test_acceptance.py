@@ -96,7 +96,7 @@ def test_acceptance_3_torus_route_on_the_plane_example():
 
     cells = linearity_subdivision(d).cells
     right = [c for c in cells if (1, 1) in c.rays][0]
-    rep, _ = invariantize_cell(d, right, record)
+    rep, _, _ = invariantize_cell(d, right, record)
     sigma = upgrade(rep, right, record)
     checks = [
         ("132 generators", len(result.elements) == 132),

@@ -467,6 +467,24 @@ def test_the_cox_job_file_prints_the_cox_generators(tmp_path, capsys):
     assert Path(f"{report}.gens.txt").read_text() == golden
 
 
+def test_an_explicit_tail_must_be_the_dual_of_the_weight_cone(tmp_path, capsys):
+    plane = Path("jobs/p2.pdiv").read_text()
+    line = "coefficient.E = (-1,1) (1,1)\n"
+    assert plane.count(line) == 1
+    job = tmp_path / "tail.pdiv"
+    report = tmp_path / "tail.txt"
+    # the weight cone of the plane example is its own dual
+    job.write_text(plane.replace(line, line + "tail.E = (1,1) (-1,1)\n"))
+    assert main([str(job), "--pipeline", "general", "--output", str(report)]) == EXIT_OK
+    assert report.read_text() == Path("perfbench/golden/plane-general.txt").read_text()
+    job.write_text(plane.replace(line, line + "tail.E = (1,0) (0,1)\n"))
+    assert main([str(job), "--pipeline", "general"]) == EXIT_SEMANTIC
+    assert capsys.readouterr().err == (
+        "semantic error: [stage pdivisor] coefficient of E has tail ((0, 1), (1, 0)), "
+        "expected ((-1, 1), (1, 1))\n"
+    )
+
+
 def test_torus_route_splits_a_cell_that_is_not_simplicial(tmp_path, capsys):
     job = tmp_path / "square.pdiv"
     job.write_text(

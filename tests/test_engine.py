@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -182,10 +182,10 @@ def test_the_left_kernel_of_a_975_section_pool_is_in_hermite_form():
     # rank 5; the dense elimination with its 975 x 975 transform took 75 s
     y = plane_variety()
     omega = cone_from_rays([(0, -1), (2, 1)], 2)
-    tail = dual_cone(omega).rays
+    tail = dual_cone(omega)
     d = PDivisor(y, omega, {
-        "D": tailed_polyhedron([(2, -4)], tail, 2),
-        "E": tailed_polyhedron([(Fraction(4, 3), Fraction(-2, 3))], tail, 2),
+        "D": tailed_polyhedron([(2, -4)], tail),
+        "E": tailed_polyhedron([(Fraction(4, 3), Fraction(-2, 3))], tail),
     })
     rays = [r for cell in linearity_subdivision(d).cells for r in cell.rays]
     harvest = harvest_rays(d, rays)
@@ -404,7 +404,26 @@ def _decomposition_searches(draw):
     return weights, weights + extra, targets
 
 
+_BIG = 2**70
+
+
 @given(_decomposition_searches())
+# facet values above 2**64, so that each packed field is wider than 64 bits
+@example((
+    [(_BIG, 1), (1, _BIG)],
+    [(_BIG, 1), (1, _BIG), (1, 0), (0, 1)],
+    [(2 * _BIG + 1, _BIG + 2), (3 * _BIG, 3 * _BIG), (_BIG + 1, _BIG)],
+))
+# roots outside the weights' cone, one inside the wider cone and one not
+@example(([(1, 0), (1, 1)], [(1, 0), (1, 1), (0, 1)], [(0, 1), (-1, 0), (2, 1)]))
+# u = 0, the empty decomposition at the root
+@example(([(1, 0, 0), (1, 1, 1)], [(1, 0, 0), (1, 1, 1), (0, 0, 1)], [(0, 0, 0)]))
+# unit weights are tight on every facet of the orthant but one
+@example((
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    [(2, 1, 1), (1, 2, 0)],
+))
 @settings(max_examples=60, deadline=None)
 def test_nn_decompositions_match_the_recursive_search(search):
     weights, superset, targets = search
@@ -435,3 +454,9 @@ def test_nn_decompositions_on_a_wider_cone_run_again_at_the_limit():
         assert _nn_decompositions((3, 3), weights, 5, wide, {}) == expected
     assert _nn_decompositions((3, 3), weights, 4) == expected
     assert _nn_decompositions((3, 3), weights, 3) == []
+
+
+def test_nn_decompositions_refuse_a_cone_that_does_not_hold_the_weights():
+    quadrant = cone_from_rays([(1, 0), (0, 1)], 2)
+    with pytest.raises(ValueError, match="a weight lies outside the pruning cone"):
+        _nn_decompositions((0, 2), [(1, 1), (-1, 1)], cone=quadrant)

@@ -84,7 +84,7 @@ def test_constructor_rejects_wrong_tail():
         PDivisor(
             y,
             omega,
-            {"D": tailed_polyhedron([(0, 0)], wrong_tail.rays, 2)},
+            {"D": tailed_polyhedron([(0, 0)], wrong_tail)},
         )
 
 
@@ -109,7 +109,7 @@ def test_validate_on_point_base():
 
 def test_validate_bigness_on_blowup():
     omega = weight_cone()
-    h = tailed_polyhedron([(1, 0, 0, 0, 0)], dual_cone(omega).rays, 5)
+    h = tailed_polyhedron([(1, 0, 0, 0, 0)], dual_cone(omega))
     d = PDivisor(cox_surface(), omega, {"H": h})
     big = validate(d)[-1]
     assert (big.verdict, big.detail) == ("pass", "self-intersection 36 > 0")

@@ -163,7 +163,7 @@ def test_unimodular_triangulation_over_several_subdivision_steps(rays, cells):
 
 def test_tailed_polyhedron_support_and_sum():
     tail = cone_from_rays([(1, 0), (0, 1)], 2)
-    p = tailed_polyhedron([(0, 0), (1, -1)], tail.rays, 2)
+    p = tailed_polyhedron([(0, 0), (1, -1)], tail)
     assert len(p.vertices) == 2
     assert support(p, (1, 1)) == 0
     assert support(p, (1, 2)) == -1
@@ -171,7 +171,7 @@ def test_tailed_polyhedron_support_and_sum():
 
 def test_normal_fan_of_segment():
     tail = cone_from_rays([(1, 0), (0, 1)], 2)
-    p = tailed_polyhedron([(0, 0), (1, -1)], tail.rays, 2)
+    p = tailed_polyhedron([(0, 0), (1, -1)], tail)
     fan = normal_fan(p)
     assert len(fan.cells) == 2
 
@@ -226,7 +226,7 @@ def _cone_and_segments(draw):
 def test_common_refinement_matches_hyperplane_path(case):
     ambient, segments = case
     tail = dual_cone(ambient)
-    fans = [normal_fan(tailed_polyhedron(s, tail.rays, ambient.dim)) for s in segments]
+    fans = [normal_fan(tailed_polyhedron(s, tail)) for s in segments]
     planes = [tuple(a - b for a, b in zip(*s)) for s in segments]
     hyp = hyperplane_subdivision(ambient, planes).cells
     ref = common_refinement(fans, ambient).cells

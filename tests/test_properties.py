@@ -24,6 +24,7 @@ from helpers import (
     fraction_rref,
     fraction_span_dimension,
     guarded_quotient_field_complete,
+    homogenized_tailed_polyhedron,
     mat_mul,
     oracle_element_divisor,
     oracle_factor_exponents,
@@ -122,6 +123,18 @@ def test_dual_is_an_involution():
     for _ in range(40):
         c = _random_pointed_cone(rng, rng.choice((2, 3)))
         assert dual_cone(dual_cone(c)).rays == c.rays
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda dim: st.lists(st.lists(small_int, min_size=dim, max_size=dim), max_size=dim + 3)
+    .map(lambda vecs: (dim, vecs))
+))
+@settings(max_examples=150, deadline=None)
+def test_a_cone_is_pointed_when_its_facets_have_full_rank(case):
+    dim, vecs = case
+    for c in (cone_from_rays(vecs, dim), cone_from_facets(vecs, dim)):
+        for cone in (c, dual_cone(c)):
+            assert cone.is_pointed() == (rank(cone.facets) == dim)
 
 
 def test_dual_pairing_is_nonnegative():
@@ -509,6 +522,37 @@ def test_kernel_basis_matches_the_fraction_kernel_up_to_scale(case):
         assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
 
 
+# Tailed polyhedra on their tail cone: 1 to 4 points drawn from at most
+# three, so repeats are common, with fractional entries, over a random
+# pointed tail in dimension 1 to 5 that need not be full-dimensional.
+
+
+@st.composite
+def _points_on_pointed_tails(draw):
+    dim = draw(st.integers(min_value=1, max_value=5))
+    ray = st.lists(st.integers(min_value=-3, max_value=3), min_size=dim, max_size=dim)
+    tail = cone_from_rays(draw(st.lists(ray, max_size=dim + 1)), dim)
+    assume(tail.is_pointed())
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pool = draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=3))
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return points, tail
+
+
+@given(_points_on_pointed_tails())
+@example(([(0, 0), (1, -1)], cone_from_rays([(1, 0), (0, 1)], 2)))
+@example(([(Fraction(1, 2), 1), (0, 1), (0, 1)], cone_from_rays([(1, 0)], 2)))
+@example(([(0, 1), (Fraction(1, 3), 1)], cone_from_rays([(-1, 0)], 2)))
+@example(([(1, 2, 3), (1, 2, 3)], cone_from_rays([], 3)))
+@example(([(0, 0, 0), (1, 1, 0), (2, 0, 1), (1, 0, 0)], cone_from_rays([(0, 0, 1)], 3)))
+@settings(max_examples=150, deadline=None)
+def test_tailed_polyhedron_matches_the_homogenized_cone(case):
+    points, tail = case
+    got = tailed_polyhedron(points, tail)
+    assert got == homogenized_tailed_polyhedron(points, tail.rays, tail.dim)
+    assert all(type(x) is Fraction for v in got.vertices for x in v)
+
+
 # Support functions on random p-divisors: vertices with negative and
 # non-integral entries, over a random pointed weight cone in dimension 2 or 3.
 
@@ -524,7 +568,7 @@ def _random_pdivisors(draw):
     coefficients = {}
     for label in ("A", "B", "C")[: draw(st.integers(min_value=1, max_value=3))]:
         vertices = draw(st.lists(vertex, min_size=1, max_size=4))
-        coefficients[label] = tailed_polyhedron(vertices, tail.rays, dim)
+        coefficients[label] = tailed_polyhedron(vertices, tail)
     return PDivisor(PointBase(), omega, coefficients)
 
 
@@ -583,15 +627,15 @@ def _effective_pdivisors(draw):
     so that D(u) >= 0 and every ray has a base point free multiple."""
     dim = draw(st.integers(min_value=2, max_value=3))
     omega = _random_pointed_cone(random.Random(draw(st.integers(0, 10**6))), dim)
-    tail = dual_cone(omega).rays
+    tail = dual_cone(omega)
     multiple = st.fractions(min_value=0, max_value=2, max_denominator=3)
-    vertex = st.lists(multiple, min_size=len(tail), max_size=len(tail)).map(
-        lambda c: tuple(sum(a * r[i] for a, r in zip(c, tail)) for i in range(dim))
+    vertex = st.lists(multiple, min_size=len(tail.rays), max_size=len(tail.rays)).map(
+        lambda c: tuple(sum(a * r[i] for a, r in zip(c, tail.rays)) for i in range(dim))
     )
     coefficients = {}
     for label in ("A", "B", "C")[: draw(st.integers(min_value=1, max_value=3))]:
         vertices = draw(st.lists(vertex, min_size=1, max_size=4))
-        coefficients[label] = tailed_polyhedron(vertices, tail, dim)
+        coefficients[label] = tailed_polyhedron(vertices, tail)
     return PDivisor(PointBase(), omega, coefficients)
 
 

@@ -82,7 +82,7 @@ def test_invariantize_cell_refuses_a_cell_that_is_not_unimodular(cell):
 def test_upgraded_cone_matches_known_rays():
     d, record, cells = _record_and_cells()
     right = [c for c in cells if (1, 1) in c.rays][0]
-    heights, _ = invariantize_cell(d, right, record)
+    heights, _, _ = invariantize_cell(d, right, record)
     sigma = upgrade(heights, right, record)
     assert set(sigma.rays) == set(SIGMA_TILDE_RAYS)
 
@@ -90,7 +90,7 @@ def test_upgraded_cone_matches_known_rays():
 def test_hilbert_basis_of_dual_matches_printed_columns():
     d, record, cells = _record_and_cells()
     right = [c for c in cells if (1, 1) in c.rays][0]
-    heights, _ = invariantize_cell(d, right, record)
+    heights, _, _ = invariantize_cell(d, right, record)
     sigma = upgrade(heights, right, record)
     hb = hilbert_basis(dual_cone(sigma))
     printed = set(PRINTED_HB_COLUMNS)
@@ -101,7 +101,7 @@ def test_hilbert_basis_of_dual_matches_printed_columns():
 def test_mirror_cell_also_has_65():
     d, record, cells = _record_and_cells()
     left = [c for c in cells if (-1, 1) in c.rays][0]
-    heights, _ = invariantize_cell(d, left, record)
+    heights, _, _ = invariantize_cell(d, left, record)
     sigma = upgrade(heights, left, record)
     assert len(hilbert_basis(dual_cone(sigma))) == 65
 

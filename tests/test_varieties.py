@@ -170,7 +170,7 @@ def test_form_power_follows_a_re_registered_form():
 def test_blowup_has_no_invariantizing_section():
     y = cox_surface()
     omega = cone_from_rays([(1,)], 1)
-    h = tailed_polyhedron([(1,)], dual_cone(omega).rays, 1)
+    h = tailed_polyhedron([(1,)], dual_cone(omega))
     d = PDivisor(y, omega, {"H": h})
     # the twist of the cell asks the backend for an invariantizing section
     with pytest.raises(UnsupportedBackend):
