@@ -110,7 +110,7 @@ def reduce_rays(y, d: PDivisor, ray_classes):
 
     def class_of(u):
         if u not in cls:
-            cls[u] = y.divisor_class(d.evaluate(u).floor())
+            cls[u] = y.class_of(d.evaluate(u).floor())
         return cls[u]
 
     zero_candidates = [c for c in CURVE_COLUMNS if not any(class_of(c))]
@@ -271,7 +271,7 @@ def run_cox(max_iterations=64) -> CoxResult:
 
     harvest = harvest_rays(d, rays, max_iterations)
     bpf = {r: k for r, (k, _) in harvest.items()}
-    ray_classes = {r: y.divisor_class(base.floor()) for r, (_, base) in harvest.items()}
+    ray_classes = {r: y.class_of(base.floor()) for r, (_, base) in harvest.items()}
     report.append(f"evaluation classes at the rays: {len(set(ray_classes.values()))} distinct")
     multiples = sorted(set(bpf.values()))
     report.append(f"base point free multiples: {'all 1' if multiples == [1] else multiples}")

@@ -228,15 +228,22 @@ def extended_vector(y, element: GradedElement):
     return tuple(vec) + tuple(element.weight)
 
 
-def _factorable(y, elements):
-    """The elements that have an extended vector, and those vectors."""
-    usable, vectors = [], []
+def _extended_vectors(y, elements, cache):
+    """Each element's ``extended_vector``, once per key (equal keys, equal vectors)."""
+    out = []
     for e in elements:
-        v = extended_vector(y, e)
-        if v is not None:
-            usable.append(e)
-            vectors.append(v)
-    return usable, vectors
+        k = e.key()
+        if k not in cache:
+            cache[k] = extended_vector(y, e)
+        out.append(cache[k])
+    return out
+
+
+def _factorable(y, elements, cache):
+    """The elements that have an extended vector, and those vectors."""
+    vectors = _extended_vectors(y, elements, cache)
+    pairs = [(e, v) for e, v in zip(elements, vectors) if v is not None]
+    return [e for e, _ in pairs], [v for _, v in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +262,13 @@ def _interior_ray(cone):
     return primitive(ray_sum(cone))
 
 
-def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
+def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64, vectors=None):
     """Ensure the function field generators are ratios of collected elements.
 
     Returns the added elements, after which each backend coordinate
     ratio is an integer combination of factorable elements.  A missing
-    ratio is first sought in the reserve ``pool``, then along an interior ray.
+    ratio is first sought in the reserve ``pool``, then along an interior
+    ray.  ``vectors`` caches extended vectors by key, as in ``normalize_or_export``.
     """
     y = d.variety
     zeros = (0,) * d.weight_cone.dim
@@ -272,6 +280,7 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
         targets.append(((i_num, i_den), tuple(t) + zeros))
     if not targets:
         return []
+    vectors = {} if vectors is None else vectors
     elements = list(elements)
     keys = {e.key() for e in elements}
     reserve = [e for e in _dedupe(pool) if e.key() not in keys]
@@ -279,14 +288,14 @@ def quotient_field_complete(d: PDivisor, elements, pool=(), max_iterations=64):
     rho = None
     j = 1
     while True:
-        vectors = _factorable(y, elements + added)[1]
+        kept = _factorable(y, elements + added, vectors)[1]
         missing = next(
-            (pair for pair, t in targets if solve_in_lattice(t, vectors) is None), None
+            (pair for pair, t in targets if solve_in_lattice(t, kept) is None), None
         )
         if missing is None:
             return added
-        usable, vectors = _factorable(y, elements + added + reserve)
-        combos = [solve_in_lattice(t, vectors) for _, t in targets]
+        usable, every = _factorable(y, elements + added + reserve, vectors)
+        combos = [solve_in_lattice(t, every) for _, t in targets]
         if None not in combos:
             # keep what the witness uses; the missing ratio's combination
             # uses a reserve element whose key is not kept, since equal keys
@@ -464,9 +473,9 @@ def _saturate_semigroup(vectors):
     )
 
 
-def normalize_or_export(y, elements):
+def normalize_or_export(y, elements, vectors=None):
     """Saturate on a point base; elsewhere an independent factorable set is
-    normal, and everything else is exported."""
+    normal, and everything else is exported; ``vectors`` caches by key."""
     elements = _sorted_elements(_dedupe(elements))
     if isinstance(y, PointBase):
         weights = [e.weight for e in elements]
@@ -474,7 +483,7 @@ def normalize_or_export(y, elements):
         out = [GradedElement(y.one(), tuple(w)) for w in sat]
         status = "Normal" if sorted(weights) == sat else "SaturatedToric"
         return GeneratorSet(tuple(_sorted_elements(out)), status)
-    vectors = [extended_vector(y, e) for e in elements]
+    vectors = _extended_vectors(y, elements, {} if vectors is None else vectors)
     usable = [v for v in vectors if v is not None]
     # relations live in the left kernel: integer combinations of the
     # vectors themselves
@@ -526,8 +535,9 @@ def complete_generators(y, d: PDivisor, pool, harvest, max_iterations=64):
     the pruned and the re-added elements, and the GeneratorSet."""
     pool = pool + weight_lattice_completion(d, pool, harvest, max_iterations)
     pruned = reduce_generators(y, pool)
-    readded = quotient_field_complete(d, pruned, pool, max_iterations)
-    return len(pool), pruned, readded, normalize_or_export(y, pruned + readded)
+    vectors = {}
+    readded = quotient_field_complete(d, pruned, pool, max_iterations, vectors)
+    return len(pool), pruned, readded, normalize_or_export(y, pruned + readded, vectors)
 
 
 def run_general(y, d: PDivisor, max_iterations=64, domain=None) -> GeneratorSet:

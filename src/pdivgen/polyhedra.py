@@ -469,54 +469,62 @@ def normal_fan(p: TailedPolyhedron) -> PolyhedralSubdivision:
 def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision:
     """Subdivide a full-dimensional pointed cone by a list of hyperplanes.
 
-    A cell with rays strictly on both sides of a hyperplane is replaced by
-    its two halves, each cut out by the cell's facets and one halfspace.
+    An incremental double description (Fukuda and Prodon 1996) on one
+    incidence table, whose rows are the ambient facets and then each
+    distinct primitive plane other than +/- a facet normal, which never
+    cuts.  A cell is its rays and its sides of the planes that cut it (a
+    plane that does not cut a cell bounds no piece of it).  Each ray's
+    values and tight rows are computed once, and that is exact:
+    whether a ray is tight on a row does not depend on the cell, and the
+    adjacency test of ``_crossing_rays`` on a cell reads only the rows
+    valid for it, the ambient facets and the planes already done.  The
+    facets of a final cell are its rows, turned to its side, whose sets of
+    tight rays have at least dim - 1 rays and lie in no other row's.
     """
-    cells = [ambient]
-    seen_h = set()
-    for h in hyperplanes:
-        h = primitive(h)
-        neg_h = tuple(-x for x in h)
-        key = min(h, neg_h)
-        if key in seen_h:
-            continue
-        seen_h.add(key)
+    dim, nf = ambient.dim, len(ambient.facets)
+    rows = list(ambient.facets)
+    for h in map(primitive, hyperplanes):
+        if any(h) and h not in rows and tuple(-x for x in h) not in rows:
+            rows.append(h)
+    rays, ids, values, masks = [], {}, [], []
+
+    def ray_id(r):
+        if r not in ids:
+            ids[r] = len(rays)
+            rays.append(r)
+            values.append([dot(a, r) for a in rows])
+            masks.append(sum(1 << k for k, x in enumerate(values[-1]) if x == 0))
+        return ids[r]
+
+    # a cell is (ray ids, bitmask of the cutting planes it is on the negative side of)
+    cells = [([ray_id(r) for r in ambient.rays], 0)]
+    for j in range(nf, len(rows)):
+        bit, valid = 1 << j, (2 << j) - 1
         nxt = []
-        for c in cells:
-            vals = [dot(h, r) for r in c.rays]
-            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-                nxt.append(c)
-            else:
-                nxt.extend(_halves(c, h, neg_h, vals))
+        for cell, neg in cells:
+            vals = [values[i][j] for i in cell]
+            if min(vals) >= 0 or max(vals) <= 0:
+                nxt.append((cell, neg))
+                continue
+            cell_rays, cell_masks = [rays[i] for i in cell], [masks[i] & valid for i in cell]
+            cut = [ray_id(r) for r in _crossing_rays(cell_rays, cell_masks, vals, bit, dim)[0]]
+            nxt.append(([i for i, s in zip(cell, vals) if s >= 0] + cut, neg))
+            nxt.append(([i for i, s in zip(cell, vals) if s <= 0] + cut, neg | bit))
         cells = nxt
-    uniq = {}
-    for c in cells:
-        uniq.setdefault(c.rays, c)
-    return PolyhedralSubdivision(tuple(uniq[k] for k in sorted(uniq)))
-
-
-def _halves(c: QCone, h, neg_h, vals):
-    """The two halves of a full-dimensional pointed cell cut by h, from
-    one double-description step on its rays and facets.
-
-    ``vals`` are the values of h on the cell's rays, of both signs.  The
-    halves share the new rays; the facets of each are the old facets that
-    stay facets, and h or -h.
-    """
-    bit = 1 << len(c.facets)
-    masks = [sum(1 << k for k, f in enumerate(c.facets) if dot(f, r) == 0) for r in c.rays]
-    cut_rays, cut_masks = _crossing_rays(c.rays, masks, vals, bit, c.dim)
-    halves = []
-    for sign, normal in ((1, h), (-1, neg_h)):
-        side = [sign * s >= 0 for s in vals]
-        rays, side_masks = _sorted_rays(
-            [r for r, keep in zip(c.rays, side) if keep] + cut_rays,
-            [m | bit if s == 0 else m for m, s, keep in zip(masks, vals, side) if keep]
-            + cut_masks,
-        )
-        facets = _facet_rows(c.facets + (normal,), side_masks)
-        halves.append(QCone(c.dim, rays, tuple(sorted(facets))))
-    return halves
+    # row k -> bitmask of the rays tight on it
+    on_row = [sum(1 << i for i, m in enumerate(masks) if m >> k & 1) for k in range(len(rows))]
+    out = []
+    for cell, neg in cells:
+        inside = sum(1 << i for i in cell)
+        cand = [k for k, t in enumerate(on_row) if (t & inside).bit_count() >= dim - 1]
+        sets = [on_row[k] & inside for k in cand]
+        facets = [
+            tuple(-x for x in rows[k]) if neg >> k & 1 else rows[k]
+            for n, k in enumerate(cand)
+            if not _contained_elsewhere(sets[n], sets, n)
+        ]
+        out.append(QCone(dim, tuple(sorted(rays[i] for i in cell)), tuple(sorted(facets))))
+    return PolyhedralSubdivision(tuple(sorted(out)))
 
 
 def common_refinement(subs, ambient: QCone) -> PolyhedralSubdivision:

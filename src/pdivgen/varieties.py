@@ -399,7 +399,9 @@ class BlowupOfP2(Variety):
         super().__init__(3, coordinates)
         self.points = tuple(tuple(Fraction(x) for x in p) for p in points)
         _check_general_position(self.points)
-        self._class_vectors = {}
+        # built on first use; register_divisor clears what a form changes
+        self._class_vectors, self._classes, self._negative_curves = {}, {}, None
+        self._shifted = {}  # (degree, point) -> Taylor-shifted monomials
         self.register_divisor("H", h_form)
         self.exceptional = tuple(f"E{i}" for i in range(1, 5))
         for i, j in combinations(range(4), 2):
@@ -414,6 +416,7 @@ class BlowupOfP2(Variety):
     def register_divisor(self, label, form: MPoly):
         super().register_divisor(label, form)
         self._class_vectors.pop(label, None)
+        self._classes, self._negative_curves = {}, None
 
     def has_label(self, label):
         return label in self.exceptional or super().has_label(label)
@@ -448,10 +451,17 @@ class BlowupOfP2(Variety):
                 out[k] += c * v
         return tuple(out)
 
+    def class_of(self, d: QDivisor):
+        """``divisor_class(d)``, computed once per divisor."""
+        if d not in self._classes:
+            self._classes[d] = self.divisor_class(d)
+        return self._classes[d]
+
     def negative_curve_classes(self):
-        curves = [self.class_vector(l) for l in self.exceptional]
-        curves += [self.class_vector(f"E{i + 1}{j + 1}") for i, j in combinations(range(4), 2)]
-        return curves
+        if self._negative_curves is None:
+            lines = (f"E{i + 1}{j + 1}" for i, j in combinations(range(4), 2))
+            self._negative_curves = tuple(map(self.class_vector, (*self.exceptional, *lines)))
+        return self._negative_curves
 
     def _free_forms(self, degree, d):
         """Forms of the degree vanishing at the four points to the orders d asks."""
@@ -469,7 +479,9 @@ class BlowupOfP2(Variety):
             if m <= 0:
                 continue
             # condition: all Taylor coefficients of total degree < m vanish
-            shifted = [local_at(MPoly.monomial(3, e), p) for e in monos]
+            if (degree, p) not in self._shifted:
+                self._shifted[degree, p] = [local_at(MPoly.monomial(3, e), p) for e in monos]
+            shifted = self._shifted[degree, p]
             cond_exps = sorted(
                 {
                     ex
@@ -487,7 +499,7 @@ class BlowupOfP2(Variety):
         return basis
 
     def _is_basepoint_free(self, d):
-        cls = self.divisor_class(d)
+        cls = self.class_of(d)
         if cls[0] < 0:
             return False
         return all(self.intersect(cls, c) >= 0 for c in self.negative_curve_classes())

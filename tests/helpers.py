@@ -11,6 +11,7 @@ from pdivgen.intlinalg import echelon, identity, kernel_lattice, primitive, solv
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
+    PolyhedralSubdivision,
     QCone,
     TailedPolyhedron,
     cone_from_rays,
@@ -606,6 +607,29 @@ def two_pass_halves(c, h):
         two_pass_cone_from_facets(list(c.facets) + [n], c.dim)
         for n in (h, tuple(-x for x in h))
     ]
+
+
+def two_pass_hyperplane_subdivision(ambient, hyperplanes):
+    """``polyhedra.hyperplane_subdivision`` cell by cell: a cell with rays
+    strictly on both sides of a distinct plane is replaced by its
+    ``two_pass_halves``; the cells come out sorted by their rays."""
+    cells = [ambient]
+    seen = set()
+    for h in hyperplanes:
+        h = primitive(h)
+        key = min(h, tuple(-x for x in h))
+        if key in seen:
+            continue
+        seen.add(key)
+        nxt = []
+        for c in cells:
+            vals = [dot(h, r) for r in c.rays]
+            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+                nxt.append(c)
+            else:
+                nxt.extend(two_pass_halves(c, h))
+        cells = nxt
+    return PolyhedralSubdivision(tuple(sorted(cells, key=lambda c: c.rays)))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,12 @@ def test_shipped_job_file(capsys):
     )
 
 
+def test_cox_subdivide_report_is_the_stored_one(capsys):
+    # every cone of the hyperplane subdivision of the shipped Cox p-divisor
+    assert main(["jobs/cox-s5.pdiv", "--pipeline", "subdivide"]) == EXIT_OK
+    assert capsys.readouterr().out == Path("tests/golden/cox-s5.subdivide.txt").read_text()
+
+
 # Jobs whose coefficients have three vertices, so the linearity subdivision
 # is the common refinement of their normal fans, which keeps a piece when its
 # span rank is the weight cone's.  The second weight cone is a half-plane.

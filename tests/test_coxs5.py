@@ -21,7 +21,7 @@ from pdivgen.coxs5 import (
 )
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.engine import GradedElement, _sorted_elements, weight_lattice_completion
-from pdivgen.varieties import QDivisor, Variety, sections
+from pdivgen.varieties import BlowupOfP2, QDivisor, Variety, sections
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,26 @@ def test_run_cox_reuses_the_section_bases_of_the_rays():
         for s in sections(y, d.evaluate(u).floor())
     ]
     assert result.pool == tuple(_sorted_elements(pool))
+
+
+def test_run_cox_classes_each_divisor_once():
+    # the harvest's base point freeness test, the ray classes and the
+    # product reduction share one class per divisor, and the negative
+    # curves are listed once
+    curves = []
+    negative_curve_classes = BlowupOfP2.negative_curve_classes
+
+    def listed(y):
+        curves.append(negative_curve_classes(y))
+        return curves[-1]
+
+    with mock.patch.object(
+        BlowupOfP2, "divisor_class", autospec=True, side_effect=BlowupOfP2.divisor_class
+    ) as classed, mock.patch.object(BlowupOfP2, "negative_curve_classes", listed):
+        run_cox()
+    divisors = [c.args[1] for c in classed.call_args_list]
+    assert len(divisors) == len(set(divisors)) <= 29
+    assert curves and all(c is curves[0] for c in curves)
 
 
 def test_a_pool_whose_weights_generate_the_lattice_needs_no_completion(result):

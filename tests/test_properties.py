@@ -40,7 +40,7 @@ from helpers import (
     two_pass_cone_from_facets,
     two_pass_cone_from_rays,
     two_pass_dual_cone,
-    two_pass_halves,
+    two_pass_hyperplane_subdivision,
 )
 from pdivgen import polyhedra
 from pdivgen.coxs5 import cox_surface
@@ -308,12 +308,14 @@ def test_cones_match_the_two_pass_oracle(case):
 
 @st.composite
 def _cells_and_hyperplanes(draw):
-    """A pointed full-dimensional cell in dimension 2-6 and 1-3 hyperplanes.
+    """A pointed full-dimensional cell in dimension 2-6 and 1-5 hyperplanes.
 
     A random hyperplane cuts the cell or misses it; a sum of facet normals
     touches it along a face or meets it only at the origin; a random
     hyperplane turned to contain a ray of the cell cuts through that ray
-    or touches the cell there.
+    or touches the cell there; +/- a facet normal of the cell never cuts.
+    Up to two more planes repeat a drawn one, turned or scaled, and the
+    list is shuffled.
     """
     vectors, dim = draw(_vector_lists())
     cell = cone_from_rays([(abs(v[0]) + 1,) + v[1:] for v in vectors], dim)
@@ -325,17 +327,33 @@ def _cells_and_hyperplanes(draw):
     through = st.tuples(vec, st.sampled_from(cell.rays)).map(
         lambda p: tuple(dot(p[1], p[1]) * a - dot(p[0], p[1]) * b for a, b in zip(*p))
     )
-    plane = st.one_of(vec, facet_sum, through).filter(any)
-    return cell, draw(st.lists(plane, min_size=1, max_size=3))
+    facet = st.tuples(st.sampled_from(cell.facets), st.sampled_from((-1, 1))).map(
+        lambda p: tuple(p[1] * x for x in p[0])
+    )
+    plane = st.one_of(vec, facet_sum, through, facet).filter(any)
+    planes = draw(st.lists(plane, min_size=1, max_size=3))
+    again = st.tuples(st.sampled_from(planes), st.sampled_from((-2, -1, 1, 3))).map(
+        lambda p: tuple(p[1] * x for x in p[0])
+    )
+    return cell, draw(st.permutations(planes + draw(st.lists(again, max_size=2))))
 
 
 @given(_cells_and_hyperplanes())
+# the last plane holds the rays (1, 0, -3) and (1, 3, 2), which span no edge
+# of the cells the first two cut: a row counts for adjacency once it is done
+@example(
+    (
+        cone_from_rays([(1, -3, 3), (1, 0, -3), (1, 3, 1), (1, 3, 2)], 3),
+        [(-3, -2, -2), (-1, 1, -2), (9, -5, 3)],
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_hyperplane_cuts_match_the_two_pass_oracle(case):
     cell, planes = case
-    got = hyperplane_subdivision(cell, planes)
-    with mock.patch.object(polyhedra, "_halves", lambda c, h, neg_h, vals: two_pass_halves(c, h)):
-        assert got == hyperplane_subdivision(cell, planes)
+    got = hyperplane_subdivision(cell, planes).cells
+    want = two_pass_hyperplane_subdivision(cell, planes).cells
+    assert [c.rays for c in got] == [c.rays for c in want]
+    assert [c.facets for c in got] == [c.facets for c in want]
 
 
 # Span tests on the plane, where D and E are cubics.  The sections of one
@@ -444,6 +462,26 @@ def test_plane_sections_match_the_monomial_construction(coeffs):
 def test_blowup_sections_match_the_multiplicity_construction(coeffs):
     div = QDivisor(coeffs)
     assert sections(_BLOWUP, div) == oracle_blowup_sections(_BLOWUP, div)
+
+
+# The blow-up builds its Taylor-shifted monomials, its negative curves and
+# the class of each divisor once per instance: a surface that has already
+# served other divisors and degrees answers as a fresh one does.
+
+_SERVED_BLOWUP = cox_surface()
+for _coeffs in ({"H": 1}, {"H": 3, "E1": -1, "E2": -2}, {"H": 2, "E12": 1, "E3": -1}):
+    sections(_SERVED_BLOWUP, QDivisor(_coeffs))
+    is_basepoint_free(_SERVED_BLOWUP, QDivisor(_coeffs))
+
+
+@given(st.dictionaries(st.sampled_from(_BLOWUP_LABELS), st.integers(-2, 2), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_blowup_tables_built_once_change_nothing(coeffs):
+    div = QDivisor(coeffs)
+    y = _SERVED_BLOWUP
+    assert sections(y, div) == sections(cox_surface(), div)
+    assert is_basepoint_free(y, div) == is_basepoint_free(cox_surface(), div)
+    assert y.class_of(div) == y.divisor_class(div) == cox_surface().divisor_class(div)
 
 
 def _outcome(f, *args):

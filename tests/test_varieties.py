@@ -92,8 +92,17 @@ def test_blowup_class_vector_follows_a_new_form():
     x0, x1, _ = (MPoly.variable(3, i) for i in range(3))
     y.register_divisor("L", x0)
     assert y.class_vector("L")[0] == 1
+    assert y.class_of(QDivisor({"L": 2}))[0] == 2
     y.register_divisor("L", x0 * x1)
     assert y.class_vector("L")[0] == 2
+    # the class of each divisor and the negative curves follow a new form
+    assert y.class_of(QDivisor({"L": 2}))[0] == 4
+    curves = y.negative_curve_classes()
+    y.register_divisor("E12", x0 * y.form("E12"))
+    assert y.class_vector("E12")[0] == 2
+    assert y.negative_curve_classes() == tuple(
+        y.class_vector("E12") if c == curves[4] else c for c in curves
+    )
 
 
 def test_floors_and_classes_are_ints():
