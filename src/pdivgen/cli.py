@@ -31,7 +31,7 @@ from .polyhedra import (
     hilbert_basis,
     tailed_polyhedron,
 )
-from .torus import run_torus, standard_p2_fan_record
+from .torus import run_torus
 from .varieties import (
     BlowupOfP2,
     NotTMoveable,
@@ -420,8 +420,7 @@ def _pipeline_torus(job, y, d, domain):
         raise UnsupportedBackend(f"unknown torus record '{record_name}'")
     if not isinstance(y, ProjectiveSpace) or y.n != 2:
         raise UnsupportedBackend("the standard torus record needs the plane")
-    record = standard_p2_fan_record(y)
-    result = run_torus(y, d, record, domain)
+    result = run_torus(y, d, domain)
     lines = list(result.report)
     lines.append(f"{len(result.elements)} generators")
     lines.append(f"normalization status: {result.normalization_status}")

@@ -18,7 +18,6 @@ from .polyhedra import (
     dual_cone,
     hyperplane_subdivision,
     mu,
-    normal_fan,
     primitive,
     ray_sum,
     tailed_polyhedron,
@@ -91,7 +90,7 @@ def linearity_subdivision(d: PDivisor) -> PolyhedralSubdivision:
             for p in multi
         ]
         return hyperplane_subdivision(d.weight_cone, planes)
-    return common_refinement([normal_fan(p) for p in multi], d.weight_cone)
+    return common_refinement(multi, d.weight_cone)
 
 
 def restrict(d: PDivisor, c: QCone) -> PDivisor:

@@ -262,24 +262,21 @@ def mu(v):
 
 
 def triangulate(cone: QCone):
-    """Pulling triangulation into simplicial subcones (lists of rays)."""
-    return _triangulate_rays(cone.rays, cone.dim)
-
-
-def _triangulate_rays(rays, dim):
-    r = rank(rays)
-    if len(rays) == r:
-        return [tuple(rays)]
-    c = cone_from_rays(rays, dim)
-    v = c.rays[0]
+    """Pulling triangulation into simplicial subcones (lists of rays); it
+    builds a cone only for a face that is not simplicial."""
+    r = rank(cone.rays)
+    if len(cone.rays) == r:
+        return [tuple(cone.rays)]
+    v = cone.rays[0]
     cells = []
-    for f in c.facets:
+    for f in cone.facets:
         if dot(f, v) == 0:
             continue
-        face = [x for x in c.rays if dot(f, x) == 0]
+        face = tuple(x for x in cone.rays if dot(f, x) == 0)
         if rank(face) != r - 1:
             continue
-        for s in _triangulate_rays(tuple(face), dim):
+        subs = [face] if len(face) == r - 1 else triangulate(cone_from_rays(face, cone.dim))
+        for s in subs:
             cells.append(tuple(sorted(s + (v,))))
     return sorted(set(cells))
 
@@ -325,7 +322,7 @@ def hilbert_basis(cone: QCone):
     r = len(span)
     ycone = cone_from_rays(yrays, r)
     candidates = set()
-    for cell in _triangulate_rays(ycone.rays, r):
+    for cell in triangulate(ycone):
         candidates.update(cell)
         candidates.update(_parallelepiped_points(list(cell)))
     candidates.discard(tuple([0] * r))
@@ -445,27 +442,6 @@ class PolyhedralSubdivision(NamedTuple):
         return tuple(sorted(seen))
 
 
-def normal_fan(p: TailedPolyhedron) -> PolyhedralSubdivision:
-    """Cones of linearity of u -> min<P, u>, subdividing dual(tail)."""
-    if not p.tail.is_pointed():
-        raise NonPointedCone("normal_fan needs a pointed tail cone")
-    ambient = dual_cone(p.tail)
-    full = ambient.span_rank()
-    cells = []
-    seen = set()
-    for v in p.vertices:
-        normals = [
-            primitive(tuple(a - b for a, b in zip(w, v)))
-            for w in p.vertices
-            if w != v
-        ]
-        cell = cone_from_facets(list(ambient.facets) + normals, p.dim)
-        if cell.span_rank() == full and cell.rays not in seen:
-            seen.add(cell.rays)
-            cells.append(cell)
-    return PolyhedralSubdivision(tuple(sorted(cells, key=lambda c: c.rays)))
-
-
 def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision:
     """Subdivide a full-dimensional pointed cone by a list of hyperplanes.
 
@@ -527,20 +503,24 @@ def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision
     return PolyhedralSubdivision(tuple(sorted(out)))
 
 
-def common_refinement(subs, ambient: QCone) -> PolyhedralSubdivision:
-    """Coarsest common refinement of the subdivisions, cut down to ambient."""
-    full = ambient.span_rank()
+def common_refinement(polys, ambient: QCone) -> PolyhedralSubdivision:
+    """Coarsest common refinement of the polyhedra's normal fans in a
+    full-dimensional ambient: per vertex v of P, each cell is cut by the
+    normals w - v negative on one of its rays, so v minimizes <P, u> there."""
+    if not ambient.is_full_dim():
+        raise NonPointedCone("a normal fan needs a pointed tail cone")
     cells = [ambient]
-    for sub in subs:
-        nxt = []
-        seen = set()
+    for p in polys:
+        normals = [
+            [primitive(tuple(a - b for a, b in zip(w, v))) for w in p.vertices if w != v]
+            for v in p.vertices
+        ]
+        nxt, seen = [], set()
         for c in cells:
-            for f in sub.cells:
-                extra = [n for n in f.facets if any(dot(n, r) < 0 for r in c.rays)]
-                piece = c if not extra else cone_from_facets(
-                    list(c.facets) + extra, ambient.dim
-                )
-                if piece.span_rank() == full and piece.rays not in seen:
+            for cut in normals:
+                extra = [n for n in cut if any(dot(n, r) < 0 for r in c.rays)]
+                piece = c if not extra else cone_from_facets(list(c.facets) + extra, ambient.dim)
+                if piece.is_full_dim() and piece.rays not in seen:
                     seen.add(piece.rays)
                     nxt.append(piece)
         cells = nxt

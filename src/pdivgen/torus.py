@@ -1,6 +1,8 @@
 """Exploiting a torus action on the base to compute generators.
 
-When the base carries a torus action and the p-divisor is locally
+The torus is the base's own: ``torus(y)`` reads its characters, the
+coordinate ratios of ``y.function_field_generators()``, and from them the
+fan rays of the coordinate divisors.  When the p-divisor is locally
 T-moveable, each linearity cell can be twisted by invariantizing
 sections so that its restriction becomes a divisor supported on
 invariant prime divisors.  Over a point base this turns the whole
@@ -8,7 +10,6 @@ computation into a Hilbert basis problem for the upgraded cone.
 """
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .intlinalg import invert_unimodular, primitive
 from .mpoly import MPoly
@@ -20,46 +21,30 @@ from .polyhedra import (
     hilbert_basis,
     unimodular_triangulation,
 )
-from .varieties import (
-    FunctionFieldElement,
-    NotTMoveable,
-    ProjectiveSpace,
-    UnsupportedBackend,
-    ffe,
-)
+from .varieties import FunctionFieldElement, NotTMoveable, ffe
 from .engine import GeneratorSet, GradedElement
 
 
-class DivisorialFanRecord(NamedTuple):
-    """Combinatorial data of the quotient description of the base.
+def torus(y):
+    """(fan rays, characters) of the torus of Y, from its function field generators.
 
-    For a toric base the record holds the fan rays, ray i for the i-th
-    homogeneous coordinate, and for every basis direction of the torus
-    lattice a coordinate character as a function field element.
+    Character k is the coordinate ratio x_a / x_b of generator k = (a, b).
+    Its divisor is D_a - D_b, so by div(chi^m) = sum <m, u_j> D_j the ray
+    u_j of coordinate divisor j has entry [j = a] - [j = b] at k.
     """
-
-    rays: tuple
-    character_functions: tuple
-
-
-def standard_p2_fan_record(y: ProjectiveSpace) -> DivisorialFanRecord:
-    """The standard torus action on the projective plane."""
-    if y.n != 2:
-        raise UnsupportedBackend("standard record only provided for the plane")
-    cz = y.coordinate_label(2)
-    x_over_z = ffe(MPoly.variable(3, 0), [(cz, 1)])
-    y_over_z = ffe(MPoly.variable(3, 1), [(cz, 1)])
-    return DivisorialFanRecord(
-        rays=((1, 0), (0, 1), (-1, -1)),
-        character_functions=(x_over_z, y_over_z),
+    gens = y.function_field_generators()
+    rays = tuple(tuple(int(j == a) - int(j == b) for a, b in gens) for j in range(y.nvars))
+    characters = tuple(
+        ffe(MPoly.variable(y.nvars, a), [(y.coordinate_label(b), 1)]) for a, b in gens
     )
+    return rays, characters
 
 
 # ---------------------------------------------------------------------------
 # the per-cell twist
 
 
-def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
+def invariantize_cell(d: PDivisor, cell: QCone):
     """((fan ray, height vector w) per fan ray, {cell ray: twist section},
     inverse of the matrix of the sorted primitive cell rays)."""
     y = d.variety
@@ -92,14 +77,14 @@ def invariantize_cell(d: PDivisor, cell: QCone, record: DivisorialFanRecord):
         per_ray_coords.append(total[: y.nvars])
     # linear form w_r per fan ray: <w_r, rho_j> = coefficient of D_r at rho_j
     heights = []
-    for coord_idx, r in enumerate(record.rays):
+    for coord_idx, r in enumerate(torus(y)[0]):
         values = [per_ray_coords[j][coord_idx] for j in range(n)]
         w = tuple(sum(inv[i][j] * values[j] for j in range(n)) for i in range(n))
-        heights.append((tuple(r), w))
+        heights.append((r, w))
     return tuple(heights), twists, inv
 
 
-def upgrade(heights, cell: QCone, record: DivisorialFanRecord):
+def upgrade(heights, cell: QCone):
     """The upgraded cone over the quotient; the weight data on a point base.
 
     Generators: the dual of the cell at torus height zero, and for each
@@ -108,7 +93,7 @@ def upgrade(heights, cell: QCone, record: DivisorialFanRecord):
     polyhedron w + dual(cell), whose tail the first generators span.
     """
     n = cell.dim
-    rk = len(record.rays[0])
+    rk = len(heights[0][0]) if heights else 0
     gens = []
     for c in dual_cone(cell).rays:
         gens.append(tuple(c) + tuple([0] * rk))
@@ -132,7 +117,7 @@ def _invert(y, elem: FunctionFieldElement) -> FunctionFieldElement:
     return ffe(inv.num * Fraction(1, rest.leading()[1]), inv.den)
 
 
-def downgrade_generators(y, weights, twists, inv, record):
+def downgrade_generators(y, weights, twists, inv):
     """Map upgraded lattice weights back to graded elements on Y.
 
     ``twists`` maps the sorted primitive rays of the cell to their twist
@@ -140,11 +125,12 @@ def downgrade_generators(y, weights, twists, inv, record):
     ``invariantize_cell`` returns both.
     """
     n = len(twists)
+    characters = torus(y)[1]
     out = []
     for w in weights:
         wm, wp = tuple(w[:n]), tuple(w[n:])
         sec = ffe(MPoly.constant(y.nvars, 1))
-        for chf, e in zip(record.character_functions, wp):
+        for chf, e in zip(characters, wp):
             if e:
                 sec = sec * _power(y, chf, e)
         # coordinates of the M-weight in the ray basis select twist powers
@@ -156,7 +142,7 @@ def downgrade_generators(y, weights, twists, inv, record):
     return out
 
 
-def run_torus(y, d: PDivisor, record: DivisorialFanRecord, domain=None):
+def run_torus(y, d: PDivisor, domain=None):
     """Per-cell upgrade pipeline; cells contribute independent lists.
 
     ``domain`` is the linearity subdivision of d when the caller has it.
@@ -168,12 +154,12 @@ def run_torus(y, d: PDivisor, record: DivisorialFanRecord, domain=None):
     for cell in domain.cells:
         # a unimodular cell is its own only piece
         for piece in unimodular_triangulation(cell).cells:
-            heights, twists, inv = invariantize_cell(d, piece, record)
-            sigma = upgrade(heights, piece, record)
+            heights, twists, inv = invariantize_cell(d, piece)
+            sigma = upgrade(heights, piece)
             hb = hilbert_basis(dual_cone(sigma))
             # distinct Hilbert basis elements of one M-weight differ in their
             # character exponents, so no two generators coincide
-            gens = downgrade_generators(y, hb, twists, inv, record)
+            gens = downgrade_generators(y, hb, twists, inv)
             elements.extend(gens)
             report.append(f"cell {piece.rays}: {len(gens)} generators")
     report.append(f"total generators: {len(elements)}")

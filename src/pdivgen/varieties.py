@@ -178,8 +178,9 @@ class Variety:
                     f"{label} is the hyperplane {self.coordinates[i]} = 0; "
                     f"its defining form must be {self.coordinates[i]}"
                 )
+        if label in self._forms or label in self.exceptional:
+            raise ValueError(f"{label} is already a prime divisor of the {self.name} base")
         self._forms[label] = form
-        self._form_powers.pop(label, None)
         self._atoms = None
 
     def forms(self):
@@ -399,7 +400,7 @@ class BlowupOfP2(Variety):
         super().__init__(3, coordinates)
         self.points = tuple(tuple(Fraction(x) for x in p) for p in points)
         _check_general_position(self.points)
-        # built on first use; register_divisor clears what a form changes
+        # built on first use; register_divisor never changes a registered form
         self._class_vectors, self._classes, self._negative_curves = {}, {}, None
         self._shifted = {}  # (degree, point) -> Taylor-shifted monomials
         self.register_divisor("H", h_form)
@@ -412,11 +413,6 @@ class BlowupOfP2(Variety):
         # coefficients of the line = cross product of the two points
         a, b, c = _cross(p, q)
         return MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
-
-    def register_divisor(self, label, form: MPoly):
-        super().register_divisor(label, form)
-        self._class_vectors.pop(label, None)
-        self._classes, self._negative_curves = {}, None
 
     def has_label(self, label):
         return label in self.exceptional or super().has_label(label)

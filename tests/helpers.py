@@ -11,9 +11,11 @@ from pdivgen.intlinalg import echelon, identity, kernel_lattice, primitive, solv
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
+    NonPointedCone,
     PolyhedralSubdivision,
     QCone,
     TailedPolyhedron,
+    cone_from_facets,
     cone_from_rays,
     dot,
     dual_cone,
@@ -628,6 +630,48 @@ def two_pass_hyperplane_subdivision(ambient, hyperplanes):
                 nxt.append(c)
             else:
                 nxt.extend(two_pass_halves(c, h))
+        cells = nxt
+    return PolyhedralSubdivision(tuple(sorted(cells, key=lambda c: c.rays)))
+
+
+# ---------------------------------------------------------------------------
+# the common refinement by normal fans, in two steps
+
+
+def normal_fan(p):
+    """Cones of linearity of u -> min<P, u>, subdividing dual(tail): per
+    vertex v, the ambient facets and the normals w - v cut out one cone,
+    kept when it is full-dimensional and new."""
+    if not p.tail.is_pointed():
+        raise NonPointedCone("normal_fan needs a pointed tail cone")
+    ambient = dual_cone(p.tail)
+    full = ambient.span_rank()
+    cells = []
+    seen = set()
+    for v in p.vertices:
+        normals = [primitive(tuple(a - b for a, b in zip(w, v))) for w in p.vertices if w != v]
+        cell = cone_from_facets(list(ambient.facets) + normals, p.dim)
+        if cell.span_rank() == full and cell.rays not in seen:
+            seen.add(cell.rays)
+            cells.append(cell)
+    return PolyhedralSubdivision(tuple(sorted(cells, key=lambda c: c.rays)))
+
+
+def two_step_common_refinement(subs, ambient):
+    """``polyhedra.common_refinement`` on built fans: each cell is cut by
+    the facets of each fan cone that are negative on one of its rays."""
+    full = ambient.span_rank()
+    cells = [ambient]
+    for sub in subs:
+        nxt = []
+        seen = set()
+        for c in cells:
+            for f in sub.cells:
+                extra = [n for n in f.facets if any(dot(n, r) < 0 for r in c.rays)]
+                piece = c if not extra else cone_from_facets(list(c.facets) + extra, ambient.dim)
+                if piece.span_rank() == full and piece.rays not in seen:
+                    seen.add(piece.rays)
+                    nxt.append(piece)
         cells = nxt
     return PolyhedralSubdivision(tuple(sorted(cells, key=lambda c: c.rays)))
 

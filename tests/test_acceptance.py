@@ -29,7 +29,7 @@ from pdivgen.coxs5 import run_cox
 from pdivgen.engine import algebra_membership, find_k_rho, run_general
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import cone_from_rays, dual_cone, hilbert_basis
-from pdivgen.torus import run_torus, standard_p2_fan_record
+from pdivgen.torus import run_torus
 from pdivgen.varieties import PointBase, sections_of_floor
 
 
@@ -88,16 +88,15 @@ def test_acceptance_3_torus_route_on_the_plane_example():
     start = time.monotonic()
     d = plane_pdivisor()
     y = d.variety
-    record = standard_p2_fan_record(y)
-    result = run_torus(y, d, record)
+    result = run_torus(y, d)
     weights = {e.weight for e in result.elements}
     allowed = {(0, 1), (0, 2), (1, 1), (-1, 1), (1, 2), (-1, 2), (2, 2), (-2, 2)}
     from pdivgen.torus import invariantize_cell, upgrade
 
     cells = linearity_subdivision(d).cells
     right = [c for c in cells if (1, 1) in c.rays][0]
-    rep, _, _ = invariantize_cell(d, right, record)
-    sigma = upgrade(rep, right, record)
+    rep, _, _ = invariantize_cell(d, right)
+    sigma = upgrade(rep, right)
     checks = [
         ("132 generators", len(result.elements) == 132),
         ("degrees within (0,1),(0,2),(+-1,1),(+-1,2),(+-2,2)", weights <= allowed),
@@ -130,8 +129,7 @@ def test_acceptance_4_cross_oracle_graded_dimensions():
     start = time.monotonic()
     d = plane_pdivisor()
     y = d.variety
-    record = standard_p2_fan_record(y)
-    result = run_torus(y, d, record)
+    result = run_torus(y, d)
     by_weight = defaultdict(list)
     for e in result.elements:
         by_weight[e.weight].append(e.section)

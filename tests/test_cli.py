@@ -357,6 +357,25 @@ def test_coordinate_names_are_counted_and_distinct(text, named, tmp_path, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("form", ["E12 = x0 + x1 + x2", "E1 = x0"])
+@pytest.mark.parametrize("pipeline", ["subdivide", "general"])
+def test_a_blowup_job_cannot_redefine_a_built_in_label(form, pipeline, tmp_path, capsys):
+    # a new E12 changed the negative curves, and a form for E1 made the
+    # exponent codec read it as a hyperplane
+    label = form.split()[0]
+    job = tmp_path / "redefined.pdiv"
+    job.write_text(
+        Path("jobs/cox-s5.pdiv").read_text().replace(
+            "form.H = x0 - x1 + x2\n", f"form.H = x0 - x1 + x2\nform.{form}\n"
+        )
+    )
+    assert main([str(job), "--pipeline", pipeline]) == EXIT_SEMANTIC
+    assert capsys.readouterr().err == (
+        f"semantic error: [stage variety] {label} is already a prime divisor "
+        "of the blowup-p2 base\n"
+    )
+
+
 def test_a_ray_without_a_base_point_free_multiple_exits_at_the_cap(tmp_path, capsys):
     # D(k*(1,0)) = -k E for every k, so no multiple has a section; the
     # degree test answers without multiplying out E**k

@@ -3,12 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_hilbert_basis, det, support
+from helpers import brute_hilbert_basis, det, normal_fan, support
+from pdivgen import polyhedra
 from pdivgen.intlinalg import rank
 from pdivgen.polyhedra import (
     NonPointedCone,
@@ -22,7 +24,6 @@ from pdivgen.polyhedra import (
     dual_cone,
     hilbert_basis,
     hyperplane_subdivision,
-    normal_fan,
     tailed_polyhedron,
     triangulate,
     unimodular_triangulation,
@@ -124,6 +125,45 @@ def test_triangulations():
         assert abs(det(cell.rays)) == 1
 
 
+def _cone_builds(f, cone):
+    with mock.patch.object(polyhedra, "cone_from_rays", wraps=polyhedra.cone_from_rays) as build:
+        result = f(cone)
+    return result, build.call_count
+
+
+# a square pyramid is not simplicial, and each of its facets is
+_PYRAMID = cone_from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+
+
+def test_triangulate_builds_a_cone_only_for_a_face_that_is_not_simplicial():
+    cells, builds = _cone_builds(triangulate, _PYRAMID)
+    assert cells == [((-1, 0, 1), (0, -1, 1), (1, 0, 1)), ((-1, 0, 1), (0, 1, 1), (1, 0, 1))]
+    assert builds == 0
+    # the first ray of this one is the apex over a square facet, which is
+    # the one face cone built
+    apex = cone_from_rays(
+        [(0, 1, 0, 1), (0, 0, 1, 1), (0, -1, 0, 1), (0, 0, -1, 1), (-1, 0, 0, 1)], 4
+    )
+    cells, builds = _cone_builds(triangulate, apex)
+    assert cells == [
+        ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 1, 0, 1)),
+        ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1)),
+    ]
+    assert builds == 1
+
+
+def test_hilbert_basis_builds_only_the_cone_in_its_span_lattice():
+    basis, builds = _cone_builds(hilbert_basis, _PYRAMID)
+    assert basis == ((-1, 0, 1), (0, -1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1))
+    assert builds == 1
+
+
+def test_unimodular_triangulation_builds_only_its_cells():
+    sub, builds = _cone_builds(unimodular_triangulation, _PYRAMID)
+    assert len(sub.cells) == 4
+    assert builds == 4
+
+
 @pytest.mark.parametrize(
     "rays, cells",
     [
@@ -176,6 +216,13 @@ def test_normal_fan_of_segment():
     assert len(fan.cells) == 2
 
 
+def test_common_refinement_refuses_an_ambient_that_is_not_full_dimensional():
+    flat = cone_from_rays([(1, 0, 0), (0, 1, 0)], 3)
+    p = tailed_polyhedron([(0, 0, 0), (1, -1, 0)], dual_cone(flat))
+    with pytest.raises(NonPointedCone, match="needs a pointed tail cone"):
+        common_refinement([p], flat)
+
+
 def test_hyperplane_subdivision_covers_and_is_disjoint():
     ambient = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3)
     cuts = [(1, -1, 0), (0, 1, -1), (1, 1, -2)]
@@ -226,10 +273,10 @@ def _cone_and_segments(draw):
 def test_common_refinement_matches_hyperplane_path(case):
     ambient, segments = case
     tail = dual_cone(ambient)
-    fans = [normal_fan(tailed_polyhedron(s, tail)) for s in segments]
+    polys = [tailed_polyhedron(s, tail) for s in segments]
     planes = [tuple(a - b for a, b in zip(*s)) for s in segments]
     hyp = hyperplane_subdivision(ambient, planes).cells
-    ref = common_refinement(fans, ambient).cells
+    ref = common_refinement(polys, ambient).cells
     assert [(c.rays, c.facets) for c in hyp] == [(c.rays, c.facets) for c in ref]
 
 

@@ -26,6 +26,7 @@ from helpers import (
     guarded_quotient_field_complete,
     homogenized_tailed_polyhedron,
     mat_mul,
+    normal_fan,
     oracle_element_divisor,
     oracle_factor_exponents,
     oracle_blowup_sections,
@@ -41,6 +42,7 @@ from helpers import (
     two_pass_cone_from_rays,
     two_pass_dual_cone,
     two_pass_hyperplane_subdivision,
+    two_step_common_refinement,
 )
 from pdivgen import polyhedra
 from pdivgen.coxs5 import cox_surface
@@ -66,6 +68,7 @@ from pdivgen.pdivisor import (
 )
 from pdivgen.polyhedra import (
     _pointed_rays,
+    common_refinement,
     cone_from_facets,
     cone_from_rays,
     dot,
@@ -354,6 +357,38 @@ def test_hyperplane_cuts_match_the_two_pass_oracle(case):
     want = two_pass_hyperplane_subdivision(cell, planes).cells
     assert [c.rays for c in got] == [c.rays for c in want]
     assert [c.facets for c in got] == [c.facets for c in want]
+
+
+@st.composite
+def _ambients_and_polyhedra(draw):
+    """A full-dimensional ambient cone in dimension 2-4, pointed or holding
+    a line, and 1-3 tailed polyhedra of 2-4 rational points each on its
+    dual, which is pointed."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    vec = st.lists(tiny_int, min_size=dim, max_size=dim).map(tuple)
+    rays = draw(st.lists(vec, min_size=dim, max_size=dim + 2))
+    if draw(st.booleans()):
+        line = draw(vec.filter(any))
+        rays += [line, tuple(-x for x in line)]
+    ambient = cone_from_rays(rays, dim)
+    assume(ambient.is_full_dim())
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    point = st.tuples(*[entry] * dim)
+    tail = dual_cone(ambient)
+    polys = [
+        tailed_polyhedron(points, tail)
+        for points in draw(st.lists(st.lists(point, min_size=2, max_size=4), min_size=1, max_size=3))
+    ]
+    return ambient, polys
+
+
+@given(_ambients_and_polyhedra())
+@settings(max_examples=150, deadline=None)
+def test_common_refinement_matches_the_normal_fan_oracle(case):
+    ambient, polys = case
+    got = common_refinement(polys, ambient).cells
+    want = two_step_common_refinement([normal_fan(p) for p in polys], ambient).cells
+    assert [(c.rays, c.facets) for c in got] == [(c.rays, c.facets) for c in want]
 
 
 # Span tests on the plane, where D and E are cubics.  The sections of one

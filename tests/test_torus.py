@@ -16,31 +16,39 @@ from helpers import (
 from pdivgen.engine import algebra_membership
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.polyhedra import cone_from_rays, dual_cone, hilbert_basis
-from pdivgen.torus import (
-    _invert,
-    invariantize_cell,
-    run_torus,
-    standard_p2_fan_record,
-    upgrade,
-)
-from pdivgen.varieties import ffe
+from pdivgen.torus import _invert, invariantize_cell, run_torus, torus, upgrade
+from pdivgen.varieties import PointBase, ProjectiveSpace, ffe
 from pdivgen.mpoly import MPoly
 
 
-def _record_and_cells():
+def _pdivisor_and_cells():
     d = plane_pdivisor()
-    record = standard_p2_fan_record(d.variety)
     cells = linearity_subdivision(d).cells
-    return d, record, cells
+    return d, cells
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_torus_of_projective_space_is_the_standard_fan(n):
+    y = ProjectiveSpace(n)
+    rays, characters = torus(y)
+    # e_i for x_i = 0 and -(e_1 + ... + e_n) for the last coordinate
+    unit = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    assert rays == (*unit, tuple([-1] * n))
+    xn = y.coordinate_label(n)
+    assert characters == tuple(ffe(MPoly.variable(n + 1, i), [(xn, 1)]) for i in range(n))
 
 
 def test_standard_p2_record():
-    d, record, _ = _record_and_cells()
-    assert record.rays == ((1, 0), (0, 1), (-1, -1))
+    # the torus of the plane is the fan and characters of the [torus] record
+    y = plane_variety()
+    rays, characters = torus(y)
+    assert rays == ((1, 0), (0, 1), (-1, -1))
+    x, yy, _ = (MPoly.variable(3, i) for i in range(3))
+    assert characters == (ffe(x, [("coord:z", 1)]), ffe(yy, [("coord:z", 1)]))
 
 
 def test_element_divisor_of_coordinate_ratio():
-    d, record, _ = _record_and_cells()
+    d, _ = _pdivisor_and_cells()
     y = d.variety
     x, yy, z = (MPoly.variable(3, i) for i in range(3))
     vec, _ = y.exponents(ffe(x, [("D", 1)]).normalized())
@@ -71,27 +79,27 @@ def test_invert_gives_the_exact_inverse():
     ],
 )
 def test_invariantize_cell_refuses_a_cell_that_is_not_unimodular(cell):
-    d, record, _ = _record_and_cells()
+    d, _ = _pdivisor_and_cells()
     with mock.patch.object(PDivisor, "evaluate", autospec=True) as evaluate:
         with pytest.raises(ValueError, match="needs a unimodular simplicial cell"):
-            invariantize_cell(d, cell, record)
+            invariantize_cell(d, cell)
     # refused before any ray is evaluated
     evaluate.assert_not_called()
 
 
 def test_upgraded_cone_matches_known_rays():
-    d, record, cells = _record_and_cells()
+    d, cells = _pdivisor_and_cells()
     right = [c for c in cells if (1, 1) in c.rays][0]
-    heights, _, _ = invariantize_cell(d, right, record)
-    sigma = upgrade(heights, right, record)
+    heights, _, _ = invariantize_cell(d, right)
+    sigma = upgrade(heights, right)
     assert set(sigma.rays) == set(SIGMA_TILDE_RAYS)
 
 
 def test_hilbert_basis_of_dual_matches_printed_columns():
-    d, record, cells = _record_and_cells()
+    d, cells = _pdivisor_and_cells()
     right = [c for c in cells if (1, 1) in c.rays][0]
-    heights, _, _ = invariantize_cell(d, right, record)
-    sigma = upgrade(heights, right, record)
+    heights, _, _ = invariantize_cell(d, right)
+    sigma = upgrade(heights, right)
     hb = hilbert_basis(dual_cone(sigma))
     printed = set(PRINTED_HB_COLUMNS)
     assert len(printed) == 65
@@ -99,16 +107,16 @@ def test_hilbert_basis_of_dual_matches_printed_columns():
 
 
 def test_mirror_cell_also_has_65():
-    d, record, cells = _record_and_cells()
+    d, cells = _pdivisor_and_cells()
     left = [c for c in cells if (-1, 1) in c.rays][0]
-    heights, _, _ = invariantize_cell(d, left, record)
-    sigma = upgrade(heights, left, record)
+    heights, _, _ = invariantize_cell(d, left)
+    sigma = upgrade(heights, left)
     assert len(hilbert_basis(dual_cone(sigma))) == 65
 
 
 def test_run_torus_weight_distribution():
-    d, record, _ = _record_and_cells()
-    result = run_torus(d.variety, d, record)
+    d, _ = _pdivisor_and_cells()
+    result = run_torus(d.variety, d)
     assert result.normalization_status == "SaturatedToric"
     counts = Counter(e.weight for e in result.elements)
     assert counts == {
@@ -125,8 +133,16 @@ def test_run_torus_weight_distribution():
 
 
 def test_torus_output_contains_known_generators():
-    d, record, _ = _record_and_cells()
+    d, _ = _pdivisor_and_cells()
     y = d.variety
-    result = run_torus(y, d, record)
+    result = run_torus(y, d)
     for g in thirteen_generators(y):
         assert algebra_membership(y, g, result.elements)
+
+
+def test_torus_route_over_a_point_is_a_hilbert_basis():
+    # a point has the torus of rank 0, so each upgraded cone is its cell's
+    omega = cone_from_rays([(1, 0), (1, 3)], 2)
+    d = PDivisor(PointBase(), omega, {})
+    result = run_torus(d.variety, d)
+    assert {e.weight for e in result.elements} == set(hilbert_basis(omega))

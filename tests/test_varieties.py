@@ -87,22 +87,25 @@ def test_class_vector_multiplicities_match_multiplicity_at():
         assert y.class_vector(label)[1:] == tuple(-m for m in mults), label
 
 
-def test_blowup_class_vector_follows_a_new_form():
+def test_blowup_refuses_a_label_it_has():
     y = cox_surface()
     x0, x1, _ = (MPoly.variable(3, i) for i in range(3))
     y.register_divisor("L", x0)
-    assert y.class_vector("L")[0] == 1
+    # classes are built once
+    assert y.class_vector("L") is y.class_vector("L")
+    assert y.class_of(QDivisor({"L": 2})) is y.class_of(QDivisor({"L": 2}))
     assert y.class_of(QDivisor({"L": 2}))[0] == 2
-    y.register_divisor("L", x0 * x1)
-    assert y.class_vector("L")[0] == 2
-    # the class of each divisor and the negative curves follow a new form
-    assert y.class_of(QDivisor({"L": 2}))[0] == 4
     curves = y.negative_curve_classes()
-    y.register_divisor("E12", x0 * y.form("E12"))
-    assert y.class_vector("E12")[0] == 2
-    assert y.negative_curve_classes() == tuple(
-        y.class_vector("E12") if c == curves[4] else c for c in curves
-    )
+    assert y.negative_curve_classes() is curves
+    # a registered label, H, a line through two points or an exceptional
+    # curve keeps its form and class
+    for label, form in (("L", x0 * x1), ("H", x1), ("E12", x0 * y.form("E12")), ("E1", x0)):
+        with pytest.raises(ValueError, match=f"{label} is already a prime divisor"):
+            y.register_divisor(label, form)
+    assert y.form("L") == x0
+    assert y.class_vector("L")[0] == 1
+    assert y.negative_curve_classes() is curves
+    assert "E1" not in y.forms()
 
 
 def test_floors_and_classes_are_ints():
@@ -162,18 +165,17 @@ def test_span_helpers():
     assert span_dimension(y, [a, b, target]) == 2
 
 
-def test_form_power_follows_a_re_registered_form():
+def test_form_power_is_built_once_and_a_form_is_registered_once():
     y = plane_variety()
     x, yy, z = (MPoly.variable(3, i) for i in range(3))
     d2 = y.form_power("D", 2)
-    e3 = y.form_power("E", 3)
     assert d2 == (x * yy * z) ** 2
     assert y.form_power("D", 2) is d2
-    y.register_divisor("D", x * z)
-    assert y.form_power("D", 2) == (x * z) ** 2
-    assert y.form_power("E", 3) is e3
-    # span tests see the new form: x z / D is the constant 1 now
-    assert in_span(y, ffe(x * z, [("D", 1)]), [y.one()])
+    with pytest.raises(ValueError, match="D is already a prime divisor"):
+        y.register_divisor("D", x * z)
+    assert y.form_power("D", 2) is d2
+    # span tests see the registered form: x z / D is not a constant
+    assert not in_span(y, ffe(x * z, [("D", 1)]), [y.one()])
 
 
 def test_blowup_has_no_invariantizing_section():
@@ -183,7 +185,7 @@ def test_blowup_has_no_invariantizing_section():
     d = PDivisor(y, omega, {"H": h})
     # the twist of the cell asks the backend for an invariantizing section
     with pytest.raises(UnsupportedBackend):
-        invariantize_cell(d, omega, None)
+        invariantize_cell(d, omega)
 
 
 def test_atoms_and_coordinate_labels():
