@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .coxs5 import run_cox
+from .coxs5 import build_cox_pdivisor, cox_surface, run_cox
 from .engine import format_section, run_general
 from .intlinalg import primitive
 from .mpoly import MPoly, _rational
@@ -431,15 +431,22 @@ def _pipeline_torus(job, y, d, domain):
     return lines, gen_lines
 
 
-def _pipeline_cox(max_iterations):
-    result = run_cox(max_iterations)
+def _pipeline_cox(y, d, max_iterations, domain):
+    if not isinstance(y, BlowupOfP2):
+        raise UnsupportedBackend("the cox-s5 pipeline needs the blowup-p2 base")
+    if d.weight_cone.dim != 5:
+        raise JobSemanticError(
+            f"the cox-s5 pipeline grades by the class basis (H, E1..E4): "
+            f"rays have width {d.weight_cone.dim}, not 5"
+        )
+    result = run_cox(y, d, max_iterations, domain)
     lines = list(result.report)
     lines.append(f"{len(result.cells)} subcones")
     lines.append(f"{len(result.rays)} rays")
     lines.append(f"{len(result.reduced_rays)} rays after reduction")
     lines.append(f"{len(result.generators.elements)} generators")
     lines.append(result.presentation.rstrip("\n"))
-    gen_lines = _generator_lines(result.generators.elements, ("x0", "x1", "x2"))
+    gen_lines = _generator_lines(result.generators.elements, y.coordinates)
     lines.extend(gen_lines)
     return lines, gen_lines
 
@@ -488,6 +495,7 @@ def _verify_lines(d):
 
 
 def run_job(job: JobDescription, args) -> int:
+    """Run the job; no job stands for the built-in Cox p-divisor."""
     pipeline = args.pipeline or job.get("job", "pipeline")
     if pipeline is None:
         raise JobSemanticError("no pipeline given (job section or --pipeline)")
@@ -497,21 +505,24 @@ def run_job(job: JobDescription, args) -> int:
     try:
         lines = []
         gen_lines = []
-        if pipeline == "cox-s5":
-            stage = "cox-s5"
-            lines, gen_lines = _pipeline_cox(args.max_iterations)
-        elif pipeline == "hilbert":
+        if pipeline == "hilbert":
             stage = "hilbert"
             lines, gen_lines = _pipeline_hilbert(job)
         else:
-            stage = "variety"
-            y = build_variety(job)
-            stage = "pdivisor"
-            d = build_pdivisor(job, y)
+            if job is None:  # the built-in Cox p-divisor, which is big
+                stage = "cox-s5"
+                y = cox_surface()
+                d = build_cox_pdivisor(y)
+            else:
+                stage = "variety"
+                y = build_variety(job)
+                stage = "pdivisor"
+                d = build_pdivisor(job, y)
             if args.verify:
                 stage = "verify"
                 lines.extend(_verify_lines(d))
-            if pipeline in ("general", "torus"):
+            domain = None
+            if job is not None and pipeline in ("general", "torus", "cox-s5"):
                 stage = "bigness"
                 domain = _require_big(d)
             stage = pipeline
@@ -521,6 +532,8 @@ def run_job(job: JobDescription, args) -> int:
                 more, gen_lines = _pipeline_subdivide(d)
             elif pipeline == "general":
                 more, gen_lines = _pipeline_general(y, d, args.max_iterations, domain)
+            elif pipeline == "cox-s5":
+                more, gen_lines = _pipeline_cox(y, d, args.max_iterations, domain)
             else:
                 more, gen_lines = _pipeline_torus(job, y, d, domain)
             lines.extend(more)
@@ -564,12 +577,8 @@ def main(argv=None) -> int:
     if args.max_iterations < 1:
         parser.error(f"argument --max-iterations: must be at least 1, got {args.max_iterations}")
     try:
-        if args.pipeline == "cox-s5" and args.jobfile is None:
-            job = JobDescription({"job": {"pipeline": "cox-s5"}})
-        else:
-            if args.jobfile is None:
-                print("error: a job file is required", file=sys.stderr)
-                return EXIT_SEMANTIC
+        job = None
+        if args.jobfile is not None:
             try:
                 with open(args.jobfile, encoding="utf-8") as fh:
                     text = fh.read()
@@ -577,6 +586,9 @@ def main(argv=None) -> int:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
             job = parse_job(text)
+        elif args.pipeline != "cox-s5":
+            print("error: a job file is required", file=sys.stderr)
+            return EXIT_SEMANTIC
         return run_job(job, args)
     except tuple(EXIT_CODES) as exc:
         code, prefix = next(v for t, v in EXIT_CODES.items() if isinstance(exc, t))

@@ -1,16 +1,19 @@
-"""Cox ring of the degree five del Pezzo surface.
+"""Cox ring of a degree five del Pezzo surface.
 
 The surface is the blow-up of the projective plane in four general
 points.  Its effective cone is spanned by the classes of the ten
 negative curves; a polyhedral divisor on the surface itself, graded by
 the class lattice, has the Cox ring as its section algebra.  This
-module builds that divisor (``jobs/cox-s5.pdiv`` is the same one as a
-job file), and ``run_cox`` runs the general route's steps on it: the ray
+module builds that divisor on any such surface (``jobs/cox-s5.pdiv`` is
+the one on the standard points as a job file), and ``run_cox`` runs the
+general route's steps on it or on a p-divisor its caller built: the ray
 harvest, the ray sections and the completion.  What it adds is specific
 to the Cox ring: the ray classes and their product reduction, the report
-lines, the presentation in the curve variables and the minors certificate.
+lines, the presentation in the curve variables and the minors
+certificate, which read the points, coordinates and line H of the surface.
 """
 
+from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
@@ -28,9 +31,9 @@ from .pdivisor import PDivisor, linearity_subdivision
 from .polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
 from .varieties import BlowupOfP2
 
-# columns: classes of the negative curves in the basis (H, E1..E4);
-# first the four exceptional curves, then the six line transforms,
-# ordered by the pair of points they pass through
+# the curve variables t0..t9 of the presentation: the classes, in the basis
+# (H, E1..E4), of the exceptional curves E1..E4, then of the line
+# transforms E14, E34, E24, E23, E13, E12
 POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 CURVE_COLUMNS = (
     (0, 1, 0, 0, 0),
@@ -51,10 +54,6 @@ def cox_surface() -> BlowupOfP2:
     return BlowupOfP2(POINTS, MPoly(3, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1}))
 
 
-def weight_cone() -> "QCone":
-    return cone_from_rays(CURVE_COLUMNS, 5)
-
-
 def build_cox_pdivisor(y=None) -> PDivisor:
     """The polyhedral divisor whose section algebra is the Cox ring.
 
@@ -65,7 +64,7 @@ def build_cox_pdivisor(y=None) -> PDivisor:
     """
     if y is None:
         y = cox_surface()
-    omega = weight_cone()
+    omega = cone_from_rays(y.negative_curve_classes(), 5)
     tail = dual_cone(omega)
     zero = tuple([0] * 5)
 
@@ -113,7 +112,7 @@ def reduce_rays(y, d: PDivisor, ray_classes):
             cls[u] = y.class_of(d.evaluate(u).floor())
         return cls[u]
 
-    zero_candidates = [c for c in CURVE_COLUMNS if not any(class_of(c))]
+    zero_candidates = [c for c in y.negative_curve_classes() if not any(class_of(c))]
     zero_candidates += [
         r for r in ray_classes if not any(class_of(r)) and r not in zero_candidates
     ]
@@ -178,11 +177,12 @@ def _coefficient_poly(elem):
     return MPoly(4, out)
 
 
-def presentation_text(elements, cone):
+def presentation_text(y, elements, cone):
     """The elements as monomials in the curve variables; ``cone`` is the weight cone."""
-    names = ["x0", "x1", "x2", "h"]
+    names = [*y.coordinates, "h"]
+    line = y.form("H").format(y.coordinates).replace(" ", "")
     lines = [
-        "# subalgebra of P = C[x0,x1,x2,h,t0..t9] / (h*(x0-x1+x2) - 1 + toric relations)",
+        f"# subalgebra of P = C[{','.join(names)},t0..t9] / (h*({line}) - 1 + toric relations)",
         "# t_i carries the class of the i-th negative curve",
     ]
     values = {}
@@ -203,21 +203,13 @@ def presentation_text(elements, cone):
     return "\n".join(lines) + "\n"
 
 
-def certificate_matrix():
+def certificate_matrix(y):
     """Columns of the 3 x 5 matrix whose maximal minors are the
-    coefficients of the generators: three unit columns, the all-ones
-    column, and the column of the coordinates times h."""
-    one = MPoly.constant(4, 1)
-    zero = MPoly(4, {})
+    coefficients of the generators: the four points, and the column of
+    the coordinates times h."""
     h = MPoly.variable(4, 3)
-    xs = [MPoly.variable(4, i) * h for i in range(3)]
-    return [
-        [one, zero, zero],
-        [zero, one, zero],
-        [zero, zero, one],
-        [one, one, one],
-        xs,
-    ]
+    points = [[MPoly.constant(4, x) for x in p] for p in y.points]
+    return points + [[MPoly.variable(4, i) * h for i in range(3)]]
 
 
 def _det3(cols):
@@ -229,42 +221,30 @@ def _det3(cols):
     )
 
 
-def minors_certificate(elements) -> bool:
-    """The coefficients of the generators agree, up to sign, with the
-    nonzero maximal minors of the certificate matrix."""
-    cols = certificate_matrix()
-    minors = []
-    for triple in combinations(range(5), 3):
-        m = _det3([cols[i] for i in triple])
-        if m:
-            minors.append(m)
-    coeffs = []
-    for e in elements:
-        poly = _coefficient_poly(e)
-        if poly is None:
-            return False
-        coeffs.append(poly)
-    if len(coeffs) != len(minors):
+def minors_certificate(y, elements) -> bool:
+    """The coefficients of the generators agree, up to nonzero scalars,
+    with the nonzero maximal minors of the certificate matrix."""
+    minors = [m for cols in combinations(certificate_matrix(y), 3) if (m := _det3(cols))]
+    coeffs = [_coefficient_poly(e) for e in elements]
+    if None in coeffs:
         return False
-    remaining = list(minors)
-    for p in coeffs:
-        for q in remaining:
-            if _same_up_to_sign(p, q):
-                remaining.remove(q)
-                break
-        else:
-            return False
-    return not remaining
+    return Counter(p.content_normalized() for p in coeffs) == Counter(
+        m.content_normalized() for m in minors
+    )
 
 
-def _same_up_to_sign(p: MPoly, q: MPoly) -> bool:
-    return p.terms == q.terms or p.terms == (-q).terms
+def run_cox(y=None, d=None, max_iterations=64, domain=None) -> CoxResult:
+    """The Cox route on the p-divisor d over the four-point blow-up y.
 
-
-def run_cox(max_iterations=64) -> CoxResult:
-    y = cox_surface()
-    d = build_cox_pdivisor(y)
-    domain = linearity_subdivision(d)
+    The defaults are the standard surface and its Cox p-divisor;
+    ``domain`` is the linearity subdivision of d when the caller has it.
+    """
+    if y is None:
+        y = cox_surface()
+    if d is None:
+        d = build_cox_pdivisor(y)
+    if domain is None:
+        domain = linearity_subdivision(d)
     cells = tuple(domain.cells)
     rays = tuple(sorted(primitive(r) for r in domain.rays()))
     report = [f"linearity subdivision: {len(cells)} maximal cones, {len(rays)} rays"]
@@ -287,8 +267,8 @@ def run_cox(max_iterations=64) -> CoxResult:
     report.append(f"section pool: {raw_count} elements")
     report.append(f"generators after pruning: {len(pruned)}")
 
-    text = presentation_text(pruned, d.weight_cone)
-    minors_ok = minors_certificate(pruned)
+    text = presentation_text(y, pruned, d.weight_cone)
+    minors_ok = minors_certificate(y, pruned)
     report.append(f"minors certificate: {'pass' if minors_ok else 'fail'}")
 
     added = len(final.elements) - len(pruned)

@@ -387,9 +387,10 @@ class ProjectiveSpace(Variety):
 class BlowupOfP2(Variety):
     """Blow-up of P^2 in four points in general position (degree-5 del Pezzo).
 
-    Labels: H (a line with declared form), E1..E4 (exceptional), E{ij}
-    (strict transforms of the lines through point pairs).  The negative
-    curves are hard-coded for this configuration.
+    Labels: H (a line with declared form, through none of the points),
+    E1..E4 (exceptional), E{ij} (strict transforms of the lines through
+    point pairs).  These ten curves are the negative curves; each class
+    is read off the multiplicities of its form at the points.
     """
 
     name = "blowup-p2"
@@ -404,6 +405,10 @@ class BlowupOfP2(Variety):
         self._class_vectors, self._classes, self._negative_curves = {}, {}, None
         self._shifted = {}  # (degree, point) -> Taylor-shifted monomials
         self.register_divisor("H", h_form)
+        # class_vector holds -multiplicity, and the classes need it anyway
+        for p, m in zip(self.points, self.class_vector("H")[1:]):
+            if m:
+                raise ValueError(f"H passes through the blow-up point {_format_point(p)}")
         self.exceptional = tuple(f"E{i}" for i in range(1, 5))
         for i, j in combinations(range(4), 2):
             label = f"E{i + 1}{j + 1}"
@@ -418,7 +423,10 @@ class BlowupOfP2(Variety):
         return label in self.exceptional or super().has_label(label)
 
     def function_field_generators(self):
-        return ((0, 2), (1, 2))
+        """E23 / E12 and E13 / E12 as pairs of atom indices: the sides of
+        the triangle through the first three points over one of them."""
+        e23, e13, e12 = (self.label_exponents(l).index(1) for l in ("E23", "E13", "E12"))
+        return ((e23, e12), (e13, e12))
 
     def class_vector(self, label):
         """Class in the basis (H, E1..E4), as an integer 5-tuple."""

@@ -7,12 +7,14 @@ import time
 from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SIGMA_TILDE_RAYS, format_job
+from pdivgen import cli
 from pdivgen.cli import (
     EXIT_BACKEND,
     EXIT_ITERATION,
@@ -481,6 +483,76 @@ def test_cox_pipeline_without_jobfile(tmp_path, capsys):
     assert "minors certificate: pass" in text
 
 
+def test_the_cox_pipeline_on_the_job_file_writes_the_stored_report(tmp_path, capsys):
+    report = tmp_path / "cox.txt"
+    assert main(["jobs/cox-s5.pdiv", "--pipeline", "cox-s5", "--output", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert report.read_text() == Path("perfbench/golden/cox-s5.txt").read_text()
+    assert Path(f"{report}.gens.txt").read_text() == Path("perfbench/golden/cox-s5.gens.txt").read_text()
+
+
+def _cox_job(points, h_form):
+    """The shipped Cox p-divisor over the blow-up of other points."""
+    text = Path("jobs/cox-s5.pdiv").read_text()
+    for old, new in (
+        ("points = (1,0,0) (0,1,0) (0,0,1) (1,1,1)\n", f"points = {points}\n"),
+        ("form.H = x0 - x1 + x2\n", f"form.H = {h_form}\n"),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+COX_POINT_SETS = [
+    ("(1,0,0) (0,1,0) (0,0,1) (1,1,1)", "x0 - x1 + x2"),
+    ("(1,0,0) (0,1,0) (0,0,1) (1,2,3)", "x0 + x1 + x2"),
+    ("(1,1,0) (0,1,2) (3,0,1) (1,-1,1)", "x0 + 5*x1 + 7*x2"),
+]
+
+
+@pytest.mark.parametrize("points, h_form", COX_POINT_SETS)
+def test_the_cox_pipeline_reads_its_points_and_line_from_the_job(points, h_form, tmp_path, capsys):
+    job = tmp_path / "cox.pdiv"
+    job.write_text(_cox_job(points, h_form))
+    assert main([str(job), "--pipeline", "cox-s5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "minors certificate: pass" in out
+    assert "normalization: Normal, 0 elements added" in out
+    assert "10 generators" in out
+    assert f"(h*({h_form.replace(' ', '')}) - 1 + toric relations)" in out
+    # the general route re-adds no ratio of the function field generators
+    assert main([str(job), "--pipeline", "general"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "re-added for quotient field: 0" in out
+    assert "10 generators" in out
+
+
+def test_the_cox_pipeline_names_the_coordinates_of_the_job(tmp_path, capsys):
+    job = tmp_path / "abc.pdiv"
+    text = _cox_job("(1,0,0) (0,1,0) (0,0,1) (1,1,1)", "a - b + c")
+    job.write_text(text.replace("backend = blowup-p2\n", "backend = blowup-p2\ncoordinates = a b c\n"))
+    assert main([str(job), "--pipeline", "cox-s5"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "# subalgebra of P = C[a,b,c,h,t0..t9] / (h*(a-b+c) - 1 + toric relations)" in lines
+    assert "(a*h - b*h) * t5" in lines
+    assert "weight (1, -1, -1, 0, 0)  section (c) / (H^1)" in lines
+
+
+@pytest.mark.parametrize("jobfile", [[], ["jobs/cox-s5.pdiv"]], ids=["built-in", "job-file"])
+def test_the_cox_pipeline_verifies_its_pdivisor(jobfile, capsys):
+    verify = ["verify dual-cone involution: ok", "verify superadditivity at ray pairs: ok"]
+    assert main([*jobfile, "--pipeline", "cox-s5", "--verify"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        *verify,
+        "linearity subdivision: 76 maximal cones, 20 rays",
+    ]
+    with mock.patch.object(cli, "_verify_lines") as checks:
+        assert main([*jobfile, "--pipeline", "cox-s5"]) == EXIT_OK
+    assert checks.call_count == 0
+    out = capsys.readouterr().out
+    assert out.startswith("linearity subdivision: 76 maximal cones, 20 rays\n")
+
+
 def test_the_cox_job_file_prints_the_cox_generators(tmp_path, capsys):
     # the general route on the shipped Cox p-divisor writes the generator
     # lines of the cox-s5 pipeline
@@ -595,6 +667,35 @@ def test_a_twisted_ray_shared_by_two_cells_is_reported_once(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("twist at weight (0, 1)\n") == 1
     assert out == BLOWUP_GENERAL_REPORT
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (
+            Path("jobs/p2.pdiv").read_text(),
+            EXIT_BACKEND,
+            "unsupported backend: [stage cox-s5] the cox-s5 pipeline needs the blowup-p2 base\n",
+        ),
+        (
+            BLOWUP_JOB,
+            EXIT_SEMANTIC,
+            "semantic error: [stage cox-s5] the cox-s5 pipeline grades by the class basis "
+            "(H, E1..E4): rays have width 2, not 5\n",
+        ),
+        (
+            _cox_job("(1,0,0) (0,1,0) (0,0,1) (1,2,3)", "x0 + x1 - x2"),
+            EXIT_SEMANTIC,
+            "semantic error: [stage variety] H passes through the blow-up point (1, 2, 3)\n",
+        ),
+    ],
+    ids=["plane", "width-2", "line-through-a-point"],
+)
+def test_the_cox_pipeline_refuses_what_it_cannot_run(text, code, message, tmp_path, capsys):
+    job = tmp_path / "refused.pdiv"
+    job.write_text(text)
+    assert main([str(job), "--pipeline", "cox-s5"]) == code
+    assert capsys.readouterr().err == message
 
 
 _EVERY_ROUTE_SEMANTIC = dict.fromkeys(("eval", "subdivide", "general", "torus"), EXIT_SEMANTIC)

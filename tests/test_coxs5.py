@@ -1,5 +1,6 @@
 """The Cox construction on the four-point blow-up of the plane."""
 
+from contextlib import ExitStack
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import pytest
 
 from helpers import plane_pdivisor
-from pdivgen import coxs5
+from pdivgen import cli, coxs5, engine, polyhedra, torus
 from pdivgen.cli import build_pdivisor, build_variety, parse_job
 from pdivgen.coxs5 import (
     CURVE_COLUMNS,
@@ -17,7 +18,6 @@ from pdivgen.coxs5 import (
     minors_certificate,
     presentation_text,
     run_cox,
-    weight_cone,
 )
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.engine import GradedElement, _sorted_elements, weight_lattice_completion
@@ -30,7 +30,7 @@ def result():
 
 
 def test_weight_cone_rays():
-    omega = weight_cone()
+    omega = build_cox_pdivisor().weight_cone
     assert set(omega.rays) == set(CURVE_COLUMNS)
     assert len(omega.rays) == 10
 
@@ -109,18 +109,28 @@ def test_ten_generators(result):
 def test_presentation_builds_no_pruning_cone(result):
     # the presentation takes the weight cone, the cone of the curve
     # columns, from its caller and passes it to every search
-    cone = weight_cone()
+    cone = build_cox_pdivisor().weight_cone
     with mock.patch.object(coxs5, "cone_from_rays", wraps=coxs5.cone_from_rays) as build:
-        text = presentation_text(result.generators.elements, cone)
+        text = presentation_text(cox_surface(), result.generators.elements, cone)
     assert build.call_count == 0
     assert text == result.presentation
 
 
 def test_run_cox_builds_the_weight_cone_once():
-    # the presentation reads the p-divisor's weight cone
-    with mock.patch.object(coxs5, "weight_cone", wraps=coxs5.weight_cone) as build:
+    # the presentation reads the p-divisor's weight cone, the only cone
+    # built on the ten curve classes
+    built = []
+    cone_from_rays = polyhedra.cone_from_rays
+
+    def spy(rays, dim):
+        built.append(tuple(rays))
+        return cone_from_rays(rays, dim)
+
+    with ExitStack() as patches:
+        for module in (cli, coxs5, engine, polyhedra, torus):
+            patches.enter_context(mock.patch.object(module, "cone_from_rays", spy))
         run_cox()
-    assert build.call_count == 1
+    assert [set(rays) for rays in built if len(rays) == 10] == [set(CURVE_COLUMNS)]
 
 
 def test_run_cox_reuses_the_section_bases_of_the_rays():
@@ -180,8 +190,14 @@ def test_a_pool_whose_weights_generate_the_lattice_needs_no_completion(result):
 
 def test_minors_certificate(result):
     assert result.minors_match
-    mat = certificate_matrix()
+    y = cox_surface()
+    mat = certificate_matrix(y)
     assert len(mat) == 5 and len(mat[0]) == 3
+    gens = list(result.generators.elements)
+    assert minors_certificate(y, gens)
+    # a generator twice in place of another is not the multiset of minors
+    assert not minors_certificate(y, gens[:-1] + gens[:1])
+    assert not minors_certificate(y, gens[:-1])
 
 
 def test_report_mentions_normality(result):

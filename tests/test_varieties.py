@@ -12,6 +12,7 @@ from pdivgen.pdivisor import PDivisor
 from pdivgen.polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
 from pdivgen.torus import invariantize_cell
 from pdivgen.varieties import (
+    BlowupOfP2,
     NonIntegralDivisor,
     PointBase,
     QDivisor,
@@ -186,6 +187,25 @@ def test_blowup_has_no_invariantizing_section():
     # the twist of the cell asks the backend for an invariantizing section
     with pytest.raises(UnsupportedBackend):
         invariantize_cell(d, omega)
+
+
+def test_blowup_function_field_generators_are_sides_of_a_triangle():
+    # E23, E13 and E12 are the coordinate lines on the standard points
+    assert cox_surface().function_field_generators() == ((0, 2), (1, 2))
+    x0, x1, x2 = (MPoly.variable(3, i) for i in range(3))
+    y = BlowupOfP2(((1, 1, 0), (0, 1, 2), (3, 0, 1), (1, -1, 1)), x0 + 5 * x1 + 7 * x2)
+    # no side is a coordinate line here, so each is an atom of its own
+    assert y.function_field_generators() == tuple(
+        (y.atoms.index(num), y.atoms.index("E12")) for num in ("E23", "E13")
+    )
+
+
+def test_blowup_refuses_a_line_through_a_point():
+    x0, x1, x2 = (MPoly.variable(3, i) for i in range(3))
+    points = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3))
+    with pytest.raises(ValueError, match=r"H passes through the blow-up point \(1, 2, 3\)"):
+        BlowupOfP2(points, x0 + x1 - x2)
+    assert BlowupOfP2(points, x0 + x1 + x2).class_vector("H") == (1, 0, 0, 0, 0)
 
 
 def test_atoms_and_coordinate_labels():
