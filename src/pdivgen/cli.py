@@ -338,8 +338,6 @@ def build_pdivisor(job: JobDescription, y) -> PDivisor:
         if tail_key in section:
             own_tail = cone_from_rays(_vectors_of_width(section, tail_key, dim), dim)
         coeffs[label] = tailed_polyhedron(vertices, own_tail)
-    if not coeffs:
-        raise JobSemanticError("no coefficient.<label> entries in [pdivisor]")
     try:
         return PDivisor(y, omega, coeffs)
     except ValueError as exc:
@@ -418,8 +416,6 @@ def _pipeline_torus(job, y, d, domain):
     record_name = job.get("torus", "record", "standard-p2")
     if record_name != "standard-p2":
         raise UnsupportedBackend(f"unknown torus record '{record_name}'")
-    if not isinstance(y, ProjectiveSpace) or y.n != 2:
-        raise UnsupportedBackend("the standard torus record needs the plane")
     result = run_torus(y, d, domain)
     lines = list(result.report)
     lines.append(f"{len(result.elements)} generators")
@@ -438,6 +434,11 @@ def _pipeline_cox(y, d, max_iterations, domain):
         raise JobSemanticError(
             f"the cox-s5 pipeline grades by the class basis (H, E1..E4): "
             f"rays have width {d.weight_cone.dim}, not 5"
+        )
+    if set(d.weight_cone.rays) != set(y.negative_curve_classes()):
+        raise JobSemanticError(
+            "the cox-s5 pipeline needs the effective cone, spanned by the ten "
+            "negative curve classes, as its weight cone"
         )
     result = run_cox(y, d, max_iterations, domain)
     lines = list(result.report)

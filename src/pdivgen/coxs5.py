@@ -10,7 +10,9 @@ general route's steps on it or on a p-divisor its caller built: the ray
 harvest, the ray sections and the completion.  What it adds is specific
 to the Cox ring: the ray classes and their product reduction, the report
 lines, the presentation in the curve variables and the minors
-certificate, which read the points, coordinates and line H of the surface.
+certificate, which read the points, coordinates and line H of the surface
+and the classes of its negative curves.  The command line refuses a
+weight cone other than the effective cone, which those classes span.
 """
 
 from collections import Counter
@@ -31,22 +33,10 @@ from .pdivisor import PDivisor, linearity_subdivision
 from .polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
 from .varieties import BlowupOfP2
 
-# the curve variables t0..t9 of the presentation: the classes, in the basis
-# (H, E1..E4), of the exceptional curves E1..E4, then of the line
-# transforms E14, E34, E24, E23, E13, E12
+# the curve variables t0..t9 of the presentation: the exceptional curves
+# E1..E4, then the line transforms E14, E34, E24, E23, E13, E12
 POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-CURVE_COLUMNS = (
-    (0, 1, 0, 0, 0),
-    (0, 0, 1, 0, 0),
-    (0, 0, 0, 1, 0),
-    (0, 0, 0, 0, 1),
-    (1, -1, 0, 0, -1),
-    (1, 0, 0, -1, -1),
-    (1, 0, -1, 0, -1),
-    (1, 0, -1, -1, 0),
-    (1, -1, 0, -1, 0),
-    (1, -1, -1, 0, 0),
-)
+CURVE_COLUMNS = ("E1", "E2", "E3", "E4", "E14", "E34", "E24", "E23", "E13", "E12")
 
 
 def cox_surface() -> BlowupOfP2:
@@ -144,17 +134,18 @@ def reduce_rays(y, d: PDivisor, ray_classes):
     return tuple(kept)
 
 
-def _t_monomial(u, cone, values):
+def _t_monomial(u, columns, cone, values):
     """Exponents of a monomial in the curve variables with total class u.
 
-    ``cone`` is the cone of the curve columns and ``values`` its facet
-    value cache, both shared by every call of one presentation.
+    ``columns`` are the classes of the curve variables, ``cone`` is their
+    cone and ``values`` its facet value cache, all shared by every call of
+    one presentation.
     """
-    decomps = _nn_decompositions(u, CURVE_COLUMNS, limit=5000, cone=cone, values=values)
+    decomps = _nn_decompositions(u, columns, limit=5000, cone=cone, values=values)
     for parts in decomps:
-        exps = [0] * len(CURVE_COLUMNS)
+        exps = [0] * len(columns)
         for w in parts:
-            exps[CURVE_COLUMNS.index(w)] += 1
+            exps[columns.index(w)] += 1
         return tuple(exps)
     return None
 
@@ -185,9 +176,10 @@ def presentation_text(y, elements, cone):
         f"# subalgebra of P = C[{','.join(names)},t0..t9] / (h*({line}) - 1 + toric relations)",
         "# t_i carries the class of the i-th negative curve",
     ]
+    columns = [y.class_vector(label) for label in CURVE_COLUMNS]
     values = {}
     for e in _sorted_elements(elements):
-        exps = _t_monomial(e.weight, cone, values)
+        exps = _t_monomial(e.weight, columns, cone, values)
         poly = _coefficient_poly(e)
         if exps is None or poly is None:
             lines.append(f"# unpresentable element at weight {e.weight}")

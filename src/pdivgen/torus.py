@@ -6,7 +6,9 @@ fan rays of the coordinate divisors.  When the p-divisor is locally
 T-moveable, each linearity cell can be twisted by invariantizing
 sections so that its restriction becomes a divisor supported on
 invariant prime divisors.  Over a point base this turns the whole
-computation into a Hilbert basis problem for the upgraded cone.
+computation into a Hilbert basis problem for the upgraded cone.  Every
+projective space and the point have invariantizing sections; the twist
+raises UnsupportedBackend on a base without them, such as ``BlowupOfP2``.
 """
 
 from fractions import Fraction

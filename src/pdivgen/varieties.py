@@ -510,6 +510,9 @@ class BlowupOfP2(Variety):
 
     def bigness(self, div):
         cls = self.divisor_class(div)
+        # H is nef and big, so a big class meets it positively
+        if cls[0] <= 0:
+            return ("fail", f"D.H = {cls[0]} <= 0")
         self_int = self.intersect(cls, cls)
         anti_k = (3, -1, -1, -1, -1)
         if self_int > 0 and self.intersect(cls, anti_k) > 0:
@@ -517,7 +520,7 @@ class BlowupOfP2(Variety):
         return ("UNVERIFIABLE", "no sufficient bigness criterion applies")
 
     def invariantizing_section(self, d):
-        raise UnsupportedBackend("torus actions are only available on projective space")
+        raise UnsupportedBackend("the blowup-p2 base has no torus action")
 
 
 def _cross(p, q):

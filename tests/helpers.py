@@ -1069,3 +1069,110 @@ def format_report(checks):
         tail = f"  ({c.detail})" if c.detail else ""
         lines.append(f"{c.verdict:12s} {c.name}{tail}")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# degree-wise generation and minimality
+
+
+def degreewise_check(y, d, elements, box):
+    """(missing, minimal): the graded elements measured against each piece.
+
+    For each nonzero weight u of the weight cone with |u|_1 <= box, the
+    piece A_u of the section algebra has the basis
+    ``sections(y, floor D(u))``.  ``missing[u]`` is the codimension in
+    A_u of the span of the products of the elements at u, 0 exactly when
+    they generate A_u, and ``minimal[u]`` is dim A_u less the rank of the
+    products of two or more elements at u.  When the elements generate A
+    below u, graded Nakayama makes ``minimal[u]`` the number of minimal
+    generators at u.
+    The products at u are spanned from a basis at each smaller weight, so
+    their number stays near the dimensions.  An element that is not a
+    section of the piece at its weight raises AssertionError.
+    """
+    cone = d.weight_cone
+    by_weight = {}
+    for e in elements:
+        by_weight.setdefault(tuple(e.weight), []).append(e.section)
+    pieces, spans, longer = {}, {}, {}
+
+    def piece(u):
+        if u not in pieces:
+            pieces[u] = sections(y, d.evaluate(u).floor())
+        return pieces[u]
+
+    def products(u):
+        # a basis of the products of two or more elements at u
+        if u not in longer:
+            found = []
+            for w, own in by_weight.items():
+                rest = tuple(a - b for a, b in zip(u, w))
+                if any(rest) and cone.contains(rest):
+                    found.extend(f * g for f, g in iproduct(_greedy_basis(y, own), span(rest)))
+            longer[u] = _greedy_basis(y, found, len(piece(u)))
+        return longer[u]
+
+    def span(u):
+        # a basis of the products of one or more elements at u
+        if u not in spans:
+            own = by_weight.get(u, [])
+            if len(_greedy_basis(y, [*piece(u), *own])) > len(piece(u)):
+                raise AssertionError(f"an element at {u} is not a section of floor D(u)")
+            spans[u] = _greedy_basis(y, [*own, *products(u)], len(piece(u)))
+        return spans[u]
+
+    missing, minimal = {}, {}
+    for u in iproduct(range(-box, box + 1), repeat=cone.dim):
+        if any(u) and sum(map(abs, u)) <= box and cone.contains(u):
+            reached = span(u)
+            missing[u] = len(_greedy_basis(y, [*reached, *piece(u)])) - len(reached)
+            minimal[u] = len(piece(u)) - len(products(u))
+    return missing, minimal
+
+
+def _greedy_basis(y, elements, cap=None):
+    """The elements that raise the rank of those before them, at most ``cap``.
+
+    Numerators over the common factored denominator reduce as sparse
+    integer rows keyed by their leading monomial.
+    """
+    common = {}
+    for e in elements:
+        for label, k in e.den:
+            common[label] = max(common.get(label, 0), k)
+    powers = {}
+    rows = {}  # leading monomial -> row with leading coefficient 1
+    basis = []
+    for e in elements:
+        if len(basis) == cap:
+            break
+        num = e.num
+        own = dict(e.den)
+        for label, k in common.items():
+            k -= own.get(label, 0)
+            if k:
+                if (label, k) not in powers:
+                    powers[label, k] = y.form(label) ** k
+                num = num * powers[label, k]
+        scale = lcm(*(c.denominator for c in num.terms.values()))
+        vec = {m: int(c * scale) for m, c in num.terms.items()}
+        while vec:
+            lead = max(vec)
+            row = rows.get(lead)
+            if row is None:
+                rows[lead] = vec
+                basis.append(e)
+                break
+            # fraction-free: a * vec - c * row cancels the leading term
+            a, c = row[lead], vec[lead]
+            vec = {m: a * v for m, v in vec.items()}
+            for m, v in row.items():
+                x = vec.get(m, 0) - c * v
+                if x:
+                    vec[m] = x
+                else:
+                    del vec[m]
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {m: v // g for m, v in vec.items()}
+    return basis

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SIGMA_TILDE_RAYS, format_job
+from helpers import SIGMA_TILDE_RAYS, degreewise_check, format_job
 from pdivgen import cli
 from pdivgen.cli import (
     EXIT_BACKEND,
@@ -34,6 +34,7 @@ from pdivgen.cli import (
     parse_vector,
     parse_vector_list,
 )
+from pdivgen.polyhedra import cone_from_rays, hilbert_basis
 
 JOB_TEXT = """\
 # the plane with two marked cubics
@@ -503,6 +504,25 @@ def _cox_job(points, h_form):
     return text
 
 
+COX_RAYS = (
+    "(0,1,0,0,0) (0,0,1,0,0) (0,0,0,1,0) (0,0,0,0,1) (1,-1,0,0,-1) (1,0,0,-1,-1) "
+    "(1,0,-1,0,-1) (1,0,-1,-1,0) (1,-1,0,-1,0) (1,-1,-1,0,0)"
+)
+
+
+def _cox_rays(rays):
+    """The shipped Cox job on another weight cone."""
+    text = Path("jobs/cox-s5.pdiv").read_text()
+    assert text.count(f"rays = {COX_RAYS}\n") == 1
+    return text.replace(f"rays = {COX_RAYS}\n", f"rays = {rays}\n")
+
+
+EFFECTIVE_CONE_REFUSAL = (
+    "semantic error: [stage cox-s5] the cox-s5 pipeline needs the effective cone, "
+    "spanned by the ten negative curve classes, as its weight cone\n"
+)
+
+
 COX_POINT_SETS = [
     ("(1,0,0) (0,1,0) (0,0,1) (1,1,1)", "x0 - x1 + x2"),
     ("(1,0,0) (0,1,0) (0,0,1) (1,2,3)", "x0 + x1 + x2"),
@@ -688,8 +708,19 @@ def test_a_twisted_ray_shared_by_two_cells_is_reported_once(tmp_path, capsys):
             EXIT_SEMANTIC,
             "semantic error: [stage variety] H passes through the blow-up point (1, 2, 3)\n",
         ),
+        # reduce_rays stopped at a weight outside the cone with a bare message
+        (
+            _cox_rays("(1,0,0,0,0) (0,1,0,0,0) (0,0,1,0,0) (0,0,0,1,0) (0,0,0,0,1)"),
+            EXIT_SEMANTIC,
+            EFFECTIVE_CONE_REFUSAL,
+        ),
+        (
+            _cox_rays(COX_RAYS.removesuffix(" (1,-1,-1,0,0)")),
+            EXIT_SEMANTIC,
+            EFFECTIVE_CONE_REFUSAL,
+        ),
     ],
-    ids=["plane", "width-2", "line-through-a-point"],
+    ids=["plane", "width-2", "line-through-a-point", "positive-orthant", "nine-classes"],
 )
 def test_the_cox_pipeline_refuses_what_it_cannot_run(text, code, message, tmp_path, capsys):
     job = tmp_path / "refused.pdiv"
@@ -725,3 +756,116 @@ def test_degenerate_weight_cones_exit_cleanly(tmp_path, capsys, rays, codes, nam
         assert "Traceback" not in err, route
         if named:
             assert f"the weight cone with rays {named} is not full-dimensional" in err, route
+
+
+# The torus route on P^1 and P^3, with the rays and coefficients of the plane
+# job: generator lines and the minimal generator count at each weight of the
+# box |u|_1 <= 2, where the route misses no section
+TORUS_JOBS = {
+    "P1": (
+        "[variety]\nbackend = projective-space\ncoordinates = x y\n"
+        "form.D = x*y\nform.E = x - y\n"
+        "[pdivisor]\nrays = (-1,1) (1,1)\ncoefficient.D = (0,1/2)\n"
+        "coefficient.E = (-1,1) (1,1)\n",
+        18,
+        {(-1, 1): 1, (0, 1): 2, (1, 1): 1, (0, 2): 2},
+    ),
+    "P3": (
+        "[variety]\nbackend = projective-space\ncoordinates = x y z w\n"
+        "form.D = x*y*z*w\nform.E = (x - y)*(z - w)\n"
+        "[pdivisor]\nrays = (-1,1) (1,1)\ncoefficient.D = (0,1)\n"
+        "coefficient.E = (-1,1) (1,1)\n",
+        238,
+        {(-1, 1): 35, (0, 1): 84, (1, 1): 35, (0, 2): 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_JOBS))
+def test_the_torus_route_runs_on_every_projective_space(name, tmp_path, capsys):
+    text, lines, minimal = TORUS_JOBS[name]
+    job = tmp_path / f"{name}.pdiv"
+    job.write_text(text)
+    runs = []
+    original = cli.run_torus
+
+    def run_torus(y, d, domain):
+        runs.append((y, d, original(y, d, domain)))
+        return runs[-1][2]
+
+    with mock.patch.object(cli, "run_torus", run_torus):
+        assert main([str(job), "--pipeline", "torus"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert sum(line.startswith("weight ") for line in out.splitlines()) == lines
+    [(y, d, result)] = runs
+    assert degreewise_check(y, d, result.elements, 2) == (dict.fromkeys(minimal, 0), minimal)
+    # the oracle sees a generator taken away
+    first = next(e for e in result.elements if e.weight == (0, 1))
+    kept = [e for e in result.elements if e.section != first.section]
+    assert degreewise_check(y, d, kept, 1)[0][(0, 1)] == 1
+
+
+@pytest.mark.parametrize("pipeline", ["general", "torus"])
+def test_a_point_job_generates_the_semigroup_algebra(pipeline, tmp_path, capsys):
+    # over a point the section algebra is that of the lattice points of the
+    # weight cone, so both routes give its Hilbert basis; a point has no
+    # prime divisor, so the job names only the rays
+    job = tmp_path / "point.pdiv"
+    job.write_text("[variety]\nbackend = point\n[pdivisor]\nrays = (1,0) (1,3)\n")
+    assert main([str(job), "--pipeline", pipeline]) == EXIT_OK
+    weights = {
+        parse_vector(line.split("  ")[0].removeprefix("weight "))
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("weight ")
+    }
+    assert sorted(weights) == sorted(hilbert_basis(cone_from_rays([(1, 0), (1, 3)], 2)))
+
+
+def _without_coefficients(path):
+    text = Path(path).read_text()
+    return "".join(line for line in text.splitlines(True) if not line.startswith("coefficient."))
+
+
+COX_CONE = (
+    "((0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), "
+    "(1, -1, -1, 0, 0), (1, -1, 0, -1, 0), (1, -1, 0, 0, -1), (1, 0, -1, -1, 0), "
+    "(1, 0, -1, 0, -1), (1, 0, 0, -1, -1))"
+)
+
+
+@pytest.mark.parametrize(
+    "text, pipeline, code, message",
+    [
+        (
+            Path("jobs/cox-s5.pdiv").read_text(),
+            "torus",
+            EXIT_BACKEND,
+            "unsupported backend: [stage torus] the blowup-p2 base has no torus action\n",
+        ),
+        # a job with no coefficients is the zero divisor, which no bigness
+        # criterion passes
+        *(
+            (
+                _without_coefficients("jobs/cox-s5.pdiv"),
+                pipeline,
+                EXIT_SEMANTIC,
+                f"semantic error: [stage bigness] the p-divisor is not big on cell {COX_CONE}: "
+                "D.H = 0 <= 0\n",
+            )
+            for pipeline in ("general", "cox-s5")
+        ),
+        (
+            _without_coefficients("jobs/p2.pdiv"),
+            "general",
+            EXIT_SEMANTIC,
+            "semantic error: [stage bigness] the p-divisor is not big on cell "
+            "((-1, 1), (1, 1)): degree 0 <= 0\n",
+        ),
+    ],
+    ids=["cox-torus", "cox-empty-general", "cox-empty-cox-s5", "plane-empty"],
+)
+def test_jobs_the_backend_refuses(text, pipeline, code, message, tmp_path, capsys):
+    job = tmp_path / "refused.pdiv"
+    job.write_text(text)
+    assert main([str(job), "--pipeline", pipeline]) == code
+    assert capsys.readouterr().err == message

@@ -12,6 +12,7 @@ from pdivgen import cli, coxs5, engine, polyhedra, torus
 from pdivgen.cli import build_pdivisor, build_variety, parse_job
 from pdivgen.coxs5 import (
     CURVE_COLUMNS,
+    POINTS,
     build_cox_pdivisor,
     certificate_matrix,
     cox_surface,
@@ -19,9 +20,27 @@ from pdivgen.coxs5 import (
     presentation_text,
     run_cox,
 )
+from pdivgen.mpoly import MPoly
 from pdivgen.pdivisor import PDivisor, linearity_subdivision
 from pdivgen.engine import GradedElement, _sorted_elements, weight_lattice_completion
 from pdivgen.varieties import BlowupOfP2, QDivisor, Variety, sections
+
+
+# the classes, in the basis (H, E1..E4), of the curve variables t0..t9: the
+# exceptional curves E1..E4, then the line transforms E14, E34, E24, E23,
+# E13, E12
+CURVE_CLASSES = (
+    (0, 1, 0, 0, 0),
+    (0, 0, 1, 0, 0),
+    (0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 1),
+    (1, -1, 0, 0, -1),
+    (1, 0, 0, -1, -1),
+    (1, 0, -1, 0, -1),
+    (1, 0, -1, -1, 0),
+    (1, -1, 0, -1, 0),
+    (1, -1, -1, 0, 0),
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +50,7 @@ def result():
 
 def test_weight_cone_rays():
     omega = build_cox_pdivisor().weight_cone
-    assert set(omega.rays) == set(CURVE_COLUMNS)
+    assert set(omega.rays) == set(CURVE_CLASSES)
     assert len(omega.rays) == 10
 
 
@@ -130,7 +149,7 @@ def test_run_cox_builds_the_weight_cone_once():
         for module in (cli, coxs5, engine, polyhedra, torus):
             patches.enter_context(mock.patch.object(module, "cone_from_rays", spy))
         run_cox()
-    assert [set(rays) for rays in built if len(rays) == 10] == [set(CURVE_COLUMNS)]
+    assert [set(rays) for rays in built if len(rays) == 10] == [set(CURVE_CLASSES)]
 
 
 def test_run_cox_reuses_the_section_bases_of_the_rays():
@@ -208,4 +227,15 @@ def test_report_mentions_normality(result):
 def test_negative_curves_of_surface():
     y = cox_surface()
     classes = set(y.negative_curve_classes())
-    assert classes == set(CURVE_COLUMNS)
+    assert classes == set(CURVE_CLASSES)
+
+
+@pytest.mark.parametrize(
+    "points", [POINTS, ((1, 1, 0), (0, 1, 2), (3, 0, 1), (1, -1, 1))], ids=["standard", "other"]
+)
+def test_the_curve_variables_carry_the_classes_of_their_curves(points):
+    # the presentation reads the classes of its curve variables from the
+    # surface, on any four points in general position
+    x0, x1, x2 = (MPoly.variable(3, i) for i in range(3))
+    y = BlowupOfP2(points, x0 + 5 * x1 + 7 * x2)
+    assert tuple(y.class_vector(label) for label in CURVE_COLUMNS) == CURVE_CLASSES

@@ -185,8 +185,24 @@ def test_blowup_has_no_invariantizing_section():
     h = tailed_polyhedron([(1,)], dual_cone(omega))
     d = PDivisor(y, omega, {"H": h})
     # the twist of the cell asks the backend for an invariantizing section
-    with pytest.raises(UnsupportedBackend):
+    with pytest.raises(UnsupportedBackend, match="the blowup-p2 base has no torus action"):
         invariantize_cell(d, omega)
+
+
+@pytest.mark.parametrize(
+    "coeffs, verdict",
+    [
+        ({}, ("fail", "D.H = 0 <= 0")),
+        ({"E1": 2}, ("fail", "D.H = 0 <= 0")),
+        ({"H": -1, "E1": 3}, ("fail", "D.H = -1 <= 0")),
+        # H-degree 1, self-intersection -1: no criterion decides
+        ({"E12": 1}, ("UNVERIFIABLE", "no sufficient bigness criterion applies")),
+        ({"H": 1}, ("pass", "self-intersection 1 > 0")),
+    ],
+)
+def test_blowup_bigness_fails_a_class_of_nonpositive_h_degree(coeffs, verdict):
+    # H is nef and big, so a big class D has D.H > 0
+    assert cox_surface().bigness(QDivisor(coeffs)) == verdict
 
 
 def test_blowup_function_field_generators_are_sides_of_a_triangle():
