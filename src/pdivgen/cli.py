@@ -1,8 +1,8 @@
 """Batch front end: job descriptions in, deterministic reports out.
 
 A job file is sectioned key/value text with exact rational literals.
-Sections: [variety], [pdivisor], optional [torus], optional [cone], and
-[job].  See the README for the full format.
+Sections: [variety], [pdivisor], optional [cone], and [job].  See the
+README for the full format.
 """
 
 import argparse
@@ -25,7 +25,6 @@ from .pdivisor import (
 from .polyhedra import (
     NonPointedCone,
     QCone,
-    cone_from_facets,
     cone_from_rays,
     dual_cone,
     hilbert_basis,
@@ -412,10 +411,7 @@ def _pipeline_general(y, d, max_iterations, domain):
     return lines, gen_lines
 
 
-def _pipeline_torus(job, y, d, domain):
-    record_name = job.get("torus", "record", "standard-p2")
-    if record_name != "standard-p2":
-        raise UnsupportedBackend(f"unknown torus record '{record_name}'")
+def _pipeline_torus(y, d, domain):
     result = run_torus(y, d, domain)
     lines = list(result.report)
     lines.append(f"{len(result.elements)} generators")
@@ -465,32 +461,6 @@ def _require_big(d):
     return domain
 
 
-def _verify_lines(d):
-    """Quick inline property checks on the parsed divisor."""
-    checks = []
-    omega = d.weight_cone
-    # recompute the rays from the facets: dual_cone only swaps the two lists
-    back = cone_from_facets(omega.facets, omega.dim)
-    checks.append(("dual-cone involution", back.rays == omega.rays))
-    samples = list(omega.rays)[:3]
-    ok = True
-    for a in samples:
-        for b in samples:
-            s = tuple(x + z for x, z in zip(a, b))
-            left = d.evaluate(s)
-            right = d.evaluate(a) + d.evaluate(b)
-            for label in d.coefficients:
-                if left.get(label) < right.get(label):
-                    ok = False
-    checks.append(("superadditivity at ray pairs", ok))
-    lines = []
-    for name, good in checks:
-        lines.append(f"verify {name}: {'ok' if good else 'FAILED'}")
-    if not all(good for _, good in checks):
-        raise JobSemanticError("inline verification failed")
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -504,8 +474,6 @@ def run_job(job: JobDescription, args) -> int:
         raise JobSemanticError(f"unknown pipeline '{pipeline}'")
     stage = "setup"
     try:
-        lines = []
-        gen_lines = []
         if pipeline == "hilbert":
             stage = "hilbert"
             lines, gen_lines = _pipeline_hilbert(job)
@@ -519,25 +487,21 @@ def run_job(job: JobDescription, args) -> int:
                 y = build_variety(job)
                 stage = "pdivisor"
                 d = build_pdivisor(job, y)
-            if args.verify:
-                stage = "verify"
-                lines.extend(_verify_lines(d))
             domain = None
             if job is not None and pipeline in ("general", "torus", "cox-s5"):
                 stage = "bigness"
                 domain = _require_big(d)
             stage = pipeline
             if pipeline == "eval":
-                more, gen_lines = _pipeline_eval(job, d)
+                lines, gen_lines = _pipeline_eval(job, d)
             elif pipeline == "subdivide":
-                more, gen_lines = _pipeline_subdivide(d)
+                lines, gen_lines = _pipeline_subdivide(d)
             elif pipeline == "general":
-                more, gen_lines = _pipeline_general(y, d, args.max_iterations, domain)
+                lines, gen_lines = _pipeline_general(y, d, args.max_iterations, domain)
             elif pipeline == "cox-s5":
-                more, gen_lines = _pipeline_cox(y, d, args.max_iterations, domain)
+                lines, gen_lines = _pipeline_cox(y, d, args.max_iterations, domain)
             else:
-                more, gen_lines = _pipeline_torus(job, y, d, domain)
-            lines.extend(more)
+                lines, gen_lines = _pipeline_torus(y, d, domain)
     except tuple(EXIT_CODES) as exc:
         exc.args = (f"[stage {stage}] {exc}",)
         raise
@@ -566,9 +530,6 @@ def build_arg_parser():
     parser.add_argument("--pipeline", choices=PIPELINES, default=None)
     parser.add_argument("--output", default=None, help="report file (default stdout)")
     parser.add_argument("--max-iterations", type=int, default=64)
-    parser.add_argument(
-        "--verify", action="store_true", help="run property checks inline"
-    )
     return parser
 
 

@@ -332,6 +332,11 @@ class ProjectiveSpace(Variety):
     name = "projective-space"
 
     def __init__(self, n, coordinates=None):
+        if n < 1:
+            raise ValueError(
+                "the projective-space base needs dim at least 1 (two coordinates), "
+                f"got {n}; for a point use backend = point"
+            )
         super().__init__(
             n + 1, coordinates or tuple("xyzwvuts"[i] for i in range(n + 1))
         )

@@ -1075,15 +1075,16 @@ def format_report(checks):
 # degree-wise generation and minimality
 
 
-def degreewise_check(y, d, elements, box):
+def degreewise_check(y, d, elements, box, where=None):
     """(missing, minimal): the graded elements measured against each piece.
 
-    For each nonzero weight u of the weight cone with |u|_1 <= box, the
-    piece A_u of the section algebra has the basis
-    ``sections(y, floor D(u))``.  ``missing[u]`` is the codimension in
-    A_u of the span of the products of the elements at u, 0 exactly when
-    they generate A_u, and ``minimal[u]`` is dim A_u less the rank of the
-    products of two or more elements at u.  When the elements generate A
+    For each nonzero weight u of the weight cone with |u|_1 <= box, and
+    with ``where(u)`` true when ``where`` is given, the piece A_u of the
+    section algebra has the basis ``sections(y, floor D(u))``.
+    ``missing[u]`` is the codimension in A_u of the span of the products
+    of the elements at u, 0 exactly when they generate A_u, and
+    ``minimal[u]`` is dim A_u less the rank of the products of two or
+    more elements at u.  When the elements generate A
     below u, graded Nakayama makes ``minimal[u]`` the number of minimal
     generators at u.
     The products at u are spanned from a basis at each smaller weight, so
@@ -1123,7 +1124,7 @@ def degreewise_check(y, d, elements, box):
 
     missing, minimal = {}, {}
     for u in iproduct(range(-box, box + 1), repeat=cone.dim):
-        if any(u) and sum(map(abs, u)) <= box and cone.contains(u):
+        if any(u) and sum(map(abs, u)) <= box and cone.contains(u) and (where is None or where(u)):
             reached = span(u)
             missing[u] = len(_greedy_basis(y, [*reached, *piece(u)])) - len(reached)
             minimal[u] = len(piece(u)) - len(products(u))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,7 +25,6 @@ from pdivgen.cli import (
     MAX_EXPONENT,
     JobParseError,
     JobSemanticError,
-    _verify_lines,
     build_pdivisor,
     build_variety,
     main,
@@ -34,7 +34,9 @@ from pdivgen.cli import (
     parse_vector,
     parse_vector_list,
 )
+from pdivgen.engine import _dedupe
 from pdivgen.polyhedra import cone_from_rays, hilbert_basis
+from pdivgen.torus import run_torus
 
 JOB_TEXT = """\
 # the plane with two marked cubics
@@ -146,6 +148,8 @@ def test_shipped_job_file(capsys):
         "cone 1: rays ((0, 1), (1, 1))\n"
         "rays: ((-1, 1), (0, 1), (1, 1))\n"
     )
+    assert main(["jobs/p2.pdiv", "--pipeline", "eval"]) == EXIT_OK
+    assert capsys.readouterr().out == "D((0, 1)) = 1/2 D + 1 E\n"
 
 
 def test_cox_subdivide_report_is_the_stored_one(capsys):
@@ -349,15 +353,22 @@ PLANE_TAIL = "[pdivisor]\nrays = (-1,1) (1,1)\ncoefficient.D = (0,1/2)\n"
             PLANE_HEAD + "coordinates = x x z\nform.D = x*z\n" + PLANE_TAIL,
             "coordinate names must be distinct; repeated: x",
         ),
+        # one coordinate built P^0 and none P^-1, which failed at bigness
+        *(
+            (
+                PLANE_HEAD + f"coordinates = {names}\n[pdivisor]\nrays = (-1,1) (1,1)\n",
+                "the projective-space base needs dim at least 1 (two coordinates), "
+                f"got {dim}; for a point use backend = point",
+            )
+            for names, dim in (("x", 0), ("", -1))
+        ),
     ],
 )
 def test_coordinate_names_are_counted_and_distinct(text, named, tmp_path, capsys):
     job = tmp_path / "coordinates.pdiv"
     job.write_text(text + "[job]\npipeline = general\n")
     assert main([str(job)]) == EXIT_SEMANTIC
-    err = capsys.readouterr().err
-    assert named in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"semantic error: [stage variety] {named}\n"
 
 
 @pytest.mark.parametrize("form", ["E12 = x0 + x1 + x2", "E1 = x0"])
@@ -458,21 +469,27 @@ def test_output_file_and_sidecar(tmp_path, capsys):
     assert "weight" in gens
 
 
-def test_verify_flag(capsys):
-    assert main(["jobs/p2.pdiv", "--pipeline", "eval", "--verify"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "D((0, 1)) = 1/2 D + 1 E" in out
+def test_the_verify_option_is_gone(capsys):
+    # the dual-cone involution and the superadditivity of D hold by
+    # construction; test_properties.py tests both
+    with pytest.raises(SystemExit) as exc:
+        main(["jobs/p2.pdiv", "--verify"])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --verify" in err
+    assert "Traceback" not in err
 
 
-def test_verify_recomputes_the_weight_cone_from_its_facets():
-    job = parse_job(JOB_TEXT)
-    y = build_variety(job)
-    d = build_pdivisor(job, y)
-    assert _verify_lines(d)[0] == "verify dual-cone involution: ok"
-    # one facet dropped: the facets now cut out a half-plane
-    d.weight_cone = d.weight_cone._replace(facets=d.weight_cone.facets[1:])
-    with pytest.raises(JobSemanticError):
-        _verify_lines(d)
+def test_a_torus_record_changes_nothing(tmp_path, capsys):
+    # the torus comes from the base, so [torus] record has no reader
+    job = tmp_path / "record.pdiv"
+    job.write_text(Path("jobs/p2.pdiv").read_text() + "\n[torus]\nrecord = other\n")
+    report = tmp_path / "torus.txt"
+    assert main([str(job), "--pipeline", "torus", "--output", str(report)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert report.read_text() == Path("perfbench/golden/plane-torus.txt").read_text()
+    golden = Path("perfbench/golden/plane-torus.gens.txt").read_text()
+    assert Path(f"{report}.gens.txt").read_text() == golden
 
 
 def test_cox_pipeline_without_jobfile(tmp_path, capsys):
@@ -480,7 +497,7 @@ def test_cox_pipeline_without_jobfile(tmp_path, capsys):
     assert main(["--pipeline", "cox-s5", "--output", str(report)]) == EXIT_OK
     capsys.readouterr()
     text = report.read_text()
-    assert "76 maximal cones, 20 rays" in text
+    assert text.startswith("linearity subdivision: 76 maximal cones, 20 rays\n")
     assert "minors certificate: pass" in text
 
 
@@ -556,21 +573,6 @@ def test_the_cox_pipeline_names_the_coordinates_of_the_job(tmp_path, capsys):
     assert "# subalgebra of P = C[a,b,c,h,t0..t9] / (h*(a-b+c) - 1 + toric relations)" in lines
     assert "(a*h - b*h) * t5" in lines
     assert "weight (1, -1, -1, 0, 0)  section (c) / (H^1)" in lines
-
-
-@pytest.mark.parametrize("jobfile", [[], ["jobs/cox-s5.pdiv"]], ids=["built-in", "job-file"])
-def test_the_cox_pipeline_verifies_its_pdivisor(jobfile, capsys):
-    verify = ["verify dual-cone involution: ok", "verify superadditivity at ray pairs: ok"]
-    assert main([*jobfile, "--pipeline", "cox-s5", "--verify"]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[:3] == [
-        *verify,
-        "linearity subdivision: 76 maximal cones, 20 rays",
-    ]
-    with mock.patch.object(cli, "_verify_lines") as checks:
-        assert main([*jobfile, "--pipeline", "cox-s5"]) == EXIT_OK
-    assert checks.call_count == 0
-    out = capsys.readouterr().out
-    assert out.startswith("linearity subdivision: 76 maximal cones, 20 rays\n")
 
 
 def test_the_cox_job_file_prints_the_cox_generators(tmp_path, capsys):
@@ -803,6 +805,26 @@ def test_the_torus_route_runs_on_every_projective_space(name, tmp_path, capsys):
     first = next(e for e in result.elements if e.weight == (0, 1))
     kept = [e for e in result.elements if e.section != first.section]
     assert degreewise_check(y, d, kept, 1)[0][(0, 1)] == 1
+
+
+PLANE_TORUS_DEGREES = {
+    (-2, 2): 9, (-1, 1): 1, (-1, 2): 18, (0, 1): 10,
+    (0, 2): 27, (1, 1): 1, (1, 2): 18, (2, 2): 9,
+}
+
+
+def test_the_torus_route_on_the_plane_job_is_minimal_below_degree_three():
+    # the 93 distinct generators lie at b <= 2; box 4 reaches every weight
+    # (a, b) of the cone |a| <= b with b <= 2, and the filter drops b = 3
+    # and 4, which would take about 14 s
+    job = parse_job(Path("jobs/p2.pdiv").read_text())
+    y = build_variety(job)
+    d = build_pdivisor(job, y)
+    elements = _dedupe(run_torus(y, d).elements)
+    assert Counter(e.weight for e in elements) == PLANE_TORUS_DEGREES
+    missing, minimal = degreewise_check(y, d, elements, 4, where=lambda u: u[1] <= 2)
+    assert missing == dict.fromkeys(PLANE_TORUS_DEGREES, 0)
+    assert minimal == PLANE_TORUS_DEGREES
 
 
 @pytest.mark.parametrize("pipeline", ["general", "torus"])

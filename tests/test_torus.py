@@ -38,8 +38,8 @@ def test_torus_of_projective_space_is_the_standard_fan(n):
     assert characters == tuple(ffe(MPoly.variable(n + 1, i), [(xn, 1)]) for i in range(n))
 
 
-def test_standard_p2_record():
-    # the torus of the plane is the fan and characters of the [torus] record
+def test_torus_of_the_plane_is_read_from_its_coordinates():
+    # the fan of P^2 and the characters x/z, y/z of its last chart
     y = plane_variety()
     rays, characters = torus(y)
     assert rays == ((1, 0), (0, 1), (-1, -1))

@@ -15,6 +15,7 @@ from pdivgen.varieties import (
     BlowupOfP2,
     NonIntegralDivisor,
     PointBase,
+    ProjectiveSpace,
     QDivisor,
     UnsupportedBackend,
     ffe,
@@ -31,6 +32,13 @@ def test_point_base_sections():
     assert len(sections(y, QDivisor({"P": 1}))) == 1
     assert len(sections(y, QDivisor({"P": -1}))) == 0
     assert not is_basepoint_free(y, QDivisor({"P": -1}))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_projective_space_has_dimension_at_least_one(n):
+    # P^0 is a point, and the point base is PointBase
+    with pytest.raises(ValueError, match="backend = point"):
+        ProjectiveSpace(n)
 
 
 def test_projective_sections_dimensions():
