@@ -17,10 +17,12 @@ weight cone other than the effective cone, which those classes span.
 
 from collections import Counter
 from itertools import combinations
+from operator import ge
 from typing import NamedTuple
 
 from .engine import (
     GeneratorSet,
+    _facet_values,
     _nn_decompositions,
     _sorted_elements,
     complete_generators,
@@ -102,6 +104,9 @@ def reduce_rays(y, d: PDivisor, ray_classes):
             cls[u] = y.class_of(d.evaluate(u).floor())
         return cls[u]
 
+    # u2 - z lies in the weight cone exactly when no facet value of z
+    # exceeds that of u2; each weight's values are computed once
+    facets, values = d.weight_cone.facets, {}
     zero_candidates = [c for c in y.negative_curve_classes() if not any(class_of(c))]
     zero_candidates += [
         r for r in ray_classes if not any(class_of(r)) and r not in zero_candidates
@@ -113,11 +118,12 @@ def reduce_rays(y, d: PDivisor, ray_classes):
         for u2 in list(kept):
             if u2 in zero_candidates:
                 continue
+            v2 = _facet_values(values, facets, u2)
             for z in zero_candidates:
                 u1 = tuple(a - b for a, b in zip(u2, z))
                 if u1 == u2 or not any(u1):
                     continue
-                if not d.weight_cone.contains(u1):
+                if not all(map(ge, v2, _facet_values(values, facets, z))):
                     continue
                 if class_of(u1) != class_of(u2):
                     continue
@@ -135,14 +141,14 @@ def reduce_rays(y, d: PDivisor, ray_classes):
 
 
 def _t_monomial(u, columns, cone, values):
-    """Exponents of a monomial in the curve variables with total class u.
+    """Exponents of a monomial in the curve variables with total class u:
+    the first decomposition of u the search finds, or None.
 
     ``columns`` are the classes of the curve variables, ``cone`` is their
     cone and ``values`` its facet value cache, all shared by every call of
     one presentation.
     """
-    decomps = _nn_decompositions(u, columns, limit=5000, cone=cone, values=values)
-    for parts in decomps:
+    for parts in _nn_decompositions(u, columns, 5000, cone, values, first=True):
         exps = [0] * len(columns)
         for w in parts:
             exps[columns.index(w)] += 1

@@ -339,8 +339,68 @@ def _pack(vals, width):
     return packed
 
 
-def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
-    """All multisets of weights with nonnegative integer sum u.
+# nodes a decomposition search visits before it stops
+NODE_LIMIT = 20000
+
+
+def _search(roots, weights, limit, cone, values, first=False):
+    """Each root's decompositions over the sorted distinct weights, and
+    whether its search ended before the node limit, as a list of pairs.
+
+    A remainder is kept while it lies in the pruning ``cone``, which
+    contains the weights; ``values`` caches facet values on it.  A search
+    emits decompositions in lexicographic order of their weight sequences,
+    and with ``first`` it ends at the first one.
+
+    A remainder's facet values lie between 0 and its root's, and a
+    weight's are at least 0, so each tuple packs into one integer with a
+    field per facet wide enough for all of them, plus a guard bit on top;
+    the weights are packed once for every root.  With every guard bit G
+    set, subtracting a weight borrows from no neighbouring field, and a
+    field's guard survives exactly when the remainder stays on that
+    facet's side: a child is kept exactly when ``(p | G) - q`` keeps all
+    of G, and its packed values are then p - q.
+    """
+    facets = cone.facets
+    wvals = [_facet_values(values, facets, w) for w in weights]
+    rvals = [_facet_values(values, facets, u) for u in roots]
+    flat = [x for v in wvals for x in v]
+    if min(flat, default=0) < 0:
+        raise ValueError("a weight lies outside the pruning cone")
+    bits = max(flat + [x for v in rvals for x in v], default=0).bit_length()
+    width = bits + 1
+    guard = _pack([1 << bits] * len(facets), width)
+    packed = [_pack(v, width) for v in wvals]
+    found = []
+    for u, root in zip(roots, rvals):
+        out = []
+        # a root outside the cone has every remainder below it outside too;
+        # otherwise a preorder depth-first search, whose children are pushed
+        # in reverse so they pop in weight order, stops after `limit` nodes
+        stack = [(u, _pack(root, width), 0, ())] if min(root, default=0) >= 0 else []
+        for _ in range(limit):
+            if not stack:
+                break
+            remaining, p, start, chosen = stack.pop()
+            if not any(remaining):
+                out.append(chosen)
+                if first:
+                    stack.clear()
+                    break
+                continue
+            p |= guard
+            for i in range(len(weights) - 1, start - 1, -1):
+                left = p - packed[i]
+                if left & guard == guard:
+                    w = weights[i]
+                    stack.append((tuple(map(sub, remaining, w)), left ^ guard, i, chosen + (w,)))
+        found.append((out, not stack))
+    return found
+
+
+def _nn_decompositions(u, weights, limit=NODE_LIMIT, cone=None, values=None, first=False):
+    """All multisets of weights with nonnegative integer sum u, or with
+    ``first`` the first of them only.
 
     Weights live in a pointed cone, so the search tree is finite; a hard
     node limit guards degenerate inputs.  A remainder is kept while it
@@ -351,14 +411,6 @@ def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
     stops at the node limit it is run again on the weights' own cone.
     ``values`` caches the facet values of each weight on ``cone``, so a
     caller can share it across searches on one cone.
-
-    A remainder's facet values lie between 0 and the root's, and a
-    weight's are at least 0, so each tuple packs into one integer with a
-    field per facet wide enough for both, plus a guard bit on top.  With
-    every guard bit G set, subtracting a weight borrows from no
-    neighbouring field, and a field's guard survives exactly when the
-    remainder stays on that facet's side: a child is kept exactly when
-    ``(p | G) - q`` keeps all of G, and its packed values are then p - q.
     """
     u = tuple(u)
     weights = tuple(sorted(set(weights)))
@@ -371,39 +423,10 @@ def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
         cone, values = cone_from_rays(weights, len(u)), {}
     elif values is None:
         values = {}
-    facets = cone.facets
-    wvals = [_facet_values(values, facets, w) for w in weights]
-    flat = [x for v in wvals for x in v]
-    if min(flat, default=0) < 0:
-        raise ValueError("a weight lies outside the pruning cone")
-    root = _facet_values(values, facets, u)
-    if min(root, default=0) < 0:
-        # every remainder below the root is outside too, and u is not zero
-        return []
-    bits = max(max(root, default=0), max(flat, default=0)).bit_length()
-    width = bits + 1
-    guard = _pack([1 << bits] * len(facets), width)
-    packed = [_pack(v, width) for v in wvals]
-    out = []
-    # preorder depth-first search; children are pushed in reverse so they
-    # pop in weight order, and the search stops after `limit` visited nodes
-    stack = [(u, _pack(root, width), 0, ())]
-    for _ in range(limit):
-        if not stack:
-            return out
-        remaining, p, start, chosen = stack.pop()
-        if not any(remaining):
-            out.append(chosen)
-            continue
-        p |= guard
-        for i in range(len(weights) - 1, start - 1, -1):
-            left = p - packed[i]
-            if left & guard == guard:
-                w = weights[i]
-                stack.append((tuple(map(sub, remaining, w)), left ^ guard, i, chosen + (w,)))
-    if stack and not own:
+    [(out, complete)] = _search([u], weights, limit, cone, values, first)
+    if not complete and not own:
         # cut off on the wider cone: the weights' own cone visits fewer nodes
-        return _nn_decompositions(u, weights, limit)
+        return _nn_decompositions(u, weights, limit, first=first)
     return out
 
 
@@ -411,16 +434,19 @@ def _nn_decompositions(u, weights, limit=20000, cone=None, values=None):
 PRODUCT_CAP = 600
 
 
-def algebra_membership(y, element: GradedElement, gens, cone=None, values=None):
+def algebra_membership(y, element: GradedElement, gens, cone=None, values=None, decomps=None):
     """Whether the element's section is spanned by generator products.
 
-    ``cone`` and ``values`` are passed to ``_nn_decompositions``.
+    ``cone`` and ``values`` are passed to ``_nn_decompositions``, unless
+    the caller has the decompositions of the weight over the generators'
+    weights in ``decomps``.
     """
     u = element.weight
     by_weight = {}
     for g in gens:
         by_weight.setdefault(g.weight, []).append(g)
-    decomps = _nn_decompositions(u, list(by_weight), cone=cone, values=values)
+    if decomps is None:
+        decomps = _nn_decompositions(u, list(by_weight), cone=cone, values=values)
     products = []
     one = ffe(MPoly.constant(y.nvars, 1))
     for parts in decomps:
@@ -439,19 +465,37 @@ def algebra_membership(y, element: GradedElement, gens, cone=None, values=None):
 
 def reduce_generators(y, elements):
     """Sound pruning: drop an element when its section is provably in the
-    subalgebra generated by the remaining ones."""
+    subalgebra generated by the remaining ones.
+
+    Each distinct weight is searched once, over all the pool's weights,
+    and each test keeps the decompositions whose weights all lie in its
+    rest.  The search emits them in lexicographic order of their weight
+    sequences, and a test's own search tree is a subtree of the pooled
+    one, so a test gets the decompositions its own search would give, in
+    the same order.  When the pooled search stops at its node limit, the
+    test runs its own search, which visits fewer nodes.
+    """
     kept = _sorted_elements(_dedupe(elements))
+    if not kept:
+        return kept
     # try to remove the "largest" elements first
     order = sorted(
         kept, key=lambda e: (sum(abs(x) for x in e.weight), e.key()), reverse=True
     )
     # one pruning cone for every search: each weight set searched is part
     # of the pool, so the cone of the pool's weights contains it
-    cone = cone_from_rays([e.weight for e in kept], len(kept[0].weight)) if kept else None
+    cone = cone_from_rays([e.weight for e in kept], len(kept[0].weight))
     values = {}
+    weights = tuple(sorted({e.weight for e in kept}))
+    pooled = dict(zip(weights, _search(weights, weights, NODE_LIMIT, cone, values)))
     for e in order:
         rest = [g for g in kept if g.key() != e.key()]
-        if algebra_membership(y, e, rest, cone=cone, values=values):
+        out, complete = pooled[e.weight]
+        decomps = None
+        if complete:
+            present = {g.weight for g in rest}
+            decomps = [parts for parts in out if present.issuperset(parts)]
+        if algebra_membership(y, e, rest, cone=cone, values=values, decomps=decomps):
             kept = rest
     return _sorted_elements(kept)
 

@@ -8,7 +8,7 @@ spaces: products, powers, affine shifts and exact division.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 
 
 class MPoly:
@@ -123,23 +123,33 @@ class MPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def shift(self, point):
-        """Substitute x_i -> x_i + point_i.
+    def shift(self, point, below=inf):
+        """Substitute x_i -> x_i + point_i, keeping the terms of total
+        degree below ``below``.
 
         Each term expands by the binomial theorem: x_i^k becomes
-        sum_j C(k, j) point_i^(k - j) x_i^j.
+        sum_j C(k, j) point_i^(k - j) x_i^j.  A partial product already at
+        degree ``below`` is dropped, since the later factors only add
+        degree.
         """
+        if len(point) != self.nvars:
+            raise ValueError(f"a point of width {len(point)} for {self.nvars} variables")
         point = [_rational(a) for a in point]
         out = {}
         for e, c in self.terms.items():
-            expanded = [((), c)]
+            expanded = [((), c, 0)]
             for k, a in zip(e, point):
                 if a and k:
                     steps = [(j, comb(k, j) * a ** (k - j)) for j in range(k + 1)]
-                    expanded = [(ex + (j,), t * f) for ex, t in expanded for j, f in steps]
+                    expanded = [
+                        (ex + (j,), t * f, n + j)
+                        for ex, t, n in expanded
+                        for j, f in steps
+                        if n + j < below
+                    ]
                 else:
-                    expanded = [(ex + (k,), t) for ex, t in expanded]
-            for ex, t in expanded:
+                    expanded = [(ex + (k,), t, n + k) for ex, t, n in expanded if n + k < below]
+            for ex, t, _ in expanded:
                 out[ex] = out.get(ex, 0) + t
         return MPoly._of(self.nvars, _tidied({e: c for e, c in out.items() if c}))
 
@@ -245,15 +255,40 @@ def monomials_of_degree(nvars, degree):
     return sorted(out, reverse=True)
 
 
-def local_at(poly, point):
-    """The form in the affine chart of the projective point's first nonzero
-    coordinate, with the point moved to the origin."""
+def _affine(point):
+    """The chart of the projective point's first nonzero coordinate, and
+    the point there, with 0 at that coordinate, which ``dehomogenize`` sets
+    to 1."""
     chart = next(i for i, x in enumerate(point) if x != 0)
-    shift_pt = [Fraction(point[i], point[chart]) if i != chart else 0 for i in range(poly.nvars)]
-    return poly.dehomogenize(chart, 1).shift(shift_pt)
+    scale = point[chart]
+    return chart, [_rational(Fraction(x, scale)) if i != chart else 0 for i, x in enumerate(point)]
+
+
+def local_at(poly, point, below=inf):
+    """The form in the affine chart of the projective point's first nonzero
+    coordinate, with the point moved to the origin; only its terms of total
+    degree below ``below``."""
+    chart, origin = _affine(point)
+    return poly.dehomogenize(chart, 1).shift(origin, below)
+
+
+def taylor_rows(polys, point, below):
+    """The coefficients of total degree below ``below`` of the forms about
+    the projective point: one row per exponent that occurs, in sorted
+    order, and one column per form."""
+    chart, origin = _affine(point)
+    shifted = [p.dehomogenize(chart, 1).shift(origin, below) for p in polys]
+    exps = sorted({e for mp in shifted for e in mp.terms})
+    return [[mp.terms.get(e, 0) for mp in shifted] for e in exps]
 
 
 def multiplicity_at(poly, point):
-    """Order of vanishing of a homogeneous form at a projective point."""
+    """Order of vanishing of a homogeneous form at a projective point.
+
+    The constant term alone says whether the form vanishes there; only
+    then is it expanded in full.
+    """
+    if local_at(poly, point, 1):
+        return 0
     low = local_at(poly, point).low_degree()
     return poly.total_degree() + 1 if low is None else low

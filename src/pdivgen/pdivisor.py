@@ -8,13 +8,13 @@ coefficient.
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .polyhedra import (
     PolyhedralSubdivision,
     QCone,
     common_refinement,
-    dot,
     dual_cone,
     hyperplane_subdivision,
     mu,
@@ -63,11 +63,16 @@ class PDivisor:
     def evaluate(self, u) -> QDivisor:
         if not self.weight_cone.contains(u):
             raise WeightOutsideCone(f"{tuple(u)} is not in the weight cone")
+        # the cone test rejects a weight of another width, so the products
+        # need no width check of their own
         values = {}
         for label, (scale, scaled) in self._scaled_vertices.items():
-            value = min([dot(v, u) for v in scaled])
-            values[label] = value if scale == 1 else Fraction(value, scale)
-        return QDivisor(values)
+            value = min([sum(map(mul, v, u)) for v in scaled])
+            if value:
+                if scale != 1:
+                    value = Fraction(value, scale)
+                values[label] = value.numerator if value.denominator == 1 else value
+        return QDivisor._of(values)
 
 
 def linearity_subdivision(d: PDivisor) -> PolyhedralSubdivision:

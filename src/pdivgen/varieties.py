@@ -9,13 +9,12 @@ span tests reduce against its echelon, and the multiplicity conditions of
 the blow-up take its rational kernel.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
 from .intlinalg import echelon, rational_kernel, reduce_row
-from .mpoly import MPoly, _rational, local_at, monomials_of_degree, multiplicity_at
+from .mpoly import MPoly, _rational, monomials_of_degree, multiplicity_at, taylor_rows
 
 
 class NonIntegralDivisor(ValueError):
@@ -47,6 +46,14 @@ class QDivisor:
                 v = _rational(v)
                 if v:
                     self.coeffs[k] = v
+
+    @classmethod
+    def _of(cls, coeffs):
+        """Wrap nonzero coefficients, each an int when integral and a
+        Fraction otherwise."""
+        d = cls.__new__(cls)
+        d.coeffs = coeffs
+        return d
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -404,11 +411,17 @@ class BlowupOfP2(Variety):
         if len(points) != 4:
             raise UnsupportedBackend("only the four-point blow-up is supported")
         super().__init__(3, coordinates)
-        self.points = tuple(tuple(Fraction(x) for x in p) for p in points)
+        # an integral coordinate is an int, so the point tests and Taylor
+        # shifts stay in integer arithmetic
+        self.points = tuple(tuple(_rational(x) for x in p) for p in points)
         _check_general_position(self.points)
-        # built on first use; register_divisor never changes a registered form
-        self._class_vectors, self._classes, self._negative_curves = {}, {}, None
-        self._shifted = {}  # (degree, point) -> Taylor-shifted monomials
+        # the exceptional classes now, the others on first use;
+        # register_divisor never changes a registered form
+        self._class_vectors = {
+            f"E{i}": tuple(int(k == i) for k in range(5)) for i in range(1, 5)
+        }
+        self._classes, self._negative_curves = {}, None
+        self._conditions = {}  # (degree, point, order) -> vanishing conditions
         self.register_divisor("H", h_form)
         # class_vector holds -multiplicity, and the classes need it anyway
         for p, m in zip(self.points, self.class_vector("H")[1:]):
@@ -435,9 +448,6 @@ class BlowupOfP2(Variety):
 
     def class_vector(self, label):
         """Class in the basis (H, E1..E4), as an integer 5-tuple."""
-        if label in self.exceptional:
-            i = int(label[1])
-            return tuple(1 if k == i else 0 for k in range(5))
         cached = self._class_vectors.get(label)
         if cached is not None:
             return cached
@@ -487,20 +497,13 @@ class BlowupOfP2(Variety):
         for p, m in zip(self.points, req):
             if m <= 0:
                 continue
-            # condition: all Taylor coefficients of total degree < m vanish
-            if (degree, p) not in self._shifted:
-                self._shifted[degree, p] = [local_at(MPoly.monomial(3, e), p) for e in monos]
-            shifted = self._shifted[degree, p]
-            cond_exps = sorted(
-                {
-                    ex
-                    for mp in shifted
-                    for ex in mp.terms
-                    if sum(ex) < m
-                }
-            )
-            for ce in cond_exps:
-                rows.append([mp.terms.get(ce, 0) for mp in shifted])
+            # condition: all Taylor coefficients of total degree < m vanish,
+            # so the monomials are expanded to that order only
+            conditions = self._conditions.get((degree, p, m))
+            if conditions is None:
+                conditions = taylor_rows([MPoly.monomial(3, e) for e in monos], p, m)
+                self._conditions[degree, p, m] = conditions
+            rows.extend(conditions)
         basis = []
         for vec in rational_kernel(rows, len(monos)):
             g = MPoly(3, {e: vec[i] for e, i in index.items()})

@@ -6,8 +6,23 @@ from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 from pdivgen.cli import JobDescription
-from pdivgen.engine import GradedElement, _dedupe, _interior_ray, extended_vector
-from pdivgen.intlinalg import echelon, identity, kernel_lattice, primitive, solve_in_lattice
+from pdivgen.engine import (
+    GradedElement,
+    _dedupe,
+    _interior_ray,
+    _nn_decompositions,
+    _sorted_elements,
+    algebra_membership,
+    extended_vector,
+)
+from pdivgen.intlinalg import (
+    echelon,
+    identity,
+    kernel_lattice,
+    primitive,
+    rational_kernel,
+    solve_in_lattice,
+)
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
@@ -736,6 +751,80 @@ def recursive_nn_decompositions(u, weights, limit=20000):
     return out
 
 
+def per_test_reduce_generators(y, elements):
+    """``engine.reduce_generators`` with one decomposition search per
+    membership test, over the weights of that test's rest; the oracle for
+    the search per weight that the tests share."""
+    kept = _sorted_elements(_dedupe(elements))
+    order = sorted(
+        kept, key=lambda e: (sum(abs(x) for x in e.weight), e.key()), reverse=True
+    )
+    cone = cone_from_rays([e.weight for e in kept], len(kept[0].weight)) if kept else None
+    values = {}
+    for e in order:
+        rest = [g for g in kept if g.key() != e.key()]
+        if algebra_membership(y, e, rest, cone=cone, values=values):
+            kept = rest
+    return _sorted_elements(kept)
+
+
+# ---------------------------------------------------------------------------
+# the Cox route's ray reduction and curve monomials as they were
+
+
+def contains_test_reduce_rays(y, d, ray_classes):
+    """``coxs5.reduce_rays`` with a weight cone test of each u2 - z: the
+    oracle for the comparison of facet values."""
+    cls = dict(ray_classes)
+
+    def class_of(u):
+        if u not in cls:
+            cls[u] = y.class_of(d.evaluate(u).floor())
+        return cls[u]
+
+    zero_candidates = [c for c in y.negative_curve_classes() if not any(class_of(c))]
+    zero_candidates += [
+        r for r in ray_classes if not any(class_of(r)) and r not in zero_candidates
+    ]
+    kept = sorted(ray_classes)
+    changed = True
+    while changed:
+        changed = False
+        for u2 in list(kept):
+            if u2 in zero_candidates:
+                continue
+            for z in zero_candidates:
+                u1 = tuple(a - b for a, b in zip(u2, z))
+                if u1 == u2 or not any(u1):
+                    continue
+                if not d.weight_cone.contains(u1):
+                    continue
+                if class_of(u1) != class_of(u2):
+                    continue
+                kept.remove(u2)
+                if z not in kept:
+                    kept.append(z)
+                if u1 not in kept:
+                    kept.append(u1)
+                kept.sort()
+                changed = True
+                break
+            if changed:
+                break
+    return tuple(kept)
+
+
+def listing_t_monomial(u, columns, cone, values):
+    """``coxs5._t_monomial`` reading the first of every decomposition of u."""
+    decomps = _nn_decompositions(u, columns, limit=5000, cone=cone, values=values)
+    for parts in decomps:
+        exps = [0] * len(columns)
+        for w in parts:
+            exps[columns.index(w)] += 1
+        return tuple(exps)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Fraction support functions and the product-based shift
 
@@ -771,6 +860,51 @@ def product_shift(poly, point):
             term = term * (MPoly.variable(n, i) + MPoly.constant(n, point[i])) ** k
         out = out + term
     return out
+
+
+def full_shift_local_at(poly, point):
+    """``mpoly.local_at`` by ``product_shift``: the whole Taylor expansion
+    about the projective point, in the chart of its first nonzero
+    coordinate."""
+    chart = next(i for i, x in enumerate(point) if x)
+    origin = [Fraction(x, point[chart]) if i != chart else 0 for i, x in enumerate(point)]
+    return product_shift(poly.dehomogenize(chart, 1), origin)
+
+
+def full_shift_multiplicity_at(poly, point):
+    """``mpoly.multiplicity_at`` from the whole Taylor expansion."""
+    low = full_shift_local_at(poly, point).low_degree()
+    return poly.total_degree() + 1 if low is None else low
+
+
+def full_shift_class_vector(y, label):
+    """``BlowupOfP2.class_vector`` from whole Taylor expansions."""
+    if label in y.exceptional:
+        i = int(label[1])
+        return tuple(1 if k == i else 0 for k in range(5))
+    form = y.form(label)
+    return (form.total_degree(), *(-full_shift_multiplicity_at(form, p) for p in y.points))
+
+
+def full_shift_free_forms(y, degree, d):
+    """``BlowupOfP2._free_forms`` with every monomial expanded in full about
+    each point, and the conditions read off below each order."""
+    req = [0, 0, 0, 0]
+    for label, c in d.coeffs.items():
+        for i, m in enumerate(full_shift_class_vector(y, label)[1:]):
+            req[i] -= int(c) * m
+    monos = monomials_of_degree(3, degree)
+    rows = []
+    for p, m in zip(y.points, req):
+        if m <= 0:
+            continue
+        shifted = [full_shift_local_at(MPoly.monomial(3, e), p) for e in monos]
+        for ce in sorted({ex for mp in shifted for ex in mp.terms if sum(ex) < m}):
+            rows.append([mp.terms.get(ce, 0) for mp in shifted])
+    return [
+        MPoly(3, dict(zip(monos, vec))).content_normalized()
+        for vec in rational_kernel(rows, len(monos))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -521,6 +521,17 @@ def _cox_job(points, h_form):
     return text
 
 
+def test_the_cox_pipeline_on_other_points_writes_the_stored_report(tmp_path, capsys):
+    # these points reach the blow-up's Taylor expansions at a point with
+    # no zero coordinate other than (1, 1, 1)
+    job = tmp_path / "cox.pdiv"
+    job.write_text(_cox_job("(1,0,0) (0,1,0) (0,0,1) (1,2,3)", "x0 + x1 + x2"))
+    report = tmp_path / "cox.txt"
+    assert main([str(job), "--pipeline", "cox-s5", "--output", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert report.read_text() == Path("tests/golden/cox-s5.other-points.txt").read_text()
+
+
 COX_RAYS = (
     "(0,1,0,0,0) (0,0,1,0,0) (0,0,0,1,0) (0,0,0,0,1) (1,-1,0,0,-1) (1,0,0,-1,-1) "
     "(1,0,-1,0,-1) (1,0,-1,-1,0) (1,-1,0,-1,0) (1,-1,-1,0,0)"

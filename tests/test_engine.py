@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_hilbert_basis,
     det,
+    per_test_reduce_generators,
     plane_pdivisor,
     plane_variety,
     recursive_nn_decompositions,
@@ -22,10 +23,12 @@ from pdivgen import cli, coxs5, engine, pdivisor, polyhedra, torus
 from pdivgen.cli import build_pdivisor, build_variety, parse_job
 from pdivgen.coxs5 import run_cox
 from pdivgen.engine import (
+    NODE_LIMIT,
     GradedElement,
     _interior_ray,
     _nn_decompositions,
     _saturate_semigroup,
+    _search,
     algebra_membership,
     extended_vector,
     find_k_rho,
@@ -162,6 +165,33 @@ def test_reduce_generators_builds_each_pruning_cone_once():
     # one cone of all the pool's weights prunes every search
     assert build.call_count == 1
     assert sorted(build.call_args.args[0]) == sorted(e.weight for e in pool)
+
+
+def test_reduce_generators_searches_each_weight_once():
+    d = plane_pdivisor()
+    y = d.variety
+    pool = run_general(y, d).elements
+    expected = per_test_reduce_generators(y, pool)
+    with mock.patch.object(engine, "_search", wraps=engine._search) as search:
+        assert reduce_generators(y, pool) == expected
+    # one search of every distinct weight, and none per test
+    assert search.call_count == 1
+    assert search.call_args.args[0] == tuple(sorted({e.weight for e in pool}))
+
+
+def test_a_search_cut_off_at_the_node_limit_falls_back_to_its_test():
+    y = PointBase()
+    weights = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (20, 20))
+    pool = [GradedElement(y.one(), w) for w in weights]
+    cone = cone_from_rays(weights, 2)
+    [(_, complete)] = _search([(20, 20)], sorted(weights), NODE_LIMIT, cone, {})
+    assert not complete
+    expected = per_test_reduce_generators(y, pool)
+    with mock.patch.object(engine, "algebra_membership", wraps=engine.algebra_membership) as test:
+        assert reduce_generators(y, pool) == expected
+    # only the test at (20, 20) runs a search of its own
+    own = [c.args[1].weight for c in test.call_args_list if c.kwargs["decomps"] is None]
+    assert own == [(20, 20)]
 
 
 def test_normalize_or_export_takes_the_left_kernel_once():
@@ -440,6 +470,9 @@ def test_nn_decompositions_match_the_recursive_search(search):
             expected = recursive_nn_decompositions(u, weights, limit)
             assert _nn_decompositions(u, weights, limit) == expected
             assert _nn_decompositions(u, weights, limit, wide, values) == expected
+            # a search for the first decomposition stops there
+            assert _nn_decompositions(u, weights, limit, first=True) == expected[:1]
+            assert _nn_decompositions(u, weights, limit, wide, values, first=True) == expected[:1]
     assert all(v == tuple(dot(f, w) for f in wide.facets) for w, v in values.items())
 
 

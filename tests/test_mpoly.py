@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,10 @@ def test_evaluate_and_shift():
     assert evaluate(shifted, (Fraction(2), Fraction(1))) == evaluate(
         f, (Fraction(3), Fraction(1))
     )
+    # the terms of degree below 2 of (x + 1)^2 + 2y: 1 + 2x + 2y
+    assert f.shift((1, 0), 2) == MPoly(2, {(0, 0): 1, (1, 0): 2, (0, 1): 2})
+    with pytest.raises(ValueError, match="a point of width 1 for 2 variables"):
+        f.shift((1,))
 
 
 def test_multiplicity_at():

@@ -7,6 +7,7 @@ This file is self-contained so the whole suite can run standalone:
 
 import random
 from fractions import Fraction
+from operator import add
 from unittest import mock
 
 import pytest
@@ -17,14 +18,19 @@ from helpers import (
     FractionMPoly,
     brute_force_pointed_rays,
     det,
+    contains_test_reduce_rays,
     every_k_ray_search,
     fraction_evaluate,
     fraction_in_span,
     fraction_kernel_basis,
     fraction_rref,
     fraction_span_dimension,
+    full_shift_class_vector,
+    full_shift_free_forms,
+    full_shift_multiplicity_at,
     guarded_quotient_field_complete,
     homogenized_tailed_polyhedron,
+    listing_t_monomial,
     mat_mul,
     normal_fan,
     oracle_element_divisor,
@@ -34,9 +40,11 @@ from helpers import (
     oracle_projective_basepoint_free,
     oracle_projective_sections,
     per_simplex_ray_pool,
+    per_test_reduce_generators,
     plane_pdivisor,
     plane_variety,
     product_shift,
+    recursive_nn_decompositions,
     span_dimension,
     two_pass_cone_from_facets,
     two_pass_cone_from_rays,
@@ -45,19 +53,20 @@ from helpers import (
     two_step_common_refinement,
 )
 from pdivgen import polyhedra
-from pdivgen.coxs5 import cox_surface
+from pdivgen.coxs5 import CURVE_COLUMNS, _t_monomial, build_cox_pdivisor, cox_surface, reduce_rays
 from pdivgen.engine import (
     GradedElement,
     extended_vector,
     harvest_rays,
     interior_lattice_basis,
     quotient_field_complete,
+    reduce_generators,
     run_general,
     weight_lattice_completion,
     zariski_generators,
 )
 from pdivgen.intlinalg import hnf, kernel_lattice, primitive, rank, rational_kernel, rref
-from pdivgen.mpoly import MPoly, monomials_of_degree
+from pdivgen.mpoly import MPoly, monomials_of_degree, multiplicity_at
 from pdivgen.pdivisor import (
     IterationLimitExceeded,
     PDivisor,
@@ -79,9 +88,11 @@ from pdivgen.polyhedra import (
     triangulate,
 )
 from pdivgen.varieties import (
+    BlowupOfP2,
     NotTMoveable,
     PointBase,
     QDivisor,
+    _cross,
     ffe,
     in_span,
     is_basepoint_free,
@@ -499,7 +510,7 @@ def test_blowup_sections_match_the_multiplicity_construction(coeffs):
     assert sections(_BLOWUP, div) == oracle_blowup_sections(_BLOWUP, div)
 
 
-# The blow-up builds its Taylor-shifted monomials, its negative curves and
+# The blow-up builds its vanishing conditions, its negative curves and
 # the class of each divisor once per instance: a surface that has already
 # served other divisors and degrees answers as a fresh one does.
 
@@ -935,3 +946,182 @@ def test_exponent_vectors_round_trip_through_sections(base, data):
     got, rest = y.exponents(y.from_exponents(vec))
     assert got == vec
     assert rest.is_term()
+
+
+# Pruning searches each weight once over the whole pool, and each test
+# keeps the decompositions whose weights lie in its rest; the oracle runs
+# one search per test.  Plane pools take elements of the plane example's
+# raw pool and products of pairs of them; point pools take weights in a
+# random pointed cone, so that sums of weights drop.
+
+
+@st.composite
+def _plane_pools(draw):
+    indices = draw(st.sets(st.integers(0, 76), min_size=1, max_size=10))
+    chosen = [_PLANE_POOL[i] for i in sorted(indices)]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(chosen), st.sampled_from(chosen)), max_size=4))
+    products = [
+        GradedElement(a.section * b.section, tuple(map(add, a.weight, b.weight))) for a, b in pairs
+    ]
+    return _PLANE_D.variety, chosen + products
+
+
+@st.composite
+def _point_pools(draw):
+    dim = draw(st.integers(min_value=2, max_value=3))
+    cone = _random_pointed_cone(random.Random(draw(st.integers(0, 10**6))), dim)
+    coeffs = st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+    weights = [
+        w
+        for c in draw(st.lists(coeffs, min_size=1, max_size=6))
+        if any(w := tuple(sum(a * r[i] for a, r in zip(c, cone.rays)) for i in range(dim)))
+    ]
+    if weights:
+        pairs = st.tuples(st.sampled_from(weights), st.sampled_from(weights))
+        weights += [tuple(map(add, a, b)) for a, b in draw(st.lists(pairs, max_size=3))]
+    point = PointBase()
+    return point, [GradedElement(point.one(), w) for w in weights]
+
+
+_CUT_OFF_WEIGHTS = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (20, 20))
+_CUT_OFF_POOL = (PointBase(), [GradedElement(PointBase().one(), w) for w in _CUT_OFF_WEIGHTS])
+
+
+@given(st.one_of(_plane_pools(), _point_pools()))
+# the search at (20, 20) over the whole pool stops at the node limit, so its
+# test runs a search of its own
+@example(_CUT_OFF_POOL)
+@settings(max_examples=60, deadline=None)
+def test_one_search_per_weight_prunes_as_one_search_per_test(case):
+    y, pool = case
+    assert reduce_generators(y, pool) == per_test_reduce_generators(y, pool)
+
+
+# The Cox route's ray reduction compares facet values where it tested each
+# u2 - z against the weight cone, and a curve monomial is the first
+# decomposition of its class.  Composite weights u2 = z + u1, with z one of
+# the curve classes (all of them have a principal evaluation) and the class
+# of u1 given to u2, make the reduction drop rays.
+
+_COX = cox_surface()
+_COX_D = build_cox_pdivisor(_COX)
+_CURVES = tuple(_COX.class_vector(label) for label in CURVE_COLUMNS)
+
+
+@st.composite
+def _cox_weights(draw):
+    """A nonzero combination of the curve classes with coefficients up to 2."""
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=10, max_size=10))
+    coeffs[draw(st.integers(0, 9))] += 1
+    return tuple(sum(c * r[i] for c, r in zip(coeffs, _CURVES)) for i in range(5))
+
+
+def _cox_class(u):
+    return _COX.class_of(_COX_D.evaluate(u).floor())
+
+
+@st.composite
+def _ray_class_maps(draw):
+    classes = {u: _cox_class(u) for u in draw(st.lists(_cox_weights(), min_size=1, max_size=4))}
+    for _ in range(draw(st.integers(0, 3))):
+        z = draw(st.sampled_from(_CURVES))
+        u1 = draw(st.one_of(st.sampled_from(sorted(classes)), _cox_weights()))
+        classes[tuple(map(add, z, u1))] = classes.get(u1) or _cox_class(u1)
+    return classes
+
+
+@given(_ray_class_maps())
+# (1, 1, 0, 0, 0) = E1 + (1, 0, 0, 0, 0) with the class of the latter drops
+@example({(1, 0, 0, 0, 0): (1, 0, 0, 0, 0), (1, 1, 0, 0, 0): (1, 0, 0, 0, 0)})
+@settings(max_examples=60, deadline=None)
+def test_ray_reduction_by_facet_values_matches_the_cone_test(classes):
+    assert reduce_rays(_COX, _COX_D, classes) == contains_test_reduce_rays(_COX, _COX_D, classes)
+
+
+# sums of up to four curve classes, and small vectors, most of them outside
+# the effective cone
+_class_sums = st.lists(st.sampled_from(_CURVES), min_size=1, max_size=4).map(
+    lambda parts: tuple(map(sum, zip(*parts)))
+)
+_small_vectors = st.lists(tiny_int, min_size=5, max_size=5).map(tuple)
+
+
+@given(st.lists(st.one_of(_class_sums, _small_vectors), max_size=3))
+@example([(0, 0, 0, 0, 0), (-1, 0, 0, 0, 0), (2, -1, -1, -1, -1)])
+@settings(max_examples=40, deadline=None)
+def test_a_curve_monomial_is_the_first_decomposition(weights):
+    columns = list(_CURVES)
+    cone, values, listed = _COX_D.weight_cone, {}, {}
+    for u in weights:
+        got = _t_monomial(u, columns, cone, values)
+        assert got == listing_t_monomial(u, columns, cone, listed)
+        first = next(iter(recursive_nn_decompositions(u, columns, 5000)), None)
+        assert got == (None if first is None else tuple(first.count(c) for c in columns))
+
+
+# The blow-up expands a form about a point only where it vanishes there, and
+# a section space's monomials only to the orders it asks for: against the
+# whole Taylor expansion by products, on four random points in general
+# position (a projective image of three coordinate points and a point with
+# no zero coordinate, each scaled by a denominator), with a line through
+# none of them as H.
+
+
+def _mat_vec(m, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+@st.composite
+def _blowups(draw):
+    nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    l10, l20, l21, u01, u02, u12 = draw(st.lists(tiny_int, min_size=6, max_size=6))
+    d0, d1, d2 = draw(st.lists(nonzero, min_size=3, max_size=3))
+    lower = ((1, 0, 0), (l10, 1, 0), (l20, l21, 1))
+    upper = ((d0, u01, u02), (0, d1, u12), (0, 0, d2))
+    m = mat_mul(lower, upper)
+    last = tuple(draw(st.lists(nonzero, min_size=3, max_size=3)))
+    points = []
+    for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), last):
+        den = draw(st.integers(1, 3))
+        points.append(tuple(Fraction(x, den) for x in _mat_vec(m, p)))
+    # a point is a root of at most two of the quadratics x0 + t x1 + t^2 x2
+    t = next(t for t in range(9) if all(p[0] + t * p[1] + t * t * p[2] for p in points))
+    h = MPoly(3, {(1, 0, 0): 1, (0, 1, 0): t, (0, 0, 1): t * t})
+    return BlowupOfP2(points, h)
+
+
+@st.composite
+def _forms_through_points(draw, y):
+    """A random form of degree 0-4: a random part times lines through the
+    blow-up points, each through one of them and another point."""
+    lines = []
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=3)):
+        other = y.points[j] if j < 4 else draw(st.lists(tiny_int, min_size=3, max_size=3))
+        a, b, c = _cross(y.points[i], other)
+        if any((a, b, c)):
+            lines.append(MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}))
+    degree = draw(st.integers(0, 4 - len(lines)))
+    monos = monomials_of_degree(3, degree)
+    coeffs = draw(st.lists(tiny_int, min_size=len(monos), max_size=len(monos)))
+    form = MPoly(3, dict(zip(monos, coeffs[:-1] + [coeffs[-1] or 1])))
+    for line in lines:
+        form = form * line
+    return form
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_taylor_data_to_the_order_read_matches_the_full_shift(data):
+    y = data.draw(_blowups())
+    form = data.draw(_forms_through_points(y))
+    for p in y.points:
+        assert multiplicity_at(form, p) == full_shift_multiplicity_at(form, p)
+    y.register_divisor("F", form)
+    for label in ("F", "H", "E1", "E2", "E3", "E4", "E12", "E13", "E14", "E23", "E24", "E34"):
+        assert y.class_vector(label) == full_shift_class_vector(y, label)
+    requests = data.draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    coeffs = {f"E{i + 1}": -m for i, m in enumerate(requests)}
+    coeffs["F"] = data.draw(st.integers(-1, 1))
+    div = QDivisor(coeffs)
+    degree = data.draw(st.integers(0, 4))
+    assert y._free_forms(degree, div) == full_shift_free_forms(y, degree, div)
