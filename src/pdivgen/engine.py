@@ -11,6 +11,7 @@ factorable set is normal, and anything else is exported as a presentation
 for an external normalization.
 """
 
+from itertools import islice
 from math import gcd
 from operator import sub
 from typing import NamedTuple
@@ -23,7 +24,6 @@ from .intlinalg import (
     kernel_lattice,
     solve_in_lattice,
 )
-from .mpoly import MPoly
 from .pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from .polyhedra import (
     NonPointedCone,
@@ -36,7 +36,7 @@ from .polyhedra import (
 from .varieties import (
     PointBase,
     QDivisor,
-    ffe,
+    common_denominator,
     in_span,
     sections,
     sections_of_floor,
@@ -434,12 +434,49 @@ def _nn_decompositions(u, weights, limit=NODE_LIMIT, cone=None, values=None, fir
 PRODUCT_CAP = 600
 
 
-def algebra_membership(y, element: GradedElement, gens, cone=None, values=None, decomps=None):
+def _weight_denominators(gens):
+    """The common denominator of the generators of each weight."""
+    by_weight = {}
+    for g in gens:
+        by_weight.setdefault(g.weight, []).append(g.section)
+    return {w: common_denominator(sections) for w, sections in by_weight.items()}
+
+
+def _times(level, gens):
+    """The first PRODUCT_CAP products p * g, p from ``level`` and g from
+    ``gens``, in that order, each built when it is read."""
+    return islice((p * g.section for p in level for g in gens), PRODUCT_CAP)
+
+
+def _products(one, by_weight, decomps):
+    """The products of each decomposition, in order, each built when it
+    is read; no more decompositions once past 4 * PRODUCT_CAP products."""
+    built = 0
+    for parts in decomps:
+        level = (one,)
+        for w in parts:
+            level = _times(level, by_weight[w])
+        for p in level:
+            built += 1
+            yield p
+        if built > 4 * PRODUCT_CAP:
+            return
+
+
+def algebra_membership(
+    y, element: GradedElement, gens, cone=None, values=None, decomps=None, dens=None
+):
     """Whether the element's section is spanned by generator products.
 
     ``cone`` and ``values`` are passed to ``_nn_decompositions``, unless
     the caller has the decompositions of the weight over the generators'
-    weights in ``decomps``.
+    weights in ``decomps``.  The span test reads the products one at a
+    time and stops at the first that completes the span, so a later
+    decomposition is never multiplied out.  Its denominator is fixed
+    before any product is built: the element's own, and for each
+    decomposition the sum over its weights of the largest generator
+    denominator of that weight, read from ``dens`` (weight -> {label:
+    exponent}, at least the generators' maxima) when the caller has it.
     """
     u = element.weight
     by_weight = {}
@@ -447,20 +484,20 @@ def algebra_membership(y, element: GradedElement, gens, cone=None, values=None, 
         by_weight.setdefault(g.weight, []).append(g)
     if decomps is None:
         decomps = _nn_decompositions(u, list(by_weight), cone=cone, values=values)
-    products = []
-    one = ffe(MPoly.constant(y.nvars, 1))
-    for parts in decomps:
-        partials = [one]
-        for w in parts:
-            partials = [p * g.section for p in partials for g in by_weight[w]]
-            if len(partials) > PRODUCT_CAP:
-                partials = partials[:PRODUCT_CAP]
-        products.extend(partials)
-        if len(products) > 4 * PRODUCT_CAP:
-            break
-    if not products:
+    if not decomps:
         return False
-    return in_span(y, element.section, products)
+    if dens is None:
+        dens = _weight_denominators(gens)
+    common = dict(element.section.den)
+    for parts in decomps:
+        total = {}
+        for w in parts:
+            for l, k in dens[w].items():
+                total[l] = total.get(l, 0) + k
+        for l, k in total.items():
+            if k > common.get(l, 0):
+                common[l] = k
+    return in_span(y, element.section, _products(y.one(), by_weight, decomps), common)
 
 
 def reduce_generators(y, elements):
@@ -473,7 +510,9 @@ def reduce_generators(y, elements):
     sequences, and a test's own search tree is a subtree of the pooled
     one, so a test gets the decompositions its own search would give, in
     the same order.  When the pooled search stops at its node limit, the
-    test runs its own search, which visits fewer nodes.
+    test runs its own search, which visits fewer nodes.  The largest
+    denominator of each weight is read once, over the whole pool: a
+    larger common denominator leaves every span test's answer as it is.
     """
     kept = _sorted_elements(_dedupe(elements))
     if not kept:
@@ -488,14 +527,16 @@ def reduce_generators(y, elements):
     values = {}
     weights = tuple(sorted({e.weight for e in kept}))
     pooled = dict(zip(weights, _search(weights, weights, NODE_LIMIT, cone, values)))
+    dens = _weight_denominators(kept)
     for e in order:
-        rest = [g for g in kept if g.key() != e.key()]
+        # kept holds one object per key, e among them
+        rest = [g for g in kept if g is not e]
         out, complete = pooled[e.weight]
         decomps = None
         if complete:
             present = {g.weight for g in rest}
             decomps = [parts for parts in out if present.issuperset(parts)]
-        if algebra_membership(y, e, rest, cone=cone, values=values, decomps=decomps):
+        if algebra_membership(y, e, rest, cone=cone, values=values, decomps=decomps, dens=dens):
             kept = rest
     return _sorted_elements(kept)
 

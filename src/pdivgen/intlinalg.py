@@ -9,8 +9,9 @@ Hermite normal forms come from one elimination on sparse rows, each a
 dict of its nonzero entries.  Only ``hnf`` and the callers that read the
 transform (``kernel_lattice``, ``solve_in_lattice``) carry it, as identity
 columns appended to the rows; ``hnf_basis`` builds none.  Everything over
-Q (span tests, ``rank``, ``rref`` and what reads it) goes through one
-fraction-free forward elimination, ``reduce_row``.  There is no determinant:
+Q (``rank``, ``rref`` and what reads it) goes through one fraction-free
+forward elimination, ``reduce_row``; the span tests of ``varieties`` run
+the same elimination on sparse rows.  There is no determinant:
 each unimodularity test reads work its caller already does.
 """
 

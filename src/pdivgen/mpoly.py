@@ -79,6 +79,7 @@ class MPoly:
             if not other:
                 return MPoly(self.nvars)
             return MPoly._of(self.nvars, _tidied({e: c * other for e, c in self.terms.items()}))
+        self._check_nvars(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -106,7 +107,16 @@ class MPoly:
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return MPoly.constant(self.nvars, other)
+        self._check_nvars(other)
         return other
+
+    def _check_nvars(self, other):
+        """Refuse a polynomial in another number of variables, which the
+        exponent arithmetic would truncate or misread."""
+        if other.nvars != self.nvars:
+            raise ValueError(
+                f"polynomials in {self.nvars} and {other.nvars} variables in one operation"
+            )
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)

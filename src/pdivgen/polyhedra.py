@@ -197,6 +197,10 @@ class QCone(NamedTuple):
         return True
 
     def contains_interior(self, point):
+        # tested here, since neither a cone without facets nor one that is
+        # not full-dimensional reaches dot
+        if len(point) != self.dim:
+            raise ValueError(f"point of width {len(point)} in a cone of dimension {self.dim}")
         return self.is_full_dim() and all(dot(f, point) > 0 for f in self.facets)
 
     def is_pointed(self):

@@ -4,16 +4,16 @@ Three backends ship, each a subclass of ``Variety``: a point, projective
 space, and the blow-up of the plane in four points.  Sections are
 represented as fractions whose denominators stay factored into the
 registered defining forms, so that products and span tests reduce to
-linear algebra on numerators.  That linear algebra is ``intlinalg``'s:
-span tests reduce against its echelon, and the multiplicity conditions of
-the blow-up take its rational kernel.
+linear algebra on numerators.  Span tests run ``intlinalg``'s fraction-free
+elimination on sparse rows, one row per section as it arrives, and the
+multiplicity conditions of the blow-up take its rational kernel.
 """
 
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .intlinalg import echelon, rational_kernel, reduce_row
+from .intlinalg import rational_kernel
 from .mpoly import MPoly, _rational, monomials_of_degree, multiplicity_at, taylor_rows
 
 
@@ -598,41 +598,108 @@ def is_basepoint_free(y, d: QDivisor) -> bool:
 # span tests on section elements
 
 
-def numerator_vectors(y, elements, extra=()):
-    """Numerators over the common factored denominator, as integer rows.
-
-    Returns (rows, monomial index) for elements + extra combined.  Each row
-    is scaled by the lcm of its coefficient denominators; sections are
-    defined up to a scalar, so no span changes.
-    """
-    elems = list(elements) + list(extra)
+def common_denominator(elements):
+    """The label-wise largest denominator exponents of the sections, as a
+    dict {label: exponent}."""
     common = {}
-    for e in elems:
+    for e in elements:
         for l, k in e.den:
-            common[l] = max(common.get(l, 0), k)
-    nums = []
-    for e in elems:
+            if k > common.get(l, 0):
+                common[l] = k
+    return common
+
+
+def numerator_vectors(y, elements, den):
+    """The numerators of the elements over the factored denominator
+    ``den``, a dict {label: exponent} that covers each element's own, as
+    sparse integer rows {monomial: coefficient}, each built when it is
+    read.
+
+    A row is scaled by the lcm of its coefficient denominators; sections
+    are defined up to a scalar, so no span changes.  It may be the
+    numerator's own dict, so no reader changes a row in place.
+    """
+    for e in elements:
         num = e.num
         own = dict(e.den)
-        for l, k in common.items():
-            deficit = k - own.get(l, 0)
-            if deficit:
+        for l, k in den.items():
+            deficit = k - own.pop(l, 0)
+            if deficit > 0:
                 num = num * y.form_power(l, deficit)
-        nums.append(num)
-    monos = sorted({ex for n in nums for ex in n.terms}, reverse=True)
-    index = {ex: i for i, ex in enumerate(monos)}
-    rows = []
-    for n in nums:
-        scale = lcm(*(c.denominator for c in n.terms.values()))
-        row = [0] * len(index)
-        for ex, c in n.terms.items():
-            row[index[ex]] = c.numerator * (scale // c.denominator)
-        rows.append(row)
-    return rows, index
+            elif deficit < 0:
+                own[l] = k - deficit  # the element's exponent, not covered
+        if own:
+            l, k = min(own.items())
+            raise ValueError(f"the denominator {l}^{k} of a section exceeds the common one")
+        terms = num.terms
+        scale = lcm(*(c.denominator for c in terms.values()))
+        if scale == 1:  # every coefficient an int
+            yield terms
+        else:
+            yield {ex: c.numerator * (scale // c.denominator) for ex, c in terms.items()}
 
 
-def in_span(y, target, elements) -> bool:
-    """Whether target lies in the rational span of the elements."""
-    rows, _ = numerator_vectors(y, elements, (target,))
-    return reduce_row(echelon(rows[:-1]), rows[-1]) is None
+def _reduce_sparse(echelon, v):
+    """Reduce the sparse integer row v against the echelon {pivot: row}.
 
+    The pivot of a row is its largest monomial.  The elimination is
+    ``intlinalg.reduce_row``'s on sparse rows: against the row r with
+    pivot p, v <- r[p] v - v[p] r (both factors divided by their gcd
+    first), then v is divided by its content.  Returns (pivot, reduced
+    row) at the first monomial that is no row's pivot, or None when v
+    reduces to zero.
+    """
+    while v:
+        p = max(v)
+        r = echelon.get(p)
+        if r is None:
+            return p, v
+        g = gcd(r[p], v[p])
+        a, b = r[p] // g, v[p] // g
+        v = {ex: a * c for ex, c in v.items()}
+        for ex, c in r.items():
+            s = v.get(ex, 0) - b * c
+            if s:
+                v[ex] = s
+            else:
+                del v[ex]
+        g = gcd(*v.values())
+        if g > 1:
+            v = {ex: c // g for ex, c in v.items()}
+    return None
+
+
+def in_span(y, target, elements, den=None) -> bool:
+    """Whether target lies in the rational span of the elements.
+
+    The elements may be any iterable; they are read one at a time and
+    each is reduced into one echelon as it arrives.  The target's row is
+    kept reduced against that echelon, so the test returns True as soon
+    as it reduces to zero and reads no further element.  Every row is a
+    numerator over one factored denominator: ``den``, a dict {label:
+    exponent} that must cover the target's and every element's, or else
+    the common denominator of the target and the elements, which are then
+    read up front.  A larger denominator multiplies every row by the same
+    nonzero polynomial, an injective linear map, so the answer does not
+    depend on it.
+    """
+    if den is None:
+        elements = list(elements)
+        den = common_denominator(elements + [target])
+    rows = numerator_vectors(y, chain((target,), elements), den)
+    echelon = {}
+    reduced = _reduce_sparse(echelon, next(rows))
+    if reduced is None:
+        return True
+    for row in rows:
+        row = _reduce_sparse(echelon, row)
+        if row is None:
+            continue
+        p, r = row
+        echelon[p] = r
+        if p == reduced[0]:
+            # the target's leading monomial is now a pivot: reduce on
+            reduced = _reduce_sparse(echelon, reduced[1])
+            if reduced is None:
+                return True
+    return False

@@ -7,6 +7,7 @@ from math import comb, gcd, lcm
 
 from pdivgen.cli import JobDescription
 from pdivgen.engine import (
+    PRODUCT_CAP,
     GradedElement,
     _dedupe,
     _interior_ray,
@@ -21,6 +22,7 @@ from pdivgen.intlinalg import (
     kernel_lattice,
     primitive,
     rational_kernel,
+    reduce_row,
     solve_in_lattice,
 )
 from pdivgen.mpoly import MPoly, monomials_of_degree
@@ -42,6 +44,8 @@ from pdivgen.varieties import (
     NotTMoveable,
     ProjectiveSpace,
     QDivisor,
+    _reduce_sparse,
+    common_denominator,
     ffe,
     is_basepoint_free,
     numerator_vectors,
@@ -536,9 +540,21 @@ def fraction_in_span(y, target, elements):
 
 
 def span_dimension(y, elements) -> int:
-    """Dimension of the span of the sections, by the integer echelon of ``in_span``."""
-    rows, _ = numerator_vectors(y, elements)
-    return len(echelon(rows))
+    """Dimension of the span of the sections, by the sparse echelon of ``in_span``."""
+    ech = {}
+    for row in numerator_vectors(y, elements, common_denominator(elements)):
+        reduced = _reduce_sparse(ech, row)
+        if reduced is not None:
+            ech[reduced[0]] = reduced[1]
+    return len(ech)
+
+
+def dense_numerator_rows(y, elements):
+    """The numerators over the elements' common denominator as dense
+    integer rows, one column per monomial in descending order."""
+    sparse = list(numerator_vectors(y, elements, common_denominator(elements)))
+    monos = sorted({ex for row in sparse for ex in row}, reverse=True)
+    return [[row.get(ex, 0) for ex in monos] for row in sparse]
 
 
 def fraction_span_dimension(y, elements):
@@ -749,6 +765,31 @@ def recursive_nn_decompositions(u, weights, limit=20000):
 
     rec(tuple(u), 0, [])
     return out
+
+
+def one_shot_algebra_membership(y, element, gens):
+    """``engine.algebra_membership`` multiplying out every decomposition's
+    products, up to the same caps, before one dense echelon of them all
+    over their own common denominator: the oracle for the span test that
+    stops at the first product completing the span."""
+    by_weight = {}
+    for g in gens:
+        by_weight.setdefault(g.weight, []).append(g)
+    products = []
+    one = ffe(MPoly.constant(y.nvars, 1))
+    for parts in _nn_decompositions(element.weight, list(by_weight)):
+        partials = [one]
+        for w in parts:
+            partials = [p * g.section for p in partials for g in by_weight[w]]
+            if len(partials) > PRODUCT_CAP:
+                partials = partials[:PRODUCT_CAP]
+        products.extend(partials)
+        if len(products) > 4 * PRODUCT_CAP:
+            break
+    if not products:
+        return False
+    rows = dense_numerator_rows(y, products + [element.section])
+    return reduce_row(echelon(rows[:-1]), rows[-1]) is None
 
 
 def per_test_reduce_generators(y, elements):

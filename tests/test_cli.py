@@ -558,6 +558,25 @@ COX_POINT_SETS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "points, h_form, name",
+    [(*COX_POINT_SETS[1], "other-points"), (*COX_POINT_SETS[2], "moved-points")],
+)
+def test_the_general_route_on_other_points_writes_the_stored_pruning(
+    points, h_form, name, tmp_path, capsys
+):
+    # the pool, the pruned set and its sections on the blow-up of points
+    # other than the shipped ones
+    job = tmp_path / "cox.pdiv"
+    job.write_text(_cox_job(points, h_form))
+    report = tmp_path / "general.txt"
+    assert main([str(job), "--pipeline", "general", "--output", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert report.read_text() == Path(f"tests/golden/cox-s5.{name}.general.txt").read_text()
+    golden = Path(f"tests/golden/cox-s5.{name}.general.gens.txt").read_text()
+    assert Path(f"{report}.gens.txt").read_text() == golden
+
+
 @pytest.mark.parametrize("points, h_form", COX_POINT_SETS)
 def test_the_cox_pipeline_reads_its_points_and_line_from_the_job(points, h_form, tmp_path, capsys):
     job = tmp_path / "cox.pdiv"

@@ -146,6 +146,45 @@ def test_algebra_membership_negative():
     assert not algebra_membership(y, target, gens)
 
 
+class _Unmultipliable(MPoly):
+    """A polynomial that fails any product it enters."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        raise AssertionError("a later decomposition was multiplied out")
+
+    __rmul__ = __mul__
+
+
+def test_a_membership_test_stops_at_the_first_spanning_decomposition():
+    y = plane_variety()
+    x = MPoly.variable(3, 0)
+    late = _Unmultipliable(3, {(0, 0, 2): 1})
+    gens = [GradedElement(ffe(x), (1,)), GradedElement(ffe(late), (2,))]
+    # the decompositions of 2 are (1, 1), whose product x^2 spans, then (2,)
+    assert _nn_decompositions((2,), [(1,), (2,)]) == [((1,), (1,)), ((2,),)]
+    assert algebra_membership(y, GradedElement(ffe(3 * x**2), (2,)), gens)
+
+
+def test_a_membership_test_reads_products_over_one_fixed_denominator():
+    y = plane_variety()
+    x, yy, z = (MPoly.variable(3, i) for i in range(3))
+    # every section of the weight 1 has the denominator D at most, and one
+    # of the weight 2 has E^2: the product x * x / D^2 spans x^2 E / (D^2 E)
+    gens = [
+        GradedElement(ffe(x, [("D", 1)]), (1,)),
+        GradedElement(ffe(yy), (1,)),
+        GradedElement(ffe(z, [("E", 2)]), (2,)),
+    ]
+    target = GradedElement(ffe(x * x * y.form("E"), [("D", 2), ("E", 1)]), (2,))
+    with mock.patch.object(engine, "in_span", wraps=engine.in_span) as span:
+        assert algebra_membership(y, target, gens)
+    # (1, 1) asks for D^2 and (2,) for E^2
+    assert span.call_args.args[3] == {"D": 2, "E": 2}
+    assert not algebra_membership(y, GradedElement(ffe(x * z, [("D", 1)]), (2,)), gens)
+
+
 def test_reduce_generators_drops_products():
     y = plane_variety()
     one = MPoly.constant(3, 1)

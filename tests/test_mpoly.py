@@ -89,3 +89,29 @@ def test_content_normalized():
     assert g.terms[(1, 0)] in (Fraction(1), Fraction(-1))
     ratio = g.terms[(0, 1)] / g.terms[(1, 0)]
     assert ratio == 2
+
+
+# x0 in two variables and x2 in three: zip would truncate the exponents
+_TWO_AND_THREE = pytest.mark.parametrize(
+    "a, b", [(MPoly.variable(2, 0), MPoly.variable(3, 2)), (MPoly.variable(3, 2), MPoly.variable(2, 0))]
+)
+
+
+@_TWO_AND_THREE
+def test_a_sum_refuses_another_number_of_variables(a, b):
+    with pytest.raises(ValueError, match=f"polynomials in {a.nvars} and {b.nvars} variables"):
+        a + b
+
+
+@_TWO_AND_THREE
+def test_a_difference_refuses_another_number_of_variables(a, b):
+    with pytest.raises(ValueError, match=f"polynomials in {a.nvars} and {b.nvars} variables"):
+        a - b
+
+
+@_TWO_AND_THREE
+def test_a_product_refuses_another_number_of_variables(a, b):
+    with pytest.raises(ValueError, match=f"polynomials in {a.nvars} and {b.nvars} variables"):
+        a * b
+    # a scalar has no variables to count
+    assert (2 * a) * Fraction(1, 2) == a == (a + 3) - 3

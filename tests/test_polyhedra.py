@@ -71,6 +71,17 @@ def test_vectors_of_different_widths_are_rejected():
             plane.contains(point)
 
 
+def test_an_interior_test_rejects_a_point_of_another_width():
+    # the whole plane has no facet, and a ray is not full-dimensional, so
+    # neither reaches dot
+    plane = cone_from_rays([(1, 0), (0, 1), (-1, 0), (0, -1)], 2)
+    assert plane.contains_interior((1, 2))
+    for cone in (plane, cone_from_rays([(1, 0)], 2), cone_from_rays([(1, 0), (0, 1)], 2)):
+        for point in ((1, 2, 3), (1,)):
+            with pytest.raises(ValueError, match=f"point of width {len(point)} in a cone of dimension 2"):
+                cone.contains_interior(point)
+
+
 def test_dual_cone_known():
     c = cone_from_rays([(1, 0), (1, 2)], 2)
     d = dual_cone(c)

@@ -33,6 +33,7 @@ from helpers import (
     listing_t_monomial,
     mat_mul,
     normal_fan,
+    one_shot_algebra_membership,
     oracle_element_divisor,
     oracle_factor_exponents,
     oracle_blowup_sections,
@@ -56,6 +57,8 @@ from pdivgen import polyhedra
 from pdivgen.coxs5 import CURVE_COLUMNS, _t_monomial, build_cox_pdivisor, cox_surface, reduce_rays
 from pdivgen.engine import (
     GradedElement,
+    _weight_denominators,
+    algebra_membership,
     extended_vector,
     harvest_rays,
     interior_lattice_basis,
@@ -93,6 +96,7 @@ from pdivgen.varieties import (
     PointBase,
     QDivisor,
     _cross,
+    common_denominator,
     ffe,
     in_span,
     is_basepoint_free,
@@ -464,6 +468,19 @@ def test_span_tests_match_the_fraction_oracle(case):
     if combination:
         assert got
     assert span_dimension(_PLANE, elements) == fraction_span_dimension(_PLANE, elements)
+
+
+@given(_plane_span_cases(), st.dictionaries(st.sampled_from(("D", "E")), st.integers(0, 2)))
+@settings(max_examples=60, deadline=None)
+def test_a_span_test_reads_a_generator_as_its_list(case, extra):
+    elements, target, _ = case
+    expected = in_span(_PLANE, target, elements)
+    assert in_span(_PLANE, target, (e for e in elements)) == expected
+    # a common denominator raised by any exponents gives the same answer
+    den = common_denominator(elements + [target])
+    for label, k in extra.items():
+        den[label] = den.get(label, 0) + k
+    assert in_span(_PLANE, target, iter(elements), den) == expected
 
 
 # Base point freeness on the plane with the cubics D and E and the line
@@ -995,6 +1012,59 @@ _CUT_OFF_POOL = (PointBase(), [GradedElement(PointBase().one(), w) for w in _CUT
 def test_one_search_per_weight_prunes_as_one_search_per_test(case):
     y, pool = case
     assert reduce_generators(y, pool) == per_test_reduce_generators(y, pool)
+
+
+# A membership test reduces each product into one echelon as it is built,
+# over a denominator fixed up front, and stops when the element's row
+# reduces to zero; the oracle multiplies out every product first.  An
+# element of a pool is tested against the rest of it, as in pruning, with
+# and without the pool's per-weight denominators.
+
+_X, _Y, _Z = (MPoly.variable(3, i) for i in range(3))
+
+
+def _on_weights(*pairs):
+    return [GradedElement(ffe(num), weight) for num, weight in pairs]
+
+
+# y^2 is the 900th product of the weight 1 with itself, past the cap
+_TRUNCATED = (
+    _PLANE,
+    _on_weights((_Y * _Y, (2,)))[0],
+    _on_weights(*[(_X, (1,))] * 29, (_Y, (1,))),
+)
+# five decompositions of 6 give 3,000 products before (6,), whose z^6 spans
+_STOPPED = (
+    _PLANE,
+    _on_weights((2 * _Z**6, (6,)))[0],
+    _on_weights(
+        *[(_X, (1,))] * 30, *[(_X**2, (2,))] * 30, *[(_X**3, (3,))] * 30, (_Z**6, (6,))
+    ),
+)
+
+
+@st.composite
+def _membership_cases(draw):
+    y, pool = draw(st.one_of(_plane_pools(), _point_pools()).filter(lambda case: case[1]))
+    i = draw(st.integers(0, len(pool) - 1))
+    return y, pool[i], pool[:i] + pool[i + 1 :]
+
+
+@given(_membership_cases())
+@example(_TRUNCATED)
+@example(_STOPPED)
+@settings(max_examples=80, deadline=None)
+def test_a_membership_test_that_stops_early_answers_as_the_one_shot_test(case):
+    y, element, gens = case
+    expected = one_shot_algebra_membership(y, element, gens)
+    assert algebra_membership(y, element, gens) == expected
+    dens = _weight_denominators(gens + [element])
+    assert algebra_membership(y, element, gens, dens=dens) == expected
+    if case in (_TRUNCATED, _STOPPED):
+        # the last generator alone spans the element, but its products come
+        # past a cap
+        assert not expected
+        assert algebra_membership(y, element, gens[-1:])
 
 
 # The Cox route's ray reduction compares facet values where it tested each

@@ -172,6 +172,15 @@ def test_span_helpers():
     assert in_span(y, target, [a, b])
     assert not in_span(y, ffe(z, [("D", 1)]), [a, b])
     assert span_dimension(y, [a, b, target]) == 2
+    # a denominator given up front must cover every section's
+    assert in_span(y, target, iter([a, b]), {"D": 2, "E": 1})
+    for den in ({"D": 1}, {"D": 1, "E": 3}):
+        with pytest.raises(ValueError, match=r"the denominator D\^2 of a section exceeds"):
+            in_span(y, target, [ffe(x, [("D", 2)])], den)
+    # the target's row is read first
+    for den in ({}, {"E": 3}):
+        with pytest.raises(ValueError, match=r"the denominator D\^1 of a section exceeds"):
+            in_span(y, target, [ffe(x, [("D", 2)])], den)
 
 
 def test_form_power_is_built_once_and_a_form_is_registered_once():
