@@ -6,7 +6,9 @@ cells, ``harvest_rays`` finds each ray's base point free multiple,
 ``zariski_generators`` builds the ray sections, and ``complete_generators``
 completes the weight lattice, prunes dependent elements, completes the
 quotient field and normalizes or exports.  ``coxs5.run_cox`` runs the same
-steps.  Saturation runs on a point base; on any other base an independent
+steps.  The weight cone of the p-divisor is the one cone a solve needs:
+pruning searches in it, and on a point base, where saturation runs, the
+generators are its Hilbert basis.  On any other base an independent
 factorable set is normal, and anything else is exported as a presentation
 for an external normalization.
 """
@@ -500,10 +502,13 @@ def algebra_membership(
     return in_span(y, element.section, _products(y.one(), by_weight, decomps), common)
 
 
-def reduce_generators(y, elements):
+def reduce_generators(y, elements, cone):
     """Sound pruning: drop an element when its section is provably in the
     subalgebra generated by the remaining ones.
 
+    ``cone`` contains every weight of the pool, as the weight cone of a
+    solve does, and prunes every search; it finds the decompositions a
+    search on the cone of the searched weights finds, in the same order.
     Each distinct weight is searched once, over all the pool's weights,
     and each test keeps the decompositions whose weights all lie in its
     rest.  The search emits them in lexicographic order of their weight
@@ -521,9 +526,6 @@ def reduce_generators(y, elements):
     order = sorted(
         kept, key=lambda e: (sum(abs(x) for x in e.weight), e.key()), reverse=True
     )
-    # one pruning cone for every search: each weight set searched is part
-    # of the pool, so the cone of the pool's weights contains it
-    cone = cone_from_rays([e.weight for e in kept], len(kept[0].weight))
     values = {}
     weights = tuple(sorted({e.weight for e in kept}))
     pooled = dict(zip(weights, _search(weights, weights, NODE_LIMIT, cone, values)))
@@ -545,29 +547,24 @@ def reduce_generators(y, elements):
 # step 13: normalization or export
 
 
-def _saturate_semigroup(vectors):
-    """Hilbert basis of cone(vectors) in the lattice generated by them.
-
-    Returns saturated vectors expressed back in the ambient coordinates.
-    """
-    span = hnf_basis(vectors)
-    cone = cone_from_rays([solve_in_lattice(v, span) for v in vectors], len(span))
-    return sorted(
-        tuple(sum(c * x for c, x in zip(h, column)) for column in zip(*span))
-        for h in hilbert_basis(cone)
-    )
-
-
-def normalize_or_export(y, elements, vectors=None):
+def normalize_or_export(y, elements, weight_cone, vectors=None):
     """Saturate on a point base; elsewhere an independent factorable set is
-    normal, and everything else is exported; ``vectors`` caches by key."""
+    normal, and everything else is exported; ``vectors`` caches by key.
+
+    On a point base the elements' weights saturate to the Hilbert basis of
+    the ``weight_cone``, which is read off that cone with no cone built.
+    Two facts make this exact.  The weights generate Z^n: weight lattice
+    completion makes the pool's weights generate it, and pruning drops
+    only a weight that is a sum of kept ones.  And their cone is the
+    weight cone: the pool holds a multiple of each of its rays, and
+    pruning keeps the smallest on each ray, since a weight of the cone on
+    an extreme ray is a sum only of weights on that ray.
+    """
     elements = _sorted_elements(_dedupe(elements))
     if isinstance(y, PointBase):
-        weights = [e.weight for e in elements]
-        sat = _saturate_semigroup(weights)
-        out = [GradedElement(y.one(), tuple(w)) for w in sat]
-        status = "Normal" if sorted(weights) == sat else "SaturatedToric"
-        return GeneratorSet(tuple(_sorted_elements(out)), status)
+        sat = hilbert_basis(weight_cone)
+        status = "Normal" if tuple(sorted(e.weight for e in elements)) == sat else "SaturatedToric"
+        return GeneratorSet(tuple(GradedElement(y.one(), w) for w in sat), status)
     vectors = _extended_vectors(y, elements, {} if vectors is None else vectors)
     usable = [v for v in vectors if v is not None]
     # relations live in the left kernel: integer combinations of the
@@ -619,10 +616,11 @@ def complete_generators(y, d: PDivisor, pool, harvest, max_iterations=64):
     """Steps 7-13 on the ray sections ``pool``.  Returns the raw pool size,
     the pruned and the re-added elements, and the GeneratorSet."""
     pool = pool + weight_lattice_completion(d, pool, harvest, max_iterations)
-    pruned = reduce_generators(y, pool)
+    pruned = reduce_generators(y, pool, d.weight_cone)
     vectors = {}
     readded = quotient_field_complete(d, pruned, pool, max_iterations, vectors)
-    return len(pool), pruned, readded, normalize_or_export(y, pruned + readded, vectors)
+    result = normalize_or_export(y, pruned + readded, d.weight_cone, vectors)
+    return len(pool), pruned, readded, result
 
 
 def run_general(y, d: PDivisor, max_iterations=64, domain=None) -> GeneratorSet:

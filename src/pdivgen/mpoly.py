@@ -94,6 +94,8 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError(f"a polynomial has no power with the negative exponent {k}")
         out = MPoly.constant(self.nvars, 1)
         base = self
         while k:

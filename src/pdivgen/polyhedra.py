@@ -285,14 +285,6 @@ def triangulate(cone: QCone):
     return sorted(set(cells))
 
 
-def _span_lattice_basis(rays):
-    """Saturated lattice basis of the rational span of the rays."""
-    w = kernel_lattice(rays)
-    if not w:
-        return identity(len(rays[0]))
-    return kernel_lattice(w)
-
-
 def _parallelepiped_points(cell_rows):
     """Nonzero lattice points in {sum l_i r_i : 0 <= l_i < 1} (full rank)."""
     n = len(cell_rows)
@@ -314,17 +306,24 @@ def _parallelepiped_points(cell_rows):
 
 
 def hilbert_basis(cone: QCone):
-    """Unique minimal generating set of cone /\\ Z^n, sorted lexicographically."""
+    """Unique minimal generating set of cone /\\ Z^n, sorted lexicographically.
+
+    A full-dimensional cone is worked on as it is and builds no cone.  A
+    cone that is not is rebuilt in a saturated basis of the lattice of its
+    span, where it is full-dimensional, and its basis is mapped back.
+    """
     if not cone.is_pointed():
         raise NonPointedCone(
             f"the cone with rays {cone.rays} is not pointed; a Hilbert basis needs one"
         )
     if not cone.rays:
         return ()
-    span = _span_lattice_basis(cone.rays)
-    yrays = [solve_in_lattice(r, span) for r in cone.rays]
-    r = len(span)
-    ycone = cone_from_rays(yrays, r)
+    ycone, span = cone, None
+    normal = kernel_lattice(cone.rays)
+    if normal:
+        span = kernel_lattice(normal)
+        ycone = cone_from_rays([solve_in_lattice(r, span) for r in cone.rays], len(span))
+    r = ycone.dim
     candidates = set()
     for cell in triangulate(ycone):
         candidates.update(cell)
@@ -343,8 +342,9 @@ def hilbert_basis(cone: QCone):
                 break
         if not reducible:
             basis.append(h)
-    out = [tuple(sum(y[i] * span[i][j] for i in range(r)) for j in range(cone.dim)) for y in basis]
-    return tuple(sorted(out))
+    if span:
+        basis = [tuple(dot(y, column) for column in zip(*span)) for y in basis]
+    return tuple(sorted(basis))
 
 
 def unimodular_triangulation(cone: QCone):

@@ -18,6 +18,7 @@ from pdivgen.engine import (
 )
 from pdivgen.intlinalg import (
     echelon,
+    hnf_basis,
     identity,
     kernel_lattice,
     primitive,
@@ -37,6 +38,7 @@ from pdivgen.polyhedra import (
     dot,
     dual_cone,
     generators_of_dual,
+    hilbert_basis,
     tailed_polyhedron,
     triangulate,
 )
@@ -807,6 +809,18 @@ def per_test_reduce_generators(y, elements):
         if algebra_membership(y, e, rest, cone=cone, values=values):
             kept = rest
     return _sorted_elements(kept)
+
+
+def saturate_semigroup(vectors):
+    """Hilbert basis of cone(vectors) in the lattice generated by them, in
+    the ambient coordinates; the oracle for a point base's saturation,
+    which reads the Hilbert basis of the weight cone instead."""
+    span = hnf_basis(vectors)
+    cone = cone_from_rays([solve_in_lattice(v, span) for v in vectors], len(span))
+    return sorted(
+        tuple(sum(c * x for c, x in zip(h, column)) for column in zip(*span))
+        for h in hilbert_basis(cone)
+    )
 
 
 # ---------------------------------------------------------------------------

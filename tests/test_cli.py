@@ -873,6 +873,18 @@ def test_a_point_job_generates_the_semigroup_algebra(pipeline, tmp_path, capsys)
     assert sorted(weights) == sorted(hilbert_basis(cone_from_rays([(1, 0), (1, 3)], 2)))
 
 
+@pytest.mark.parametrize(
+    "name, rays", [("point", "(1,0) (1,3)"), ("pyramid", "(1,0,1) (0,1,1) (-1,0,1) (0,-1,1)")]
+)
+def test_the_general_route_on_a_point_prints_the_stored_report(name, rays, tmp_path, capsys):
+    # the pool, pruned and status lines and the Hilbert basis of the weight
+    # cone: a wedge that saturates, and a square pyramid that is normal
+    job = tmp_path / "point.pdiv"
+    job.write_text(f"[variety]\nbackend = point\n[pdivisor]\nrays = {rays}\n")
+    assert main([str(job), "--pipeline", "general"]) == EXIT_OK
+    assert capsys.readouterr().out == Path(f"tests/golden/{name}.general.txt").read_text()
+
+
 def _without_coefficients(path):
     text = Path(path).read_text()
     return "".join(line for line in text.splitlines(True) if not line.startswith("coefficient."))

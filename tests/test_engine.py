@@ -17,6 +17,7 @@ from helpers import (
     plane_pdivisor,
     plane_variety,
     recursive_nn_decompositions,
+    saturate_semigroup,
     thirteen_generators,
 )
 from pdivgen import cli, coxs5, engine, pdivisor, polyhedra, torus
@@ -27,7 +28,6 @@ from pdivgen.engine import (
     GradedElement,
     _interior_ray,
     _nn_decompositions,
-    _saturate_semigroup,
     _search,
     algebra_membership,
     extended_vector,
@@ -191,19 +191,22 @@ def test_reduce_generators_drops_products():
     a = GradedElement(ffe(one), (0, 1))
     b = GradedElement(ffe(one), (1, 1))
     prod = GradedElement(ffe(one), (1, 2))
-    reduced = reduce_generators(y, [a, b, prod])
+    quadrant = cone_from_rays([(1, 0), (0, 1)], 2)
+    reduced = reduce_generators(y, [a, b, prod], quadrant)
     assert {e.weight for e in reduced} == {(0, 1), (1, 1)}
 
 
-def test_reduce_generators_builds_each_pruning_cone_once():
-    d = plane_pdivisor()
-    y = d.variety
-    pool = run_general(y, d).elements
-    with mock.patch.object(engine, "cone_from_rays", wraps=engine.cone_from_rays) as build:
-        reduce_generators(y, pool)
-    # one cone of all the pool's weights prunes every search
-    assert build.call_count == 1
-    assert sorted(build.call_args.args[0]) == sorted(e.weight for e in pool)
+def test_a_solve_builds_no_cone_on_a_point_base_or_the_plane():
+    # pruning searches in the solve's weight cone, which holds every pool
+    # weight, and a point base reads the Hilbert basis off that cone: it
+    # saturates to SaturatedToric on the wedge and is Normal on the pyramid
+    wedge = cone_from_rays([(1, 0), (1, 3)], 2)
+    pyramid = cone_from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    points = [PDivisor(PointBase(), cone, {}) for cone in (wedge, pyramid)]
+    for d in points + [plane_pdivisor()]:
+        with mock.patch.object(polyhedra, "_dual_pair", wraps=polyhedra._dual_pair) as build:
+            run_general(d.variety, d)
+        assert build.call_count == 0
 
 
 def test_reduce_generators_searches_each_weight_once():
@@ -212,7 +215,7 @@ def test_reduce_generators_searches_each_weight_once():
     pool = run_general(y, d).elements
     expected = per_test_reduce_generators(y, pool)
     with mock.patch.object(engine, "_search", wraps=engine._search) as search:
-        assert reduce_generators(y, pool) == expected
+        assert reduce_generators(y, pool, d.weight_cone) == expected
     # one search of every distinct weight, and none per test
     assert search.call_count == 1
     assert search.call_args.args[0] == tuple(sorted({e.weight for e in pool}))
@@ -227,7 +230,7 @@ def test_a_search_cut_off_at_the_node_limit_falls_back_to_its_test():
     assert not complete
     expected = per_test_reduce_generators(y, pool)
     with mock.patch.object(engine, "algebra_membership", wraps=engine.algebra_membership) as test:
-        assert reduce_generators(y, pool) == expected
+        assert reduce_generators(y, pool, cone) == expected
     # only the test at (20, 20) runs a search of its own
     own = [c.args[1].weight for c in test.call_args_list if c.kwargs["decomps"] is None]
     assert own == [(20, 20)]
@@ -238,7 +241,7 @@ def test_normalize_or_export_takes_the_left_kernel_once():
     y = d.variety
     elements = run_general(y, d).elements
     with mock.patch.object(engine, "kernel_lattice", wraps=engine.kernel_lattice) as ker:
-        result = engine.normalize_or_export(y, elements)
+        result = engine.normalize_or_export(y, elements, d.weight_cone)
     assert ker.call_count == 1
     golden = Path("perfbench/golden/plane-general.txt").read_text()
     assert result.presentation.startswith("# presentation")
@@ -316,7 +319,7 @@ def _independent_vectors(draw):
 def test_independent_vectors_are_their_own_saturation(vectors):
     # Z-independent vectors are a basis of the lattice they span, so their
     # cone meets that lattice in their own semigroup
-    assert _saturate_semigroup(vectors) == sorted(vectors)
+    assert saturate_semigroup(vectors) == sorted(vectors)
 
 
 def test_point_base_recovers_hilbert_basis():
@@ -344,6 +347,45 @@ def test_point_base_random_cones_match_oracle():
         result = run_general(d.variety, d)
         weights = sorted(e.weight for e in result.elements)
         assert weights == brute_hilbert_basis(cone.rays, 2)
+
+
+def _random_weight_cone(rng, dim):
+    """A full-dimensional pointed cone of up to dim + 2 random rays, with
+    entries small enough for the brute-force oracle in dimension 3."""
+    bound = 3 if dim == 2 else 2
+    while True:
+        count = dim + rng.choice((0, 1, 2))
+        rays = [tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(count)]
+        if not all(map(any, rays)):
+            continue
+        cone = cone_from_rays(rays, dim)
+        if cone.is_pointed() and cone.is_full_dim():
+            return cone
+
+
+def test_point_base_saturation_is_the_oracle_on_the_pruned_weights():
+    # a point base reads its generators off the weight cone's Hilbert
+    # basis; the oracle prunes the pool on the pool's own cone, one search
+    # per test, and saturates the weights kept in the lattice they generate
+    rng = random.Random(31)
+    simplicial = set()
+    for _ in range(200):
+        dim = rng.choice((2, 3, 4))
+        cone = _random_weight_cone(rng, dim)
+        simplicial.add(len(cone.rays) == dim)
+        d = PDivisor(PointBase(), cone, {})
+        result = run_general(d.variety, d)
+        harvest = harvest_rays(d, cone.rays)
+        pool, _ = zariski_generators(d, harvest)
+        pool += weight_lattice_completion(d, pool, harvest)
+        weights = sorted(e.weight for e in per_test_reduce_generators(d.variety, pool))
+        sat = saturate_semigroup(weights)
+        assert [e.weight for e in result.elements] == sat
+        status = "Normal" if weights == sat else "SaturatedToric"
+        assert result.normalization_status == status
+        if dim <= 3:
+            assert sat == brute_hilbert_basis(cone.rays, dim)
+    assert simplicial == {False, True}
 
 
 def test_interior_lattice_basis_needs_a_large_push():

@@ -44,6 +44,14 @@ def test_divide_exact_failure():
     assert (x * x + y).divide_exact(x) is None
 
 
+def test_powers_take_a_nonnegative_exponent():
+    x = MPoly.variable(2, 0)
+    assert (x + 1) ** 0 == MPoly.constant(2, 1)
+    assert (x + 1) ** 3 == (x + 1) * (x + 1) * (x + 1)
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        x ** -1
+
+
 def test_total_degree_and_homogeneous():
     x, y, z = (MPoly.variable(3, i) for i in range(3))
     f = x * y * z

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_hilbert_basis, det, normal_fan, support
 from pdivgen import polyhedra
-from pdivgen.intlinalg import rank
+from pdivgen.intlinalg import identity, rank
 from pdivgen.polyhedra import (
     NonPointedCone,
     QCone,
@@ -127,6 +127,28 @@ def test_hilbert_basis_matches_brute_force():
         assert sorted(hilbert_basis(c)) == brute_hilbert_basis(c.rays, dim)
 
 
+def test_hilbert_basis_of_a_cone_that_is_not_full_dimensional_matches_brute_force():
+    # a cone in Z^k sent into Z^n by the first k rows of a unimodular
+    # matrix spans a saturated sublattice, so its Hilbert basis is the image
+    # of the brute-force one in Z^k
+    rng = random.Random(17)
+    for k, n in ((2, 3), (3, 4)) * 3:
+        small = random_pointed_cone(rng, k)
+        rows = [list(r) for r in identity(n)]
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+
+        def embed(v):
+            return tuple(dot(v, column) for column in zip(*rows[:k]))
+
+        cone = cone_from_rays([embed(r) for r in small.rays], n)
+        assert cone.span_rank() == k
+        expected = tuple(sorted(embed(h) for h in brute_hilbert_basis(small.rays, k)))
+        assert hilbert_basis(cone) == expected
+
+
 def test_triangulations():
     c = cone_from_rays([(1, 0), (1, 1), (0, 1)], 2)
     tris = triangulate(c)
@@ -164,8 +186,14 @@ def test_triangulate_builds_a_cone_only_for_a_face_that_is_not_simplicial():
 
 
 def test_hilbert_basis_builds_only_the_cone_in_its_span_lattice():
+    # a full-dimensional cone is its own cone in its span lattice
     basis, builds = _cone_builds(hilbert_basis, _PYRAMID)
     assert basis == ((-1, 0, 1), (0, -1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1))
+    assert builds == 0
+    # the wedge (1, 0) (1, 3) in the plane z = x of R^3
+    flat = cone_from_rays([(1, 0, 1), (1, 3, 1)], 3)
+    basis, builds = _cone_builds(hilbert_basis, flat)
+    assert basis == ((1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1))
     assert builds == 1
 
 

@@ -965,11 +965,12 @@ def test_exponent_vectors_round_trip_through_sections(base, data):
     assert rest.is_term()
 
 
-# Pruning searches each weight once over the whole pool, and each test
-# keeps the decompositions whose weights lie in its rest; the oracle runs
-# one search per test.  Plane pools take elements of the plane example's
-# raw pool and products of pairs of them; point pools take weights in a
-# random pointed cone, so that sums of weights drop.
+# Pruning searches each weight once over the whole pool, on a cone that
+# contains its weights, and each test keeps the decompositions whose
+# weights lie in its rest; the oracle runs one search per test, on the
+# pool's own cone.  Plane pools take elements of the plane example's raw
+# pool and products of pairs of them, in its weight cone; point pools take
+# weights in a random pointed cone, so that sums of weights drop.
 
 
 @st.composite
@@ -980,7 +981,7 @@ def _plane_pools(draw):
     products = [
         GradedElement(a.section * b.section, tuple(map(add, a.weight, b.weight))) for a, b in pairs
     ]
-    return _PLANE_D.variety, chosen + products
+    return _PLANE_D.variety, chosen + products, _PLANE_D.weight_cone
 
 
 @st.composite
@@ -997,11 +998,15 @@ def _point_pools(draw):
         pairs = st.tuples(st.sampled_from(weights), st.sampled_from(weights))
         weights += [tuple(map(add, a, b)) for a, b in draw(st.lists(pairs, max_size=3))]
     point = PointBase()
-    return point, [GradedElement(point.one(), w) for w in weights]
+    return point, [GradedElement(point.one(), w) for w in weights], cone
 
 
 _CUT_OFF_WEIGHTS = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (20, 20))
-_CUT_OFF_POOL = (PointBase(), [GradedElement(PointBase().one(), w) for w in _CUT_OFF_WEIGHTS])
+_CUT_OFF_POOL = (
+    PointBase(),
+    [GradedElement(PointBase().one(), w) for w in _CUT_OFF_WEIGHTS],
+    cone_from_rays([(1, 0), (0, 1)], 2),
+)
 
 
 @given(st.one_of(_plane_pools(), _point_pools()))
@@ -1010,8 +1015,8 @@ _CUT_OFF_POOL = (PointBase(), [GradedElement(PointBase().one(), w) for w in _CUT
 @example(_CUT_OFF_POOL)
 @settings(max_examples=60, deadline=None)
 def test_one_search_per_weight_prunes_as_one_search_per_test(case):
-    y, pool = case
-    assert reduce_generators(y, pool) == per_test_reduce_generators(y, pool)
+    y, pool, cone = case
+    assert reduce_generators(y, pool, cone) == per_test_reduce_generators(y, pool)
 
 
 # A membership test reduces each product into one echelon as it is built,
@@ -1045,7 +1050,7 @@ _STOPPED = (
 
 @st.composite
 def _membership_cases(draw):
-    y, pool = draw(st.one_of(_plane_pools(), _point_pools()).filter(lambda case: case[1]))
+    y, pool, _ = draw(st.one_of(_plane_pools(), _point_pools()).filter(lambda case: case[1]))
     i = draw(st.integers(0, len(pool) - 1))
     return y, pool[i], pool[:i] + pool[i + 1 :]
 

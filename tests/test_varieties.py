@@ -278,3 +278,12 @@ def test_exponents_keep_a_residual_that_does_not_factor():
     assert y.from_exponents(vec) == ffe(x * e, [("coord:y", 1)])
     with pytest.raises(ZeroDivisionError):
         y.exponents(ffe(MPoly(3), [("D", 1)]))
+
+
+def test_a_function_field_power_takes_a_nonnegative_exponent():
+    x = MPoly.variable(3, 0)
+    f = ffe(x + 1, [("D", 1)])
+    assert f**2 == ffe((x + 1) * (x + 1), [("D", 2)])
+    # a negative power is an inverse, which only a product of atoms has
+    with pytest.raises(ValueError, match="negative exponent -2"):
+        f**-2
