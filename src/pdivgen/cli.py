@@ -1,43 +1,34 @@
 """Batch front end: job descriptions in, deterministic reports out.
 
-A job file is sectioned key/value text with exact rational literals.
-Sections: [variety], [pdivisor], optional [cone], and [job].  See the
-README for the full format.
+``jobfile`` reads a job and builds what it describes; this module runs
+the job's pipeline, writes its report and maps each error to an exit code.
 """
 
 import argparse
-import ast
 import sys
-from fractions import Fraction
-from math import comb
 
-from .coxs5 import build_cox_pdivisor, cox_surface, run_cox
+from .coxs5 import build_cox_pdivisor, run_cox
 from .engine import format_section, run_general
 from .intlinalg import primitive
-from .mpoly import MPoly, _rational
+from .jobfile import (
+    JobDescription,
+    JobParseError,
+    JobSemanticError,
+    build_cone,
+    build_pdivisor,
+    build_variety,
+    parse_job,
+    parse_vector,
+)
 from .pdivisor import (
     IterationLimitExceeded,
-    PDivisor,
     WeightOutsideCone,
     bigness_checks,
     linearity_subdivision,
 )
-from .polyhedra import (
-    NonPointedCone,
-    QCone,
-    cone_from_rays,
-    dual_cone,
-    hilbert_basis,
-    tailed_polyhedron,
-)
+from .polyhedra import NonPointedCone, hilbert_basis
 from .torus import run_torus
-from .varieties import (
-    BlowupOfP2,
-    NotTMoveable,
-    PointBase,
-    ProjectiveSpace,
-    UnsupportedBackend,
-)
+from .varieties import BlowupOfP2, NotTMoveable, UnsupportedBackend
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,24 +37,6 @@ EXIT_ITERATION = 4
 EXIT_BACKEND = 5
 
 PIPELINES = ("general", "torus", "cox-s5", "hilbert", "subdivide", "eval")
-
-# Bounds on a polynomial in a job file, read off its syntax tree before
-# anything is built: the largest exponent (the exponents of nested powers
-# multiply) and the most terms any subexpression may have.
-MAX_EXPONENT = 64
-MAX_TERMS = 5000
-
-
-class JobParseError(ValueError):
-    def __init__(self, line, col, message):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-
-
-class JobSemanticError(ValueError):
-    pass
-
 
 # exception -> (exit code, stderr prefix); run_job tags the message with its stage
 EXIT_CODES = {
@@ -75,289 +48,6 @@ EXIT_CODES = {
     IterationLimitExceeded: (EXIT_ITERATION, "iteration cap"),
     UnsupportedBackend: (EXIT_BACKEND, "unsupported backend"),
 }
-
-
-class JobDescription:
-    """Parsed job file: per-section key/value pairs."""
-
-    def __init__(self, sections):
-        self.sections = sections
-
-    def get(self, section, key, default=None):
-        return self.sections.get(section, {}).get(key, default)
-
-    def require(self, section, key):
-        value = self.get(section, key)
-        if value is None:
-            raise JobSemanticError(f"missing key '{key}' in section [{section}]")
-        return value
-
-
-def parse_job(text) -> JobDescription:
-    sections = {}
-    current = None
-    seen_content = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        seen_content = True
-        stripped = line.strip()
-        col = len(line) - len(line.lstrip()) + 1
-        if stripped.startswith("["):
-            if not stripped.endswith("]") or len(stripped) < 3:
-                raise JobParseError(line_no, col, "malformed section header")
-            current = stripped[1:-1].strip()
-            sections.setdefault(current, {})
-            continue
-        if current is None:
-            raise JobParseError(line_no, col, "content before any section header")
-        if "=" not in stripped:
-            raise JobParseError(line_no, col, "expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise JobParseError(line_no, col, "empty key")
-        if key in sections[current]:
-            raise JobParseError(line_no, col, f"duplicate key '{key}'")
-        sections[current][key] = value
-    if not seen_content:
-        raise JobParseError(1, 1, "empty job description")
-    return JobDescription(sections)
-
-
-# ---------------------------------------------------------------------------
-# value parsers
-
-
-def parse_fraction(text):
-    """An exact rational literal, as an int when it is integral."""
-    try:
-        return _rational(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise JobSemanticError(f"bad rational literal '{text.strip()}': {exc}")
-
-
-def parse_vector(text):
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise JobSemanticError(f"expected a parenthesized vector, got '{text}'")
-    return tuple(parse_fraction(p) for p in text[1:-1].split(","))
-
-
-def parse_vector_list(text):
-    vectors = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise JobSemanticError("unbalanced parentheses in vector list")
-            if depth == 0:
-                vectors.append(parse_vector(text[start : i + 1]))
-        elif depth == 0 and not ch.isspace():
-            raise JobSemanticError(f"unexpected character '{ch}' in vector list")
-    if depth != 0:
-        raise JobSemanticError("unbalanced parentheses in vector list")
-    if not vectors:
-        raise JobSemanticError("empty vector list")
-    widths = {len(v) for v in vectors}
-    if len(widths) != 1:
-        raise JobSemanticError("vectors of mixed dimensions")
-    return vectors
-
-
-def parse_polynomial(text, names):
-    """Polynomial expression over the named coordinates, via the ast module."""
-    try:
-        node = ast.parse(text, mode="eval").body
-    except SyntaxError as exc:
-        raise JobSemanticError(f"bad polynomial '{text}': {exc.msg}")
-    nvars = len(names)
-    _size_bound(node, text, nvars)
-    index = {n: i for i, n in enumerate(names)}
-
-    def ev(n):
-        if isinstance(n, ast.BinOp):
-            if isinstance(n.op, ast.Add):
-                return ev(n.left) + ev(n.right)
-            if isinstance(n.op, ast.Sub):
-                return ev(n.left) - ev(n.right)
-            if isinstance(n.op, ast.Mult):
-                return ev(n.left) * ev(n.right)
-            if isinstance(n.op, ast.Pow):
-                e = n.right
-                if not (isinstance(e, ast.Constant) and isinstance(e.value, int)):
-                    raise JobSemanticError("exponents must be integer literals")
-                return ev(n.left) ** e.value
-            if isinstance(n.op, ast.Div):
-                den = n.right
-                if isinstance(den, ast.Constant) and isinstance(den.value, int):
-                    if not den.value:
-                        raise JobSemanticError(f"division by zero in polynomial '{text}'")
-                    return ev(n.left) * MPoly.constant(nvars, Fraction(1, den.value))
-                raise JobSemanticError("division only by integer literals")
-        if isinstance(n, ast.UnaryOp):
-            if isinstance(n.op, ast.USub):
-                return -ev(n.operand)
-            if isinstance(n.op, ast.UAdd):
-                return ev(n.operand)
-        if isinstance(n, ast.Constant) and isinstance(n.value, int):
-            return MPoly.constant(nvars, Fraction(n.value))
-        if isinstance(n, ast.Name):
-            if n.id not in index:
-                raise JobSemanticError(f"unknown coordinate '{n.id}'")
-            return MPoly.variable(nvars, index[n.id])
-        raise JobSemanticError(f"unsupported expression in polynomial '{text}'")
-
-    return ev(node)
-
-
-def _size_bound(node, text, nvars, power=1):
-    """(degree, terms): upper bounds for a polynomial expression tree.
-
-    ``power`` is the product of the exponents the node sits under.  Raises
-    JobSemanticError when it exceeds MAX_EXPONENT or a subexpression may
-    have more than MAX_TERMS terms.  Nodes that ``parse_polynomial``
-    rejects count as constants.
-    """
-    degree, terms = 0, 1
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Pow):
-            e = node.right
-            if isinstance(e, ast.Constant) and isinstance(e.value, int):
-                # the base is built in full even under an exponent of 0
-                power *= max(e.value, 1)
-                if power > MAX_EXPONENT:
-                    raise JobSemanticError(
-                        f"exponent {power} in '{text}' is above the bound {MAX_EXPONENT}"
-                    )
-                degree, terms = _size_bound(node.left, text, nvars, power)
-                degree, terms = degree * e.value, terms**e.value
-        else:
-            dl, tl = _size_bound(node.left, text, nvars, power)
-            dr, tr = _size_bound(node.right, text, nvars, power)
-            if isinstance(node.op, ast.Mult):
-                degree, terms = dl + dr, tl * tr
-            else:
-                degree, terms = max(dl, dr), tl + tr
-        # no more terms than monomials of degree at most `degree`
-        terms = min(terms, comb(degree + nvars, nvars))
-    elif isinstance(node, ast.UnaryOp):
-        degree, terms = _size_bound(node.operand, text, nvars, power)
-    elif isinstance(node, ast.Name):
-        degree = 1
-    if terms > MAX_TERMS:
-        raise JobSemanticError(
-            f"polynomial '{text}' may have {terms} terms, above the bound {MAX_TERMS}"
-        )
-    return degree, terms
-
-
-def parse_bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "1"):
-        return True
-    if t in ("false", "no", "0"):
-        return False
-    raise JobSemanticError(f"bad boolean literal '{text}'")
-
-
-# ---------------------------------------------------------------------------
-# semantic build
-
-
-def build_variety(job: JobDescription):
-    backend = job.require("variety", "backend")
-    if backend == "point":
-        return PointBase()
-    try:
-        if backend == "projective-space":
-            coords = tuple(job.require("variety", "coordinates").split())
-            n = int(job.get("variety", "dim", str(len(coords) - 1)))
-            if n != len(coords) - 1:
-                raise JobSemanticError("dim must equal number of coordinates minus one")
-            y = ProjectiveSpace(n, coords)
-            forms = _collect_forms(job, coords)
-        elif backend == "blowup-p2":
-            coords = tuple(job.get("variety", "coordinates", "x0 x1 x2").split())
-            points = parse_vector_list(job.require("variety", "points"))
-            forms = _collect_forms(job, coords)
-            if "H" not in forms:
-                raise JobSemanticError("blowup-p2 needs form.H, the line to blow down to")
-            y = BlowupOfP2(points, forms.pop("H"), coords)
-        else:
-            raise UnsupportedBackend(f"unknown backend '{backend}'")
-        for label, poly in sorted(forms.items()):
-            y.register_divisor(label, poly)
-    except UnsupportedBackend:
-        raise
-    except ValueError as exc:  # e.g. a defining form that is zero or not homogeneous
-        raise JobSemanticError(str(exc)) from exc
-    return y
-
-
-def _collect_forms(job, coords):
-    forms = {}
-    for key, value in job.sections.get("variety", {}).items():
-        if key.startswith("form."):
-            forms[key[5:]] = parse_polynomial(value, coords)
-    return forms
-
-
-def build_pdivisor(job: JobDescription, y) -> PDivisor:
-    section = job.sections.get("pdivisor")
-    if section is None:
-        raise JobSemanticError("missing section [pdivisor]")
-    rays = parse_vector_list(job.require("pdivisor", "rays"))
-    dim = len(rays[0])
-    omega = cone_from_rays(rays, dim)
-    if not omega.is_full_dim():
-        raise JobSemanticError(
-            f"the weight cone with rays {omega.rays} is not full-dimensional, "
-            "so its dual tail cone is not pointed"
-        )
-    tail = dual_cone(omega)
-    coeffs = {}
-    for key, value in section.items():
-        if not key.startswith("coefficient."):
-            continue
-        label = key[len("coefficient.") :]
-        if not y.has_label(label):
-            raise JobSemanticError(f"{key}: the {y.name} base has no prime divisor {label}")
-        vertices = _vectors_of_width(section, key, dim)
-        tail_key = f"tail.{label}"
-        own_tail = tail
-        if tail_key in section:
-            own_tail = cone_from_rays(_vectors_of_width(section, tail_key, dim), dim)
-        coeffs[label] = tailed_polyhedron(vertices, own_tail)
-    try:
-        return PDivisor(y, omega, coeffs)
-    except ValueError as exc:
-        raise JobSemanticError(str(exc))
-
-
-def _vectors_of_width(section, key, dim):
-    vectors = parse_vector_list(section[key])
-    if len(vectors[0]) != dim:
-        raise JobSemanticError(
-            f"{key} has vectors of width {len(vectors[0])}, rays have width {dim}"
-        )
-    return vectors
-
-
-def build_cone(job: JobDescription) -> QCone:
-    rays = parse_vector_list(job.require("cone", "rays"))
-    cone = cone_from_rays(rays, len(rays[0]))
-    if parse_bool(job.get("cone", "dualize", "false")):
-        cone = dual_cone(cone)
-    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +126,7 @@ def _pipeline_cox(y, d, max_iterations, domain):
             "the cox-s5 pipeline needs the effective cone, spanned by the ten "
             "negative curve classes, as its weight cone"
         )
-    result = run_cox(y, d, max_iterations, domain)
+    result = run_cox(d, max_iterations, domain)
     lines = list(result.report)
     lines.append(f"{len(result.cells)} subcones")
     lines.append(f"{len(result.rays)} rays")
@@ -466,7 +156,7 @@ def _require_big(d):
 
 
 def run_job(job: JobDescription, args) -> int:
-    """Run the job; no job stands for the built-in Cox p-divisor."""
+    """Run the job; no job stands for the packaged Cox job, ``coxs5.build_cox_pdivisor``."""
     pipeline = args.pipeline or job.get("job", "pipeline")
     if pipeline is None:
         raise JobSemanticError("no pipeline given (job section or --pipeline)")
@@ -478,10 +168,10 @@ def run_job(job: JobDescription, args) -> int:
             stage = "hilbert"
             lines, gen_lines = _pipeline_hilbert(job)
         else:
-            if job is None:  # the built-in Cox p-divisor, which is big
+            if job is None:  # the packaged Cox p-divisor, which is big
                 stage = "cox-s5"
-                y = cox_surface()
-                d = build_cox_pdivisor(y)
+                d = build_cox_pdivisor()
+                y = d.variety
             else:
                 stage = "variety"
                 y = build_variety(job)

@@ -3,19 +3,21 @@
 The surface is the blow-up of the projective plane in four general
 points.  Its effective cone is spanned by the classes of the ten
 negative curves; a polyhedral divisor on the surface itself, graded by
-the class lattice, has the Cox ring as its section algebra.  This
-module builds that divisor on any such surface (``jobs/cox-s5.pdiv`` is
-the one on the standard points as a job file), and ``run_cox`` runs the
-general route's steps on it or on a p-divisor its caller built: the ray
-harvest, the ray sections and the completion.  What it adds is specific
-to the Cox ring: the ray classes and their product reduction, the report
-lines, the presentation in the curve variables and the minors
-certificate, which read the points, coordinates and line H of the surface
-and the classes of its negative curves.  The command line refuses a
-weight cone other than the effective cone, which those classes span.
+the class lattice, has the Cox ring as its section algebra.  The one on
+the standard points ships in the package as the job file ``cox-s5.pdiv``,
+which ``build_cox_pdivisor`` reads as every job is read.  ``run_cox`` runs
+the general route's steps on it or on a p-divisor its caller built over
+another such surface: the ray harvest, the ray sections and the
+completion.  What it adds is specific to the Cox ring: the ray classes
+and their product reduction, the report lines, the presentation in the
+curve variables and the minors certificate, which read the points,
+coordinates and line H of the surface and the classes of its negative
+curves.  The command line refuses a weight cone other than the effective
+cone, which those classes span.
 """
 
 from collections import Counter
+from importlib.resources import files
 from itertools import combinations
 from operator import ge
 from typing import NamedTuple
@@ -30,49 +32,20 @@ from .engine import (
     zariski_generators,
 )
 from .intlinalg import primitive
+from .jobfile import build_pdivisor, build_variety, parse_job
 from .mpoly import MPoly
 from .pdivisor import PDivisor, linearity_subdivision
-from .polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
-from .varieties import BlowupOfP2
 
 # the curve variables t0..t9 of the presentation: the exceptional curves
 # E1..E4, then the line transforms E14, E34, E24, E23, E13, E12
-POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 CURVE_COLUMNS = ("E1", "E2", "E3", "E4", "E14", "E34", "E24", "E23", "E13", "E12")
 
 
-def cox_surface() -> BlowupOfP2:
-    """The four-point blow-up with a line avoiding all base points."""
-    return BlowupOfP2(POINTS, MPoly(3, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1}))
-
-
-def build_cox_pdivisor(y=None) -> PDivisor:
-    """The polyhedral divisor whose section algebra is the Cox ring.
-
-    The coefficient of H is a shifted dual cone; the coefficients of
-    the exceptional curves and the line transforms are segments from
-    the origin, so their support functions switch along one hyperplane
-    each.
-    """
-    if y is None:
-        y = cox_surface()
-    omega = cone_from_rays(y.negative_curve_classes(), 5)
-    tail = dual_cone(omega)
-    zero = tuple([0] * 5)
-
-    def seg(v):
-        return tailed_polyhedron([zero, v], tail)
-
-    coeffs = {"H": tailed_polyhedron([(1, 0, 0, 0, 0)], tail)}
-    for i in range(1, 5):
-        coeffs[f"E{i}"] = seg(tuple(1 if k == i else 0 for k in range(5)))
-    for i, j in combinations(range(1, 5), 2):
-        v = [0] * 5
-        v[0] = 1
-        v[i] = 1
-        v[j] = 1
-        coeffs[f"E{i}{j}"] = seg(tuple(v))
-    return PDivisor(y, omega, coeffs)
+def build_cox_pdivisor() -> PDivisor:
+    """The polyhedral divisor whose section algebra is the Cox ring, read
+    from the packaged job file ``cox-s5.pdiv``."""
+    job = parse_job(files(__package__).joinpath("cox-s5.pdiv").read_text(encoding="utf-8"))
+    return build_pdivisor(job, build_variety(job))
 
 
 class CoxResult(NamedTuple):
@@ -231,16 +204,15 @@ def minors_certificate(y, elements) -> bool:
     )
 
 
-def run_cox(y=None, d=None, max_iterations=64, domain=None) -> CoxResult:
-    """The Cox route on the p-divisor d over the four-point blow-up y.
+def run_cox(d=None, max_iterations=64, domain=None) -> CoxResult:
+    """The Cox route on the p-divisor d over a four-point blow-up.
 
-    The defaults are the standard surface and its Cox p-divisor;
-    ``domain`` is the linearity subdivision of d when the caller has it.
+    The default is the packaged Cox p-divisor; ``domain`` is the
+    linearity subdivision of d when the caller has it.
     """
-    if y is None:
-        y = cox_surface()
     if d is None:
-        d = build_cox_pdivisor(y)
+        d = build_cox_pdivisor()
+    y = d.variety
     if domain is None:
         domain = linearity_subdivision(d)
     cells = tuple(domain.cells)

@@ -518,7 +518,13 @@ def reduce_generators(y, elements, cone):
     test runs its own search, which visits fewer nodes.  The largest
     denominator of each weight is read once, over the whole pool: a
     larger common denominator leaves every span test's answer as it is.
+    A cone that is not pointed is refused, since a weight has endless
+    decompositions along its lineality space.
     """
+    if not cone.is_pointed():
+        raise NonPointedCone(
+            f"the weight cone with rays {cone.rays} is not pointed; pruning needs one"
+        )
     kept = _sorted_elements(_dedupe(elements))
     if not kept:
         return kept

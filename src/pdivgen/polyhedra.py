@@ -355,6 +355,10 @@ def unimodular_triangulation(cone: QCone):
     """
     if not cone.is_full_dim():
         raise ValueError("unimodular_triangulation requires a full-dimensional cone")
+    if not cone.is_pointed():
+        raise NonPointedCone(
+            f"the cone with rays {cone.rays} is not pointed; a unimodular triangulation needs one"
+        )
     n = cone.dim
     cells = [tuple(c) for c in triangulate(cone)]
     while True:

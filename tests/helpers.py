@@ -5,7 +5,6 @@ from itertools import combinations
 from itertools import product as iproduct
 from math import comb, gcd, lcm
 
-from pdivgen.cli import JobDescription
 from pdivgen.engine import (
     PRODUCT_CAP,
     GradedElement,
@@ -26,6 +25,7 @@ from pdivgen.intlinalg import (
     reduce_row,
     solve_in_lattice,
 )
+from pdivgen.jobfile import JobDescription
 from pdivgen.mpoly import MPoly, monomials_of_degree
 from pdivgen.pdivisor import IterationLimitExceeded, PDivisor, find_k_rho, linearity_subdivision
 from pdivgen.polyhedra import (
@@ -43,6 +43,7 @@ from pdivgen.polyhedra import (
     triangulate,
 )
 from pdivgen.varieties import (
+    BlowupOfP2,
     NotTMoveable,
     ProjectiveSpace,
     QDivisor,
@@ -232,6 +233,44 @@ def plane_pdivisor(y=None, d_vertex=(0, Fraction(1, 2))) -> PDivisor:
     coeff_d = tailed_polyhedron([d_vertex], tail)
     coeff_e = tailed_polyhedron([(-1, 1), (1, 1)], tail)
     return PDivisor(y, omega, {"D": coeff_d, "E": coeff_e})
+
+
+# the Cox p-divisor of the degree 5 del Pezzo surface, built by hand from
+# literal points: the oracle of the packaged job file
+
+
+def standard_blowup() -> BlowupOfP2:
+    """The plane blown up in the four standard points, with H = x0 - x1 + x2."""
+    points = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+    return BlowupOfP2(points, MPoly(3, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1}))
+
+
+def cox_pdivisor_oracle() -> PDivisor:
+    """The Cox p-divisor over ``standard_blowup()``.
+
+    The coefficient of H is a shifted dual cone; the coefficients of
+    the exceptional curves and the line transforms are segments from
+    the origin, so their support functions switch along one hyperplane
+    each.
+    """
+    y = standard_blowup()
+    omega = cone_from_rays(y.negative_curve_classes(), 5)
+    tail = dual_cone(omega)
+    zero = tuple([0] * 5)
+
+    def seg(v):
+        return tailed_polyhedron([zero, v], tail)
+
+    coeffs = {"H": tailed_polyhedron([(1, 0, 0, 0, 0)], tail)}
+    for i in range(1, 5):
+        coeffs[f"E{i}"] = seg(tuple(1 if k == i else 0 for k in range(5)))
+    for i, j in combinations(range(1, 5), 2):
+        v = [0] * 5
+        v[0] = 1
+        v[i] = 1
+        v[j] = 1
+        coeffs[f"E{i}{j}"] = seg(tuple(v))
+    return PDivisor(y, omega, coeffs)
 
 
 def thirteen_generators(y):

@@ -16,18 +16,13 @@ from hypothesis import strategies as st
 
 from helpers import SIGMA_TILDE_RAYS, degreewise_check, format_job
 from pdivgen import cli
-from pdivgen.cli import (
-    EXIT_BACKEND,
-    EXIT_ITERATION,
-    EXIT_OK,
-    EXIT_PARSE,
-    EXIT_SEMANTIC,
+from pdivgen.cli import EXIT_BACKEND, EXIT_ITERATION, EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC, main
+from pdivgen.jobfile import (
     MAX_EXPONENT,
     JobParseError,
     JobSemanticError,
     build_pdivisor,
     build_variety,
-    main,
     parse_fraction,
     parse_job,
     parse_polynomial,
@@ -37,6 +32,9 @@ from pdivgen.cli import (
 from pdivgen.engine import _dedupe
 from pdivgen.polyhedra import cone_from_rays, hilbert_basis
 from pdivgen.torus import run_torus
+
+# the packaged Cox job
+COX_JOB = "src/pdivgen/cox-s5.pdiv"
 
 JOB_TEXT = """\
 # the plane with two marked cubics
@@ -154,7 +152,7 @@ def test_shipped_job_file(capsys):
 
 def test_cox_subdivide_report_is_the_stored_one(capsys):
     # every cone of the hyperplane subdivision of the shipped Cox p-divisor
-    assert main(["jobs/cox-s5.pdiv", "--pipeline", "subdivide"]) == EXIT_OK
+    assert main([COX_JOB, "--pipeline", "subdivide"]) == EXIT_OK
     assert capsys.readouterr().out == Path("tests/golden/cox-s5.subdivide.txt").read_text()
 
 
@@ -379,7 +377,7 @@ def test_a_blowup_job_cannot_redefine_a_built_in_label(form, pipeline, tmp_path,
     label = form.split()[0]
     job = tmp_path / "redefined.pdiv"
     job.write_text(
-        Path("jobs/cox-s5.pdiv").read_text().replace(
+        Path(COX_JOB).read_text().replace(
             "form.H = x0 - x1 + x2\n", f"form.H = x0 - x1 + x2\nform.{form}\n"
         )
     )
@@ -492,18 +490,20 @@ def test_a_torus_record_changes_nothing(tmp_path, capsys):
     assert Path(f"{report}.gens.txt").read_text() == golden
 
 
-def test_cox_pipeline_without_jobfile(tmp_path, capsys):
-    report = tmp_path / "cox.txt"
-    assert main(["--pipeline", "cox-s5", "--output", str(report)]) == EXIT_OK
-    capsys.readouterr()
-    text = report.read_text()
-    assert text.startswith("linearity subdivision: 76 maximal cones, 20 rays\n")
-    assert "minors certificate: pass" in text
+def test_cox_pipeline_without_jobfile(tmp_path, capsys, monkeypatch):
+    # the packaged job is found from any working directory
+    golden = Path("perfbench/golden/cox-s5.txt").read_text()
+    golden_gens = Path("perfbench/golden/cox-s5.gens.txt").read_text()
+    monkeypatch.chdir(tmp_path)
+    assert main(["--pipeline", "cox-s5", "--output", "cox.txt"]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+    assert Path("cox.txt").read_text() == golden
+    assert Path("cox.txt.gens.txt").read_text() == golden_gens
 
 
 def test_the_cox_pipeline_on_the_job_file_writes_the_stored_report(tmp_path, capsys):
     report = tmp_path / "cox.txt"
-    assert main(["jobs/cox-s5.pdiv", "--pipeline", "cox-s5", "--output", str(report)]) == EXIT_OK
+    assert main([COX_JOB, "--pipeline", "cox-s5", "--output", str(report)]) == EXIT_OK
     capsys.readouterr()
     assert report.read_text() == Path("perfbench/golden/cox-s5.txt").read_text()
     assert Path(f"{report}.gens.txt").read_text() == Path("perfbench/golden/cox-s5.gens.txt").read_text()
@@ -511,7 +511,7 @@ def test_the_cox_pipeline_on_the_job_file_writes_the_stored_report(tmp_path, cap
 
 def _cox_job(points, h_form):
     """The shipped Cox p-divisor over the blow-up of other points."""
-    text = Path("jobs/cox-s5.pdiv").read_text()
+    text = Path(COX_JOB).read_text()
     for old, new in (
         ("points = (1,0,0) (0,1,0) (0,0,1) (1,1,1)\n", f"points = {points}\n"),
         ("form.H = x0 - x1 + x2\n", f"form.H = {h_form}\n"),
@@ -540,7 +540,7 @@ COX_RAYS = (
 
 def _cox_rays(rays):
     """The shipped Cox job on another weight cone."""
-    text = Path("jobs/cox-s5.pdiv").read_text()
+    text = Path(COX_JOB).read_text()
     assert text.count(f"rays = {COX_RAYS}\n") == 1
     return text.replace(f"rays = {COX_RAYS}\n", f"rays = {rays}\n")
 
@@ -609,29 +609,28 @@ def test_the_cox_job_file_prints_the_cox_generators(tmp_path, capsys):
     # the general route on the shipped Cox p-divisor writes the generator
     # lines of the cox-s5 pipeline
     report = tmp_path / "cox-general.txt"
-    args = ["jobs/cox-s5.pdiv", "--pipeline", "general", "--output", str(report)]
+    args = [COX_JOB, "--pipeline", "general", "--output", str(report)]
     assert main(args) == EXIT_OK
     capsys.readouterr()
     golden = Path("perfbench/golden/cox-s5.gens.txt").read_text()
     assert Path(f"{report}.gens.txt").read_text() == golden
 
 
-def test_an_explicit_tail_must_be_the_dual_of_the_weight_cone(tmp_path, capsys):
+def test_a_job_cannot_set_a_tail(tmp_path, capsys):
+    # every tail is the dual of the weight cone, so a tail key could only
+    # restate it; one that asked for another tail would change the job
     plane = Path("jobs/p2.pdiv").read_text()
     line = "coefficient.E = (-1,1) (1,1)\n"
     assert plane.count(line) == 1
     job = tmp_path / "tail.pdiv"
-    report = tmp_path / "tail.txt"
     # the weight cone of the plane example is its own dual
-    job.write_text(plane.replace(line, line + "tail.E = (1,1) (-1,1)\n"))
-    assert main([str(job), "--pipeline", "general", "--output", str(report)]) == EXIT_OK
-    assert report.read_text() == Path("perfbench/golden/plane-general.txt").read_text()
-    job.write_text(plane.replace(line, line + "tail.E = (1,0) (0,1)\n"))
-    assert main([str(job), "--pipeline", "general"]) == EXIT_SEMANTIC
-    assert capsys.readouterr().err == (
-        "semantic error: [stage pdivisor] coefficient of E has tail ((0, 1), (1, 0)), "
-        "expected ((-1, 1), (1, 1))\n"
-    )
+    for tail in ("(1,1) (-1,1)", "(1,0) (0,1)"):
+        job.write_text(plane.replace(line, line + f"tail.E = {tail}\n"))
+        assert main([str(job), "--pipeline", "general"]) == EXIT_SEMANTIC, tail
+        assert capsys.readouterr().err == (
+            "semantic error: [stage pdivisor] tail.E: a job cannot set a tail, "
+            "which is always the dual of the weight cone\n"
+        )
 
 
 def test_torus_route_splits_a_cell_that_is_not_simplicial(tmp_path, capsys):
@@ -873,6 +872,37 @@ def test_a_point_job_generates_the_semigroup_algebra(pipeline, tmp_path, capsys)
     assert sorted(weights) == sorted(hilbert_basis(cone_from_rays([(1, 0), (1, 3)], 2)))
 
 
+@pytest.mark.parametrize("pipeline", ["general", "torus"])
+@pytest.mark.parametrize(
+    "rays, named",
+    [
+        ("(1,0) (-1,0) (0,1)", "((-1, 0), (0, 1), (1, 0))"),
+        (
+            "(1,0,0) (-1,0,0) (0,1,0) (0,-1,0) (0,0,1)",
+            "((-1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))",
+        ),
+        # a cone with no facets
+        ("(1,0) (-1,0) (0,1) (0,-1)", "((-1, 0), (0, -1), (0, 1), (1, 0))"),
+    ],
+    ids=["half-plane", "slab", "whole-plane"],
+)
+def test_a_point_job_on_a_weight_cone_that_is_not_pointed_exits_cleanly(
+    rays, named, pipeline, tmp_path, capsys
+):
+    # the algebra of the half-plane is k[x, 1/x, y]: the general route's
+    # pruning search grew without bound and the torus route printed no
+    # generators
+    job = tmp_path / "point.pdiv"
+    job.write_text(f"[variety]\nbackend = point\n[pdivisor]\nrays = {rays}\n")
+    start = time.perf_counter()
+    assert main([str(job), "--pipeline", pipeline]) == EXIT_SEMANTIC
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert f"[stage {pipeline}] the " in err
+    assert f" with rays {named} is not pointed" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "name, rays", [("point", "(1,0) (1,3)"), ("pyramid", "(1,0,1) (0,1,1) (-1,0,1) (0,-1,1)")]
 )
@@ -901,7 +931,7 @@ COX_CONE = (
     "text, pipeline, code, message",
     [
         (
-            Path("jobs/cox-s5.pdiv").read_text(),
+            Path(COX_JOB).read_text(),
             "torus",
             EXIT_BACKEND,
             "unsupported backend: [stage torus] the blowup-p2 base has no torus action\n",
@@ -910,7 +940,7 @@ COX_CONE = (
         # criterion passes
         *(
             (
-                _without_coefficients("jobs/cox-s5.pdiv"),
+                _without_coefficients(COX_JOB),
                 pipeline,
                 EXIT_SEMANTIC,
                 f"semantic error: [stage bigness] the p-divisor is not big on cell {COX_CONE}: "

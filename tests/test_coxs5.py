@@ -2,20 +2,16 @@
 
 from contextlib import ExitStack
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from helpers import plane_pdivisor
-from pdivgen import cli, coxs5, engine, polyhedra, torus
-from pdivgen.cli import build_pdivisor, build_variety, parse_job
+from helpers import cox_pdivisor_oracle, plane_pdivisor
+from pdivgen import engine, jobfile, polyhedra, torus
 from pdivgen.coxs5 import (
     CURVE_COLUMNS,
-    POINTS,
     build_cox_pdivisor,
     certificate_matrix,
-    cox_surface,
     minors_certificate,
     presentation_text,
     run_cox,
@@ -55,9 +51,13 @@ def test_weight_cone_rays():
 
 
 def test_the_job_file_holds_the_cox_pdivisor():
-    job = parse_job(Path("jobs/cox-s5.pdiv").read_text())
-    parsed = build_pdivisor(job, build_variety(job))
-    built = build_cox_pdivisor()
+    parsed = build_cox_pdivisor()
+    built = cox_pdivisor_oracle()
+    # the surface: its points, coordinate names and every defining form
+    for attr in ("points", "coordinates"):
+        assert getattr(parsed.variety, attr) == getattr(built.variety, attr)
+    forms = [{label: f.terms for label, f in d.variety.forms().items()} for d in (parsed, built)]
+    assert forms[0] == forms[1]
     for cone in ("rays", "facets"):
         assert getattr(parsed.weight_cone, cone) == getattr(built.weight_cone, cone)
     assert list(parsed.coefficients) == list(built.coefficients)
@@ -128,9 +128,10 @@ def test_ten_generators(result):
 def test_presentation_builds_no_pruning_cone(result):
     # the presentation takes the weight cone, the cone of the curve
     # columns, from its caller and passes it to every search
-    cone = build_cox_pdivisor().weight_cone
-    with mock.patch.object(coxs5, "cone_from_rays", wraps=coxs5.cone_from_rays) as build:
-        text = presentation_text(cox_surface(), result.generators.elements, cone)
+    cox = build_cox_pdivisor()
+    cone = cox.weight_cone
+    with mock.patch.object(engine, "cone_from_rays", wraps=engine.cone_from_rays) as build:
+        text = presentation_text(cox.variety, result.generators.elements, cone)
     assert build.call_count == 0
     assert text == result.presentation
 
@@ -146,7 +147,7 @@ def test_run_cox_builds_the_weight_cone_once():
         return cone_from_rays(rays, dim)
 
     with ExitStack() as patches:
-        for module in (cli, coxs5, engine, polyhedra, torus):
+        for module in (engine, jobfile, polyhedra, torus):
             patches.enter_context(mock.patch.object(module, "cone_from_rays", spy))
         run_cox()
     assert [set(rays) for rays in built if len(rays) == 10] == [set(CURVE_CLASSES)]
@@ -163,8 +164,8 @@ def test_run_cox_reuses_the_section_bases_of_the_rays():
     assert built.call_count == len(result.reduced_rays) == 20
     weights = [c.args[1] for c in evaluate.call_args_list]
     assert len(weights) == len(set(weights)) == 50
-    y = cox_surface()
-    d = build_cox_pdivisor(y)
+    d = build_cox_pdivisor()
+    y = d.variety
     pool = [
         GradedElement(s, u)
         for u in result.reduced_rays
@@ -209,7 +210,7 @@ def test_a_pool_whose_weights_generate_the_lattice_needs_no_completion(result):
 
 def test_minors_certificate(result):
     assert result.minors_match
-    y = cox_surface()
+    y = build_cox_pdivisor().variety
     mat = certificate_matrix(y)
     assert len(mat) == 5 and len(mat[0]) == 3
     gens = list(result.generators.elements)
@@ -225,13 +226,15 @@ def test_report_mentions_normality(result):
 
 
 def test_negative_curves_of_surface():
-    y = cox_surface()
+    y = build_cox_pdivisor().variety
     classes = set(y.negative_curve_classes())
     assert classes == set(CURVE_CLASSES)
 
 
 @pytest.mark.parametrize(
-    "points", [POINTS, ((1, 1, 0), (0, 1, 2), (3, 0, 1), (1, -1, 1))], ids=["standard", "other"]
+    "points",
+    [((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), ((1, 1, 0), (0, 1, 2), (3, 0, 1), (1, -1, 1))],
+    ids=["standard", "other"],
 )
 def test_the_curve_variables_carry_the_classes_of_their_curves(points):
     # the presentation reads the classes of its curve variables from the

@@ -21,7 +21,7 @@ from helpers import (
     thirteen_generators,
 )
 from pdivgen import cli, coxs5, engine, pdivisor, polyhedra, torus
-from pdivgen.cli import build_pdivisor, build_variety, parse_job
+from pdivgen.jobfile import build_pdivisor, build_variety, parse_job
 from pdivgen.coxs5 import run_cox
 from pdivgen.engine import (
     NODE_LIMIT,
@@ -194,6 +194,17 @@ def test_reduce_generators_drops_products():
     quadrant = cone_from_rays([(1, 0), (0, 1)], 2)
     reduced = reduce_generators(y, [a, b, prod], quadrant)
     assert {e.weight for e in reduced} == {(0, 1), (1, 1)}
+
+
+def test_reduce_generators_refuses_a_cone_that_is_not_pointed():
+    # a weight has endless decompositions along the lineality space, and
+    # the search's memory grew until it was stopped
+    y = PointBase()
+    one = GradedElement(ffe(MPoly.constant(0, 1)), (0, 1))
+    slab = cone_from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)], 3)
+    for cone, pool in ((cone_from_rays([(1, 0), (-1, 0), (0, 1)], 2), [one]), (slab, [])):
+        with pytest.raises(NonPointedCone, match="the weight cone with rays .* is not pointed"):
+            reduce_generators(y, pool, cone)
 
 
 def test_a_solve_builds_no_cone_on_a_point_base_or_the_plane():

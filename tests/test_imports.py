@@ -210,8 +210,8 @@ def test_every_member_has_a_reader():
 # attributes read only from outside src/pdivgen
 INIT_ATTRIBUTE_UNREAD_ALLOWED = {
     # the position of a job parse error, which the CLI tests read
-    ("cli", "JobParseError.line"),
-    ("cli", "JobParseError.col"),
+    ("jobfile", "JobParseError.line"),
+    ("jobfile", "JobParseError.col"),
 }
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import format_report, plane_pdivisor, plane_variety, report_ok, report_unverifiable
-from pdivgen.coxs5 import build_cox_pdivisor, cox_surface
+from pdivgen.coxs5 import build_cox_pdivisor
 from pdivgen.pdivisor import (
     NotSubcone,
     PDivisor,
@@ -108,8 +108,9 @@ def test_validate_on_point_base():
 
 
 def test_validate_bigness_on_blowup():
-    omega = build_cox_pdivisor().weight_cone
+    cox = build_cox_pdivisor()
+    omega = cox.weight_cone
     h = tailed_polyhedron([(1, 0, 0, 0, 0)], dual_cone(omega))
-    d = PDivisor(cox_surface(), omega, {"H": h})
+    d = PDivisor(cox.variety, omega, {"H": h})
     big = validate(d)[-1]
     assert (big.verdict, big.detail) == ("pass", "self-intersection 36 > 0")

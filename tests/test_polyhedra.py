@@ -103,8 +103,12 @@ def test_dual_involution_random():
 
 
 def test_non_pointed_rejected():
+    half_plane = cone_from_rays([(1, 0), (-1, 0), (0, 1)], 2)
     with pytest.raises(NonPointedCone):
-        hilbert_basis(cone_from_rays([(1, 0), (-1, 0), (0, 1)], 2))
+        hilbert_basis(half_plane)
+    # a unimodular triangulation of it had cells, but no cell covered it
+    with pytest.raises(NonPointedCone, match=r"\(\(-1, 0\), \(0, 1\), \(1, 0\)\) is not pointed"):
+        unimodular_triangulation(half_plane)
 
 
 def test_simplicial_start_needs_full_rank():

@@ -47,6 +47,7 @@ from helpers import (
     product_shift,
     recursive_nn_decompositions,
     span_dimension,
+    standard_blowup,
     two_pass_cone_from_facets,
     two_pass_cone_from_rays,
     two_pass_dual_cone,
@@ -54,7 +55,7 @@ from helpers import (
     two_step_common_refinement,
 )
 from pdivgen import polyhedra
-from pdivgen.coxs5 import CURVE_COLUMNS, _t_monomial, build_cox_pdivisor, cox_surface, reduce_rays
+from pdivgen.coxs5 import CURVE_COLUMNS, _t_monomial, build_cox_pdivisor, reduce_rays
 from pdivgen.engine import (
     GradedElement,
     _weight_denominators,
@@ -68,6 +69,7 @@ from pdivgen.engine import (
     weight_lattice_completion,
     zariski_generators,
 )
+from pdivgen.jobfile import JobSemanticError, parse_fraction
 from pdivgen.intlinalg import hnf, kernel_lattice, primitive, rank, rational_kernel, rref
 from pdivgen.mpoly import MPoly, monomials_of_degree, multiplicity_at
 from pdivgen.pdivisor import (
@@ -504,7 +506,7 @@ def test_plane_basepoint_freeness_matches_building_the_sections(coeffs):
 
 _PLANE_WITH_HYPERPLANE = plane_variety()
 _PLANE_WITH_HYPERPLANE.coordinate_label(0)
-_BLOWUP = cox_surface()
+_BLOWUP = standard_blowup()
 _BLOWUP_LABELS = ("H", "E1", "E2", "E3", "E4", "E12", "E13", "E14", "E23", "E24", "E34")
 
 
@@ -531,7 +533,7 @@ def test_blowup_sections_match_the_multiplicity_construction(coeffs):
 # the class of each divisor once per instance: a surface that has already
 # served other divisors and degrees answers as a fresh one does.
 
-_SERVED_BLOWUP = cox_surface()
+_SERVED_BLOWUP = standard_blowup()
 for _coeffs in ({"H": 1}, {"H": 3, "E1": -1, "E2": -2}, {"H": 2, "E12": 1, "E3": -1}):
     sections(_SERVED_BLOWUP, QDivisor(_coeffs))
     is_basepoint_free(_SERVED_BLOWUP, QDivisor(_coeffs))
@@ -542,9 +544,9 @@ for _coeffs in ({"H": 1}, {"H": 3, "E1": -1, "E2": -2}, {"H": 2, "E12": 1, "E3":
 def test_blowup_tables_built_once_change_nothing(coeffs):
     div = QDivisor(coeffs)
     y = _SERVED_BLOWUP
-    assert sections(y, div) == sections(cox_surface(), div)
-    assert is_basepoint_free(y, div) == is_basepoint_free(cox_surface(), div)
-    assert y.class_of(div) == y.divisor_class(div) == cox_surface().divisor_class(div)
+    assert sections(y, div) == sections(standard_blowup(), div)
+    assert is_basepoint_free(y, div) == is_basepoint_free(standard_blowup(), div)
+    assert y.class_of(div) == y.divisor_class(div) == standard_blowup().divisor_class(div)
 
 
 def _outcome(f, *args):
@@ -905,7 +907,7 @@ def _plane_with_more_forms():
     return y
 
 
-_CODEC_BASES = (plane_variety, _plane_with_more_forms, cox_surface)
+_CODEC_BASES = (plane_variety, _plane_with_more_forms, standard_blowup)
 
 
 @st.composite
@@ -1078,8 +1080,8 @@ def test_a_membership_test_that_stops_early_answers_as_the_one_shot_test(case):
 # the curve classes (all of them have a principal evaluation) and the class
 # of u1 given to u2, make the reduction drop rays.
 
-_COX = cox_surface()
-_COX_D = build_cox_pdivisor(_COX)
+_COX_D = build_cox_pdivisor()
+_COX = _COX_D.variety
 _CURVES = tuple(_COX.class_vector(label) for label in CURVE_COLUMNS)
 
 
@@ -1200,3 +1202,45 @@ def test_taylor_data_to_the_order_read_matches_the_full_shift(data):
     div = QDivisor(coeffs)
     degree = data.draw(st.integers(0, 4))
     assert y._free_forms(degree, div) == full_shift_free_forms(y, degree, div)
+
+
+# A job's rational literal reads decimal digits, maybe after a minus sign,
+# with int and any other literal through Fraction.  Both take the Unicode
+# decimal digits, here an Arabic-Indic three and a Devanagari five; a
+# superscript two is a digit but not a decimal one.  int alone would also
+# take an underscore, which Python 3.10's Fraction refuses.
+
+
+def _fraction_parse(text):
+    """The literal as Fraction alone reads it, an int when integral, or None."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value.numerator if value.denominator == 1 else value
+
+
+_LITERAL_CHARS = list("0123456789" * 3) + list("\u0663\u096b\u00b2+-_/. ")
+
+
+@given(st.text(alphabet=st.sampled_from(_LITERAL_CHARS), max_size=8))
+@example("12")
+@example(" 007 ")
+@example("\u0663\u096b")
+@example("\u00b2")
+@example("1_0")
+@example("-12")
+@example("--5")
+@example("-")
+@example("-4/6")
+@example("3/0")
+@example("")
+@settings(max_examples=300, deadline=None)
+def test_rational_literals_read_as_fraction_reads_them(text):
+    expected = _fraction_parse(text)
+    if expected is None:
+        with pytest.raises(JobSemanticError):
+            parse_fraction(text)
+    else:
+        got = parse_fraction(text)
+        assert got == expected and type(got) is type(expected)

@@ -5,8 +5,7 @@ from unittest import mock
 
 import pytest
 
-from helpers import plane_variety, span_dimension
-from pdivgen.coxs5 import cox_surface
+from helpers import plane_variety, span_dimension, standard_blowup
 from pdivgen.mpoly import MPoly, multiplicity_at
 from pdivgen.pdivisor import PDivisor
 from pdivgen.polyhedra import cone_from_rays, dual_cone, tailed_polyhedron
@@ -67,20 +66,20 @@ def test_sections_of_floor_and_integrality():
 def test_sections_of_an_unknown_label_raise_key_error():
     # the split skips only the blow-up's exceptional curves, which have no
     # form; any other label without a form is an error on both backends
-    for y, known in ((plane_variety(), "D"), (cox_surface(), "H")):
+    for y, known in ((plane_variety(), "D"), (standard_blowup(), "H")):
         for c in (1, -1):
             with pytest.raises(KeyError):
                 sections(y, QDivisor({"Q": c}))
             with pytest.raises(KeyError):
                 sections(y, QDivisor({known: 2, "Q": c}))
     # E1 is a curve on the blow-up, but no label on the plane
-    assert len(sections(cox_surface(), QDivisor({"H": 1, "E1": -1}))) == 2
+    assert len(sections(standard_blowup(), QDivisor({"H": 1, "E1": -1}))) == 2
     with pytest.raises(KeyError):
         sections(plane_variety(), QDivisor({"D": 1, "E1": -1}))
 
 
 def test_blowup_class_vectors():
-    y = cox_surface()
+    y = standard_blowup()
     assert y.class_vector("H") == (1, 0, 0, 0, 0)
     assert y.class_vector("E1") == (0, 1, 0, 0, 0)
     assert y.class_vector("E14") == (1, -1, 0, 0, -1)
@@ -90,14 +89,14 @@ def test_blowup_class_vectors():
 
 def test_class_vector_multiplicities_match_multiplicity_at():
     # the blow-up's section spaces read multiplicities from class_vector
-    y = cox_surface()
+    y = standard_blowup()
     for label in sorted(y.forms()):
         mults = tuple(multiplicity_at(y.form(label), p) for p in y.points)
         assert y.class_vector(label)[1:] == tuple(-m for m in mults), label
 
 
 def test_blowup_refuses_a_label_it_has():
-    y = cox_surface()
+    y = standard_blowup()
     x0, x1, _ = (MPoly.variable(3, i) for i in range(3))
     y.register_divisor("L", x0)
     # classes are built once
@@ -118,7 +117,7 @@ def test_blowup_refuses_a_label_it_has():
 
 
 def test_floors_and_classes_are_ints():
-    y = cox_surface()
+    y = standard_blowup()
     d = QDivisor({"H": Fraction(5, 2), "E1": Fraction(-1, 3), "E12": Fraction(4, 2)})
     assert d.coeffs["E12"] == 2 and type(d.coeffs["E12"]) is int
     floor = d.floor()
@@ -130,7 +129,7 @@ def test_floors_and_classes_are_ints():
 
 
 def test_blowup_section_dimensions():
-    y = cox_surface()
+    y = standard_blowup()
     # lines through one point, conics through all four, anticanonical
     assert len(sections(y, QDivisor({"H": 1, "E1": -1}))) == 2
     assert len(sections(y, QDivisor({"H": 2, "E1": -1, "E2": -1, "E3": -1, "E4": -1}))) == 2
@@ -138,7 +137,7 @@ def test_blowup_section_dimensions():
 
 
 def test_blowup_section_with_line_transform():
-    y = cox_surface()
+    y = standard_blowup()
     basis = sections(y, QDivisor({"H": 1, "E1": -1, "E4": -1, "E14": -1}))
     assert len(basis) == 1
     assert basis[0].num.content_normalized().terms == {
@@ -148,7 +147,7 @@ def test_blowup_section_with_line_transform():
 
 
 def test_blowup_bpf():
-    y = cox_surface()
+    y = standard_blowup()
     assert is_basepoint_free(y, QDivisor({"H": 1, "E1": -1}))
     assert not is_basepoint_free(y, QDivisor({"H": 1, "E1": -1, "E2": -1, "E3": -1}))
     assert is_basepoint_free(y, QDivisor({}))
@@ -197,7 +196,7 @@ def test_form_power_is_built_once_and_a_form_is_registered_once():
 
 
 def test_blowup_has_no_invariantizing_section():
-    y = cox_surface()
+    y = standard_blowup()
     omega = cone_from_rays([(1,)], 1)
     h = tailed_polyhedron([(1,)], dual_cone(omega))
     d = PDivisor(y, omega, {"H": h})
@@ -219,12 +218,12 @@ def test_blowup_has_no_invariantizing_section():
 )
 def test_blowup_bigness_fails_a_class_of_nonpositive_h_degree(coeffs, verdict):
     # H is nef and big, so a big class D has D.H > 0
-    assert cox_surface().bigness(QDivisor(coeffs)) == verdict
+    assert standard_blowup().bigness(QDivisor(coeffs)) == verdict
 
 
 def test_blowup_function_field_generators_are_sides_of_a_triangle():
     # E23, E13 and E12 are the coordinate lines on the standard points
-    assert cox_surface().function_field_generators() == ((0, 2), (1, 2))
+    assert standard_blowup().function_field_generators() == ((0, 2), (1, 2))
     x0, x1, x2 = (MPoly.variable(3, i) for i in range(3))
     y = BlowupOfP2(((1, 1, 0), (0, 1, 2), (3, 0, 1), (1, -1, 1)), x0 + 5 * x1 + 7 * x2)
     # no side is a coordinate line here, so each is an atom of its own
