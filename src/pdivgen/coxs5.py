@@ -176,11 +176,10 @@ def presentation_text(y, elements, cone):
 
 def certificate_matrix(y):
     """Columns of the 3 x 5 matrix whose maximal minors are the
-    coefficients of the generators: the four points, and the column of
-    the coordinates times h."""
+    coefficients of the generators: the four points, whose entries are
+    numbers, and the column of the coordinates times h."""
     h = MPoly.variable(4, 3)
-    points = [[MPoly.constant(4, x) for x in p] for p in y.points]
-    return points + [[MPoly.variable(4, i) * h for i in range(3)]]
+    return [*y.points, [MPoly.variable(4, i) * h for i in range(3)]]
 
 
 def _det3(cols):
@@ -195,7 +194,9 @@ def _det3(cols):
 def minors_certificate(y, elements) -> bool:
     """The coefficients of the generators agree, up to nonzero scalars,
     with the nonzero maximal minors of the certificate matrix."""
-    minors = [m for cols in combinations(certificate_matrix(y), 3) if (m := _det3(cols))]
+    # a minor of three points is a number, which the sum makes a polynomial
+    cols = combinations(certificate_matrix(y), 3)
+    minors = [MPoly(4) + m for c in cols if (m := _det3(c))]
     coeffs = [_coefficient_poly(e) for e in elements]
     if None in coeffs:
         return False

@@ -8,7 +8,7 @@ spaces: products, powers, affine shifts and exact division.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, inf, lcm
+from math import comb, gcd, inf, lcm, prod
 
 
 class MPoly:
@@ -276,19 +276,21 @@ def _affine(point):
     return chart, [_rational(Fraction(x, scale)) if i != chart else 0 for i, x in enumerate(point)]
 
 
-def local_at(poly, point, below=inf):
-    """The form in the affine chart of the projective point's first nonzero
-    coordinate, with the point moved to the origin; only its terms of total
-    degree below ``below``."""
-    chart, origin = _affine(point)
-    return poly.dehomogenize(chart, 1).shift(origin, below)
+def _value(poly, point):
+    """The form's value at the point, in integer or rational products."""
+    return sum(c * prod(map(pow, point, e)) for e, c in poly.terms.items())
 
 
 def taylor_rows(polys, point, below):
     """The coefficients of total degree below ``below`` of the forms about
     the projective point: one row per exponent that occurs, in sorted
-    order, and one column per form."""
+    order, and one column per form.  Below order 1 that is the forms'
+    values at the point in its chart, with no expansion."""
     chart, origin = _affine(point)
+    if below == 1:
+        origin[chart] = 1
+        row = [_value(p, origin) for p in polys]
+        return [row] if any(row) else []
     shifted = [p.dehomogenize(chart, 1).shift(origin, below) for p in polys]
     exps = sorted({e for mp in shifted for e in mp.terms})
     return [[mp.terms.get(e, 0) for mp in shifted] for e in exps]
@@ -297,10 +299,14 @@ def taylor_rows(polys, point, below):
 def multiplicity_at(poly, point):
     """Order of vanishing of a homogeneous form at a projective point.
 
-    The constant term alone says whether the form vanishes there; only
-    then is it expanded in full.
+    The form's value at the point alone says whether it vanishes there;
+    only then is it moved to the point, in the affine chart of the point's
+    first nonzero coordinate, and expanded in full.
     """
-    if local_at(poly, point, 1):
+    if len(point) != poly.nvars:
+        raise ValueError(f"a point of width {len(point)} for {poly.nvars} variables")
+    if _value(poly, point):
         return 0
-    low = local_at(poly, point).low_degree()
+    chart, origin = _affine(point)
+    low = poly.dehomogenize(chart, 1).shift(origin).low_degree()
     return poly.total_degree() + 1 if low is None else low

@@ -77,25 +77,22 @@ class PDivisor:
 
 def linearity_subdivision(d: PDivisor) -> PolyhedralSubdivision:
     """Cells of the weight cone on which evaluation is linear."""
-    multi = [
-        d.coefficients[label]
-        for label in sorted(d.coefficients)
-        if len(d.coefficients[label].vertices) > 1
-    ]
+    multi = [label for label in sorted(d.coefficients) if len(d.coefficients[label].vertices) > 1]
     if not multi:
         return PolyhedralSubdivision((d.weight_cone,))
     if (
-        all(len(p.vertices) == 2 for p in multi)
+        all(len(d.coefficients[label].vertices) == 2 for label in multi)
         and d.weight_cone.is_pointed()
         and d.weight_cone.is_full_dim()
     ):
-        # two-vertex coefficients switch along single hyperplanes
+        # two-vertex coefficients switch along single hyperplanes, read
+        # off the integer vertices
         planes = [
-            primitive(tuple(a - b for a, b in zip(p.vertices[0], p.vertices[1])))
-            for p in multi
+            primitive([a - b for a, b in zip(*d._scaled_vertices[label][1])])
+            for label in multi
         ]
         return hyperplane_subdivision(d.weight_cone, planes)
-    return common_refinement(multi, d.weight_cone)
+    return common_refinement([d.coefficients[label] for label in multi], d.weight_cone)
 
 
 def restrict(d: PDivisor, c: QCone) -> PDivisor:
@@ -105,8 +102,9 @@ def restrict(d: PDivisor, c: QCone) -> PDivisor:
         if not d.weight_cone.contains(r):
             raise NotSubcone(f"ray {r} is outside the weight cone")
     tail = dual_cone(c)
+    pointed = tail.is_pointed()
     coeffs = {
-        label: tailed_polyhedron(poly.vertices, tail)
+        label: tailed_polyhedron(poly.vertices, tail, pointed=pointed)
         for label, poly in d.coefficients.items()
     }
     return PDivisor(d.variety, c, coeffs)

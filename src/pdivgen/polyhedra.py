@@ -401,7 +401,7 @@ class TailedPolyhedron(NamedTuple):
     tail: QCone
 
 
-def tailed_polyhedron(vertices, tail: QCone):
+def tailed_polyhedron(vertices, tail: QCone, *, pointed=None):
     """conv(vertices) + tail, with the vertices that are vertices of it.
 
     ``vertices`` are rational points of width ``tail.dim``, repeats
@@ -412,6 +412,7 @@ def tailed_polyhedron(vertices, tail: QCone):
     and no double description is needed.  Three or more points, or a
     tail that is not pointed, take the rays of height one of the cone
     over the points at height one and the rays of T at height zero.
+    ``pointed`` is ``tail.is_pointed()`` when the caller has tested it.
     """
     dim = tail.dim
     verts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
@@ -419,7 +420,7 @@ def tailed_polyhedron(vertices, tail: QCone):
         raise ValueError("a tailed polyhedron needs at least one vertex")
     if any(len(v) != dim for v in verts):
         raise ValueError(f"vertices of a width other than that of a tail in dimension {dim}")
-    if len(verts) <= 2 and tail.is_pointed():
+    if len(verts) <= 2 and (tail.is_pointed() if pointed is None else pointed):
         if len(verts) == 2:
             scale = lcm(*(x.denominator for v in verts for x in v))
             a, b = ([x.numerator * (scale // x.denominator) for x in v] for v in verts)
@@ -463,7 +464,8 @@ def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision
     adjacency test of ``_crossing_rays`` on a cell reads only the rows
     valid for it, the ambient facets and the planes already done.  The
     facets of a final cell are its rows, turned to its side, whose sets of
-    tight rays have at least dim - 1 rays and lie in no other row's.
+    tight rays have at least dim - 1 rays and lie in no larger such set; a
+    simplicial cell has no larger set, so each of its dim sets is a facet.
     """
     dim, nf = ambient.dim, len(ambient.facets)
     rows = list(ambient.facets)
@@ -497,16 +499,16 @@ def hyperplane_subdivision(ambient: QCone, hyperplanes) -> PolyhedralSubdivision
         cells = nxt
     # row k -> bitmask of the rays tight on it
     on_row = [sum(1 << i for i, m in enumerate(masks) if m >> k & 1) for k in range(len(rows))]
+    # each row and its negative, one for each side of a cutting plane
+    sides = [(a, tuple(-x for x in a)) for a in rows]
     out = []
     for cell, neg in cells:
         inside = sum(1 << i for i in cell)
-        cand = [k for k, t in enumerate(on_row) if (t & inside).bit_count() >= dim - 1]
-        sets = [on_row[k] & inside for k in cand]
-        facets = [
-            tuple(-x for x in rows[k]) if neg >> k & 1 else rows[k]
-            for n, k in enumerate(cand)
-            if not _contained_elsewhere(sets[n], sets, n)
-        ]
+        sets = {k: s for k, t in enumerate(on_row) if (s := t & inside).bit_count() >= dim - 1}
+        larger = [t for t in sets.values() if t.bit_count() >= dim]
+        if larger:
+            sets = {k: t for k, t in sets.items() if not any(t & m == t != m for m in larger)}
+        facets = [sides[k][neg >> k & 1] for k in sets]
         out.append(QCone(dim, tuple(sorted(rays[i] for i in cell)), tuple(sorted(facets))))
     return PolyhedralSubdivision(tuple(sorted(out)))
 

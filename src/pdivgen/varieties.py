@@ -401,8 +401,9 @@ class BlowupOfP2(Variety):
 
     Labels: H (a line with declared form, through none of the points),
     E1..E4 (exceptional), E{ij} (strict transforms of the lines through
-    point pairs).  These ten curves are the negative curves; each class
-    is read off the multiplicities of its form at the points.
+    point pairs).  These ten curves are the negative curves, with the
+    classes Ei and H - Ei - Ej; any other form's class is read off its
+    multiplicities at the points.
     """
 
     name = "blowup-p2"
@@ -415,22 +416,28 @@ class BlowupOfP2(Variety):
         # shifts stay in integer arithmetic
         self.points = tuple(tuple(_rational(x) for x in p) for p in points)
         _check_general_position(self.points)
-        # the exceptional classes now, the others on first use;
-        # register_divisor never changes a registered form
+        # the classes of the ten negative curves now, any other on first
+        # use; register_divisor never changes a registered form
         self._class_vectors = {
             f"E{i}": tuple(int(k == i) for k in range(5)) for i in range(1, 5)
         }
-        self._classes, self._negative_curves = {}, None
+        self._classes = {}
         self._conditions = {}  # (degree, point, order) -> vanishing conditions
+        self._bases = {}  # (degree, orders at the points) -> free forms
         self.register_divisor("H", h_form)
         # class_vector holds -multiplicity, and the classes need it anyway
         for p, m in zip(self.points, self.class_vector("H")[1:]):
             if m:
                 raise ValueError(f"H passes through the blow-up point {_format_point(p)}")
         self.exceptional = tuple(f"E{i}" for i in range(1, 5))
+        curves = [self._class_vectors[label] for label in self.exceptional]
         for i, j in combinations(range(4), 2):
             label = f"E{i + 1}{j + 1}"
             self.register_divisor(label, self._line_through(self.points[i], self.points[j]))
+            # H - Ei - Ej: general position puts no third point on the line
+            self._class_vectors[label] = (1, *(-int(k in (i, j)) for k in range(4)))
+            curves.append(self._class_vectors[label])
+        self._negative_curves = tuple(curves)
 
     def _line_through(self, p, q):
         # coefficients of the line = cross product of the two points
@@ -477,13 +484,12 @@ class BlowupOfP2(Variety):
         return self._classes[d]
 
     def negative_curve_classes(self):
-        if self._negative_curves is None:
-            lines = (f"E{i + 1}{j + 1}" for i, j in combinations(range(4), 2))
-            self._negative_curves = tuple(map(self.class_vector, (*self.exceptional, *lines)))
+        """The classes of E1..E4, then of E12, E13, E14, E23, E24, E34."""
         return self._negative_curves
 
     def _free_forms(self, degree, d):
-        """Forms of the degree vanishing at the four points to the orders d asks."""
+        """Forms of the degree vanishing at the four points to the orders d
+        asks, solved once per degree and orders; no caller changes the list."""
         # the orders of the denominator, less those of the forced factor and
         # the exceptional coefficients; class_vector holds -multiplicity
         req = [0, 0, 0, 0]
@@ -491,6 +497,9 @@ class BlowupOfP2(Variety):
             c = int(c)
             for i, m in enumerate(self.class_vector(l)[1:]):
                 req[i] -= c * m
+        key = (degree, *req)
+        if key in self._bases:
+            return self._bases[key]
         monos = monomials_of_degree(3, degree)
         index = {e: i for i, e in enumerate(monos)}
         rows = []
@@ -508,6 +517,7 @@ class BlowupOfP2(Variety):
         for vec in rational_kernel(rows, len(monos)):
             g = MPoly(3, {e: vec[i] for e, i in index.items()})
             basis.append(g.content_normalized())
+        self._bases[key] = basis
         return basis
 
     def _is_basepoint_free(self, d):

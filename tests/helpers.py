@@ -957,8 +957,8 @@ def product_shift(poly, point):
 
 
 def full_shift_local_at(poly, point):
-    """``mpoly.local_at`` by ``product_shift``: the whole Taylor expansion
-    about the projective point, in the chart of its first nonzero
+    """The form moved to the projective point by ``product_shift``: the
+    whole Taylor expansion about it, in the chart of its first nonzero
     coordinate."""
     chart = next(i for i, x in enumerate(point) if x)
     origin = [Fraction(x, point[chart]) if i != chart else 0 for i, x in enumerate(point)]

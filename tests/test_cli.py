@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SIGMA_TILDE_RAYS, degreewise_check, format_job
+from helpers import SIGMA_TILDE_RAYS, degreewise_check, format_job, one_shot_algebra_membership
 from pdivgen import cli
 from pdivgen.cli import EXIT_BACKEND, EXIT_ITERATION, EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC, main
 from pdivgen.jobfile import (
@@ -29,7 +29,7 @@ from pdivgen.jobfile import (
     parse_vector,
     parse_vector_list,
 )
-from pdivgen.engine import _dedupe
+from pdivgen.engine import _dedupe, run_general
 from pdivgen.polyhedra import cone_from_rays, hilbert_basis
 from pdivgen.torus import run_torus
 
@@ -532,6 +532,20 @@ def test_the_cox_pipeline_on_other_points_writes_the_stored_report(tmp_path, cap
     assert report.read_text() == Path("tests/golden/cox-s5.other-points.txt").read_text()
 
 
+def test_the_cox_pipeline_on_moved_points_writes_the_stored_report(tmp_path, capsys):
+    # no point is a coordinate point, so every multiplicity and vanishing
+    # condition is taken in a chart where the point has other nonzero
+    # coordinates
+    job = tmp_path / "cox.pdiv"
+    job.write_text(_cox_job("(1,1,0) (0,1,2) (3,0,1) (1,-1,1)", "x0 + 5*x1 + 7*x2"))
+    report = tmp_path / "cox.txt"
+    assert main([str(job), "--pipeline", "cox-s5", "--output", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert report.read_text() == Path("tests/golden/cox-s5.moved-points.txt").read_text()
+    golden = Path("tests/golden/cox-s5.moved-points.gens.txt").read_text()
+    assert Path(f"{report}.gens.txt").read_text() == golden
+
+
 COX_RAYS = (
     "(0,1,0,0,0) (0,0,1,0,0) (0,0,0,1,0) (0,0,0,0,1) (1,-1,0,0,-1) (1,0,0,-1,-1) "
     "(1,0,-1,0,-1) (1,0,-1,-1,0) (1,-1,0,-1,0) (1,-1,-1,0,0)"
@@ -854,6 +868,21 @@ def test_the_torus_route_on_the_plane_job_is_minimal_below_degree_three():
     missing, minimal = degreewise_check(y, d, elements, 4, where=lambda u: u[1] <= 2)
     assert missing == dict.fromkeys(PLANE_TORUS_DEGREES, 0)
     assert minimal == PLANE_TORUS_DEGREES
+
+
+def test_the_general_generators_of_the_plane_job_lie_in_the_torus_algebra():
+    # both routes on one variety: a torus section's coord: labels are
+    # registered on the variety that first uses them
+    job = parse_job(Path("jobs/p2.pdiv").read_text())
+    y = build_variety(job)
+    d = build_pdivisor(job, y)
+    general = run_general(y, d).elements
+    torus = _dedupe(run_torus(y, d).elements)
+    assert (len(general), len(torus)) == (75, 93)
+    assert all(one_shot_algebra_membership(y, e, torus) for e in general)
+    # the general route exports its algebra for normalization: 47 of the
+    # torus generators are not in it
+    assert sum(one_shot_algebra_membership(y, e, general) for e in torus) == 46
 
 
 @pytest.mark.parametrize("pipeline", ["general", "torus"])

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from helpers import cox_pdivisor_oracle, plane_pdivisor
+from helpers import cox_pdivisor_oracle, plane_pdivisor, two_pass_hyperplane_subdivision
 from pdivgen import engine, jobfile, polyhedra, torus
 from pdivgen.coxs5 import (
     CURVE_COLUMNS,
@@ -79,6 +79,24 @@ def test_pdivisor_evaluation_at_curve_columns():
 def test_subdivision_counts(result):
     assert len(result.cells) == 76
     assert len(result.rays) == 20
+
+
+def test_the_cox_subdivision_matches_the_two_pass_oracle(result):
+    # every cell with its facets in dimension 5: 65 of the 76 cells are
+    # simplicial, and no tight set of the other 11 lies in a larger one
+    d = build_cox_pdivisor()
+    planes = [
+        tuple(a - b for a, b in zip(*poly.vertices))
+        for poly in d.coefficients.values()
+        if len(poly.vertices) == 2
+    ]
+    assert len(planes) == 10
+    got = polyhedra.hyperplane_subdivision(d.weight_cone, planes).cells
+    want = two_pass_hyperplane_subdivision(d.weight_cone, planes).cells
+    assert [c.rays for c in got] == [c.rays for c in want]
+    assert [c.facets for c in got] == [c.facets for c in want]
+    assert got == result.cells
+    assert sum(len(c.rays) == 5 for c in got) == 65
 
 
 def test_ray_classes(result):
