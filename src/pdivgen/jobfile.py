@@ -305,7 +305,7 @@ def build_pdivisor(job: JobDescription, y) -> PDivisor:
             raise JobSemanticError(
                 f"{key} has vectors of width {len(vertices[0])}, rays have width {dim}"
             )
-        coeffs[label] = tailed_polyhedron(vertices, tail, pointed=True)
+        coeffs[label] = tailed_polyhedron(vertices, tail)
     try:
         return PDivisor(y, omega, coeffs)
     except ValueError as exc:

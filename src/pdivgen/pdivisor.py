@@ -102,9 +102,8 @@ def restrict(d: PDivisor, c: QCone) -> PDivisor:
         if not d.weight_cone.contains(r):
             raise NotSubcone(f"ray {r} is outside the weight cone")
     tail = dual_cone(c)
-    pointed = tail.is_pointed()
     coeffs = {
-        label: tailed_polyhedron(poly.vertices, tail, pointed=pointed)
+        label: tailed_polyhedron(poly.vertices, tail)
         for label, poly in d.coefficients.items()
     }
     return PDivisor(d.variety, c, coeffs)

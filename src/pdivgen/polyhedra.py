@@ -401,7 +401,7 @@ class TailedPolyhedron(NamedTuple):
     tail: QCone
 
 
-def tailed_polyhedron(vertices, tail: QCone, *, pointed=None):
+def tailed_polyhedron(vertices, tail: QCone):
     """conv(vertices) + tail, with the vertices that are vertices of it.
 
     ``vertices`` are rational points of width ``tail.dim``, repeats
@@ -412,7 +412,6 @@ def tailed_polyhedron(vertices, tail: QCone, *, pointed=None):
     and no double description is needed.  Three or more points, or a
     tail that is not pointed, take the rays of height one of the cone
     over the points at height one and the rays of T at height zero.
-    ``pointed`` is ``tail.is_pointed()`` when the caller has tested it.
     """
     dim = tail.dim
     verts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
@@ -420,7 +419,7 @@ def tailed_polyhedron(vertices, tail: QCone, *, pointed=None):
         raise ValueError("a tailed polyhedron needs at least one vertex")
     if any(len(v) != dim for v in verts):
         raise ValueError(f"vertices of a width other than that of a tail in dimension {dim}")
-    if len(verts) <= 2 and (tail.is_pointed() if pointed is None else pointed):
+    if len(verts) <= 2 and tail.is_pointed():
         if len(verts) == 2:
             scale = lcm(*(x.denominator for v in verts for x in v))
             a, b = ([x.numerator * (scale // x.denominator) for x in v] for v in verts)

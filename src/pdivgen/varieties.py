@@ -422,7 +422,6 @@ class BlowupOfP2(Variety):
             f"E{i}": tuple(int(k == i) for k in range(5)) for i in range(1, 5)
         }
         self._classes = {}
-        self._conditions = {}  # (degree, point, order) -> vanishing conditions
         self._bases = {}  # (degree, orders at the points) -> free forms
         self.register_divisor("H", h_form)
         # class_vector holds -multiplicity, and the classes need it anyway
@@ -489,7 +488,7 @@ class BlowupOfP2(Variety):
 
     def _free_forms(self, degree, d):
         """Forms of the degree vanishing at the four points to the orders d
-        asks, solved once per degree and orders; no caller changes the list."""
+        asks, solved once per degree and orders."""
         # the orders of the denominator, less those of the forced factor and
         # the exceptional coefficients; class_vector holds -multiplicity
         req = [0, 0, 0, 0]
@@ -498,27 +497,20 @@ class BlowupOfP2(Variety):
             for i, m in enumerate(self.class_vector(l)[1:]):
                 req[i] -= c * m
         key = (degree, *req)
-        if key in self._bases:
-            return self._bases[key]
-        monos = monomials_of_degree(3, degree)
-        index = {e: i for i, e in enumerate(monos)}
-        rows = []
-        for p, m in zip(self.points, req):
-            if m <= 0:
-                continue
-            # condition: all Taylor coefficients of total degree < m vanish,
-            # so the monomials are expanded to that order only
-            conditions = self._conditions.get((degree, p, m))
-            if conditions is None:
-                conditions = taylor_rows([MPoly.monomial(3, e) for e in monos], p, m)
-                self._conditions[degree, p, m] = conditions
-            rows.extend(conditions)
-        basis = []
-        for vec in rational_kernel(rows, len(monos)):
-            g = MPoly(3, {e: vec[i] for e, i in index.items()})
-            basis.append(g.content_normalized())
-        self._bases[key] = basis
-        return basis
+        if key not in self._bases:
+            monos = monomials_of_degree(3, degree)
+            rows = []
+            for p, m in zip(self.points, req):
+                # condition: all Taylor coefficients of total degree < m
+                # vanish, so the monomials are expanded to that order only
+                if m > 0:
+                    rows.extend(taylor_rows([MPoly.monomial(3, e) for e in monos], p, m))
+            self._bases[key] = tuple(
+                MPoly(3, dict(zip(monos, vec))).content_normalized()
+                for vec in rational_kernel(rows, len(monos))
+            )
+        # a copy, so no caller can change the stored space
+        return list(self._bases[key])
 
     def _is_basepoint_free(self, d):
         cls = self.class_of(d)
