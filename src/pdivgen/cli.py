@@ -23,8 +23,8 @@ from .jobfile import (
 from .pdivisor import (
     IterationLimitExceeded,
     WeightOutsideCone,
-    bigness_checks,
     linearity_subdivision,
+    validate,
 )
 from .polyhedra import NonPointedCone, hilbert_basis
 from .torus import run_torus
@@ -138,14 +138,13 @@ def _pipeline_cox(y, d, max_iterations, domain):
     return lines, gen_lines
 
 
-def _require_big(d):
-    """Reject a p-divisor that is definitely not big on some linearity cell,
-    and return the linearity subdivision it checked.
-
-    An UNVERIFIABLE verdict passes: no criterion decides it.
-    """
+def _require_valid(d, max_iterations):
+    """Reject a p-divisor with a ray that has no base point free multiple up
+    to the cap, or definitely not big on a linearity cell (UNVERIFIABLE
+    passes: no criterion decides it); return the subdivision it checked."""
     domain = linearity_subdivision(d)
-    for check in bigness_checks(d, domain):
+    # a cell that is not big is named before a ray
+    for check in sorted(validate(d, max_iterations, domain), key=lambda c: "ray" in c.name):
         if check.verdict == "fail":
             raise JobSemanticError(f"the p-divisor is not {check.name}: {check.detail}")
     return domain
@@ -180,7 +179,7 @@ def run_job(job: JobDescription, args) -> int:
             domain = None
             if job is not None and pipeline in ("general", "torus", "cox-s5"):
                 stage = "bigness"
-                domain = _require_big(d)
+                domain = _require_valid(d, args.max_iterations)
             stage = pipeline
             if pipeline == "eval":
                 lines, gen_lines = _pipeline_eval(job, d)

@@ -68,19 +68,25 @@ def reduce_rays(y, d: PDivisor, ray_classes):
     evaluation.  A weight u2 is redundant when u2 = u0 + u1 with both
     summands in the weight cone, the evaluation at u0 principal, and the
     evaluations at u1 and u2 linearly equivalent: multiplication by the
-    canonical section of the principal part is onto.
+    canonical section of the principal part is onto.  Any other weight's
+    class is read off the integer support values and the class vectors,
+    with no divisor built; the facet values put it in the weight cone.
     """
     cls = dict(ray_classes)
 
     def class_of(u):
         if u not in cls:
-            cls[u] = y.class_of(d.evaluate(u).floor())
+            total = [0] * 5
+            for label, scale, value in d.scaled_support(u):
+                total = [a + value // scale * x for a, x in zip(total, y.class_vector(label))]
+            cls[u] = tuple(total)
         return cls[u]
 
     # u2 - z lies in the weight cone exactly when no facet value of z
     # exceeds that of u2; each weight's values are computed once
     facets, values = d.weight_cone.facets, {}
-    zero_candidates = [c for c in y.negative_curve_classes() if not any(class_of(c))]
+    curves = [c for c in y.negative_curve_classes() if d.weight_cone.contains(c)]
+    zero_candidates = [c for c in curves if not any(class_of(c))]
     zero_candidates += [
         r for r in ray_classes if not any(class_of(r)) and r not in zero_candidates
     ]
@@ -119,10 +125,13 @@ def _t_monomial(u, columns, cone, values):
 
     ``columns`` are the classes of the curve variables, ``cone`` is their
     cone and ``values`` its facet value cache, all shared by every call of
-    one presentation.
+    one presentation.  Each column alone spans an extreme ray of that
+    cone, and a point on an extreme ray is a sum only of points on it, so
+    a curve class is its own variable, with no search.
     """
-    for parts in _nn_decompositions(u, columns, 5000, cone, values, first=True):
-        exps = [0] * len(columns)
+    exps = [0] * len(columns)
+    decomps = [(u,)] if u in columns else _nn_decompositions(u, columns, 5000, cone, values, True)
+    for parts in decomps:
         for w in parts:
             exps[columns.index(w)] += 1
         return tuple(exps)

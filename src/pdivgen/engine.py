@@ -15,7 +15,6 @@ for an external normalization.
 
 from itertools import islice
 from math import gcd
-from operator import sub
 from typing import NamedTuple
 
 from .intlinalg import (
@@ -349,10 +348,10 @@ def _search(roots, weights, limit, cone, values, first=False):
     """Each root's decompositions over the sorted distinct weights, and
     whether its search ended before the node limit, as a list of pairs.
 
-    A remainder is kept while it lies in the pruning ``cone``, which
-    contains the weights; ``values`` caches facet values on it.  A search
-    emits decompositions in lexicographic order of their weight sequences,
-    and with ``first`` it ends at the first one.
+    A remainder is kept while it lies in the pruning ``cone``, a pointed
+    cone that contains the weights; ``values`` caches facet values on it.
+    A search emits decompositions in lexicographic order of their weight
+    sequences, and with ``first`` it ends at the first one.
 
     A remainder's facet values lie between 0 and its root's, and a
     weight's are at least 0, so each tuple packs into one integer with a
@@ -361,8 +360,9 @@ def _search(roots, weights, limit, cone, values, first=False):
     set, subtracting a weight borrows from no neighbouring field, and a
     field's guard survives exactly when the remainder stays on that
     facet's side: a child is kept exactly when ``(p | G) - q`` keeps all
-    of G, and its packed values are then p - q.
-    """
+    of G, and its packed values are then p - q.  A node carries no
+    remainder: on a pointed cone only 0 has all facet values 0, so p = 0
+    marks a decomposition."""
     facets = cone.facets
     wvals = [_facet_values(values, facets, w) for w in weights]
     rvals = [_facet_values(values, facets, u) for u in roots]
@@ -374,17 +374,17 @@ def _search(roots, weights, limit, cone, values, first=False):
     guard = _pack([1 << bits] * len(facets), width)
     packed = [_pack(v, width) for v in wvals]
     found = []
-    for u, root in zip(roots, rvals):
+    for root in rvals:
         out = []
         # a root outside the cone has every remainder below it outside too;
         # otherwise a preorder depth-first search, whose children are pushed
         # in reverse so they pop in weight order, stops after `limit` nodes
-        stack = [(u, _pack(root, width), 0, ())] if min(root, default=0) >= 0 else []
+        stack = [(_pack(root, width), 0, ())] if min(root, default=0) >= 0 else []
         for _ in range(limit):
             if not stack:
                 break
-            remaining, p, start, chosen = stack.pop()
-            if not any(remaining):
+            p, start, chosen = stack.pop()
+            if not p:
                 out.append(chosen)
                 if first:
                     stack.clear()
@@ -394,8 +394,7 @@ def _search(roots, weights, limit, cone, values, first=False):
             for i in range(len(weights) - 1, start - 1, -1):
                 left = p - packed[i]
                 if left & guard == guard:
-                    w = weights[i]
-                    stack.append((tuple(map(sub, remaining, w)), left ^ guard, i, chosen + (w,)))
+                    stack.append((left ^ guard, i, chosen + (weights[i],)))
         found.append((out, not stack))
     return found
 
@@ -405,9 +404,10 @@ def _nn_decompositions(u, weights, limit=NODE_LIMIT, cone=None, values=None, fir
     ``first`` the first of them only.
 
     Weights live in a pointed cone, so the search tree is finite; a hard
-    node limit guards degenerate inputs.  A remainder is kept while it
-    lies in the pruning cone, which is the cone of the weights unless the
-    caller passes one that contains them.  Such a cone prunes only
+    node limit guards degenerate inputs, and weights whose cone is not
+    pointed are refused.  A remainder is kept while it lies in the pruning
+    cone, which is the cone of the weights unless the caller passes a
+    pointed one that contains them.  Such a cone prunes only
     subtrees without a decomposition, so the search finds the same
     decompositions in the same order and may visit more nodes; when it
     stops at the node limit it is run again on the weights' own cone.
@@ -420,11 +420,12 @@ def _nn_decompositions(u, weights, limit=NODE_LIMIT, cone=None, values=None, fir
         return [()] if not any(u) else []
     if any(len(w) != len(u) for w in weights):
         raise ValueError(f"weights of a width other than that of {u}")
-    own = cone is None
+    own = cone is None or not cone.is_pointed()
     if own:
         cone, values = cone_from_rays(weights, len(u)), {}
-    elif values is None:
-        values = {}
+        if not cone.is_pointed():
+            raise NonPointedCone(f"the weights {weights} span a cone that is not pointed")
+    values = {} if values is None else values
     [(out, complete)] = _search([u], weights, limit, cone, values, first)
     if not complete and not own:
         # cut off on the wider cone: the weights' own cone visits fewer nodes

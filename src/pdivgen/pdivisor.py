@@ -60,14 +60,19 @@ class PDivisor:
                 [[x.numerator * (scale // x.denominator) for x in v] for v in poly.vertices],
             )
 
+    def scaled_support(self, u):
+        """(label, L, L * h(u)) per coefficient, in integers: h is its support
+        function, L its vertices' denominator, and u lies in the weight cone."""
+        return [(label, scale, min([sum(map(mul, v, u)) for v in scaled]))
+                for label, (scale, scaled) in self._scaled_vertices.items()]
+
     def evaluate(self, u) -> QDivisor:
         if not self.weight_cone.contains(u):
             raise WeightOutsideCone(f"{tuple(u)} is not in the weight cone")
         # the cone test rejects a weight of another width, so the products
         # need no width check of their own
         values = {}
-        for label, (scale, scaled) in self._scaled_vertices.items():
-            value = min([sum(map(mul, v, u)) for v in scaled])
+        for label, scale, value in self.scaled_support(u):
             if value:
                 if scale != 1:
                     value = Fraction(value, scale)
@@ -136,9 +141,10 @@ class ValidationCheck(NamedTuple):
     detail: str = ""
 
 
-def validate(d: PDivisor, max_iterations=64):
-    """Checks of semiampleness at subdivision rays, bigness at cell interiors."""
-    domain = linearity_subdivision(d)
+def validate(d: PDivisor, max_iterations=64, domain=None):
+    """Checks of semiampleness at the rays and bigness at cell interiors of
+    ``domain``, the linearity subdivision of d by default."""
+    domain = domain or linearity_subdivision(d)
     checks = []
     for ray in domain.rays():
         try:

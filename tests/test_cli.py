@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import SIGMA_TILDE_RAYS, degreewise_check, format_job, one_shot_algebra_membership
 from pdivgen import cli
-from pdivgen.cli import EXIT_BACKEND, EXIT_ITERATION, EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC, main
+from pdivgen.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC, main
 from pdivgen.jobfile import (
     MAX_EXPONENT,
     JobParseError,
@@ -29,7 +29,7 @@ from pdivgen.jobfile import (
     parse_vector,
     parse_vector_list,
 )
-from pdivgen.engine import _dedupe, run_general
+from pdivgen.engine import GradedElement, _dedupe, run_general
 from pdivgen.polyhedra import cone_from_rays, hilbert_basis
 from pdivgen.torus import run_torus
 
@@ -390,17 +390,22 @@ def test_a_blowup_job_cannot_redefine_a_built_in_label(form, pipeline, tmp_path,
 
 def test_a_ray_without_a_base_point_free_multiple_exits_at_the_cap(tmp_path, capsys):
     # D(k*(1,0)) = -k E for every k, so no multiple has a section; the
-    # degree test answers without multiplying out E**k
+    # degree test answers without multiplying out E**k.  The check next to
+    # bigness refuses the job before either route starts: general ran into
+    # the cap (exit 4), and torus refused the ray's negative degree on the
+    # non-invariant part
     job = tmp_path / "no-free-multiple.pdiv"
     job.write_text(
         Path("jobs/p2.pdiv").read_text().replace("rays = (-1,1) (1,1)", "rays = (1,0) (0,1)")
     )
-    start = time.perf_counter()
-    assert main([str(job)]) == EXIT_ITERATION
-    assert time.perf_counter() - start < 10
-    err = capsys.readouterr().err
-    assert "no integral base point free multiple of (1, 0) up to 64" in err
-    assert "Traceback" not in err
+    for pipeline in ("general", "torus"):
+        start = time.perf_counter()
+        assert main([str(job), "--pipeline", pipeline]) == EXIT_SEMANTIC
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().err == (
+            "semantic error: [stage bigness] the p-divisor is not semiample at ray (1, 0): "
+            "no base point free multiple up to cap 64\n"
+        )
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
@@ -881,8 +886,12 @@ def test_the_general_generators_of_the_plane_job_lie_in_the_torus_algebra():
     assert (len(general), len(torus)) == (75, 93)
     assert all(one_shot_algebra_membership(y, e, torus) for e in general)
     # the general route exports its algebra for normalization: 47 of the
-    # torus generators are not in it
-    assert sum(one_shot_algebra_membership(y, e, general) for e in torus) == 46
+    # torus generators are not in it, and the square of each of them is
+    outside = [e for e in torus if not one_shot_algebra_membership(y, e, general)]
+    assert len(outside) == 47
+    for e in outside:
+        square = GradedElement(e.section * e.section, tuple(2 * x for x in e.weight))
+        assert one_shot_algebra_membership(y, square, general)
 
 
 @pytest.mark.parametrize("pipeline", ["general", "torus"])

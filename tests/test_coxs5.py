@@ -178,10 +178,11 @@ def test_run_cox_reuses_the_section_bases_of_the_rays():
     # the harvest evaluates each ray once and builds no sections; the pool
     # builds one section space per kept ray from the floor of that one
     # evaluation, the completion builds none, and the product reduction
-    # evaluates each weight it classes once
+    # reads its weights' classes off the integer support values, with no
+    # evaluation
     assert built.call_count == len(result.reduced_rays) == 20
     weights = [c.args[1] for c in evaluate.call_args_list]
-    assert len(weights) == len(set(weights)) == 50
+    assert len(weights) == len(set(weights)) == 20
     d = build_cox_pdivisor()
     y = d.variety
     pool = [
@@ -247,6 +248,14 @@ def test_negative_curves_of_surface():
     y = build_cox_pdivisor().variety
     classes = set(y.negative_curve_classes())
     assert classes == set(CURVE_CLASSES)
+
+
+def test_the_curve_columns_are_the_extreme_rays_of_their_cone():
+    # so a curve class decomposes only as itself, and the presentation
+    # reads its variable with no search
+    y = build_cox_pdivisor().variety
+    columns = [y.class_vector(label) for label in CURVE_COLUMNS]
+    assert sorted(polyhedra.cone_from_rays(columns, 5).rays) == sorted(columns)
 
 
 @pytest.mark.parametrize(

@@ -101,7 +101,6 @@ def test_no_true_division():
 # library entry points read only from outside src/pdivgen
 UNREAD_ALLOWED = {
     ("cli", "main"),
-    ("pdivisor", "validate"),
     # the paper's restriction D|c; the general route reads each ray's
     # sections from D itself, and a property test pins that the two
     # evaluate alike on every simplex of the subdivision

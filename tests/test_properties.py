@@ -376,25 +376,54 @@ def test_hyperplane_cuts_match_the_two_pass_oracle(case):
     assert [c.facets for c in got] == [c.facets for c in want]
 
 
+def _fractions(bound, den):
+    """Every fraction p/q with 0 < q <= den and |p/q| <= bound, sorted."""
+    return tuple(
+        sorted({Fraction(p, q) for q in range(1, den + 1) for p in range(-bound * q, bound * q + 1)})
+    )
+
+
+_THIRDS = _fractions(3, 3)
+_third_index = st.integers(0, len(_THIRDS) - 1)
+# the dimension, the rays past dim, whether there is a line, the point counts
+_refinement_shapes = st.tuples(
+    st.integers(2, 4),
+    st.integers(0, 2),
+    st.booleans(),
+    st.lists(st.integers(2, 4), min_size=1, max_size=3),
+)
+
+
+def _flat(entry, n):
+    return st.lists(entry, min_size=n, max_size=n)
+
+
 @st.composite
 def _ambients_and_polyhedra(draw):
     """A full-dimensional ambient cone in dimension 2-4, pointed or holding
     a line, and 1-3 tailed polyhedra of 2-4 rational points each on its
-    dual, which is pointed."""
-    dim = draw(st.integers(min_value=2, max_value=4))
-    vec = st.lists(tiny_int, min_size=dim, max_size=dim).map(tuple)
-    rays = draw(st.lists(vec, min_size=dim, max_size=dim + 2))
-    if draw(st.booleans()):
-        line = draw(vec.filter(any))
+    dual, which is pointed.
+
+    Flat lists of entries are shaped into the dim to dim + 2 rays, the
+    line and the points.  Every case is valid as drawn: a zero line
+    becomes the first unit vector, and rays that span less than the
+    space have their first dim replaced by the unit vectors.
+    """
+    dim, extra, with_line, sizes = draw(_refinement_shapes)
+    flat = draw(_flat(tiny_int, (dim + extra + with_line) * dim))
+    rays = [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)]
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    if with_line:
+        line = rays.pop() if any(rays[-1]) else units[0]
         rays += [line, tuple(-x for x in line)]
+    if rank(rays) < dim:
+        rays[:dim] = units
     ambient = cone_from_rays(rays, dim)
-    assume(ambient.is_full_dim())
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    point = st.tuples(*[entry] * dim)
     tail = dual_cone(ambient)
+    entries = iter(_THIRDS[i] for i in draw(_flat(_third_index, sum(sizes) * dim)))
     polys = [
-        tailed_polyhedron(points, tail)
-        for points in draw(st.lists(st.lists(point, min_size=2, max_size=4), min_size=1, max_size=3))
+        tailed_polyhedron([tuple(next(entries) for _ in range(dim)) for _ in range(n)], tail)
+        for n in sizes
     ]
     return ambient, polys
 
@@ -422,13 +451,22 @@ _DENOMINATORS = (
     (("D", 1), ("E", 2)),
 )
 _rational = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_RATIONALS = _fractions(5, 4)
+# a section: an index into _DENOMINATORS, then up to four (monomial,
+# coefficient) index pairs, each index read modulo the length of its table
+_section_indices = st.lists(st.integers(0, 1023), min_size=1, max_size=9)
+_indices = st.lists(st.integers(0, 1023), min_size=8, max_size=8)
+_labels = st.sampled_from(("D", "E"))
 
 
-@st.composite
-def _plane_section(draw, base):
-    den = draw(st.sampled_from(_DENOMINATORS))
+def _plane_section(indices, base):
+    den = _DENOMINATORS[indices[0] % len(_DENOMINATORS)]
     monos = monomials_of_degree(3, base + 3 * sum(k for _, k in den))
-    terms = draw(st.dictionaries(st.sampled_from(monos), _rational, max_size=4))
+    pairs = indices[1:]
+    terms = {
+        monos[m % len(monos)]: _RATIONALS[c % len(_RATIONALS)]
+        for m, c in zip(pairs[::2], pairs[1::2])
+    }
     return ffe(MPoly(3, terms), den)
 
 
@@ -449,16 +487,19 @@ def _combination(y, elements, coeffs, label):
 
 @st.composite
 def _plane_span_cases(draw):
-    """(elements, target, whether the target is a combination of them)."""
+    """(elements, target, whether the target is a combination of them).
+
+    Up to six sections, then up to two repeats, all shaped from flat
+    lists of indices."""
     base = draw(st.integers(min_value=0, max_value=2))
-    elements = draw(st.lists(_plane_section(base), max_size=6))
+    elements = [_plane_section(i, base) for i in draw(st.lists(_section_indices, max_size=6))]
     if elements:
-        elements += draw(st.lists(st.sampled_from(elements), max_size=2))
+        repeats = draw(st.lists(st.integers(0, 5), max_size=2))
+        elements += [elements[i % len(elements)] for i in repeats]
     if elements and draw(st.booleans()):
-        coeffs = draw(st.lists(_rational, min_size=len(elements), max_size=len(elements)))
-        label = draw(st.sampled_from(("D", "E")))
-        return elements, _combination(_PLANE, elements, coeffs, label), True
-    return elements, draw(_plane_section(base)), False
+        coeffs = [_RATIONALS[i % len(_RATIONALS)] for i in draw(_indices)[: len(elements)]]
+        return elements, _combination(_PLANE, elements, coeffs, draw(_labels)), True
+    return elements, _plane_section(draw(_section_indices), base), False
 
 
 @given(_plane_span_cases())
@@ -1125,6 +1166,17 @@ _small_vectors = st.lists(tiny_int, min_size=5, max_size=5).map(tuple)
 
 @given(st.lists(st.one_of(_class_sums, _small_vectors), max_size=3))
 @example([(0, 0, 0, 0, 0), (-1, 0, 0, 0, 0), (2, -1, -1, -1, -1)])
+# each curve class on its own, which is its own variable with no search
+@example([_CURVES[0]])
+@example([_CURVES[1]])
+@example([_CURVES[2]])
+@example([_CURVES[3]])
+@example([_CURVES[4]])
+@example([_CURVES[5]])
+@example([_CURVES[6]])
+@example([_CURVES[7]])
+@example([_CURVES[8]])
+@example([_CURVES[9]])
 @settings(max_examples=40, deadline=None)
 def test_a_curve_monomial_is_the_first_decomposition(weights):
     columns = list(_CURVES)
