@@ -3,12 +3,14 @@
 A polynomial is a mapping {exponent tuple: coefficient}, where an
 integral coefficient is an int and any other a Fraction; the number of
 variables is fixed per polynomial.  Just enough arithmetic for section
-spaces: products, powers, affine shifts and exact division.
+spaces: products, powers, exact division and the values of partial
+derivatives at a point.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, inf, lcm, prod
+from math import gcd, lcm, perm, prod
+from operator import mul
 
 
 class MPoly:
@@ -135,52 +137,6 @@ class MPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def shift(self, point, below=inf):
-        """Substitute x_i -> x_i + point_i, keeping the terms of total
-        degree below ``below``.
-
-        Each term expands by the binomial theorem: x_i^k becomes
-        sum_j C(k, j) point_i^(k - j) x_i^j.  A partial product already at
-        degree ``below`` is dropped, since the later factors only add
-        degree.
-        """
-        if len(point) != self.nvars:
-            raise ValueError(f"a point of width {len(point)} for {self.nvars} variables")
-        point = [_rational(a) for a in point]
-        out = {}
-        for e, c in self.terms.items():
-            expanded = [((), c, 0)]
-            for k, a in zip(e, point):
-                if a and k:
-                    steps = [(j, comb(k, j) * a ** (k - j)) for j in range(k + 1)]
-                    expanded = [
-                        (ex + (j,), t * f, n + j)
-                        for ex, t, n in expanded
-                        for j, f in steps
-                        if n + j < below
-                    ]
-                else:
-                    expanded = [(ex + (k,), t, n + k) for ex, t, n in expanded if n + k < below]
-            for ex, t, _ in expanded:
-                out[ex] = out.get(ex, 0) + t
-        return MPoly._of(self.nvars, _tidied({e: c for e, c in out.items() if c}))
-
-    def dehomogenize(self, var, value=1):
-        """Set variable `var` to a constant, dropping it from the support."""
-        value = _rational(value)
-        out = {}
-        for e, c in self.terms.items():
-            c = c * value ** e[var]
-            if not c:
-                continue
-            e2 = e[:var] + (0,) + e[var + 1 :]
-            out[e2] = out.get(e2, 0) + c
-        return MPoly._of(self.nvars, _tidied({e: c for e, c in out.items() if c}))
-
-    def low_degree(self):
-        """Smallest total degree among terms (order of vanishing at 0)."""
-        return min((sum(e) for e in self.terms), default=None)
-
     def divide_exact(self, divisor):
         """Exact quotient self / divisor, or None if not divisible."""
         if not divisor:
@@ -267,46 +223,32 @@ def monomials_of_degree(nvars, degree):
     return sorted(out, reverse=True)
 
 
-def _affine(point):
-    """The chart of the projective point's first nonzero coordinate, and
-    the point there, with 0 at that coordinate, which ``dehomogenize`` sets
-    to 1."""
-    chart = next(i for i, x in enumerate(point) if x != 0)
-    scale = point[chart]
-    return chart, [_rational(Fraction(x, scale)) if i != chart else 0 for i, x in enumerate(point)]
-
-
-def _value(poly, point):
-    """The form's value at the point, in integer or rational products."""
-    return sum(c * prod(map(pow, point, e)) for e, c in poly.terms.items())
-
-
-def taylor_rows(polys, point, below):
-    """The coefficients of total degree below ``below`` of the forms about
-    the projective point: one row per exponent that occurs, in sorted
-    order, and one column per form.  Below order 1 that is the forms'
-    values at the point in its chart, with no expansion."""
-    chart, origin = _affine(point)
-    if below == 1:
-        origin[chart] = 1
-        row = [_value(p, origin) for p in polys]
-        return [row] if any(row) else []
-    shifted = [p.dehomogenize(chart, 1).shift(origin, below) for p in polys]
-    exps = sorted({e for mp in shifted for e in mp.terms})
-    return [[mp.terms.get(e, 0) for mp in shifted] for e in exps]
+def derivative_rows(exps, point, order):
+    """The values at the projective point of the partial derivatives of the
+    given order of the monomials: one row per derivative that is not zero
+    there, one column per exponent.  The derivative d^a of x^e is
+    prod perm(e_i, a_i) x_i^(e_i - a_i), zero where some a_i exceeds e_i."""
+    for e in exps:
+        if len(e) != len(point):
+            raise ValueError(f"a point of width {len(point)} for {len(e)} variables")
+    rows = []
+    for a in monomials_of_degree(len(point), order):
+        row = [
+            prod(perm(k, j) * x ** (k - j) for k, j, x in zip(e, a, point))
+            if all(j <= k for j, k in zip(a, e))
+            else 0
+            for e in exps
+        ]
+        if any(row):
+            rows.append(row)
+    return rows
 
 
 def multiplicity_at(poly, point):
-    """Order of vanishing of a homogeneous form at a projective point.
-
-    The form's value at the point alone says whether it vanishes there;
-    only then is it moved to the point, in the affine chart of the point's
-    first nonzero coordinate, and expanded in full.
-    """
-    if len(point) != poly.nvars:
-        raise ValueError(f"a point of width {len(point)} for {poly.nvars} variables")
-    if _value(poly, point):
-        return 0
-    chart, origin = _affine(point)
-    low = poly.dehomogenize(chart, 1).shift(origin).low_degree()
-    return poly.total_degree() + 1 if low is None else low
+    """Order of vanishing of a homogeneous form at a projective point: the
+    least order of a partial derivative that is not zero there."""
+    coeffs = list(poly.terms.values())
+    for k in range(poly.total_degree() + 1):
+        if any(sum(map(mul, coeffs, row)) for row in derivative_rows(poly.terms, point, k)):
+            return k
+    return poly.total_degree() + 1

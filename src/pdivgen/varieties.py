@@ -5,8 +5,9 @@ space, and the blow-up of the plane in four points.  Sections are
 represented as fractions whose denominators stay factored into the
 registered defining forms, so that products and span tests reduce to
 linear algebra on numerators.  Span tests run ``intlinalg``'s fraction-free
-elimination on sparse rows, one row per section as it arrives, and the
-multiplicity conditions of the blow-up take its rational kernel.
+elimination on sparse rows, one row per section as it arrives.  The
+blow-up's forms with assigned multiplicities at its points are the
+rational kernel of the values there of their partial derivatives.
 """
 
 from itertools import chain, combinations
@@ -14,7 +15,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intlinalg import rational_kernel
-from .mpoly import MPoly, _rational, monomials_of_degree, multiplicity_at, taylor_rows
+from .mpoly import MPoly, _rational, derivative_rows, monomials_of_degree, multiplicity_at
 
 
 class NonIntegralDivisor(ValueError):
@@ -412,8 +413,8 @@ class BlowupOfP2(Variety):
         if len(points) != 4:
             raise UnsupportedBackend("only the four-point blow-up is supported")
         super().__init__(3, coordinates)
-        # an integral coordinate is an int, so the point tests and Taylor
-        # shifts stay in integer arithmetic
+        # an integral coordinate is an int, so the point tests and the
+        # derivative values stay in integer arithmetic
         self.points = tuple(tuple(_rational(x) for x in p) for p in points)
         _check_general_position(self.points)
         # the classes of the ten negative curves now, any other on first
@@ -488,7 +489,16 @@ class BlowupOfP2(Variety):
 
     def _free_forms(self, degree, d):
         """Forms of the degree vanishing at the four points to the orders d
-        asks, solved once per degree and orders."""
+        asks, solved once per degree and orders.
+
+        A form has multiplicity at least m at a point exactly when its
+        partial derivatives of order m - 1 vanish there; Euler's formula
+        gives the lower orders, and above the degree only the zero form
+        has that order.  These rows span the same space as the
+        coefficients below order m of the monomials' expansions about the
+        point, and ``rational_kernel`` reads only the canonical rref of the
+        rows, so the basis depends on that span alone.
+        """
         # the orders of the denominator, less those of the forced factor and
         # the exceptional coefficients; class_vector holds -multiplicity
         req = [0, 0, 0, 0]
@@ -499,12 +509,12 @@ class BlowupOfP2(Variety):
         key = (degree, *req)
         if key not in self._bases:
             monos = monomials_of_degree(3, degree)
-            rows = []
-            for p, m in zip(self.points, req):
-                # condition: all Taylor coefficients of total degree < m
-                # vanish, so the monomials are expanded to that order only
-                if m > 0:
-                    rows.extend(taylor_rows([MPoly.monomial(3, e) for e in monos], p, m))
+            rows = [
+                row
+                for p, m in zip(self.points, req)
+                if m > 0
+                for row in derivative_rows(monos, p, min(m - 1, degree))
+            ]
             self._bases[key] = tuple(
                 MPoly(3, dict(zip(monos, vec))).content_normalized()
                 for vec in rational_kernel(rows, len(monos))

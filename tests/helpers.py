@@ -933,19 +933,8 @@ def fraction_evaluate(d, u):
     return QDivisor({label: support(poly, u) for label, poly in d.coefficients.items()})
 
 
-def evaluate(poly, point):
-    """The value of the polynomial at a point, in Fractions."""
-    total = Fraction(0)
-    for e, c in poly.terms.items():
-        v = c
-        for x, k in zip(point, e):
-            v *= Fraction(x) ** k
-        total += v
-    return total
-
-
 def product_shift(poly, point):
-    """``MPoly.shift`` by products of polynomials: x_i -> (x_i + point_i)."""
+    """x_i -> (x_i + point_i) by products of polynomials."""
     n = poly.nvars
     out = MPoly.constant(n, 0)
     for e, c in poly.terms.items():
@@ -962,12 +951,12 @@ def full_shift_local_at(poly, point):
     coordinate."""
     chart = next(i for i, x in enumerate(point) if x)
     origin = [Fraction(x, point[chart]) if i != chart else 0 for i, x in enumerate(point)]
-    return product_shift(poly.dehomogenize(chart, 1), origin)
+    return product_shift(FractionMPoly(poly.nvars, poly.terms).dehomogenize(chart, 1), origin)
 
 
 def full_shift_multiplicity_at(poly, point):
     """``mpoly.multiplicity_at`` from the whole Taylor expansion."""
-    low = full_shift_local_at(poly, point).low_degree()
+    low = min((sum(e) for e in full_shift_local_at(poly, point).terms), default=None)
     return poly.total_degree() + 1 if low is None else low
 
 
@@ -1240,7 +1229,7 @@ def _oracle_forms_with_multiplicities(y, degree, req_mults):
             continue
         chart = next(i for i, x in enumerate(p) if x)
         shift_pt = [Fraction(p[i], p[chart]) if i != chart else Fraction(0) for i in range(3)]
-        shifted = [MPoly.monomial(3, e).dehomogenize(chart, 1).shift(shift_pt) for e in monos]
+        shifted = [FractionMPoly.monomial(3, e).dehomogenize(chart, 1).shift(shift_pt) for e in monos]
         cond_exps = sorted({ex for mp in shifted for ex in mp.terms if sum(ex) < m})
         for ce in cond_exps:
             rows.append([mp.terms.get(ce, Fraction(0)) for mp in shifted])

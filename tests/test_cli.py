@@ -527,8 +527,8 @@ def _cox_job(points, h_form):
 
 
 def test_the_cox_pipeline_on_other_points_writes_the_stored_report(tmp_path, capsys):
-    # these points reach the blow-up's Taylor expansions at a point with
-    # no zero coordinate other than (1, 1, 1)
+    # these points reach the blow-up's derivative conditions at a point
+    # with no zero coordinate other than (1, 1, 1)
     job = tmp_path / "cox.pdiv"
     job.write_text(_cox_job("(1,0,0) (0,1,0) (0,0,1) (1,2,3)", "x0 + x1 + x2"))
     report = tmp_path / "cox.txt"
@@ -539,8 +539,8 @@ def test_the_cox_pipeline_on_other_points_writes_the_stored_report(tmp_path, cap
 
 def test_the_cox_pipeline_on_moved_points_writes_the_stored_report(tmp_path, capsys):
     # no point is a coordinate point, so every multiplicity and vanishing
-    # condition is taken in a chart where the point has other nonzero
-    # coordinates
+    # condition reads derivatives at a point with more than one nonzero
+    # coordinate
     job = tmp_path / "cox.pdiv"
     job.write_text(_cox_job("(1,1,0) (0,1,2) (3,0,1) (1,-1,1)", "x0 + 5*x1 + 7*x2"))
     report = tmp_path / "cox.txt"
@@ -548,6 +548,19 @@ def test_the_cox_pipeline_on_moved_points_writes_the_stored_report(tmp_path, cap
     capsys.readouterr()
     assert report.read_text() == Path("tests/golden/cox-s5.moved-points.txt").read_text()
     golden = Path("tests/golden/cox-s5.moved-points.gens.txt").read_text()
+    assert Path(f"{report}.gens.txt").read_text() == golden
+
+
+def test_the_cox_pipeline_on_rational_points_writes_the_stored_report(tmp_path, capsys):
+    # the last point has non-integral coordinates, so the derivative
+    # values at it, and the lines through it, start out in fractions
+    job = tmp_path / "cox.pdiv"
+    job.write_text(_cox_job("(1,0,0) (0,1,0) (0,0,1) (1/2,1/3,1)", "x0 + x1 + x2"))
+    report = tmp_path / "cox.txt"
+    assert main([str(job), "--pipeline", "cox-s5", "--output", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert report.read_text() == Path("tests/golden/cox-s5.rational-points.txt").read_text()
+    golden = Path("tests/golden/cox-s5.rational-points.gens.txt").read_text()
     assert Path(f"{report}.gens.txt").read_text() == golden
 
 

@@ -6,7 +6,12 @@ from unittest import mock
 
 import pytest
 
-from helpers import cox_pdivisor_oracle, plane_pdivisor, two_pass_hyperplane_subdivision
+from helpers import (
+    cox_pdivisor_oracle,
+    degreewise_check,
+    plane_pdivisor,
+    two_pass_hyperplane_subdivision,
+)
 from pdivgen import engine, jobfile, polyhedra, torus
 from pdivgen.coxs5 import (
     CURVE_COLUMNS,
@@ -141,6 +146,18 @@ def test_ten_generators(result):
         "(x2*h) * t9",
     ):
         assert expected in lines
+
+
+def test_the_generators_are_a_minimal_generating_set_in_box_three():
+    # at each of the 81 nonzero weights u of the effective cone with
+    # |u|_1 <= 3: the products of the generators span the piece, and by
+    # graded Nakayama a minimal generating set needs one generator at each
+    # negative curve class and none elsewhere
+    d = build_cox_pdivisor()
+    missing, minimal = degreewise_check(d.variety, d, run_cox(d).generators.elements, 3)
+    assert len(missing) == 81
+    assert set(missing.values()) == {0}
+    assert minimal == {u: int(u in CURVE_CLASSES) for u in missing}
 
 
 def test_presentation_builds_no_pruning_cone(result):

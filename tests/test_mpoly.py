@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import evaluate
-from pdivgen.mpoly import MPoly, monomials_of_degree, multiplicity_at
+from pdivgen.mpoly import MPoly, derivative_rows, monomials_of_degree, multiplicity_at
 
 
 def poly_strategy(nvars=3):
@@ -66,18 +65,19 @@ def test_monomials_of_degree():
     assert list(monomials_of_degree(2, 0)) == [(0, 0)]
 
 
-def test_evaluate_and_shift():
-    x, y = (MPoly.variable(2, i) for i in range(2))
-    f = x * x + y + y
-    assert evaluate(f, (Fraction(3), Fraction(1))) == 11
-    shifted = f.shift((Fraction(1), Fraction(0)))
-    assert evaluate(shifted, (Fraction(2), Fraction(1))) == evaluate(
-        f, (Fraction(3), Fraction(1))
-    )
-    # the terms of degree below 2 of (x + 1)^2 + 2y: 1 + 2x + 2y
-    assert f.shift((1, 0), 2) == MPoly(2, {(0, 0): 1, (1, 0): 2, (0, 1): 2})
-    with pytest.raises(ValueError, match="a point of width 1 for 2 variables"):
-        f.shift((1,))
+def test_derivative_rows():
+    exps = [(2, 0, 0), (1, 1, 0), (0, 0, 2)]
+    # x0^2, x0 x1 and x2^2 at (1 : 2 : 3): their values, then one row per
+    # partial derivative, the zero ones left out
+    assert derivative_rows(exps, (1, 2, 3), 0) == [[1, 2, 9]]
+    assert derivative_rows(exps, (1, 2, 3), 1) == [[2, 2, 0], [0, 1, 0], [0, 0, 6]]
+    assert derivative_rows(exps, (1, 2, 3), 2) == [[2, 0, 0], [0, 1, 0], [0, 0, 2]]
+    assert derivative_rows(exps, (1, 2, 3), 3) == []
+    half = (Fraction(1, 2), 0, 1)
+    assert derivative_rows(exps, half, 0) == [[Fraction(1, 4), 0, 1]]
+    assert derivative_rows(exps, half, 1) == [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 2]]
+    with pytest.raises(ValueError, match="a point of width 3 for 2 variables"):
+        derivative_rows([(1, 0)], (1, 2, 3), 1)
 
 
 def test_multiplicity_at():

@@ -44,7 +44,6 @@ from helpers import (
     per_test_reduce_generators,
     plane_pdivisor,
     plane_variety,
-    product_shift,
     recursive_nn_decompositions,
     span_dimension,
     standard_blowup,
@@ -870,22 +869,6 @@ def test_quotient_field_completion_matches_the_guarded_oracle(kept, reserve, max
     assert got == expected
 
 
-@st.composite
-def _shift_cases(draw):
-    nvars = draw(st.integers(min_value=1, max_value=3))
-    exponent = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars).map(tuple)
-    terms = draw(st.dictionaries(exponent, _rational, max_size=5))
-    point = draw(st.lists(_rational, min_size=nvars, max_size=nvars))
-    return MPoly(nvars, terms), point
-
-
-@given(_shift_cases())
-@settings(max_examples=200, deadline=None)
-def test_shift_matches_the_product_shift(case):
-    poly, point = case
-    assert poly.shift(point) == product_shift(poly, point)
-
-
 # MPoly against the all-Fraction arithmetic it replaced; coefficients are
 # often integral, so that sums, products and quotients can turn a
 # non-integral coefficient into an integral one.
@@ -895,10 +878,21 @@ _coefficient = st.one_of(tiny_int, _rational)
 
 @st.composite
 def _polynomial_pairs(draw):
+    """(nvars, terms, terms with a nonzero coefficient): up to four terms
+    each, their exponents cut from a flat list of entries in [0, 2]."""
     nvars = draw(st.integers(min_value=1, max_value=3))
-    exponent = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
-    terms = st.dictionaries(exponent, _coefficient, max_size=4)
-    return nvars, draw(terms), draw(terms.filter(lambda t: any(t.values())))
+
+    def terms(min_size):
+        coeffs = draw(st.lists(_coefficient, min_size=min_size, max_size=4))
+        n = nvars * len(coeffs)
+        flat = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return [tuple(flat[i : i + nvars]) for i in range(0, n, nvars)], coeffs
+
+    a = dict(zip(*terms(0)))
+    exps, coeffs = terms(1)
+    # the last term of an exponent is the one kept, so this one stays nonzero
+    coeffs[-1] = coeffs[-1] or 1
+    return nvars, a, dict(zip(exps, coeffs))
 
 
 def _assert_same_terms(got, expected):
@@ -909,28 +903,20 @@ def _assert_same_terms(got, expected):
     _assert_ints_where_integral(got.terms.values())
 
 
-@given(
-    _polynomial_pairs(),
-    st.integers(0, 3),
-    st.lists(_coefficient, min_size=3, max_size=3),
-    st.integers(0, 2),
-)
+@given(_polynomial_pairs(), st.integers(0, 3), _coefficient)
 @settings(max_examples=200, deadline=None)
-def test_mpoly_matches_the_fraction_arithmetic(case, k, point, var):
+def test_mpoly_matches_the_fraction_arithmetic(case, k, c):
     nvars, a_terms, b_terms = case
     a, b = MPoly(nvars, a_terms), MPoly(nvars, b_terms)
     fa, fb = FractionMPoly(nvars, a_terms), FractionMPoly(nvars, b_terms)
-    point, var = point[:nvars], var % nvars
     _assert_same_terms(a, fa)
     _assert_same_terms(a + b, fa + fb)
     _assert_same_terms(a - b, fa - fb)
     _assert_same_terms(a * b, fa * fb)
-    _assert_same_terms(a * point[0], fa * FractionMPoly(nvars, {(0,) * nvars: point[0]}))
+    _assert_same_terms(a * c, fa * FractionMPoly(nvars, {(0,) * nvars: c}))
     _assert_same_terms(a**k, fa**k)
     _assert_same_terms((a * b).divide_exact(b), (fa * fb).divide_exact(fb))
     _assert_same_terms(a.divide_exact(b), fa.divide_exact(fb))
-    _assert_same_terms(a.shift(point), fa.shift(point))
-    _assert_same_terms(a.dehomogenize(var, point[0]), fa.dehomogenize(var, point[0]))
     _assert_same_terms(a.content_normalized(), fa.content_normalized())
 
 
@@ -1188,12 +1174,12 @@ def test_a_curve_monomial_is_the_first_decomposition(weights):
         assert got == (None if first is None else tuple(first.count(c) for c in columns))
 
 
-# The blow-up expands a form about a point only where it vanishes there, and
-# a section space's monomials only to the orders it asks for: against the
-# whole Taylor expansion by products, on four random points in general
-# position (a projective image of three coordinate points and a point with
-# no zero coordinate, each scaled by a denominator), with a line through
-# none of them as H.
+# The blow-up's multiplicities and section spaces from the partial
+# derivatives at the points, against the whole expansion of each form about
+# each point by products, on four random points in general position (a
+# projective image of three coordinate points and a point with no zero
+# coordinate, each scaled by a denominator), with a line through none of
+# them as H.
 
 
 def _mat_vec(m, v):
@@ -1202,6 +1188,7 @@ def _mat_vec(m, v):
 
 @st.composite
 def _blowups(draw):
+    """(points, H)."""
     nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
     l10, l20, l21, u01, u02, u12 = draw(st.lists(tiny_int, min_size=6, max_size=6))
     d0, d1, d2 = draw(st.lists(nonzero, min_size=3, max_size=3))
@@ -1215,18 +1202,17 @@ def _blowups(draw):
         points.append(tuple(Fraction(x, den) for x in _mat_vec(m, p)))
     # a point is a root of at most two of the quadratics x0 + t x1 + t^2 x2
     t = next(t for t in range(9) if all(p[0] + t * p[1] + t * t * p[2] for p in points))
-    h = MPoly(3, {(1, 0, 0): 1, (0, 1, 0): t, (0, 0, 1): t * t})
-    return BlowupOfP2(points, h)
+    return tuple(points), MPoly(3, {(1, 0, 0): 1, (0, 1, 0): t, (0, 0, 1): t * t})
 
 
 @st.composite
-def _forms_through_points(draw, y):
+def _forms_through_points(draw, points):
     """A random form of degree 0-4: a random part times lines through the
     blow-up points, each through one of them and another point."""
     lines = []
     for i, j in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=3)):
-        other = y.points[j] if j < 4 else draw(st.lists(tiny_int, min_size=3, max_size=3))
-        a, b, c = _cross(y.points[i], other)
+        other = points[j] if j < 4 else draw(st.lists(tiny_int, min_size=3, max_size=3))
+        a, b, c = _cross(points[i], other)
         if any((a, b, c)):
             lines.append(MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}))
     degree = draw(st.integers(0, 4 - len(lines)))
@@ -1238,21 +1224,43 @@ def _forms_through_points(draw, y):
     return form
 
 
-@given(st.data())
+@st.composite
+def _blowup_cases(draw):
+    """(points, H, a form F, the multiplicities asked at the points, the
+    coefficient of F, the degree of the forms)."""
+    points, h = draw(_blowups())
+    form = draw(_forms_through_points(points))
+    requests = tuple(draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)))
+    return points, h, form, requests, draw(st.integers(-1, 1)), draw(st.integers(0, 4))
+
+
+_X0, _X1, _X2 = (MPoly.variable(3, i) for i in range(3))
+_STANDARD_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+_RATIONAL_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (Fraction(1, 2), Fraction(1, 3), 1))
+
+
+@given(_blowup_cases())
+# multiplicity 3 at (1, 0, 0) on lines: above the degree, so no form is left
+@example((_STANDARD_POINTS, _X0 - _X1 + _X2, _X1 * _X2, (3, 0, 0, 0), 0, 1))
+# multiplicity 1 at every point: the values there alone
+@example((_STANDARD_POINTS, _X0 - _X1 + _X2, _X1 * _X2, (1, 1, 1, 1), 0, 2))
+# multiplicity 2 at two points whose first coordinate is 0
+@example((_STANDARD_POINTS, _X0 - _X1 + _X2, _X1 * _X2, (0, 2, 2, 0), 0, 3))
+# multiplicity 2 at a point with non-integral coordinates, on a form
+# through it
+@example((_RATIONAL_POINTS, _X0 + _X1 + _X2, _X0 * (3 * _X1 - _X2), (1, 0, 0, 2), 0, 3))
 @settings(max_examples=40, deadline=None)
-def test_taylor_data_to_the_order_read_matches_the_full_shift(data):
-    y = data.draw(_blowups())
-    form = data.draw(_forms_through_points(y))
+def test_taylor_data_to_the_order_read_matches_the_full_shift(case):
+    points, h, form, requests, f_coefficient, degree = case
+    y = BlowupOfP2(points, h)
     for p in y.points:
         assert multiplicity_at(form, p) == full_shift_multiplicity_at(form, p)
     y.register_divisor("F", form)
     for label in ("F", "H", "E1", "E2", "E3", "E4", "E12", "E13", "E14", "E23", "E24", "E34"):
         assert y.class_vector(label) == full_shift_class_vector(y, label)
-    requests = data.draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
     coeffs = {f"E{i + 1}": -m for i, m in enumerate(requests)}
-    coeffs["F"] = data.draw(st.integers(-1, 1))
+    coeffs["F"] = f_coefficient
     div = QDivisor(coeffs)
-    degree = data.draw(st.integers(0, 4))
     assert y._free_forms(degree, div) == full_shift_free_forms(y, degree, div)
 
 
